@@ -248,19 +248,96 @@ impl Packetizer {
     }
 }
 
+/// Largest sample the [`Reassembler`] will rebuild. `total` is a wire
+/// field: without a cap one crafted fragment sizes a 4 GiB buffer. Far
+/// above anything the encoder emits (slides are tens of kilobytes).
+pub const MAX_SAMPLE_BYTES: u32 = 16 << 20;
+
+/// Object ids per stream the [`Reassembler`] tracks at once. Ids more
+/// than this far behind the newest one seen count as delivered.
+pub const REASSEMBLY_WINDOW: u32 = 1024;
+
 /// Rebuilds media samples from packets (loss- and reorder-tolerant).
+///
+/// Memory is bounded: per stream, a fixed [`REASSEMBLY_WINDOW`]-bit
+/// delivered map and at most that many partial samples of at most
+/// [`MAX_SAMPLE_BYTES`] each. The window follows the newest object id
+/// seen; a partial sample it slides past is abandoned (and still counted
+/// by [`Reassembler::incomplete`]), and late fragments of anything below
+/// it are ignored like any other duplicate.
 #[derive(Debug, Default)]
 pub struct Reassembler {
-    partial: HashMap<(u16, u32), PartialSample>,
-    finished: std::collections::HashSet<(u16, u32)>,
+    /// A handful of streams: found by linear scan.
+    streams: Vec<StreamWindow>,
+    /// The one or two samples in flight (more only under loss), newest
+    /// last: fragments arrive in order, so the scan runs from the back.
+    partial: Vec<PartialSample>,
+    /// Partial samples the window slid past.
+    abandoned: usize,
     complete: Vec<MediaSample>,
+    /// Cleared `seen` lists of finished partials, kept for the next one.
+    spare_seen: Vec<Vec<(u32, u32)>>,
+}
+
+/// Which objects of one stream were delivered: a ring of
+/// [`REASSEMBLY_WINDOW`] bits over ids `base..base + REASSEMBLY_WINDOW`.
+#[derive(Debug)]
+struct StreamWindow {
+    stream: u16,
+    /// Lowest tracked id (`u64`: the window's top may pass `u32::MAX`).
+    base: u64,
+    delivered: [u64; REASSEMBLY_WINDOW as usize / 64],
+}
+
+impl StreamWindow {
+    const SPAN: u64 = REASSEMBLY_WINDOW as u64;
+
+    fn bit(id: u64) -> (usize, u64) {
+        let i = id % Self::SPAN;
+        ((i / 64) as usize, 1 << (i % 64))
+    }
+
+    /// Whether `id` was delivered, or is too old to tell apart.
+    fn is_delivered(&self, id: u32) -> bool {
+        let id = u64::from(id);
+        if id < self.base {
+            return true;
+        }
+        let (word, mask) = Self::bit(id);
+        id < self.base + Self::SPAN && self.delivered[word] & mask != 0
+    }
+
+    /// Slides the window up until it covers `id`. Returns whether it
+    /// moved (so partials may have fallen out of it).
+    fn cover(&mut self, id: u32) -> bool {
+        let id = u64::from(id);
+        let top = self.base + Self::SPAN;
+        if id < top {
+            return false;
+        }
+        self.base = id + 1 - Self::SPAN;
+        // Ids entering the window reuse ring slots of ids leaving it.
+        for entering in top.max(self.base)..=id {
+            let (word, mask) = Self::bit(entering);
+            self.delivered[word] &= !mask;
+        }
+        true
+    }
+
+    fn mark_delivered(&mut self, id: u32) {
+        let (word, mask) = Self::bit(u64::from(id));
+        self.delivered[word] |= mask;
+    }
 }
 
 #[derive(Debug)]
 struct PartialSample {
+    stream: u16,
+    object_id: u32,
     pres_time: u64,
     total: u32,
     received: u32,
+    /// Grows to the highest byte received; reserved for `total` up front.
     data: Vec<u8>,
     seen: Vec<(u32, u32)>, // (offset, len) received, for duplicate checks
 }
@@ -277,7 +354,9 @@ impl Reassembler {
     ///
     /// [`AsfError::FragmentMismatch`] when a fragment contradicts earlier
     /// fragments of the same object (different total or overlapping range
-    /// with different content length bookkeeping).
+    /// with different content length bookkeeping);
+    /// [`AsfError::BadSize`] when it declares a sample larger than
+    /// [`MAX_SAMPLE_BYTES`].
     pub fn push_packet(&mut self, packet: &DataPacket) -> Result<(), AsfError> {
         for p in &packet.payloads {
             self.push_payload(p)?;
@@ -286,53 +365,106 @@ impl Reassembler {
     }
 
     fn push_payload(&mut self, p: &Payload) -> Result<(), AsfError> {
-        let key = (p.stream, p.object_id);
-        if self.finished.contains(&key) {
+        if p.total > MAX_SAMPLE_BYTES {
+            return Err(AsfError::BadSize {
+                context: "fragment sample total",
+                size: u64::from(p.total),
+            });
+        }
+        let w = match self.streams.iter().position(|w| w.stream == p.stream) {
+            Some(w) => w,
+            None => {
+                self.streams.push(StreamWindow {
+                    stream: p.stream,
+                    base: 0,
+                    delivered: [0; REASSEMBLY_WINDOW as usize / 64],
+                });
+                self.streams.len() - 1
+            }
+        };
+        let window = &mut self.streams[w];
+        if window.is_delivered(p.object_id) {
             // Late or duplicate fragment of an already-delivered sample.
             return Ok(());
         }
-        let entry = self.partial.entry(key).or_insert_with(|| PartialSample {
-            pres_time: p.pres_time,
-            total: p.total,
-            received: 0,
-            data: vec![0; p.total as usize],
-            seen: Vec::new(),
-        });
+        let mismatch = AsfError::FragmentMismatch {
+            stream: p.stream,
+            object: p.object_id,
+        };
+        let len = p.data.len();
+        let found = self
+            .partial
+            .iter()
+            .rposition(|s| s.object_id == p.object_id && s.stream == p.stream);
+        let at = match found {
+            Some(at) => at,
+            None => {
+                if window.cover(p.object_id) {
+                    let base = window.base;
+                    let before = self.partial.len();
+                    self.partial
+                        .retain(|s| s.stream != p.stream || u64::from(s.object_id) >= base);
+                    self.abandoned += before - self.partial.len();
+                }
+                if p.offset == 0 && len == p.total as usize {
+                    // The whole sample in one fragment: hand the view on.
+                    window.mark_delivered(p.object_id);
+                    self.complete.push(MediaSample {
+                        stream: p.stream,
+                        pres_time: p.pres_time,
+                        data: p.data.clone(),
+                    });
+                    return Ok(());
+                }
+                self.partial.push(PartialSample {
+                    stream: p.stream,
+                    object_id: p.object_id,
+                    pres_time: p.pres_time,
+                    total: p.total,
+                    received: 0,
+                    data: Vec::with_capacity(p.total as usize),
+                    seen: self.spare_seen.pop().unwrap_or_default(),
+                });
+                self.partial.len() - 1
+            }
+        };
+        let entry = &mut self.partial[at];
         if entry.total != p.total || entry.pres_time != p.pres_time {
-            return Err(AsfError::FragmentMismatch {
-                stream: p.stream,
-                object: p.object_id,
-            });
+            return Err(mismatch);
         }
-        let end = p.offset as usize + p.data.len();
-        if end > entry.data.len() {
-            return Err(AsfError::FragmentMismatch {
-                stream: p.stream,
-                object: p.object_id,
-            });
+        let end = p.offset as usize + len;
+        if end > entry.total as usize {
+            return Err(mismatch);
         }
         // Ignore exact duplicates (retransmission); reject overlaps.
-        if entry.seen.contains(&(p.offset, p.data.len() as u32)) {
+        if entry.seen.contains(&(p.offset, len as u32)) {
             return Ok(());
         }
         if entry
             .seen
             .iter()
-            .any(|&(o, l)| p.offset < o + l && o < p.offset + p.data.len() as u32)
+            .any(|&(o, l)| p.offset < o + l && o < p.offset + len as u32)
         {
-            return Err(AsfError::FragmentMismatch {
-                stream: p.stream,
-                object: p.object_id,
-            });
+            return Err(mismatch);
         }
-        entry.data[p.offset as usize..end].copy_from_slice(&p.data);
-        entry.seen.push((p.offset, p.data.len() as u32));
-        entry.received += p.data.len() as u32;
+        if p.offset as usize == entry.data.len() {
+            entry.data.extend_from_slice(&p.data);
+        } else {
+            // Out of order: zero-fill the gap, or fill one left earlier.
+            if end > entry.data.len() {
+                entry.data.resize(end, 0);
+            }
+            entry.data[p.offset as usize..end].copy_from_slice(&p.data);
+        }
+        entry.seen.push((p.offset, len as u32));
+        entry.received += len as u32;
         if entry.received >= entry.total {
-            let done = self.partial.remove(&key).expect("entry exists");
-            self.finished.insert(key);
+            let mut done = self.partial.swap_remove(at);
+            self.streams[w].mark_delivered(done.object_id);
+            done.seen.clear();
+            self.spare_seen.push(done.seen);
             self.complete.push(MediaSample {
-                stream: key.0,
+                stream: done.stream,
                 pres_time: done.pres_time,
                 data: done.data.into(),
             });
@@ -342,14 +474,20 @@ impl Reassembler {
 
     /// Drains completed samples, sorted by presentation time then stream.
     pub fn take_completed(&mut self) -> Vec<MediaSample> {
-        let mut out = std::mem::take(&mut self.complete);
-        out.sort_by_key(|s| (s.pres_time, s.stream));
-        out
+        self.drain_completed().collect()
+    }
+
+    /// Like [`Reassembler::take_completed`], but lends the samples out of
+    /// the reassembler's own buffer, which keeps its capacity for the
+    /// next packet.
+    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, MediaSample> {
+        self.complete.sort_by_key(|s| (s.pres_time, s.stream));
+        self.complete.drain(..)
     }
 
     /// Number of samples still missing fragments.
     pub fn incomplete(&self) -> usize {
-        self.partial.len()
+        self.partial.len() + self.abandoned
     }
 }
 
@@ -480,6 +618,91 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, AsfError::FragmentMismatch { .. }));
+    }
+
+    fn fragment(object_id: u32, offset: u32, total: u32, data: Vec<u8>) -> DataPacket {
+        DataPacket {
+            send_time: 0,
+            payloads: vec![Payload {
+                stream: 1,
+                object_id,
+                offset,
+                total,
+                pres_time: u64::from(object_id),
+                data: data.into(),
+            }],
+        }
+    }
+
+    #[test]
+    fn sample_total_is_capped() {
+        let mut rs = Reassembler::new();
+        // At the cap: accepted, and nothing is zero-filled up front.
+        rs.push_packet(&fragment(0, 0, MAX_SAMPLE_BYTES, vec![1; 10]))
+            .unwrap();
+        assert_eq!(rs.incomplete(), 1);
+        assert_eq!(rs.partial[0].data.len(), 10);
+        // One past it (and the 4 GiB a wire field can ask for): refused
+        // before any state is made.
+        for total in [MAX_SAMPLE_BYTES + 1, u32::MAX] {
+            let err = rs
+                .push_packet(&fragment(1, 0, total, vec![1; 10]))
+                .unwrap_err();
+            assert!(
+                matches!(err, AsfError::BadSize { size, .. } if size == u64::from(total)),
+                "{err:?}"
+            );
+        }
+        assert_eq!(rs.incomplete(), 1);
+    }
+
+    #[test]
+    fn delivered_window_slides_and_stays_fixed_size() {
+        let mut rs = Reassembler::new();
+        // Object 0 stays partial while the window fills to its last id.
+        rs.push_packet(&fragment(0, 0, 4, vec![9; 2])).unwrap();
+        for id in 1..REASSEMBLY_WINDOW {
+            rs.push_packet(&fragment(id, 0, 1, vec![7])).unwrap();
+        }
+        assert_eq!(rs.take_completed().len(), REASSEMBLY_WINDOW as usize - 1);
+        assert_eq!((rs.partial.len(), rs.abandoned), (1, 0));
+        // At the cap every id is still told apart: a duplicate of the
+        // oldest delivered object is ignored, object 0 can still finish.
+        rs.push_packet(&fragment(1, 0, 1, vec![7])).unwrap();
+        assert!(rs.take_completed().is_empty());
+        // One past it the window slides by one: object 0 is abandoned
+        // (still counted incomplete) and its late fragment is ignored.
+        rs.push_packet(&fragment(REASSEMBLY_WINDOW, 0, 1, vec![7]))
+            .unwrap();
+        assert_eq!(rs.take_completed().len(), 1);
+        assert_eq!((rs.partial.len(), rs.abandoned), (0, 1));
+        assert_eq!(rs.incomplete(), 1);
+        rs.push_packet(&fragment(0, 2, 4, vec![9; 2])).unwrap();
+        assert!(rs.take_completed().is_empty());
+        // An id at the very top of the range sizes nothing by its value.
+        rs.push_packet(&fragment(u32::MAX, 0, 1, vec![7])).unwrap();
+        rs.push_packet(&fragment(u32::MAX - 1, 0, 2, vec![7]))
+            .unwrap();
+        assert_eq!(rs.take_completed().len(), 1);
+        assert_eq!(rs.streams.len(), 1);
+        assert_eq!((rs.partial.len(), rs.abandoned), (1, 1));
+        // Everything below the window now counts as delivered.
+        rs.push_packet(&fragment(5_000, 0, 1, vec![7])).unwrap();
+        assert!(rs.take_completed().is_empty());
+    }
+
+    #[test]
+    fn whole_sample_fragment_is_handed_on_without_a_copy() {
+        let s = sample(1, 0, 100, 0x3C);
+        let mut pk = Packetizer::new(512).unwrap();
+        pk.push(&s);
+        let mut rs = Reassembler::new();
+        for p in pk.finish() {
+            rs.push_packet(&p).unwrap();
+        }
+        let got = rs.take_completed();
+        assert_eq!(got, vec![s.clone()]);
+        assert_eq!(got[0].data.backing_id(), s.data.backing_id());
     }
 
     #[test]

@@ -221,7 +221,7 @@ pub fn arrivals_from_streaming(
     let duration = file.props.play_duration.max(file.last_presentation_time());
     let stream_numbers: Vec<u16> = file.streams.iter().map(|sp| sp.number).collect();
     server.publish("lecture", file.clone());
-    let mut client = StreamingClient::new(c, s, "lecture");
+    let mut client = StreamingClient::new(c, s, "lecture").with_arrival_log();
     let horizon = duration * 20 + 600_000_000_000;
     run_to_completion(&mut net, &mut server, &mut [&mut client], horizon);
 

@@ -15,8 +15,9 @@ use lod_relay::{
 };
 use lod_simnet::{relay_tree, Fault, FaultInjector, FaultPlan, LinkSpec, Network, RelayTree};
 use lod_streaming::{
-    run_to_completion, AdmissionPolicy, BreakerPolicy, ClientMetrics, DegradePolicy, LiveFeed,
-    RetryPolicy, ServerMetrics, StreamHeader, StreamingClient, StreamingServer, Wire,
+    run_to_completion_with, AdmissionPolicy, BreakerPolicy, ClientMetrics, DegradePolicy, LiveFeed,
+    RetryPolicy, ServerMetrics, SessionLedger, StreamHeader, StreamingClient, StreamingServer,
+    Wire,
 };
 use serde::{Deserialize, Serialize};
 
@@ -221,48 +222,13 @@ fn publish_run_metrics(obs: &Recorder, report: &WmpsReport) {
     }
 }
 
-/// Spread of each script firing across clients (see
-/// [`WmpsReport::classroom_spread`]).
-fn classroom_spread(events: &[lod_streaming::RenderEvent]) -> SkewStats {
-    use std::collections::HashMap;
-    let mut groups: HashMap<(u64, &str), Vec<u64>> = HashMap::new();
-    for e in events {
-        if let Some(cmd) = &e.script {
-            groups
-                .entry((e.pres_time, cmd.param.as_str()))
-                .or_default()
-                .push(e.wall_time);
-        }
-    }
-    let spreads: Vec<u64> = groups
-        .values()
-        .filter(|walls| walls.len() >= 2)
-        .map(|walls| walls.iter().max().unwrap() - walls.iter().min().unwrap())
-        .collect();
-    SkewStats::from_skews(spreads)
-}
-
-/// Per-client skew: anchor each client at its first rendered item.
-fn per_client_skew(
-    clients: &[StreamingClient],
-    events: &[lod_streaming::RenderEvent],
-) -> Vec<SkewStats> {
-    clients
-        .iter()
-        .map(|c| {
-            let mine: Vec<_> = events.iter().filter(|e| e.client == c.node()).collect();
-            let anchor = mine
-                .iter()
-                .map(|e| e.wall_time.saturating_sub(e.pres_time))
-                .min()
-                .unwrap_or(0);
-            SkewStats::from_skews(
-                mine.iter()
-                    .map(|e| e.wall_time.abs_diff(anchor + e.pres_time))
-                    .collect(),
-            )
-        })
-        .collect()
+/// [`WmpsReport::skew`] and [`WmpsReport::classroom_spread`] out of the
+/// ledger the driver kept while the session ran.
+fn skew_report(ledger: &SessionLedger) -> (Vec<SkewStats>, SkewStats) {
+    (
+        ledger.client_skews().map(SkewStats::from_skews).collect(),
+        SkewStats::from_skews(ledger.script_spreads()),
+    )
 }
 
 /// A scripted fault storm for [`Wmps::serve_with_relays`], written in
@@ -648,7 +614,7 @@ impl Wmps {
         const STEP: u64 = 1_000_000; // 100 ms
         let horizon = play_duration * 20 + 600_000_000_000;
         let mut now = 0u64;
-        let mut events = Vec::new();
+        let mut ledger = SessionLedger::new(tree.students.iter().copied());
         let mut reattached = 0usize;
         let mut faults_applied = 0u64;
         let mut failed = false;
@@ -764,7 +730,7 @@ impl Wmps {
                             }
                         }
                     }
-                } else if let Some(c) = clients.iter_mut().find(|c| c.node() == d.dst) {
+                } else if let Some(slot) = ledger.slot(d.dst) {
                     // A relay bouncing a student names no alternate (it
                     // only knows itself); the redirect manager fills one
                     // in so the bounce lands on the least-loaded sibling
@@ -779,7 +745,7 @@ impl Wmps {
                         },
                         m => m,
                     };
-                    c.on_message(d.time, msg);
+                    clients[slot].on_message(d.time, msg);
                 } else if let Some(r) = relays.iter_mut().find(|r| r.node() == d.dst) {
                     r.on_message(&mut net, d.time, d.src, d.message);
                 }
@@ -788,7 +754,7 @@ impl Wmps {
                 if !started[i] {
                     continue;
                 }
-                events.extend(c.tick(now));
+                c.tick_with(now, &mut |e| ledger.record(e));
                 c.poll_adaptive(&mut net);
                 c.poll_redirect(&mut net);
                 c.poll_busy(&mut net, now);
@@ -800,7 +766,7 @@ impl Wmps {
             now += STEP;
         }
 
-        let session_ticks = events.iter().map(|e| e.wall_time).max().unwrap_or(0);
+        let (skew, classroom_spread) = skew_report(&ledger);
         let mut cache = CacheStats::default();
         let mut metrics = RelayMetrics::default();
         for r in &relays {
@@ -824,9 +790,9 @@ impl Wmps {
         });
         let report = WmpsReport {
             clients: clients.iter().map(|c| *c.metrics()).collect(),
-            skew: per_client_skew(&clients, &events),
-            classroom_spread: classroom_spread(&events),
-            session_ticks,
+            skew,
+            classroom_spread,
+            session_ticks: ledger.last_wall_time(),
             server: server.metrics(),
             origin_egress_bytes: net.egress_bytes(tree.origin),
             relay: Some(RelayTierReport {
@@ -858,20 +824,23 @@ impl Wmps {
             .map(|i| net.add_node(format!("student{i}")))
             .collect();
         wire_up(&mut net, s, &nodes);
+        let mut ledger = SessionLedger::new(nodes.iter().copied());
         let mut clients: Vec<StreamingClient> = nodes
             .into_iter()
             .map(|c| StreamingClient::new(c, s, "lecture"))
             .collect();
         let mut refs: Vec<&mut StreamingClient> = clients.iter_mut().collect();
         let horizon = play_duration * 20 + 600_000_000_000;
-        let events = run_to_completion(&mut net, &mut server, &mut refs, horizon);
-        let session_ticks = events.iter().map(|e| e.wall_time).max().unwrap_or(0);
+        run_to_completion_with(&mut net, &mut server, &mut refs, horizon, &mut |e| {
+            ledger.record(e)
+        });
+        let (skew, classroom_spread) = skew_report(&ledger);
 
         WmpsReport {
             clients: clients.iter().map(|c| *c.metrics()).collect(),
-            skew: per_client_skew(&clients, &events),
-            classroom_spread: classroom_spread(&events),
-            session_ticks,
+            skew,
+            classroom_spread,
+            session_ticks: ledger.last_wall_time(),
             server: server.metrics(),
             origin_egress_bytes: net.egress_bytes(s),
             relay: None,
@@ -954,12 +923,12 @@ impl Wmps {
         for c in clients.iter_mut() {
             c.start(&mut net);
         }
+        let mut ledger = SessionLedger::new(clients.iter().map(|c| c.node()));
 
         const STEP: u64 = 1_000_000; // 100 ms
         let live_end = secs * 10_000_000;
         let horizon = live_end * 4 + 600_000_000_000;
         let mut now = 0u64;
-        let mut events = Vec::new();
         let mut ended = false;
         let mut commands_sorted: Vec<lod_asf::ScriptCommand> = commands.to_vec();
         commands_sorted.sort_by_key(|c| c.time);
@@ -984,22 +953,23 @@ impl Wmps {
             for d in net.advance_to(now) {
                 if d.dst == server.node() {
                     server.on_message(&mut net, d.time, d.src, d.message);
-                } else if let Some(c) = clients.iter_mut().find(|c| c.node() == d.dst) {
-                    c.on_message(d.time, d.message);
+                } else if let Some(slot) = ledger.slot(d.dst) {
+                    clients[slot].on_message(d.time, d.message);
                 }
             }
             for c in clients.iter_mut() {
-                events.extend(c.tick(now));
+                c.tick_with(now, &mut |e| ledger.record(e));
             }
             if ended && clients.iter().all(|c| c.is_done()) {
                 break;
             }
             now += STEP;
         }
+        let (skew, classroom_spread) = skew_report(&ledger);
         WmpsReport {
             clients: clients.iter().map(|c| *c.metrics()).collect(),
-            skew: per_client_skew(&clients, &events),
-            classroom_spread: classroom_spread(&events),
+            skew,
+            classroom_spread,
             session_ticks: now,
             server: server.metrics(),
             origin_egress_bytes: net.egress_bytes(s),
@@ -1095,6 +1065,97 @@ impl Default for Wmps {
 mod tests {
     use super::*;
     use crate::presentation::synthetic_lecture;
+    use lod_asf::ScriptCommand;
+    use lod_simnet::NodeId;
+    use lod_streaming::RenderEvent;
+    use proptest::prelude::*;
+
+    /// Oracle for [`WmpsReport::classroom_spread`]: the post-pass over the
+    /// whole event log that the ledger replaced.
+    fn classroom_spread(events: &[RenderEvent]) -> SkewStats {
+        use std::collections::HashMap;
+        let mut groups: HashMap<(u64, &str), Vec<u64>> = HashMap::new();
+        for e in events {
+            if let Some(cmd) = &e.script {
+                groups
+                    .entry((e.pres_time, cmd.param.as_str()))
+                    .or_default()
+                    .push(e.wall_time);
+            }
+        }
+        let spreads: Vec<u64> = groups
+            .values()
+            .filter(|walls| walls.len() >= 2)
+            .map(|walls| walls.iter().max().unwrap() - walls.iter().min().unwrap())
+            .collect();
+        SkewStats::from_skews(spreads)
+    }
+
+    /// Oracle for [`WmpsReport::skew`]: one scan of the whole event log per
+    /// client, anchoring each at its best-timed item.
+    fn per_client_skew(clients: &[StreamingClient], events: &[RenderEvent]) -> Vec<SkewStats> {
+        clients
+            .iter()
+            .map(|c| {
+                let mine: Vec<_> = events.iter().filter(|e| e.client == c.node()).collect();
+                let anchor = mine
+                    .iter()
+                    .map(|e| e.wall_time.saturating_sub(e.pres_time))
+                    .min()
+                    .unwrap_or(0);
+                SkewStats::from_skews(
+                    mine.iter()
+                        .map(|e| e.wall_time.abs_diff(anchor + e.pres_time))
+                        .collect(),
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The ledger's one-pass report is bit-equal to the oracles on
+        /// any event set: events of nodes that are no client, clients
+        /// that rendered nothing or only script commands, items rendered
+        /// before their presentation time.
+        #[test]
+        fn ledger_report_matches_the_event_log_oracles(
+            raw in proptest::collection::vec(
+                (0usize..8, 0u64..5_000, 0u64..5_000, 0u8..6),
+                0..200,
+            ),
+            script_only in 1usize..6,
+        ) {
+            let node = NodeId::from_index;
+            // Nodes 1..=5 are clients; 0, 6 and 7 are strangers.
+            let clients: Vec<StreamingClient> = (1..=5)
+                .map(|i| StreamingClient::new(node(i), node(0), "lecture"))
+                .collect();
+            let events: Vec<RenderEvent> = raw
+                .into_iter()
+                .map(|(n, wall_time, pres_time, kind)| RenderEvent {
+                    wall_time,
+                    client: node(n),
+                    stream: 1,
+                    // Few distinct firing times, so commands collide.
+                    pres_time: if kind < 3 { pres_time % 4 } else { pres_time },
+                    bytes: 0,
+                    script: (kind < 3 || n == script_only)
+                        .then(|| ScriptCommand::new(pres_time % 4, "slide", format!("s{kind}"))),
+                })
+                .collect();
+            let mut ledger = SessionLedger::new(clients.iter().map(|c| c.node()));
+            for e in &events {
+                ledger.record(e.clone());
+            }
+            let (skew, spread) = skew_report(&ledger);
+            prop_assert_eq!(skew, per_client_skew(&clients, &events));
+            prop_assert_eq!(spread, classroom_spread(&events));
+            prop_assert_eq!(
+                ledger.last_wall_time(),
+                events.iter().map(|e| e.wall_time).max().unwrap_or(0)
+            );
+        }
+    }
 
     #[test]
     fn publish_then_serve_on_lan() {

@@ -4,6 +4,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::error::Error;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -93,6 +94,107 @@ struct LinkState {
     stats: LinkStats,
 }
 
+/// Multiply-mix hasher for the `(node, node)` keys of the link and route
+/// tables. Node indices are minted by [`Network::add_node`] and every
+/// send validates them against it, so the keys are small dense integers
+/// the program chose itself: there is no crafted-collision exposure for
+/// SipHash to defend against, and it was a fifth of the per-message cost.
+#[derive(Debug, Default, Clone, Copy)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits and tags by the high ones;
+        // a multiply only mixes upward, so fold the top half back down.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type PairMap<V> = HashMap<(usize, usize), V, BuildHasherDefault<PairHasher>>;
+
+/// One message crossing one link. Ordered by arrival time, then by send
+/// sequence — which is unique, so no later field ever decides.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Hop {
+    arrival: u64,
+    seq: u64,
+    /// Where the message waits in [`Network::payloads`].
+    slot: u32,
+    from: usize,
+    to: usize,
+}
+
+/// One message somewhere between its sender and its final destination.
+#[derive(Debug)]
+struct InFlight<M> {
+    bytes: u64,
+    message: M,
+    origin: usize,
+    final_dst: usize,
+    /// Exempt from the loss model (sent "over TCP").
+    reliable: bool,
+}
+
+/// The in-flight messages, in a slab: a heap entry carries its message's
+/// slot, so a message costs one insert and one remove and no hashing,
+/// and a dropped message's slot is reused by the next send.
+#[derive(Debug)]
+struct Slab<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
+}
+
+impl<T> Slab<T> {
+    fn new() -> Self {
+        Self {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
+    fn insert(&mut self, value: T) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(value);
+                slot
+            }
+            None => {
+                self.slots.push(Some(value));
+                u32::try_from(self.slots.len() - 1).expect("fewer than 2^32 messages in flight")
+            }
+        }
+    }
+
+    fn get(&self, slot: u32) -> Option<&T> {
+        self.slots.get(slot as usize)?.as_ref()
+    }
+
+    fn remove(&mut self, slot: u32) -> Option<T> {
+        let value = self.slots.get_mut(slot as usize)?.take()?;
+        self.free.push(slot);
+        Some(value)
+    }
+
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+}
+
 /// A simulated network carrying messages of type `M`.
 ///
 /// All randomness (jitter, loss) comes from one `SmallRng` seeded at
@@ -100,17 +202,14 @@ struct LinkState {
 #[derive(Debug)]
 pub struct Network<M> {
     names: Vec<String>,
-    links: HashMap<(usize, usize), LinkState>,
+    links: PairMap<LinkState>,
     /// Static routing: `(at, final_dst) → next_hop`. Absent entries mean
     /// "deliver over the direct link".
-    next_hop: HashMap<(usize, usize), usize>,
+    next_hop: PairMap<usize>,
     now: u64,
     seq: u64,
-    in_flight: BinaryHeap<Reverse<(u64, u64, usize, usize)>>,
-    /// `id → (bytes, message, origin, final destination)`.
-    payloads: HashMap<u64, (u64, M, usize, usize)>,
-    /// Packet ids exempt from the loss model (sent "over TCP").
-    reliable: std::collections::HashSet<u64>,
+    in_flight: BinaryHeap<Reverse<Hop>>,
+    payloads: Slab<InFlight<M>>,
     rng: SmallRng,
 }
 
@@ -119,13 +218,12 @@ impl<M> Network<M> {
     pub fn new(seed: u64) -> Self {
         Self {
             names: Vec::new(),
-            links: HashMap::new(),
-            next_hop: HashMap::new(),
+            links: PairMap::default(),
+            next_hop: PairMap::default(),
             now: 0,
             seq: 0,
             in_flight: BinaryHeap::new(),
-            payloads: HashMap::new(),
-            reliable: std::collections::HashSet::new(),
+            payloads: Slab::new(),
             rng: SmallRng::seed_from_u64(seed),
         }
     }
@@ -341,23 +439,30 @@ impl<M> Network<M> {
         if !self.links.get(&(src.0, hop)).is_some_and(|l| l.up) {
             return Err(NetworkError::NoRoute { src, dst });
         }
-        let id = self.seq;
+        let seq = self.seq;
         self.seq += 1;
-        if reliable {
-            self.reliable.insert(id);
-        }
-        self.payloads.insert(id, (bytes, message, src.0, dst.0));
-        let when = self.now;
-        self.enqueue_on_link(src.0, hop, id, bytes, when);
+        let slot = self.payloads.insert(InFlight {
+            bytes,
+            message,
+            origin: src.0,
+            final_dst: dst.0,
+            reliable,
+        });
+        self.enqueue_on_link(src.0, hop, seq, slot, self.now);
         Ok(())
     }
 
-    /// Puts packet `id` on the `from → to` link starting no earlier than
-    /// `when`. Loss drops it (and its payload entry).
-    fn enqueue_on_link(&mut self, from: usize, to: usize, id: u64, bytes: u64, when: u64) {
+    /// Puts the packet in `slot` on the `from → to` link starting no
+    /// earlier than `when`. Every way of dropping it here (no such link,
+    /// a dark link, the loss model) also frees its slot.
+    fn enqueue_on_link(&mut self, from: usize, to: usize, seq: u64, slot: u32, when: u64) {
+        let Some(p) = self.payloads.get(slot) else {
+            return;
+        };
+        let (bytes, reliable) = (p.bytes, p.reliable);
         let Some(link) = self.links.get_mut(&(from, to)) else {
             // Later-hop link missing: drop like a router with no route.
-            self.payloads.remove(&id);
+            self.payloads.remove(slot);
             return;
         };
         link.stats.packets_sent += 1;
@@ -366,20 +471,20 @@ impl<M> Network<M> {
             // A dark link drops everything handed to it — even "reliable"
             // traffic: TCP cannot cross a severed wire.
             link.stats.packets_dropped += 1;
-            self.reliable.remove(&id);
-            self.payloads.remove(&id);
+            self.payloads.remove(slot);
             return;
         }
         // FIFO serialization: packets queue behind one another.
         let start = link.next_free.max(when);
         let depart = start + link.spec.serialization_ticks(bytes);
         link.next_free = depart;
-        let lost = link.spec.loss > 0.0
-            && self.rng.gen_bool(link.spec.loss.clamp(0.0, 1.0))
-            && !self.reliable.contains(&id);
+        // The loss draw is taken for reliable packets too (and discarded):
+        // the RNG sequence must not depend on how a packet was sent.
+        let lost =
+            link.spec.loss > 0.0 && self.rng.gen_bool(link.spec.loss.clamp(0.0, 1.0)) && !reliable;
         if lost {
             link.stats.packets_dropped += 1;
-            self.payloads.remove(&id);
+            self.payloads.remove(slot);
             return;
         }
         let jitter = if link.spec.jitter_ticks > 0 {
@@ -388,7 +493,13 @@ impl<M> Network<M> {
             0
         };
         let arrival = depart + link.spec.delay_ticks + jitter;
-        self.in_flight.push(Reverse((arrival, id, from, to)));
+        self.in_flight.push(Reverse(Hop {
+            arrival,
+            seq,
+            slot,
+            from,
+            to,
+        }));
     }
 
     /// Advances the clock to `t`, returning every final delivery with
@@ -396,40 +507,37 @@ impl<M> Network<M> {
     /// intermediate hop are forwarded onward automatically.
     pub fn advance_to(&mut self, t: u64) -> Vec<Delivery<M>> {
         let mut out = Vec::new();
-        while let Some(Reverse((arrival, id, from, at))) = self.in_flight.peek().copied() {
-            if arrival > t {
+        while let Some(&Reverse(hop)) = self.in_flight.peek() {
+            if hop.arrival > t {
                 break;
             }
             self.in_flight.pop();
-            if let Some(link) = self.links.get_mut(&(from, at)) {
+            let at = hop.to;
+            if let Some(link) = self.links.get_mut(&(hop.from, at)) {
                 link.stats.packets_delivered += 1;
             }
-            let (bytes, _, origin, final_dst) = match self.payloads.get(&id) {
-                Some(&(b, _, o, d)) => (b, (), o, d),
-                None => continue,
-            };
+            let final_dst = self
+                .payloads
+                .get(hop.slot)
+                .expect("a heap entry owns its payload slot until it arrives")
+                .final_dst;
             if at == final_dst {
-                self.reliable.remove(&id);
-                let (bytes, message, origin, _) = self
-                    .payloads
-                    .remove(&id)
-                    .expect("payload present: just observed");
+                let p = self.payloads.remove(hop.slot).expect("just observed");
                 out.push(Delivery {
-                    time: arrival,
-                    src: NodeId(origin),
+                    time: hop.arrival,
+                    src: NodeId(p.origin),
                     dst: NodeId(at),
-                    bytes,
-                    message,
+                    bytes: p.bytes,
+                    message: p.message,
                 });
             } else {
                 // Forward toward the destination.
-                let hop = self
+                let next = self
                     .next_hop
                     .get(&(at, final_dst))
                     .copied()
                     .unwrap_or(final_dst);
-                let _ = origin;
-                self.enqueue_on_link(at, hop, id, bytes, arrival);
+                self.enqueue_on_link(at, next, hop.seq, hop.slot, hop.arrival);
             }
         }
         self.now = self.now.max(t);
@@ -438,12 +546,18 @@ impl<M> Network<M> {
 
     /// Arrival time of the earliest in-flight packet, if any.
     pub fn next_arrival(&self) -> Option<u64> {
-        self.in_flight.peek().map(|Reverse((t, ..))| *t)
+        self.in_flight.peek().map(|Reverse(hop)| hop.arrival)
     }
 
     /// Number of packets currently in flight.
     pub fn in_flight(&self) -> usize {
         self.in_flight.len()
+    }
+
+    /// Messages the network still holds a payload for.
+    #[cfg(test)]
+    fn payloads_held(&self) -> usize {
+        self.payloads.len()
     }
 }
 
@@ -644,6 +758,31 @@ mod tests {
         net.route_via(a, r, &[b]);
         net.send(a, b, 100, 1).unwrap();
         assert!(net.advance_to(u64::MAX / 2).is_empty());
+    }
+
+    #[test]
+    fn reliable_traffic_into_a_missing_second_hop_leaves_no_state() {
+        // The reliable flag used to live in a side set that this drop
+        // path forgot, leaking an entry per message for the network's
+        // life; it now lives in the payload entry the drop frees.
+        let mut net: Network<u32> = Network::new(2);
+        let a = net.add_node("a");
+        let r = net.add_node("r");
+        let b = net.add_node("b");
+        net.connect(a, r, LinkSpec::lan());
+        net.route_via(a, r, &[b]);
+        for i in 0..100 {
+            net.send_reliable(a, b, 100, i).unwrap();
+        }
+        assert_eq!(net.payloads_held(), 100);
+        assert!(net.advance_to(u64::MAX / 2).is_empty());
+        assert_eq!(net.in_flight(), 0);
+        assert_eq!(net.payloads_held(), 0);
+        // The freed slots are reused, not grown past.
+        for i in 0..100 {
+            net.send_reliable(a, b, 100, i).unwrap();
+        }
+        assert_eq!(net.payloads.slots.len(), 100);
     }
 
     #[test]

@@ -100,8 +100,10 @@ pub struct StreamingClient {
     stall_started: u64,
     metrics: ClientMetrics,
     /// `(wall_time, pres_time, stream)` of every completed sample — the
-    /// arrival trace the ETPN experiments replay against.
-    arrival_log: Vec<(u64, u64, u16)>,
+    /// arrival trace the ETPN experiments replay against. Recorded only
+    /// on request ([`StreamingClient::with_arrival_log`]): it grows by
+    /// one entry per sample for the life of the session.
+    arrival_log: Option<Vec<(u64, u64, u16)>>,
     /// Retry layer, when enabled.
     retry: Option<RetryState>,
     /// Whether the *user* paused (retries must not resurrect the stream).
@@ -148,7 +150,7 @@ impl StreamingClient {
             horizon: 0,
             stall_started: 0,
             metrics: ClientMetrics::default(),
-            arrival_log: Vec::new(),
+            arrival_log: None,
             retry: None,
             user_paused: false,
             recovery_log: Vec::new(),
@@ -180,10 +182,18 @@ impl StreamingClient {
         self.metrics.shed
     }
 
+    /// Records the arrival trace read back by
+    /// [`StreamingClient::arrival_log`].
+    pub fn with_arrival_log(mut self) -> Self {
+        self.arrival_log = Some(Vec::new());
+        self
+    }
+
     /// The `(wall_time, pres_time, stream)` arrival trace of every sample
-    /// completed so far.
+    /// completed so far; empty unless the client was built
+    /// [`StreamingClient::with_arrival_log`].
     pub fn arrival_log(&self) -> &[(u64, u64, u16)] {
-        &self.arrival_log
+        self.arrival_log.as_deref().unwrap_or(&[])
     }
 
     /// Restricts the session to `streams` (stream thinning): must be set
@@ -413,18 +423,21 @@ impl StreamingClient {
                     }
                     Err(_) => {}
                 }
-                for s in self.reasm.take_completed() {
+                for s in self.reasm.drain_completed() {
                     self.metrics.bytes_received += s.data.len() as u64;
                     self.horizon = self.horizon.max(s.pres_time);
-                    self.arrival_log.push((time, s.pres_time, s.stream));
+                    if let Some(log) = &mut self.arrival_log {
+                        log.push((time, s.pres_time, s.stream));
+                    }
                     self.buffer_seq += 1;
                     // The first sample completed after a trace marker
                     // closes that segment's "reassemble" span and opens
                     // its "playout_wait" — closed when this very sample
                     // is rendered.
                     if let Some(ctx) = self.pending_marks.pop_front() {
-                        self.emit_span(time, false, "reassemble", ctx);
-                        self.emit_span(time, true, "playout_wait", ctx);
+                        let (obs, node, peer) = (&self.obs, self.node, self.server);
+                        emit_span(obs, node, peer, time, false, "reassemble", ctx);
+                        emit_span(obs, node, peer, time, true, "playout_wait", ctx);
                         self.playout_traces.insert(self.buffer_seq, ctx);
                     }
                     self.buffer
@@ -501,34 +514,7 @@ impl StreamingClient {
 
     /// Emits one client-side span edge for a traced segment.
     fn emit_span(&self, at: u64, open: bool, hop: &str, ctx: TraceCtx) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        // Clamp to the context's mint tick: the driver may poll the
-        // minting relay ahead of the network clock, so a marker can
-        // arrive stamped before its own fan-out span opened. The clamp
-        // (Lamport-style) keeps delivery-chain opens monotone.
-        let at = at.max(ctx.origin);
-        let (node, peer) = (self.node.index() as u64, self.server.index() as u64);
-        let (hop, lecture, segment) = (hop.to_string(), ctx.lecture, ctx.segment);
-        let event = if open {
-            Event::SpanOpen {
-                node,
-                peer,
-                hop,
-                lecture,
-                segment,
-            }
-        } else {
-            Event::SpanClose {
-                node,
-                peer,
-                hop,
-                lecture,
-                segment,
-            }
-        };
-        self.obs.emit(at, event);
+        emit_span(&self.obs, self.node, self.server, at, open, hop, ctx);
     }
 
     /// The node this client currently streams from.
@@ -710,6 +696,14 @@ impl StreamingClient {
     /// Advances playback to wall time `now`, returning samples rendered.
     pub fn tick(&mut self, now: u64) -> Vec<RenderEvent> {
         let mut out = Vec::new();
+        self.tick_with(now, &mut |e| out.push(e));
+        out
+    }
+
+    /// [`StreamingClient::tick`] handing each rendered item to `sink` as
+    /// it renders, instead of collecting them: a driver that only keeps
+    /// accounts of what rendered allocates nothing per step.
+    pub fn tick_with(&mut self, now: u64, sink: &mut impl FnMut(RenderEvent)) {
         match self.state {
             ClientState::Idle | ClientState::Done => {}
             ClientState::Buffering => {
@@ -735,13 +729,13 @@ impl StreamingClient {
                         );
                     }
                     self.state = ClientState::Playing;
-                    out.extend(self.render_due(now));
+                    self.render_due(now, sink);
                 } else if self.eos && self.buffer.is_empty() {
                     self.finish(now);
                 }
             }
             ClientState::Playing => {
-                out.extend(self.render_due(now));
+                self.render_due(now, sink);
                 let media_now = self.media_time(now);
                 // Underrun means playback has caught up with everything
                 // received so far, not merely an empty buffer between
@@ -776,11 +770,10 @@ impl StreamingClient {
                     );
                     self.clock.resume(Ticks(now));
                     self.state = ClientState::Playing;
-                    out.extend(self.render_due(now));
+                    self.render_due(now, sink);
                 }
             }
         }
-        out
     }
 
     fn finish(&mut self, now: u64) {
@@ -803,19 +796,18 @@ impl StreamingClient {
         );
     }
 
-    fn render_due(&mut self, now: u64) -> Vec<RenderEvent> {
+    fn render_due(&mut self, now: u64, sink: &mut impl FnMut(RenderEvent)) {
         let media_now = self.media_time(now);
-        let mut out = Vec::new();
-        while let Some((&key, _)) = self.buffer.iter().next() {
-            if key.0 > media_now {
+        while let Some(entry) = self.buffer.first_entry() {
+            if entry.key().0 > media_now {
                 break;
             }
-            let sample = self.buffer.remove(&key).expect("key just observed");
-            if let Some(ctx) = self.playout_traces.remove(&key.2) {
+            let ((_, _, seq), sample) = entry.remove_entry();
+            if let Some(ctx) = self.playout_traces.remove(&seq) {
                 self.emit_span(now, false, "playout_wait", ctx);
             }
             self.metrics.samples_rendered += 1;
-            out.push(RenderEvent {
+            sink(RenderEvent {
                 wall_time: now,
                 client: self.node,
                 stream: sample.stream,
@@ -826,29 +818,67 @@ impl StreamingClient {
         }
         // Fire script commands the playout clock has crossed: everything
         // up to media_now on the first call, then the half-open window.
-        let due: Vec<ScriptCommand> = match self.scripts_fired_to {
-            None => self
-                .scripts
-                .commands()
-                .iter()
-                .filter(|c| c.time <= media_now)
-                .cloned()
-                .collect(),
-            Some(prev) => self.scripts.fired_between(prev, media_now).to_vec(),
+        let due = match self.scripts_fired_to {
+            None => {
+                // Commands are kept in time order: a prefix is due.
+                let all = self.scripts.commands();
+                &all[..all.partition_point(|c| c.time <= media_now)]
+            }
+            Some(prev) => self.scripts.fired_between(prev, media_now),
         };
-        self.scripts_fired_to = Some(media_now);
         for c in due {
-            out.push(RenderEvent {
+            sink(RenderEvent {
                 wall_time: now,
                 client: self.node,
                 stream: 0,
                 pres_time: c.time,
                 bytes: 0,
-                script: Some(c),
+                script: Some(c.clone()),
             });
         }
-        out
+        self.scripts_fired_to = Some(media_now);
     }
+}
+
+/// Emits one span edge of a traced segment between a client `node` and
+/// its server `peer`.
+fn emit_span(
+    obs: &Recorder,
+    node: NodeId,
+    peer: NodeId,
+    at: u64,
+    open: bool,
+    hop: &str,
+    ctx: TraceCtx,
+) {
+    if !obs.is_enabled() {
+        return;
+    }
+    // Clamp to the context's mint tick: the driver may poll the
+    // minting relay ahead of the network clock, so a marker can
+    // arrive stamped before its own fan-out span opened. The clamp
+    // (Lamport-style) keeps delivery-chain opens monotone.
+    let at = at.max(ctx.origin);
+    let (node, peer) = (node.index() as u64, peer.index() as u64);
+    let (hop, lecture, segment) = (hop.to_string(), ctx.lecture, ctx.segment);
+    let event = if open {
+        Event::SpanOpen {
+            node,
+            peer,
+            hop,
+            lecture,
+            segment,
+        }
+    } else {
+        Event::SpanClose {
+            node,
+            peer,
+            hop,
+            lecture,
+            segment,
+        }
+    };
+    obs.emit(at, event);
 }
 
 #[cfg(test)]
@@ -956,6 +986,63 @@ mod tests {
             t += 1_000_000;
         }
         events
+    }
+
+    #[test]
+    fn tick_and_tick_with_render_the_same_session() {
+        use lod_asf::ScriptCommand;
+        // The same seeded session twice — slide flips, a lossy jittery
+        // link, a mid-session seek — once collecting through `tick`,
+        // once streaming through `tick_with`.
+        let session = |streamed: bool| {
+            let (mut net, mut server, mut client) = world(LinkSpec::broadband().with_loss(0.02));
+            let mut file = test_file(50, 2_000_000);
+            file.script.push(ScriptCommand::new(0, "slide", "s0.png"));
+            file.script
+                .push(ScriptCommand::new(50_000_000, "slide", "s1.png"));
+            server.publish("lec", file);
+            client.start(&mut net);
+            let mut events = Vec::new();
+            let mut t = 0u64;
+            while t <= 600_000_000 && !client.is_done() {
+                if t == 30_000_000 {
+                    client.seek(&mut net, t, 40_000_000);
+                }
+                server.poll(&mut net, t);
+                for d in net.advance_to(t) {
+                    if d.dst == server.node() {
+                        server.on_message(&mut net, d.time, d.src, d.message);
+                    } else {
+                        client.on_message(d.time, d.message);
+                    }
+                }
+                if streamed {
+                    client.tick_with(t, &mut |e| events.push(e));
+                } else {
+                    events.extend(client.tick(t));
+                }
+                t += 1_000_000;
+            }
+            assert!(client.is_done());
+            (events, *client.metrics())
+        };
+        let (collected, streamed) = (session(false), session(true));
+        assert!(collected.0.iter().any(|e| e.script.is_some()));
+        assert!(collected.0.iter().any(|e| e.script.is_none()));
+        assert_eq!(collected, streamed);
+    }
+
+    #[test]
+    fn arrival_log_is_kept_only_on_request() {
+        let (mut net, mut server, mut client) = world(LinkSpec::lan());
+        run_to_completion(&mut net, &mut server, &mut [&mut client], 600_000_000_000);
+        assert_eq!(client.metrics().samples_rendered, 50);
+        assert!(client.arrival_log().is_empty());
+
+        let (mut net, mut server, client) = world(LinkSpec::lan());
+        let mut client = client.with_arrival_log();
+        run_to_completion(&mut net, &mut server, &mut [&mut client], 600_000_000_000);
+        assert_eq!(client.arrival_log().len(), 50);
     }
 
     #[test]

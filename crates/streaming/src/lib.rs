@@ -14,6 +14,8 @@
 //!   live relaying.
 //! * [`client`] — reassembly, preroll buffering, stall/resume logic,
 //!   render events.
+//! * [`ledger`] — running accounts of a session's render events, and
+//!   the client slot table drivers dispatch deliveries with.
 //! * [`retry`] — the resilience knob: request timeouts, exponential
 //!   backoff with deterministic jitter, bounded retries
 //!   ([`RetryPolicy`]).
@@ -62,6 +64,7 @@
 pub mod checkpoint;
 pub mod client;
 pub mod codec;
+pub mod ledger;
 pub mod metrics;
 pub mod retry;
 pub mod server;
@@ -71,6 +74,7 @@ pub use checkpoint::{
     parse_journal, JournalEntry, SessionCheckpoint, SessionJournal, StandbyState,
 };
 pub use client::{ClientState, RenderEvent, StreamingClient};
+pub use ledger::{ClientSlots, SessionLedger};
 pub use metrics::{ClientMetrics, ServerMetrics};
 pub use retry::{BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy};
 pub use server::{AdmissionPolicy, DegradePolicy, LiveFeed, StreamingServer};
@@ -90,6 +94,21 @@ pub fn run_to_completion(
     horizon: u64,
 ) -> Vec<RenderEvent> {
     let mut events = Vec::new();
+    run_to_completion_with(net, server, clients, horizon, &mut |e| events.push(e));
+    events.sort_by_key(|e| e.wall_time);
+    events
+}
+
+/// [`run_to_completion`] handing each render event to `sink` as it
+/// happens (per step, in client order) instead of collecting them.
+pub fn run_to_completion_with(
+    net: &mut Network<Wire>,
+    server: &mut StreamingServer,
+    clients: &mut [&mut StreamingClient],
+    horizon: u64,
+    sink: &mut impl FnMut(RenderEvent),
+) {
+    let slots = ClientSlots::new(clients.iter().map(|c| c.node()));
     // Kick off: clients issue their initial requests.
     for c in clients.iter_mut() {
         c.start(net);
@@ -102,12 +121,12 @@ pub fn run_to_completion(
         for d in deliveries {
             if d.dst == server.node() {
                 server.on_message(net, d.time, d.src, d.message);
-            } else if let Some(c) = clients.iter_mut().find(|c| c.node() == d.dst) {
-                c.on_message(d.time, d.message);
+            } else if let Some(slot) = slots.get(d.dst) {
+                clients[slot].on_message(d.time, d.message);
             }
         }
         for c in clients.iter_mut() {
-            events.extend(c.tick(now));
+            c.tick_with(now, sink);
             c.poll_adaptive(net);
             c.poll_redirect(net);
             c.poll_busy(net, now);
@@ -118,6 +137,4 @@ pub fn run_to_completion(
         }
         now += STEP;
     }
-    events.sort_by_key(|e| e.wall_time);
-    events
 }

@@ -23,6 +23,11 @@
 #   cargo run --release -p lod-bench --bin perf_gate -- \
 #       --fresh /tmp/fresh.json --check-against BENCH_q15.json   # exits 1
 #
+# Set ARTIFACT_BASE to a revision (e.g. the merge base) to also byte-diff
+# this tree's q9–q12/q16/q17 seed-7 artifacts against that revision's
+# (scripts/artifact_diff.sh): the "byte-identical before and after" check
+# a refactor owes, which the two-runs-of-one-build gates below cannot give.
+#
 # Set ARTIFACTS_DIR to a writable directory to keep the fresh BENCH
 # reports and the q11/q12 determinism artifacts produced by this run
 # (the GitHub workflow uploads them on every run).
@@ -142,6 +147,11 @@ if ! cmp -s "$tmpdir/ta.jsonl" "$tmpdir/tb.jsonl"; then
     exit 1
 fi
 echo "span logs identical"
+
+if [ -n "${ARTIFACT_BASE:-}" ]; then
+    echo "===== artifacts vs $ARTIFACT_BASE (byte-identical before and after) ====="
+    sh scripts/artifact_diff.sh "$ARTIFACT_BASE"
+fi
 
 echo "===== q17 waterfall render (wmps trace over the span log) ====="
 # The operator path over the same artifact: `wmps trace` must render
