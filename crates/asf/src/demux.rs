@@ -1,5 +1,7 @@
 //! Parsing ASF bytes back into an [`AsfFile`] (the demuxer).
 
+use bytes::Bytes;
+
 use crate::error::AsfError;
 use crate::guid;
 use crate::header::{FileProperties, StreamProperties};
@@ -28,13 +30,21 @@ fn read_object<'a>(
 
 /// Parses a complete ASF byte stream.
 ///
+/// `bytes` is copied once, and every payload of the result is a view of
+/// that copy (one allocation per file, not one per payload) — so a
+/// [`crate::Payload`] or a whole-fragment [`crate::MediaSample`] kept
+/// from the result keeps the whole file image alive. Copy the bytes out
+/// (`to_vec`) to hold a few of them past the file's lifetime.
+///
 /// # Errors
 ///
 /// Any [`AsfError`] variant describing the malformation; in particular,
 /// packets referencing streams not declared in the header fail with
 /// [`AsfError::UnknownStream`].
 pub fn read_asf(bytes: &[u8]) -> Result<AsfFile, AsfError> {
-    let mut r = Reader::new(bytes);
+    // The one copy: every payload read below is a view of this image.
+    let image = Bytes::copy_from_slice(bytes);
+    let mut r = Reader::new_shared(&image);
 
     // Header object.
     let (g, mut header) = read_object(&mut r, "header object")?;
@@ -69,10 +79,11 @@ pub fn read_asf(bytes: &[u8]) -> Result<AsfFile, AsfError> {
     }
     let count = data.u32("packet count")?;
     let psize = props.packet_size;
-    let mut packets = Vec::with_capacity(count.min(1 << 20) as usize);
+    // The count is a wire field: reserve only what the input can hold.
+    let fits = data.remaining().checked_div(psize as usize).unwrap_or(0);
+    let mut packets = Vec::with_capacity((count as usize).min(fits));
     for _ in 0..count {
-        let raw = data.bytes(psize as usize, "data packet")?;
-        let p = DataPacket::read(raw, psize)?;
+        let p = DataPacket::read_from(&mut data.slice(psize as usize, "data packet")?)?;
         for payload in &p.payloads {
             if !streams.iter().any(|s| s.number == payload.stream) {
                 return Err(AsfError::UnknownStream(payload.stream));

@@ -11,7 +11,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::AsfError;
-use crate::io::{Reader, Writer};
+use crate::io::{string_len, Reader, Writer};
 
 /// DRM header carried in the ASF header object.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -84,6 +84,10 @@ impl DrmHeader {
             });
         }
         Ok(())
+    }
+
+    pub(crate) fn wire_len(&self) -> Result<usize, AsfError> {
+        Ok(string_len(&self.key_id, "drm key id")? + self.probe.len())
     }
 
     pub(crate) fn write(&self, w: &mut Writer) {

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::AsfError;
-use crate::io::{Reader, Writer};
+use crate::io::{string_len, Reader, Writer};
 
 /// What a stream carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -61,6 +61,9 @@ pub struct FileProperties {
 }
 
 impl FileProperties {
+    /// Wire size: five integers, a flag and the bitrate.
+    pub(crate) const WIRE_LEN: usize = 8 + 8 + 4 + 8 + 8 + 1 + 4;
+
     pub(crate) fn write(&self, w: &mut Writer) {
         w.u64(self.file_id);
         w.u64(self.created);
@@ -101,6 +104,10 @@ pub struct StreamProperties {
 }
 
 impl StreamProperties {
+    pub(crate) fn wire_len(&self) -> Result<usize, AsfError> {
+        Ok(2 + 1 + 2 + 4 + string_len(&self.name, "stream name")?)
+    }
+
     pub(crate) fn write(&self, w: &mut Writer) {
         w.u16(self.number);
         w.u8(self.kind.to_wire());

@@ -13,6 +13,9 @@ pub struct AsfIndex {
 }
 
 impl AsfIndex {
+    /// Wire size of one entry: time (8) + packet number (4).
+    const ENTRY_BYTES: usize = 12;
+
     /// An empty index.
     pub fn new() -> Self {
         Self::default()
@@ -56,6 +59,10 @@ impl AsfIndex {
         }
     }
 
+    pub(crate) fn wire_len(&self) -> usize {
+        4 + Self::ENTRY_BYTES * self.entries.len()
+    }
+
     pub(crate) fn write(&self, w: &mut Writer) {
         w.u32(self.entries.len() as u32);
         for &(t, p) in &self.entries {
@@ -66,7 +73,8 @@ impl AsfIndex {
 
     pub(crate) fn read(r: &mut Reader<'_>) -> Result<Self, AsfError> {
         let n = r.u32("index entry count")?;
-        let mut entries = Vec::with_capacity(n.min(1 << 20) as usize);
+        // The count is a wire field: reserve only what the input can hold.
+        let mut entries = Vec::with_capacity((n as usize).min(r.remaining() / Self::ENTRY_BYTES));
         for _ in 0..n {
             let t = r.u64("index time")?;
             let p = r.u32("index packet")?;

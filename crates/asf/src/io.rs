@@ -1,14 +1,34 @@
 //! Little-endian byte reader/writer helpers (crate-internal).
 
-use bytes::{BufMut, BytesMut};
+use bytes::Bytes;
 
 use crate::error::AsfError;
 use crate::guid::Guid;
 
-/// Append-only little-endian writer.
+/// Wire size of an object preamble: GUID (16) + size (8).
+pub(crate) const OBJECT_HEADER_BYTES: usize = 24;
+
+/// Wire size of [`Writer::string`]'s output for `s`.
+///
+/// # Errors
+///
+/// [`AsfError::BadSize`] when `s` does not fit the `u16` length prefix.
+/// Sizing a file runs this over every string in it, so nothing reaches
+/// [`Writer::string`] unchecked.
+pub(crate) fn string_len(s: &str, context: &'static str) -> Result<usize, AsfError> {
+    if s.len() > usize::from(u16::MAX) {
+        return Err(AsfError::BadSize {
+            context,
+            size: s.len() as u64,
+        });
+    }
+    Ok(2 + s.len())
+}
+
+/// Append-only little-endian writer over one `Vec<u8>`.
 #[derive(Debug, Default)]
 pub(crate) struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
@@ -16,40 +36,67 @@ impl Writer {
         Self::default()
     }
 
+    /// A writer that will not reallocate before `cap` bytes.
+    pub(crate) fn with_capacity(cap: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(cap),
+        }
+    }
+
     pub(crate) fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     pub(crate) fn u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
+        self.bytes(&v.to_le_bytes());
     }
 
     pub(crate) fn u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.bytes(&v.to_le_bytes());
     }
 
     pub(crate) fn u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.bytes(&v.to_le_bytes());
     }
 
     pub(crate) fn guid(&mut self, g: Guid) {
-        self.buf.put_slice(&g.0);
+        self.bytes(&g.0);
     }
 
     pub(crate) fn bytes(&mut self, b: &[u8]) {
-        self.buf.put_slice(b);
+        self.buf.extend_from_slice(b);
+    }
+
+    /// Appends `n` zero bytes.
+    pub(crate) fn zeros(&mut self, n: usize) {
+        self.buf.resize(self.buf.len() + n, 0);
     }
 
     /// Length-prefixed (u16) UTF-8 string.
     ///
     /// # Panics
     ///
-    /// Panics if the string exceeds 65535 bytes.
+    /// Panics if the string exceeds 65535 bytes ([`string_len`] is the
+    /// check to run first).
     pub(crate) fn string(&mut self, s: &str) {
         let b = s.as_bytes();
-        assert!(b.len() <= usize::from(u16::MAX), "string too long for wire");
-        self.u16(b.len() as u16);
+        let len = u16::try_from(b.len()).expect("string too long for wire");
+        self.u16(len);
         self.bytes(b);
+    }
+
+    /// Writes an object in place: its GUID, a placeholder for its size,
+    /// whatever `body` appends (nested objects included), and then the
+    /// size — preamble and body — patched over the placeholder. Hands
+    /// back what `body` returns.
+    pub(crate) fn object<R>(&mut self, g: Guid, body: impl FnOnce(&mut Self) -> R) -> R {
+        let start = self.buf.len();
+        self.guid(g);
+        self.u64(0);
+        let result = body(self);
+        let size = (self.buf.len() - start) as u64;
+        self.buf[start + 16..start + OBJECT_HEADER_BYTES].copy_from_slice(&size.to_le_bytes());
+        result
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -57,24 +104,44 @@ impl Writer {
     }
 
     pub(crate) fn into_vec(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf
     }
 }
 
 /// Cursor-style little-endian reader with EOF checking.
 #[derive(Debug)]
 pub(crate) struct Reader<'a> {
+    /// The whole input; this reader's window of it is `pos..end`, so a
+    /// sub-reader's positions are still offsets into `backing`.
     data: &'a [u8],
     pos: usize,
+    end: usize,
+    /// The ref-counted buffer `data` borrows from, when there is one:
+    /// lets [`Reader::bytes_shared`] hand out views instead of copies.
+    backing: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
     pub(crate) fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
+        Self {
+            data,
+            pos: 0,
+            end: data.len(),
+            backing: None,
+        }
+    }
+
+    /// A reader over a ref-counted buffer; [`Reader::bytes_shared`]
+    /// returns zero-copy slices of it.
+    pub(crate) fn new_shared(backing: &'a Bytes) -> Self {
+        Self {
+            backing: Some(backing),
+            ..Self::new(backing)
+        }
     }
 
     pub(crate) fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+        self.end - self.pos
     }
 
     pub(crate) fn is_empty(&self) -> bool {
@@ -122,6 +189,22 @@ impl<'a> Reader<'a> {
         self.take(n, context)
     }
 
+    /// The next `n` bytes as a [`Bytes`]: a view of the backing buffer
+    /// when the reader was built with [`Reader::new_shared`], a fresh
+    /// copy otherwise.
+    pub(crate) fn bytes_shared(
+        &mut self,
+        n: usize,
+        context: &'static str,
+    ) -> Result<Bytes, AsfError> {
+        let start = self.pos;
+        let s = self.take(n, context)?;
+        Ok(match self.backing {
+            Some(backing) => backing.slice(start..start + n),
+            None => Bytes::copy_from_slice(s),
+        })
+    }
+
     pub(crate) fn string(&mut self, context: &'static str) -> Result<String, AsfError> {
         let len = self.u16(context)? as usize;
         let b = self.take(len, context)?;
@@ -134,7 +217,14 @@ impl<'a> Reader<'a> {
         n: usize,
         context: &'static str,
     ) -> Result<Reader<'a>, AsfError> {
-        Ok(Reader::new(self.take(n, context)?))
+        let start = self.pos;
+        self.take(n, context)?;
+        Ok(Reader {
+            data: self.data,
+            pos: start,
+            end: start + n,
+            backing: self.backing,
+        })
     }
 }
 
@@ -178,6 +268,53 @@ mod tests {
         let v = w.into_vec();
         let mut r = Reader::new(&v);
         assert_eq!(r.string("t").unwrap_err(), AsfError::BadString);
+    }
+
+    #[test]
+    fn object_size_is_patched_in_place() {
+        let mut w = Writer::new();
+        w.u8(0xEE);
+        w.object(Guid([1; 16]), |w| w.object(Guid([2; 16]), |w| w.u32(7)));
+        let v = w.into_vec();
+        let mut r = Reader::new(&v[1..]);
+        assert_eq!(r.guid("t").unwrap(), Guid([1; 16]));
+        assert_eq!(r.u64("t").unwrap(), 24 + 24 + 4);
+        assert_eq!(r.guid("t").unwrap(), Guid([2; 16]));
+        assert_eq!(r.u64("t").unwrap(), 24 + 4);
+        assert_eq!(r.u32("t").unwrap(), 7);
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn shared_reader_hands_out_views_even_from_a_sub_reader() {
+        let backing = Bytes::from(vec![9, 1, 2, 3, 4, 5]);
+        let mut r = Reader::new_shared(&backing);
+        assert_eq!(r.u8("t").unwrap(), 9);
+        let mut sub = r.slice(4, "t").unwrap();
+        assert_eq!(sub.u8("t").unwrap(), 1);
+        let view = sub.bytes_shared(3, "t").unwrap();
+        assert_eq!(view, [2u8, 3, 4][..]);
+        assert_eq!(view.backing_id(), backing.backing_id());
+        assert!(sub.bytes_shared(1, "t").is_err(), "past the sub-reader");
+        assert_eq!(r.u8("t").unwrap(), 5);
+        // No backing: a copy.
+        let raw = [1u8, 2];
+        let copy = Reader::new(&raw).bytes_shared(2, "t").unwrap();
+        assert_eq!(copy, raw[..]);
+    }
+
+    #[test]
+    fn string_len_is_the_check_before_string() {
+        assert_eq!(string_len("héllo", "t"), Ok(2 + 6));
+        let long = "x".repeat(65_536);
+        assert_eq!(string_len(&long[1..], "t"), Ok(2 + 65_535));
+        assert_eq!(
+            string_len(&long, "field"),
+            Err(AsfError::BadSize {
+                context: "field",
+                size: 65_536
+            })
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Whole-file model and serialization (the muxer).
 
+use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::drm::{scramble_in_place, DrmHeader, License};
@@ -7,7 +8,7 @@ use crate::error::AsfError;
 use crate::guid;
 use crate::header::{FileProperties, StreamProperties};
 use crate::index::AsfIndex;
-use crate::io::Writer;
+use crate::io::{Writer, OBJECT_HEADER_BYTES};
 use crate::packet::DataPacket;
 use crate::script::ScriptCommandList;
 
@@ -86,80 +87,99 @@ impl AsfFile {
         Ok(())
     }
 
-    /// Total serialized size in bytes (header + data + index).
+    /// Total serialized size in bytes (header + data + index): the length
+    /// of what [`write_asf`] returns, worked out without serializing. `0`
+    /// when a string field is too long to write at all.
     pub fn wire_size(&self) -> usize {
-        write_asf(self).map(|v| v.len()).unwrap_or(0)
+        self.checked_wire_size().unwrap_or(0)
+    }
+
+    /// The sizing pass: every object's preamble and body, packets at
+    /// their fixed size. Also the one place strings are checked against
+    /// their `u16` length prefix.
+    fn checked_wire_size(&self) -> Result<usize, AsfError> {
+        let mut header = OBJECT_HEADER_BYTES + OBJECT_HEADER_BYTES + FileProperties::WIRE_LEN;
+        for s in &self.streams {
+            header += OBJECT_HEADER_BYTES + s.wire_len()?;
+        }
+        if !self.script.is_empty() {
+            header += OBJECT_HEADER_BYTES + self.script.wire_len()?;
+        }
+        if let Some(drm) = &self.drm {
+            header += OBJECT_HEADER_BYTES + drm.wire_len()?;
+        }
+        let data = OBJECT_HEADER_BYTES + 4 + self.packets.len() * self.props.packet_size as usize;
+        let index = self
+            .index
+            .as_ref()
+            .map_or(0, |idx| OBJECT_HEADER_BYTES + idx.wire_len());
+        Ok(header + data + index)
     }
 }
 
 /// XOR-scrambles every payload with the license key. Payload data is
-/// immutable shared [`bytes::Bytes`], so each payload gets fresh backing
-/// storage — fine off the hot path, and it keeps protected content from
-/// ever aliasing the plaintext a cache or reader may still hold.
+/// immutable shared [`bytes::Bytes`], so the scrambled bytes go into one
+/// fresh buffer for the whole file, which every payload then views —
+/// protected content never aliases the plaintext a cache or reader may
+/// still hold. (The keystream restarts at each payload.)
 fn scramble_payloads(license: &License, packets: &mut [DataPacket]) {
-    for packet in packets {
-        for payload in &mut packet.payloads {
-            let mut buf = payload.data.to_vec();
-            scramble_in_place(license.key, &mut buf);
-            payload.data = buf.into();
-        }
+    let total = packets.iter().map(DataPacket::media_bytes).sum();
+    let mut buf = Vec::with_capacity(total);
+    for payload in packets.iter().flat_map(|p| &p.payloads) {
+        let at = buf.len();
+        buf.extend_from_slice(&payload.data);
+        scramble_in_place(license.key, &mut buf[at..]);
+    }
+    let backing = Bytes::from(buf);
+    let mut at = 0;
+    for payload in packets.iter_mut().flat_map(|p| &mut p.payloads) {
+        let end = at + payload.data.len();
+        payload.data = backing.slice(at..end);
+        at = end;
     }
 }
 
-fn write_object(out: &mut Writer, g: crate::guid::Guid, body: Writer) {
-    out.guid(g);
-    out.u64(24 + body.len() as u64);
-    out.bytes(&body.into_vec());
-}
-
-/// Serializes `file` to bytes.
+/// Serializes `file` to bytes, in one pass into one buffer sized up
+/// front.
 ///
 /// # Errors
 ///
-/// [`AsfError::BadSize`] if any packet's payloads exceed the declared
-/// packet size.
+/// [`AsfError::BadSize`] if a packet's payloads exceed the declared
+/// packet size or the limits of their wire fields, or a string (stream
+/// name, DRM key id, script command kind or parameter) is longer than
+/// 65 535 bytes.
 pub fn write_asf(file: &AsfFile) -> Result<Vec<u8>, AsfError> {
-    let mut out = Writer::new();
+    let size = file.checked_wire_size()?;
+    let mut out = Writer::with_capacity(size);
 
     // Header object: nested sub-objects.
-    let mut header = Writer::new();
-    {
-        let mut body = Writer::new();
-        file.props.write(&mut body);
-        write_object(&mut header, guid::FILE_PROPERTIES, body);
-    }
-    for s in &file.streams {
-        let mut body = Writer::new();
-        s.write(&mut body);
-        write_object(&mut header, guid::STREAM_PROPERTIES, body);
-    }
-    if !file.script.is_empty() {
-        let mut body = Writer::new();
-        file.script.write(&mut body);
-        write_object(&mut header, guid::SCRIPT_COMMAND, body);
-    }
-    if let Some(drm) = &file.drm {
-        let mut body = Writer::new();
-        drm.write(&mut body);
-        write_object(&mut header, guid::DRM_OBJECT, body);
-    }
-    write_object(&mut out, guid::HEADER_OBJECT, header);
+    out.object(guid::HEADER_OBJECT, |out| {
+        out.object(guid::FILE_PROPERTIES, |w| file.props.write(w));
+        for s in &file.streams {
+            out.object(guid::STREAM_PROPERTIES, |w| s.write(w));
+        }
+        if !file.script.is_empty() {
+            out.object(guid::SCRIPT_COMMAND, |w| file.script.write(w));
+        }
+        if let Some(drm) = &file.drm {
+            out.object(guid::DRM_OBJECT, |w| drm.write(w));
+        }
+    });
 
     // Data object.
-    let mut data = Writer::new();
-    data.u32(file.packets.len() as u32);
-    for p in &file.packets {
-        data.bytes(&p.write(file.props.packet_size)?);
-    }
-    write_object(&mut out, guid::DATA_OBJECT, data);
+    out.object(guid::DATA_OBJECT, |out| {
+        out.u32(file.packets.len() as u32);
+        file.packets
+            .iter()
+            .try_for_each(|p| p.write_into(out, file.props.packet_size))
+    })?;
 
     // Index object.
     if let Some(idx) = &file.index {
-        let mut body = Writer::new();
-        idx.write(&mut body);
-        write_object(&mut out, guid::INDEX_OBJECT, body);
+        out.object(guid::INDEX_OBJECT, |w| idx.write(w));
     }
 
+    debug_assert_eq!(out.len(), size, "the sizing pass and the writer disagree");
     Ok(out.into_vec())
 }
 
@@ -247,6 +267,51 @@ mod tests {
         let err = f.unprotect(&License::new("cs101", 2)).unwrap_err();
         assert!(matches!(err, AsfError::LicenseRejected { .. }));
         assert_eq!(f.packets, scrambled);
+    }
+
+    #[test]
+    fn overlong_strings_are_refused_not_panicked_on() {
+        let longest = "x".repeat(usize::from(u16::MAX));
+        let too_long = "x".repeat(usize::from(u16::MAX) + 1);
+        type Setter = fn(&mut AsfFile, String);
+        let fields: [(&str, Setter); 4] = [
+            ("stream name", |f, s| f.streams[1].name = s),
+            ("script command kind", |f, s| {
+                f.script.push(ScriptCommand::new(5, s, "p"))
+            }),
+            ("script command param", |f, s| {
+                f.script.push(ScriptCommand::new(5, "annotation", s))
+            }),
+            ("drm key id", |f, s| f.protect(&License::new(s, 3))),
+        ];
+        for (context, set) in fields {
+            let mut f = sample_file();
+            set(&mut f, longest.clone());
+            let bytes = write_asf(&f).unwrap();
+            assert_eq!(bytes.len(), f.wire_size());
+            assert_eq!(read_asf(&bytes).unwrap(), f);
+
+            let mut f = sample_file();
+            set(&mut f, too_long.clone());
+            assert_eq!(
+                write_asf(&f).unwrap_err(),
+                AsfError::BadSize {
+                    context,
+                    size: 65_536
+                }
+            );
+            assert_eq!(f.wire_size(), 0);
+        }
+    }
+
+    #[test]
+    fn output_is_sized_exactly_up_front() {
+        let mut f = sample_file();
+        f.build_index(50);
+        f.protect(&License::new("cs101", 9));
+        let bytes = write_asf(&f).unwrap();
+        assert_eq!(bytes.len(), f.wire_size());
+        assert_eq!(bytes.capacity(), bytes.len());
     }
 
     #[test]

@@ -21,6 +21,9 @@ pub const PACKET_HEADER_BYTES: usize = 9;
 /// + total (4) + presentation time (8) + length (2).
 pub const PAYLOAD_HEADER_BYTES: usize = 24;
 
+/// Most payloads one packet can carry: the count is a `u8` on the wire.
+pub const MAX_PAYLOADS: usize = u8::MAX as usize;
+
 /// A complete media sample handed to the packetizer / produced by the
 /// reassembler.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -77,11 +80,40 @@ impl DataPacket {
     ///
     /// # Errors
     ///
-    /// [`AsfError::BadSize`] if the payloads do not fit in `packet_size`.
+    /// [`AsfError::BadSize`] if the payloads do not fit in `packet_size`,
+    /// there are more than [`MAX_PAYLOADS`] of them, or one is longer
+    /// than its `u16` length field can say.
     pub fn write(&self, packet_size: u32) -> Result<Vec<u8>, AsfError> {
-        let mut w = Writer::new();
+        let mut w = Writer::with_capacity(packet_size as usize);
+        self.write_into(&mut w, packet_size)?;
+        Ok(w.into_vec())
+    }
+
+    /// Appends the packet's `packet_size` bytes to `w`. Nothing is
+    /// written unless the packet is valid.
+    pub(crate) fn write_into(&self, w: &mut Writer, packet_size: u32) -> Result<(), AsfError> {
+        let count = u8::try_from(self.payloads.len()).map_err(|_| AsfError::BadSize {
+            context: "data packet payload count",
+            size: self.payloads.len() as u64,
+        })?;
+        let mut used = PACKET_HEADER_BYTES;
+        for p in &self.payloads {
+            if p.data.len() > usize::from(u16::MAX) {
+                return Err(AsfError::BadSize {
+                    context: "payload length",
+                    size: p.data.len() as u64,
+                });
+            }
+            used += PAYLOAD_HEADER_BYTES + p.data.len();
+        }
+        if used > packet_size as usize {
+            return Err(AsfError::BadSize {
+                context: "data packet payloads",
+                size: used as u64,
+            });
+        }
         w.u64(self.send_time);
-        w.u8(self.payloads.len() as u8);
+        w.u8(count);
         for p in &self.payloads {
             w.u16(p.stream);
             w.u32(p.object_id);
@@ -91,18 +123,12 @@ impl DataPacket {
             w.u16(p.data.len() as u16);
             w.bytes(&p.data);
         }
-        if w.len() > packet_size as usize {
-            return Err(AsfError::BadSize {
-                context: "data packet payloads",
-                size: w.len() as u64,
-            });
-        }
-        let mut v = w.into_vec();
-        v.resize(packet_size as usize, 0);
-        Ok(v)
+        w.zeros(packet_size as usize - used);
+        Ok(())
     }
 
-    /// Parses one packet of exactly `packet_size` bytes.
+    /// Parses one packet of exactly `packet_size` bytes. The payloads
+    /// are views of one copy of `bytes`.
     ///
     /// # Errors
     ///
@@ -115,7 +141,12 @@ impl DataPacket {
                 size: bytes.len() as u64,
             });
         }
-        let mut r = Reader::new(bytes);
+        Self::read_from(&mut Reader::new_shared(&Bytes::copy_from_slice(bytes)))
+    }
+
+    /// Parses the packet that fills `r`; the payloads share `r`'s
+    /// backing buffer when it has one.
+    pub(crate) fn read_from(r: &mut Reader<'_>) -> Result<Self, AsfError> {
         let send_time = r.u64("packet send time")?;
         let count = r.u8("payload count")?;
         let mut payloads = Vec::with_capacity(count as usize);
@@ -126,7 +157,7 @@ impl DataPacket {
             let total = r.u32("payload total")?;
             let pres_time = r.u64("payload presentation time")?;
             let len = r.u16("payload length")? as usize;
-            let data = Bytes::copy_from_slice(r.bytes(len, "payload data")?);
+            let data = r.bytes_shared(len, "payload data")?;
             payloads.push(Payload {
                 stream,
                 object_id,
@@ -200,7 +231,7 @@ impl Packetizer {
         // Zero-length samples still emit one empty fragment (markers).
         loop {
             let space = self.packet_size as usize - self.current_bytes;
-            if space < PAYLOAD_HEADER_BYTES + 1 {
+            if space < PAYLOAD_HEADER_BYTES + 1 || self.current.len() == MAX_PAYLOADS {
                 self.flush_packet();
                 continue;
             }
@@ -716,6 +747,64 @@ mod tests {
             let back = DataPacket::read(&bytes, 300).unwrap();
             assert_eq!(&back, p);
         }
+    }
+
+    #[test]
+    fn packetizer_flushes_at_the_payload_count_limit() {
+        // 65 000-byte packets have room for 878 fifty-byte fragments, but
+        // the count is one byte on the wire (878 would read back as 110).
+        let mut pk = Packetizer::new(65_000).unwrap();
+        for i in 0..2_000 {
+            pk.push(&sample(1, i, 50, i as u8));
+        }
+        let packets = pk.finish();
+        let counts: Vec<usize> = packets.iter().map(|p| p.payloads.len()).collect();
+        assert_eq!(counts, [255, 255, 255, 255, 255, 255, 255, 215]);
+        for p in &packets {
+            let bytes = p.write(65_000).unwrap();
+            assert_eq!(&DataPacket::read(&bytes, 65_000).unwrap(), p);
+        }
+    }
+
+    #[test]
+    fn write_refuses_what_its_wire_fields_cannot_say() {
+        let mut p = fragment(0, 0, 0, Vec::new());
+        p.payloads = vec![p.payloads[0].clone(); MAX_PAYLOADS];
+        assert!(p.write(65_000).is_ok());
+        p.payloads.push(p.payloads[0].clone());
+        assert_eq!(
+            p.write(65_000).unwrap_err(),
+            AsfError::BadSize {
+                context: "data packet payload count",
+                size: 256
+            }
+        );
+
+        let longest = usize::from(u16::MAX);
+        let fits = fragment(0, 0, 70_000, vec![7; longest]);
+        assert_eq!(
+            DataPacket::read(&fits.write(70_000).unwrap(), 70_000),
+            Ok(fits)
+        );
+        assert_eq!(
+            fragment(0, 0, 70_000, vec![7; longest + 1])
+                .write(70_000)
+                .unwrap_err(),
+            AsfError::BadSize {
+                context: "payload length",
+                size: 65_536
+            }
+        );
+    }
+
+    #[test]
+    fn a_refused_packet_writes_nothing() {
+        let mut w = Writer::new();
+        w.u8(1);
+        assert!(fragment(0, 0, 500, vec![7; 500])
+            .write_into(&mut w, 200)
+            .is_err());
+        assert_eq!(w.into_vec(), [1]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::error::AsfError;
-use crate::io::{Reader, Writer};
+use crate::io::{string_len, Reader, Writer};
 
 /// One timed command.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -104,6 +104,16 @@ impl ScriptCommandList {
     pub fn current_of_kind(&self, kind: &str, time: u64) -> Option<&ScriptCommand> {
         let upto = self.commands.partition_point(|c| c.time <= time);
         self.commands[..upto].iter().rev().find(|c| c.kind == kind)
+    }
+
+    pub(crate) fn wire_len(&self) -> Result<usize, AsfError> {
+        let mut len = 4;
+        for c in &self.commands {
+            len += 8
+                + string_len(&c.kind, "script command kind")?
+                + string_len(&c.param, "script command param")?;
+        }
+        Ok(len)
     }
 
     pub(crate) fn write(&self, w: &mut Writer) {

@@ -7,10 +7,13 @@
 #
 # Exports <base-rev> into a scratch tree under $TMPDIR (`git archive`, so
 # no worktree is left registered in .git if the script is killed), builds
-# the q9/q10/q11/q12/q16/q17 benches in both trees, runs each at seed 7,
-# and `cmp`s: q9 and q10 (json), q11 and q12 (json, jsonl, prom), q16
-# (json) and q17 (jsonl; its json carries wall-clock timings). Exits 1
-# naming every artifact that differs. Offline, like the rest of CI.
+# the q9/q10/q11/q12/q16/q17 benches and the `wmps` CLI in both trees,
+# runs each bench at seed 7, and `cmp`s: q9 and q10 (json), q11 and q12
+# (json, jsonl, prom), q16 (json) and q17 (jsonl; its json carries
+# wall-clock timings) — and the two .asf files `wmps publish` writes with
+# fixed flags, one plain and one protected, so "the muxer still writes
+# the same bytes" is a check and not a sentence. Exits 1 naming every
+# artifact that differs. Offline, like the rest of CI.
 set -e
 
 base="${1:?usage: scripts/artifact_diff.sh <base-rev>}"
@@ -21,14 +24,15 @@ trap 'rm -rf "$work"' EXIT
 mkdir "$work/src" "$work/base" "$work/head"
 git -C "$root" archive "$rev" | tar -x -C "$work/src"
 
-bins="q9_chaos q10_overload q11_observability q12_failover q16_repair q17_tracing"
+bins="q9_chaos q10_overload q11_observability q12_failover q16_repair q17_tracing wmps"
 
 # produce <tree> <target-dir> <out-dir>
 produce() {
     flags=""
     for b in $bins; do flags="$flags --bin $b"; done
     # shellcheck disable=SC2086
-    (cd "$1" && CARGO_TARGET_DIR="$2" cargo build -q --offline --release -p lod-bench $flags)
+    (cd "$1" && CARGO_TARGET_DIR="$2" cargo build -q --offline --release \
+        -p lod-bench -p lod-cli $flags)
     "$2/release/q9_chaos" --seed 7 --json "$3/q9.json" > /dev/null
     "$2/release/q10_overload" --seed 7 --json "$3/q10.json" > /dev/null
     "$2/release/q11_observability" --seed 7 \
@@ -37,6 +41,10 @@ produce() {
         --json "$3/q12.json" --events "$3/q12.jsonl" --prom "$3/q12.prom" > /dev/null
     "$2/release/q16_repair" --json "$3/q16.json" > /dev/null
     "$2/release/q17_tracing" --json "$3/q17_timings.json" --events "$3/q17.jsonl" > /dev/null
+    "$2/release/wmps" publish "$3/plain.asf" --duration-secs 90 --slides 5 \
+        --annotation 45:eq.4 > /dev/null
+    "$2/release/wmps" publish "$3/protected.asf" --duration-secs 90 --slides 5 \
+        --annotation 45:eq.4 --license cs101:77 > /dev/null
 }
 
 echo "artifact_diff: building and running $base ($rev)"
@@ -46,12 +54,15 @@ produce "$root" "${CARGO_TARGET_DIR:-$root/target}" "$work/head"
 
 status=0
 for f in q9.json q10.json q11.json q11.jsonl q11.prom q12.json q12.jsonl q12.prom \
-    q16.json q17.jsonl; do
+    q16.json q17.jsonl plain.asf protected.asf; do
     if cmp -s "$work/base/$f" "$work/head/$f"; then
         echo "identical  $f"
     else
         echo "DIFFERS    $f"
-        diff "$work/base/$f" "$work/head/$f" | head -10
+        case "$f" in
+            *.asf) cmp "$work/base/$f" "$work/head/$f" || true ;;
+            *) diff "$work/base/$f" "$work/head/$f" | head -10 ;;
+        esac
         status=1
     fi
 done
