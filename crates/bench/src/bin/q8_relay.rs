@@ -9,7 +9,7 @@
 //! checks every re-homed student still finishes.
 
 use lod_bench::report::{header, ms, row};
-use lod_core::{synthetic_lecture, RelayTierConfig, Wmps, WmpsReport};
+use lod_core::{synthetic_lecture, ChaosSpec, RelayTierConfig, Wmps, WmpsReport};
 use lod_simnet::LinkSpec;
 
 const STUDENTS: usize = 64;
@@ -112,7 +112,10 @@ fn main() {
     // Failure drill: one of four relays dies 20 s into the lecture.
     let cfg = RelayTierConfig {
         relays: 4,
-        fail_first_at: Some(200_000_000),
+        chaos: ChaosSpec {
+            relay_crashes: vec![(200_000_000, u64::MAX, 0)],
+            ..ChaosSpec::default()
+        },
         ..RelayTierConfig::default()
     };
     let drill = wmps.serve_with_relays(file.clone(), uplink, access, STUDENTS, SEED, &cfg);

@@ -212,13 +212,15 @@ fn replay(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
 /// the recorder, and `wmps trace` renders the waterfalls from the JSONL
 /// log (combine with `--metrics-out` and `--relays`).
 ///
-/// `--transport udp` swaps the discrete-event simulator for the real
-/// thing: origin, relays (default 2) and every student run as threads
-/// on localhost UDP sockets, exercising datagram framing, pacing and
-/// reordering. Link shaping and the overload/standby knobs are
-/// simulator features and are ignored on udp; the udp arm instead
-/// takes `--repair on|off`, `--retry-budget N`, `--loss-permille N`
-/// and `--fault-seed S` (see [`serve_udp`]).
+/// `--transport udp` swaps the discrete-event simulator for real
+/// sockets: origin, relays (at least 1) and every student each own a
+/// localhost UDP socket, exercising datagram framing, pacing and
+/// reordering, and are stepped by the same driver on the same 100 ms
+/// clock as the simulator — so the run is as fast as its code and two
+/// runs of one command print the same counters. Link shaping and the
+/// overload/standby knobs are simulator features and are ignored on
+/// udp; the udp arm instead takes `--repair on|off`, `--retry-budget N`,
+/// `--loss-permille N` and `--fault-seed S` (see [`serve_udp`]).
 fn serve(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
     let path = args.positional(0, "<.asf path>")?;
     let bytes = std::fs::read(path)?;
@@ -380,7 +382,11 @@ fn serve(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
 /// `--trace-permille N` samples N‰ of segments for end-to-end tracing
 /// across the real sockets (contexts ride the UDP frame headers);
 /// `--events-out PATH` records every node's events and writes the
-/// tick-merged JSONL to `PATH` for `wmps report` / `wmps trace`.
+/// JSONL log (in emission order) to `PATH` for `wmps report` /
+/// `wmps trace`.
+///
+/// A lecture whose packets cannot share a datagram with its stream
+/// header is refused: every segment would be dropped as oversize.
 fn serve_udp(
     path: &str,
     file: lod_asf::AsfFile,
@@ -416,6 +422,27 @@ fn serve_udp(
             retry_budget,
             ..RepairConfig::default()
         });
+    }
+    // `serve_loopback_udp` asserts that the stream header and at least
+    // one packet fit a datagram. Bound both from the file alone, with
+    // room to spare — 32 bytes of framing per header item and an eighth
+    // on top of the packet cover the wire codec — so no `.asf` reaches
+    // that assert.
+    let streams = file.streams.iter().map(|s| 32 + s.name.len());
+    let script = file.script.commands().iter();
+    let header = streams.sum::<usize>()
+        + script
+            .map(|c| 32 + c.kind.len() + c.param.len())
+            .sum::<usize>()
+        + file.drm.as_ref().map_or(0, |d| d.key_id.len());
+    let packet = file.props.packet_size as usize;
+    let need = 512 + header + packet + packet / 8;
+    if need > cfg.udp.max_frame_bytes {
+        return Err(CliError::Content(format!(
+            "{path}: a {packet}-byte packet plus the stream header needs a {need}-byte \
+             datagram; --transport udp sends at most {} bytes in one",
+            cfg.udp.max_frame_bytes
+        )));
     }
     if loss_permille > 0 {
         cfg.fault = Some(FaultSpec::loss(fault_seed, loss_permille));
@@ -825,6 +852,48 @@ mod tests {
     }
 
     #[test]
+    fn serve_udp_sizes_segments_to_the_packet_or_refuses() {
+        // 4 000-byte packets: 32 of them overflow a datagram, so the
+        // segment must shrink to what fits — and every sample plays.
+        let path = tmp("udp-big-packets.asf");
+        run(
+            &argv(&format!(
+                "publish {path} --duration-secs 30 --slides 3 --packet-size 4000"
+            )),
+            &mut Vec::new(),
+        )
+        .unwrap();
+        let mut buf = Vec::new();
+        run(
+            &argv(&format!(
+                "serve {path} --students 4 --relays 1 --transport udp"
+            )),
+            &mut buf,
+        )
+        .unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.contains("4/4 completed, 0 abandoned"), "{text}");
+        assert!(!text.contains(" 0 samples"), "{text}");
+
+        // 65 000-byte packets fit no datagram at all: refused up front.
+        let path = tmp("udp-huge-packets.asf");
+        run(
+            &argv(&format!(
+                "publish {path} --duration-secs 5 --slides 1 --packet-size 65000"
+            )),
+            &mut Vec::new(),
+        )
+        .unwrap();
+        let err = run(
+            &argv(&format!("serve {path} --transport udp")),
+            &mut Vec::new(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, CliError::Content(_)), "{err}");
+        assert!(err.to_string().contains("65000-byte packet"), "{err}");
+    }
+
+    #[test]
     fn serve_udp_rejects_a_bad_repair_value() {
         let path = tmp("udp-badrepair.asf");
         run(
@@ -1049,9 +1118,8 @@ mod tests {
         assert!(text.contains("2/2 completed"), "{text}");
         assert!(text.contains("events:"), "{text}");
 
-        // The merged cross-thread log still satisfies the span
-        // invariants, and the waterfall includes the transport hops the
-        // simulator cannot see.
+        // The log satisfies the span invariants, and the waterfall
+        // includes the transport hops the simulator cannot see.
         let log = std::fs::read_to_string(&events).unwrap();
         assert!(log.contains("\"kind\":\"span_open\""), "spans in {events}");
         let mut buf = Vec::new();

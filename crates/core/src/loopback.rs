@@ -1,36 +1,37 @@
-//! Loopback deployment: the relay tier as real threads on real sockets.
+//! Loopback deployment: the relay tier on real sockets.
 //!
 //! [`serve_loopback_udp`] stands up the same origin → relay → student
 //! topology that [`crate::Wmps::serve_with_relays`] simulates, except
-//! every node is an OS thread driving a [`UdpTransport`] over
-//! `127.0.0.1` sockets. The state machines are the *same types* the
-//! simulator runs — `StreamingServer`, `RelayNode`, `StreamingClient` —
-//! reached through the [`Transport`] trait, so a lecture that completes
-//! here demonstrates the whole protocol stack survives contact with an
-//! actual kernel: datagram framing, reordering, pacing, and wall-clock
-//! scheduling.
+//! every node owns a [`UdpTransport`] on a `127.0.0.1` socket. The state
+//! machines are the *same types* the simulator runs — `StreamingServer`,
+//! `RelayNode`, `StreamingClient` — and the loop that steps them is the
+//! same tier driver (`tier.rs`), so a lecture that completes here shows
+//! the whole protocol stack surviving contact with an actual kernel:
+//! every byte crosses a real socket through the real frame codec, pacer,
+//! reorder buffer, repair sublayer and fault engine.
 //!
-//! Clocking: all threads share one epoch `Instant` and convert elapsed
-//! wall time to ticks through a common acceleration factor, so a
-//! minutes-long lecture plays out in seconds while every state machine
-//! still sees a consistent tick timeline. The run is therefore only
-//! statistically reproducible — it is gated on *outcomes* (every client
-//! finishes, nobody is abandoned, sample counts reconcile with a simnet
-//! run of the same file), never on byte-diffs.
+//! Clocking: one thread steps every node, and every transport runs on
+//! the driver's manual clock (100 ms of lecture time per step), exactly
+//! as on simnet. Nothing sleeps and nothing reads the wall clock, so a
+//! run costs what its code costs and — as long as the kernel drops no
+//! datagram — two runs of one config take the same steps and report the
+//! same counters and the same event log. What this gives up against a
+//! thread per node is OS concurrency and sub-step timestamps: hop
+//! latencies in a trace quantise to the step.
 
-use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread;
+use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
 use lod_asf::AsfFile;
 use lod_obs::{EventRecord, Recorder};
 use lod_relay::{RelayMetrics, RelayNode};
 use lod_simnet::NodeId;
-use lod_streaming::wire::Wire;
+use lod_streaming::wire::{StreamHeader, Wire};
 use lod_streaming::{ClientMetrics, RetryPolicy, ServerMetrics, StreamingClient, StreamingServer};
-use lod_transport::{FaultSpec, ReorderStats, Transport, TransportStats, UdpConfig, UdpTransport};
+use lod_transport::{FaultSpec, ReorderStats, TransportStats, UdpConfig, UdpTransport, WireCodec};
+
+use crate::tier::{Sockets, Tier};
+use crate::wmps::vod_horizon;
 
 /// Knobs for a [`serve_loopback_udp`] run.
 #[derive(Debug, Clone)]
@@ -41,17 +42,6 @@ pub struct LoopbackConfig {
     pub clients: usize,
     /// Socket-level transport knobs applied to every node.
     pub udp: UdpConfig,
-    /// Packets per fetched segment at the origin. Sized so a whole
-    /// segment fits one UDP datagram under `udp.max_frame_bytes`
-    /// (32 × 1400 B ≈ 45 KiB against the 60 KiB default cap).
-    pub segment_packets: u32,
-    /// Wall-to-tick acceleration: each elapsed wall second advances the
-    /// shared clock by `accel` tick-seconds, so a lecture plays out
-    /// `accel`× faster than real time.
-    pub accel: u64,
-    /// Hard wall-clock ceiling; threads that have not finished by then
-    /// stop and report whatever state they reached.
-    pub wall_deadline: Duration,
     /// Seeded egress fault injection applied at the origin and relay
     /// tiers — the media direction, where loss actually hurts playback.
     /// Client egress stays clean so request loss does not conflate the
@@ -62,10 +52,10 @@ pub struct LoopbackConfig {
     /// clean wire it never fires; under fault injection it is the
     /// recovery of last resort when even transport repair gives up.
     pub client_retry: Option<RetryPolicy>,
-    /// When set, every node records transport repair events (NACKs,
-    /// retransmits, give-ups, gap skips) and the report carries them
-    /// merged in causal order: clients first, then relays, then the
-    /// origin — each receiver's NACK precedes its sender's retransmit.
+    /// When set, every node records its events (playback, transport
+    /// repair, trace spans) into one shared log and the report carries
+    /// it in emission order — which, with one thread stepping every
+    /// node, is causal order.
     pub record_events: bool,
     /// Per-mille of segments traced end-to-end across the deployment
     /// (relays mint the contexts, the UDP frames carry them, every node
@@ -86,9 +76,6 @@ impl Default for LoopbackConfig {
                 pace_rate_bps: 200_000_000,
                 ..UdpConfig::default()
             },
-            segment_packets: 32,
-            accel: 40,
-            wall_deadline: Duration::from_secs(120),
             fault: None,
             client_retry: None,
             record_events: false,
@@ -110,7 +97,8 @@ pub struct LoopbackReport {
     pub transport: TransportStats,
     /// Reorder-buffer counters merged across every node.
     pub reorder: ReorderStats,
-    /// Clients whose playback ran to completion.
+    /// Clients that rendered media and were never abandoned (the
+    /// [`crate::WmpsReport::completed_sessions`] rule).
     pub completed: usize,
     /// Clients that gave up (must be 0 on a healthy loopback).
     pub abandoned: usize,
@@ -118,254 +106,147 @@ pub struct LoopbackReport {
     /// fetch retries. The number transport repair exists to shrink —
     /// every one is a round trip the playback deadline pays for.
     pub rerequests: u64,
-    /// Transport repair events from every node, merged and sorted by
-    /// tick (all threads share one epoch, so cross-node timestamps are
-    /// comparable and a cause always ticks before its effect). Empty
-    /// unless [`LoopbackConfig::record_events`] was set. Feed to
+    /// Every node's events in emission order (all nodes share the
+    /// driver's clock, so a cause is always logged before its effect).
+    /// Empty unless [`LoopbackConfig::record_events`] was set. Feed to
     /// [`lod_obs::check_causal`] to prove repair causality.
     pub events: Vec<EventRecord>,
     /// Wall time the deployment ran for.
     pub wall: Duration,
 }
 
-/// Shared address book: every node's socket address, indexed like the
-/// node ids (0 = origin, 1..=relays = relays, rest = clients).
-type AddressBook = Arc<Vec<(NodeId, SocketAddr)>>;
-
-fn ticks_since(epoch: Instant, accel: u64) -> u64 {
-    // 1 tick = 100 ns of *simulated* time; one wall nanosecond counts
-    // `accel` times over.
-    let nanos = epoch.elapsed().as_nanos() as u64;
-    (nanos / 100).saturating_mul(accel)
+/// Packets per fetched segment: as many as share one datagram with the
+/// stream header (it rides the first segment a relay fetches), at most
+/// 32. 0 when not even one fits.
+fn segment_packets(file: &AsfFile, max_frame_bytes: usize) -> usize {
+    let header = Wire::Header(StreamHeader {
+        props: file.props.clone(),
+        streams: file.streams.clone(),
+        script: file.script.clone(),
+        drm: file.drm.clone(),
+        epoch: 0,
+    });
+    // 256 bytes cover the frame header, its trace extension and a
+    // segment's own fields (153 in all).
+    let fixed = 256 + header.to_frame_payload().len();
+    // The wire codec spends 12 + 26 bytes per payload on a packet where
+    // ASF spends 9 + 24, so an eighth on top of the ASF size covers it.
+    let packet = file.props.packet_size as usize;
+    (max_frame_bytes.saturating_sub(fixed) / (packet + packet / 8).max(1)).min(32)
 }
 
-fn transport_for(
-    node: NodeId,
-    socket: UdpSocket,
-    book: &AddressBook,
-    udp: UdpConfig,
-) -> UdpTransport<Wire> {
-    let mut t = UdpTransport::from_socket(node, socket, udp).expect("socket already bound");
-    for &(peer, addr) in book.iter() {
-        if peer != node {
-            t.register_peer(peer, addr);
-        }
-    }
-    t
-}
-
-/// Serves `file` through an origin + relay tier + clients, each a real
-/// thread on a real localhost UDP socket, until every client finishes
-/// (or the wall deadline passes).
+/// Serves `file` through an origin + relay tier + clients, each on a
+/// real localhost UDP socket, until every client finishes.
 ///
 /// # Panics
 ///
-/// Panics when localhost sockets cannot be bound or a node thread
-/// panics — both mean the host cannot run the deployment at all.
+/// Panics when localhost sockets cannot be bound (the host cannot run
+/// the deployment at all), or when `file`'s packets are too large for
+/// even one to share a `cfg.udp.max_frame_bytes` datagram with the
+/// stream header — every segment would be dropped as oversize and the
+/// lecture would play nothing.
 pub fn serve_loopback_udp(file: AsfFile, cfg: &LoopbackConfig) -> LoopbackReport {
     assert!(cfg.relays > 0, "a relay tier needs at least one relay");
-    assert!(cfg.accel > 0, "acceleration must be positive");
+    let segment_packets = segment_packets(&file, cfg.udp.max_frame_bytes);
+    assert!(
+        segment_packets > 0,
+        "a {}-byte packet and the stream header do not fit one {}-byte datagram \
+         (UdpConfig::max_frame_bytes)",
+        file.props.packet_size,
+        cfg.udp.max_frame_bytes
+    );
+    let horizon = vod_horizon(file.props.play_duration);
+    let started = Instant::now();
     let n_nodes = 1 + cfg.relays + cfg.clients;
-    // Bind every socket up front on the main thread: `UdpTransport` is
-    // not `Send` (it can carry an `Rc` recorder), but a bare
-    // `UdpSocket` is, so each thread assembles its own transport from
-    // a pre-bound socket and the shared address book.
-    let mut sockets = Vec::with_capacity(n_nodes);
-    let mut book = Vec::with_capacity(n_nodes);
-    for i in 0..n_nodes {
-        let node = NodeId::from_index(i);
-        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind loopback socket");
-        book.push((node, socket.local_addr().expect("bound socket has addr")));
-        sockets.push(socket);
-    }
-    let book: AddressBook = Arc::new(book);
-    let origin = book[0].0;
-    let relay_ids: Vec<NodeId> = (1..=cfg.relays).map(|i| book[i].0).collect();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let epoch = Instant::now();
-    let accel = cfg.accel;
-    let udp = cfg.udp;
-    let deadline = cfg.wall_deadline;
-    let fault = cfg.fault.clone();
-    let client_retry = cfg.client_retry;
-    let record_events = cfg.record_events;
-    let trace_permille = cfg.trace_permille;
-    let recorder_for = move || {
-        if record_events {
-            Recorder::with_event_capacity(1 << 16)
-        } else {
-            Recorder::disabled()
-        }
-    };
-
-    let mut sockets = sockets.into_iter();
-
-    // Origin thread: publish, then serve whatever the relays fetch.
-    let origin_thread = {
-        let socket = sockets.next().expect("origin socket");
-        let book = Arc::clone(&book);
-        let stop = Arc::clone(&stop);
-        let segment_packets = cfg.segment_packets;
-        let file = file.clone();
-        let fault = fault.clone();
-        thread::spawn(move || {
-            let obs = recorder_for();
-            let mut t = transport_for(origin, socket, &book, udp).with_recorder(obs.clone());
-            if let Some(spec) = fault {
-                t.set_egress_faults(spec);
-            }
-            let mut server = StreamingServer::new(origin)
-                .with_segment_packets(segment_packets)
-                .with_recorder(obs.clone());
-            server.publish("lecture", file);
-            while !stop.load(Ordering::Relaxed) {
-                let now = ticks_since(epoch, accel);
-                t.set_manual_now(now);
-                for d in t.poll(now) {
-                    server.on_message(&mut t, d.time, d.src, d.message);
-                }
-                server.poll(&mut t, now);
-                thread::sleep(Duration::from_micros(200));
-            }
-            (
-                server.metrics(),
-                *t.stats(),
-                t.reorder_stats(),
-                obs.events(),
-            )
-        })
-    };
-
-    // Relay threads: pull segments from the origin, fan out locally.
-    let relay_threads: Vec<_> = relay_ids
+    // Node ids are socket indices: 0 = origin, 1..=relays = relays, the
+    // rest = clients.
+    let node = NodeId::from_index;
+    let sockets: Vec<UdpSocket> = (0..n_nodes)
+        .map(|_| UdpSocket::bind("127.0.0.1:0").expect("bind loopback socket"))
+        .collect();
+    let book: Vec<_> = sockets
         .iter()
-        .map(|&me| {
-            let socket = sockets.next().expect("relay socket");
-            let book = Arc::clone(&book);
-            let stop = Arc::clone(&stop);
-            let fault = fault.clone();
-            thread::spawn(move || {
-                let obs = recorder_for();
-                let mut t = transport_for(me, socket, &book, udp).with_recorder(obs.clone());
-                if let Some(spec) = fault {
-                    t.set_egress_faults(spec);
+        .map(|s| s.local_addr().expect("bound socket has an address"))
+        .collect();
+    let obs = if cfg.record_events {
+        Recorder::with_event_capacity(n_nodes << 16)
+    } else {
+        Recorder::disabled()
+    };
+    let transports = sockets
+        .into_iter()
+        .enumerate()
+        .map(|(i, socket)| {
+            let mut t = UdpTransport::from_socket(node(i), socket, cfg.udp)
+                .expect("nonblocking socket")
+                .with_recorder(obs.clone());
+            for (peer, &addr) in book.iter().enumerate() {
+                if peer != i {
+                    t.register_peer(node(peer), addr);
                 }
-                let mut relay = RelayNode::new(me, origin, 64 << 20)
-                    .with_prefetch(true)
-                    .with_recorder(obs.clone())
-                    .with_trace_permille(trace_permille);
-                relay.serve_vod("lecture");
-                while !stop.load(Ordering::Relaxed) {
-                    let now = ticks_since(epoch, accel);
-                    t.set_manual_now(now);
-                    for d in t.poll(now) {
-                        relay.on_message(&mut t, d.time, d.src, d.message);
-                    }
-                    relay.poll(&mut t, now);
-                    thread::sleep(Duration::from_micros(200));
-                }
-                (relay.metrics(), *t.stats(), t.reorder_stats(), obs.events())
-            })
+            }
+            match &cfg.fault {
+                // The media direction only: origin and relay egress.
+                Some(spec) if i <= cfg.relays => t.set_egress_faults(spec.clone()),
+                _ => {}
+            }
+            t.set_manual_now(0);
+            t
         })
         .collect();
 
-    // Client threads: play at an assigned relay until done.
-    let client_threads: Vec<_> = (0..cfg.clients)
+    let mut origin = StreamingServer::new(node(0))
+        .with_segment_packets(segment_packets as u32)
+        .with_recorder(obs.clone());
+    origin.publish("lecture", file);
+    let clients = (0..cfg.clients)
         .map(|i| {
-            let me = book[1 + cfg.relays + i].0;
-            let home = relay_ids[i % relay_ids.len()];
-            let socket = sockets.next().expect("client socket");
-            let book = Arc::clone(&book);
-            thread::spawn(move || {
-                let obs = recorder_for();
-                let mut t = transport_for(me, socket, &book, udp).with_recorder(obs.clone());
-                let mut c = StreamingClient::new(me, home, "lecture").with_recorder(obs.clone());
-                if let Some(policy) = client_retry {
-                    c = c.with_retry(policy, i as u64);
-                }
-                t.set_manual_now(ticks_since(epoch, accel));
-                c.start(&mut t);
-                loop {
-                    let now = ticks_since(epoch, accel);
-                    t.set_manual_now(now);
-                    for d in t.poll(now) {
-                        c.on_message(d.time, d.message);
-                    }
-                    c.tick(now);
-                    c.poll_adaptive(&mut t);
-                    c.poll_redirect(&mut t);
-                    c.poll_busy(&mut t, now);
-                    c.poll_recovery(&mut t, now);
-                    if c.is_done() || c.is_abandoned() || epoch.elapsed() >= deadline {
-                        break;
-                    }
-                    thread::sleep(Duration::from_micros(200));
-                }
-                (
-                    *c.metrics(),
-                    c.is_done(),
-                    *t.stats(),
-                    t.reorder_stats(),
-                    obs.events(),
-                )
-            })
+            let home = node(1 + i % cfg.relays);
+            let c = StreamingClient::new(node(1 + cfg.relays + i), home, "lecture")
+                .with_recorder(obs.clone());
+            match cfg.client_retry {
+                Some(policy) => c.with_retry(policy, i as u64),
+                None => c,
+            }
         })
         .collect();
+    let mut tier = Tier::new(Sockets(transports), origin, clients);
+    tier.relays = (1..=cfg.relays)
+        .map(|i| {
+            let mut relay = RelayNode::new(node(i), node(0), 64 << 20)
+                .with_prefetch(true)
+                .with_recorder(obs.clone())
+                .with_trace_permille(cfg.trace_permille);
+            relay.serve_vod("lecture");
+            relay
+        })
+        .collect();
+    tier.run(horizon, |_, _| true);
 
-    let mut clients = Vec::with_capacity(cfg.clients);
+    let clients: Vec<ClientMetrics> = tier.clients.iter().map(|c| *c.metrics()).collect();
+    let mut relay = RelayMetrics::default();
+    for r in &tier.relays {
+        relay += r.metrics();
+    }
     let mut transport = TransportStats::default();
     let mut reorder = ReorderStats::default();
-    let mut completed = 0;
-    let mut abandoned = 0;
-    // Every node is both sender and receiver (relays NACK the origin
-    // *and* retransmit to clients), so no concatenation order is
-    // causally consistent — the merged log is sorted by tick instead.
-    let mut events = Vec::new();
-    for h in client_threads {
-        let (metrics, done, tstats, rstats, ev) = h.join().expect("client thread");
-        transport.merge(&tstats);
-        reorder.merge(&rstats);
-        events.extend(ev);
-        if done {
-            completed += 1;
-        }
-        if metrics.abandoned {
-            abandoned += 1;
-        }
-        clients.push(metrics);
+    for t in &tier.fabric.0 {
+        transport.merge(t.stats());
+        reorder.merge(&t.reorder_stats());
     }
-    // All clients have exited; wind down the tier.
-    stop.store(true, Ordering::Relaxed);
-    let mut relay = RelayMetrics::default();
-    for h in relay_threads {
-        let (metrics, tstats, rstats, ev) = h.join().expect("relay thread");
-        relay += metrics;
-        transport.merge(&tstats);
-        reorder.merge(&rstats);
-        events.extend(ev);
-    }
-    let (server, tstats, rstats, ev) = origin_thread.join().expect("origin thread");
-    transport.merge(&tstats);
-    reorder.merge(&rstats);
-    events.extend(ev);
-    // Shared epoch + stable sort: cross-node causality becomes log
-    // order (a NACK's socket flight is hundreds of ticks, never zero),
-    // while each node's own events keep their emit order.
-    events.sort_by_key(|e| e.at);
-
-    let rerequests = clients.iter().map(|m| m.retries).sum::<u64>() + relay.fetch_retries;
-
     LoopbackReport {
+        completed: clients
+            .iter()
+            .filter(|m| m.samples_rendered > 0 && !m.abandoned)
+            .count(),
+        abandoned: clients.iter().filter(|m| m.abandoned).count(),
+        rerequests: clients.iter().map(|m| m.retries).sum::<u64>() + relay.fetch_retries,
         clients,
-        server,
+        server: tier.origin.metrics(),
         relay,
         transport,
         reorder,
-        completed,
-        abandoned,
-        rerequests,
-        events,
-        wall: epoch.elapsed(),
+        events: obs.events(),
+        wall: started.elapsed(),
     }
 }

@@ -8,20 +8,22 @@
 use lod_asf::{AsfError, AsfFile};
 use lod_encoder::{BandwidthProfile, BroadcastConfig, LiveEncoder, Publisher};
 use lod_media::Ticks;
-use lod_obs::{Event, Recorder, TICK_BOUNDS};
+use lod_obs::{Recorder, TICK_BOUNDS};
 use lod_player::SkewStats;
 use lod_relay::{
     CacheStats, FailoverConfig, HeartbeatMonitor, RedirectManager, RelayMetrics, RelayNode,
 };
-use lod_simnet::{relay_tree, Fault, FaultInjector, FaultPlan, LinkSpec, Network, RelayTree};
+use lod_simnet::{
+    relay_tree, Fault, FaultInjector, FaultPlan, LinkSpec, Network, NodeId, RelayTree,
+};
 use lod_streaming::{
-    run_to_completion_with, AdmissionPolicy, BreakerPolicy, ClientMetrics, DegradePolicy, LiveFeed,
-    RetryPolicy, ServerMetrics, SessionLedger, StreamHeader, StreamingClient, StreamingServer,
-    Wire,
+    AdmissionPolicy, BreakerPolicy, ClientMetrics, DegradePolicy, LiveFeed, RetryPolicy,
+    ServerMetrics, SessionLedger, StreamHeader, StreamingClient, StreamingServer, Wire,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::presentation::Lecture;
+use crate::tier::{Standby, Tier};
 
 /// Quality outcome of one served replay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -231,6 +233,56 @@ fn skew_report(ledger: &SessionLedger) -> (Vec<SkewStats>, SkewStats) {
     )
 }
 
+/// The horizon a stored lecture of `play_duration` ticks is driven to:
+/// far past any stall a surviving session can accumulate.
+pub(crate) fn vod_horizon(play_duration: u64) -> u64 {
+    play_duration * 20 + 600_000_000_000
+}
+
+/// The report of a finished simnet run. `session_ticks` is the caller's
+/// to say: the last render for stored content, the stop tick for live.
+fn session_report(tier: &Tier<Network<Wire>>, session_ticks: u64) -> WmpsReport {
+    let (skew, classroom_spread) = skew_report(&tier.ledger);
+    let mut cache = CacheStats::default();
+    let mut metrics = RelayMetrics::default();
+    for r in &tier.relays {
+        cache += r.cache().stats();
+        metrics += r.metrics();
+    }
+    let report = WmpsReport {
+        clients: tier.clients.iter().map(|c| *c.metrics()).collect(),
+        skew,
+        classroom_spread,
+        session_ticks,
+        server: tier.origin.metrics(),
+        origin_egress_bytes: tier.fabric.egress_bytes(tier.origin.node()),
+        relay: tier.redirect.is_some().then_some(RelayTierReport {
+            cache,
+            metrics,
+            reattached: tier.reattached,
+        }),
+        recoveries: tier
+            .clients
+            .iter()
+            .flat_map(|c| c.recovery_log().iter().map(|&(_, dur)| dur))
+            .collect(),
+        faults_applied: tier.faults_applied,
+        failover: tier.standby.as_ref().map(|sb| {
+            let standby = sb.server.metrics();
+            FailoverReport {
+                promoted_at: tier.promoted_at,
+                epoch: sb.server.epoch(),
+                sessions_migrated: standby.sessions_migrated,
+                checkpoints_replicated: tier.checkpoints_replicated,
+                stale_epoch_replies: tier.stale_epoch_replies,
+                standby,
+            }
+        }),
+    };
+    publish_run_metrics(&tier.obs, &report);
+    report
+}
+
 /// A scripted fault storm for [`Wmps::serve_with_relays`], written in
 /// terms of *roles* (student i, relay j, the uplink) rather than
 /// [`lod_simnet::NodeId`]s, because the network is built inside the call.
@@ -314,9 +366,6 @@ pub struct RelayTierConfig {
     pub cache_budget: u64,
     /// Pull the next segment ahead of need.
     pub prefetch: bool,
-    /// Fail the first relay at this tick (the mid-lecture failover drill);
-    /// its students are redirected to a surviving sibling or the origin.
-    pub fail_first_at: Option<u64>,
     /// Scripted fault storm applied during the session (empty = calm).
     pub chaos: ChaosSpec,
     /// Arm every client with this retry policy (salted per student off
@@ -367,7 +416,6 @@ impl Default for RelayTierConfig {
             relay_link: LinkSpec::lan(),
             cache_budget: 64 << 20,
             prefetch: true,
-            fail_first_at: None,
             chaos: ChaosSpec::default(),
             client_retry: None,
             idle_timeout: None,
@@ -467,8 +515,8 @@ impl Wmps {
     /// own `access` link. Students address the origin; a
     /// [`RedirectManager`] answers each Play with the least-loaded relay,
     /// which pulls segments across the `uplink` once and fans them out
-    /// locally. With `cfg.fail_first_at` set, the first relay dies
-    /// mid-lecture and its students re-attach to a surviving sibling.
+    /// locally. A relay that `cfg.chaos.relay_crashes` kills mid-lecture
+    /// has its students re-attached to a surviving sibling.
     pub fn serve_with_relays(
         &self,
         file: AsfFile,
@@ -487,7 +535,7 @@ impl Wmps {
             "ChaosSpec::origin_down requires RelayTierConfig::failover: \
              arm a FailoverConfig so a warm standby exists to take over"
         );
-        let play_duration = file.props.play_duration;
+        let horizon = vod_horizon(file.props.play_duration);
         let mut net: Network<Wire> = Network::new(seed);
         let tree = relay_tree(
             &mut net,
@@ -506,62 +554,72 @@ impl Wmps {
         for (i, s) in tree.students.iter().enumerate() {
             obs.label_node(s.index() as u64, &format!("student{i}"));
         }
-        let mut server = StreamingServer::new(tree.origin).with_recorder(obs.clone());
-        if let Some(t) = cfg.idle_timeout {
-            server = server.with_idle_timeout(t);
-        }
-        if let Some(adm) = cfg.origin_admission {
-            server = server.with_admission(adm);
-        }
-        if let Some(deg) = cfg.degrade {
-            server = server.with_degrade(deg);
-        }
-        if let Some(f) = cfg.failover {
-            server = server.with_checkpointing(f.checkpoint_every);
-        }
-        for &r in &tree.relays {
-            // A relay's one shared fetch/live subscription must never be
-            // bounced: shedding it would shed a whole campus.
-            server.exempt_from_admission(r);
-        }
-        // The warm standby: same catalog, same knobs, zero sessions. It
-        // sits behind the router like the origin does, applies the
-        // replicated checkpoint journal every driver step, and answers
-        // nothing until promoted (Plays bounce toward the primary).
-        let mut standby = cfg.failover.map(|f| {
+        // The origin and its warm standby are one recipe: same catalog,
+        // same knobs; the standby only adds `as_standby`.
+        let server_on = |node: NodeId, file: AsfFile| {
+            let mut server = StreamingServer::new(node).with_recorder(obs.clone());
+            if let Some(t) = cfg.idle_timeout {
+                server = server.with_idle_timeout(t);
+            }
+            if let Some(adm) = cfg.origin_admission {
+                server = server.with_admission(adm);
+            }
+            if let Some(deg) = cfg.degrade {
+                server = server.with_degrade(deg);
+            }
+            if let Some(f) = cfg.failover {
+                server = server.with_checkpointing(f.checkpoint_every);
+            }
+            for &r in &tree.relays {
+                // A relay's one shared fetch/live subscription must never
+                // be bounced: shedding it would shed a whole campus.
+                server.exempt_from_admission(r);
+            }
+            server.publish("lecture", file);
+            server
+        };
+        // The standby sits behind the router like the origin does,
+        // applies the replicated checkpoint journal every driver step,
+        // and answers nothing until promoted (Plays bounce toward the
+        // primary).
+        let standby = cfg.failover.map(|f| {
             let sb = net.add_node("standby");
             obs.label_node(sb.index() as u64, "standby");
             net.connect_bidirectional(sb, tree.router, uplink);
-            let peers: Vec<lod_simnet::NodeId> = std::iter::once(tree.origin)
+            let peers = std::iter::once(tree.origin)
                 .chain(tree.relays.iter().copied())
-                .chain(tree.students.iter().copied())
-                .collect();
-            for &p in &peers {
+                .chain(tree.students.iter().copied());
+            for p in peers {
                 net.set_next_hop(sb, p, tree.router);
                 net.set_next_hop(p, sb, tree.router);
             }
-            let mut sb_srv = StreamingServer::new(sb)
-                .with_recorder(obs.clone())
-                .with_checkpointing(f.checkpoint_every)
-                .as_standby();
-            if let Some(t) = cfg.idle_timeout {
-                sb_srv = sb_srv.with_idle_timeout(t);
+            Standby {
+                server: server_on(sb, file.clone()).as_standby(),
+                monitor: HeartbeatMonitor::new(sb, tree.origin, f).with_recorder(obs.clone()),
             }
-            if let Some(adm) = cfg.origin_admission {
-                sb_srv = sb_srv.with_admission(adm);
-            }
-            if let Some(deg) = cfg.degrade {
-                sb_srv = sb_srv.with_degrade(deg);
-            }
-            for &r in &tree.relays {
-                sb_srv.exempt_from_admission(r);
-            }
-            sb_srv.publish("lecture", file.clone());
-            let monitor = HeartbeatMonitor::new(sb, tree.origin, f).with_recorder(obs.clone());
-            (sb, sb_srv, monitor)
         });
-        server.publish("lecture", file);
-        let mut relays: Vec<RelayNode> = tree
+        let origin = server_on(tree.origin, file);
+        let clients = tree
+            .students
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| {
+                let client =
+                    StreamingClient::new(c, tree.origin, "lecture").with_recorder(obs.clone());
+                match cfg.client_retry {
+                    // Per-student salt: distinct jitter streams, same seed
+                    // → same storm of retries on every run.
+                    Some(policy) => client.with_retry(
+                        policy,
+                        seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                    ),
+                    None => client,
+                }
+            })
+            .collect();
+        let mut tier = Tier::new(net, origin, clients);
+        tier.standby = standby;
+        tier.relays = tree
             .relays
             .iter()
             .map(|&r| {
@@ -583,229 +641,37 @@ impl Wmps {
         if let Some(seats) = cfg.relay_capacity_sessions {
             redirect = redirect.with_relay_capacity(seats);
         }
-        let mut clients: Vec<StreamingClient> = tree
-            .students
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let client =
-                    StreamingClient::new(c, tree.origin, "lecture").with_recorder(obs.clone());
-                match cfg.client_retry {
-                    // Per-student salt: distinct jitter streams, same seed
-                    // → same storm of retries on every run.
-                    Some(policy) => client.with_retry(
-                        policy,
-                        seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    ),
-                    None => client,
-                }
-            })
-            .collect();
+        tier.redirect = Some(redirect);
         // Arrival schedule: all at 0, or a flash crowd in waves.
-        let start_at: Vec<u64> = (0..clients.len())
-            .map(|i| match cfg.arrival_wave {
-                Some((wave, interval)) => (i / wave.max(1)) as u64 * interval,
-                None => 0,
-            })
-            .collect();
-        let mut started = vec![false; clients.len()];
-        let mut injector = FaultInjector::new(cfg.chaos.resolve(&tree)).with_recorder(obs.clone());
+        if let Some((wave, interval)) = cfg.arrival_wave {
+            for (i, at) in tier.start_at.iter_mut().enumerate() {
+                *at = (i / wave.max(1)) as u64 * interval;
+            }
+        }
+        tier.obs = obs.clone();
 
-        const STEP: u64 = 1_000_000; // 100 ms
-        let horizon = play_duration * 20 + 600_000_000_000;
-        let mut now = 0u64;
-        let mut ledger = SessionLedger::new(tree.students.iter().copied());
-        let mut reattached = 0usize;
-        let mut faults_applied = 0u64;
-        let mut failed = false;
-        let mut checkpoints_replicated = 0u64;
-        let mut stale_epoch_replies = 0u64;
-        let mut promoted_at: Option<u64> = None;
-        let mut promoted_epoch: Option<u64> = None;
-        while now <= horizon {
-            for (i, c) in clients.iter_mut().enumerate() {
-                if !started[i] && now >= start_at[i] {
-                    c.start(&mut net);
-                    started[i] = true;
-                }
-            }
-            if let Some(at) = cfg.fail_first_at {
-                if !failed && now >= at && !tree.relays.is_empty() {
-                    // The relay drops off the network; the manager
-                    // re-homes its students.
-                    let victim = tree.relays[0];
-                    net.disconnect(tree.router, victim);
-                    net.disconnect(victim, tree.router);
-                    reattached = redirect.fail_relay(&mut net, victim).len();
-                    failed = true;
-                }
-            }
-            for fault in injector.poll(&mut net, now) {
-                faults_applied += 1;
+        let mut injector = FaultInjector::new(cfg.chaos.resolve(&tree)).with_recorder(obs);
+        tier.run(horizon, |tier, now| {
+            for fault in injector.poll(&mut tier.fabric, now) {
+                tier.faults_applied += 1;
                 // A crashed relay strands its students until the redirect
                 // manager re-homes them; the wire is already dark, so the
                 // redirects ride out through the (healthy) origin links.
                 if let Fault::NodeDown { node } = fault {
                     if tree.relays.contains(&node) {
-                        reattached += redirect.fail_relay(&mut net, node).len();
+                        let redirect = tier.redirect.as_mut().expect("set above");
+                        tier.reattached += redirect.fail_relay(&mut tier.fabric, node).len();
                     } else if node == tree.origin {
                         // The crash wipes the origin's volatile session
                         // state; only the journal already replicated to
                         // the standby survives it.
-                        server.crash();
+                        tier.origin.crash();
                     }
                 }
             }
-            server.poll(&mut net, now);
-            if let Some((sb, sb_srv, monitor)) = standby.as_mut() {
-                // Replicate: whatever the primary journaled this step is
-                // applied to the standby's replica — the replication lag
-                // is bounded by one driver step on top of the journal's
-                // own checkpoint cadence.
-                let entries = server.journal_drain();
-                checkpoints_replicated += entries.len() as u64;
-                sb_srv.apply_journal(&entries);
-                if monitor.poll(&mut net, now) {
-                    // The origin is dead. Promote the standby one epoch
-                    // past the primary's, re-point every relay uplink
-                    // (deterministic Vec order), re-front the redirect
-                    // manager, re-home every client, and keep fencing
-                    // the old origin so a heal demotes it.
-                    let epoch = server.epoch() + 1;
-                    obs.emit(
-                        now,
-                        Event::FailoverStart {
-                            from: tree.origin.index() as u64,
-                            to: sb.index() as u64,
-                            misses: u64::from(monitor.misses()),
-                        },
-                    );
-                    sb_srv.promote(epoch, now);
-                    for r in relays.iter_mut() {
-                        r.retarget_origin(*sb, epoch, now);
-                    }
-                    let _ = redirect.retarget_origin(&mut net, *sb);
-                    for c in clients.iter_mut() {
-                        c.retarget_home(tree.origin, *sb);
-                    }
-                    monitor.fence(tree.origin, epoch);
-                    promoted_at = Some(now);
-                    promoted_epoch = Some(epoch);
-                }
-                sb_srv.poll(&mut net, now);
-            }
-            for r in relays.iter_mut() {
-                r.poll(&mut net, now);
-            }
-            for d in net.advance_to(now) {
-                // Fencing audit: after promotion, nothing carrying a
-                // pre-promotion epoch may reach anyone (epoch 0 marks
-                // epoch-less unit-test fixtures, never a served reply).
-                if let Some(pe) = promoted_epoch {
-                    match &d.message {
-                        Wire::Header(h) if h.epoch > 0 && h.epoch < pe => {
-                            stale_epoch_replies += 1;
-                        }
-                        Wire::Segment(seg) if seg.epoch > 0 && seg.epoch < pe => {
-                            stale_epoch_replies += 1;
-                        }
-                        _ => {}
-                    }
-                }
-                if d.dst == server.node() {
-                    if !redirect.intercept(&mut net, d.src, &d.message) {
-                        server.on_message(&mut net, d.time, d.src, d.message);
-                    }
-                } else if standby.as_ref().is_some_and(|(sb, _, _)| *sb == d.dst) {
-                    let (_, sb_srv, monitor) = standby.as_mut().expect("checked above");
-                    match d.message {
-                        // Heartbeat answers feed the failure detector.
-                        Wire::Pong { .. } => monitor.on_pong(d.time),
-                        msg => {
-                            // Post-promotion the standby is the front
-                            // door, so the redirect manager intercepts
-                            // Plays exactly as it did at the old origin.
-                            if !redirect.intercept(&mut net, d.src, &msg) {
-                                sb_srv.on_message(&mut net, d.time, d.src, msg);
-                            }
-                        }
-                    }
-                } else if let Some(slot) = ledger.slot(d.dst) {
-                    // A relay bouncing a student names no alternate (it
-                    // only knows itself); the redirect manager fills one
-                    // in so the bounce lands on the least-loaded sibling
-                    // instead of a blind wait-and-retry.
-                    let msg = match d.message {
-                        Wire::Busy {
-                            retry_after,
-                            alternate: None,
-                        } if tree.relays.contains(&d.src) => Wire::Busy {
-                            retry_after,
-                            alternate: redirect.reassign_busy(d.dst, d.src),
-                        },
-                        m => m,
-                    };
-                    clients[slot].on_message(d.time, msg);
-                } else if let Some(r) = relays.iter_mut().find(|r| r.node() == d.dst) {
-                    r.on_message(&mut net, d.time, d.src, d.message);
-                }
-            }
-            for (i, c) in clients.iter_mut().enumerate() {
-                if !started[i] {
-                    continue;
-                }
-                c.tick_with(now, &mut |e| ledger.record(e));
-                c.poll_adaptive(&mut net);
-                c.poll_redirect(&mut net);
-                c.poll_busy(&mut net, now);
-                c.poll_recovery(&mut net, now);
-            }
-            if started.iter().all(|&s| s) && clients.iter().all(|c| c.is_done()) {
-                break;
-            }
-            now += STEP;
-        }
-
-        let (skew, classroom_spread) = skew_report(&ledger);
-        let mut cache = CacheStats::default();
-        let mut metrics = RelayMetrics::default();
-        for r in &relays {
-            cache += r.cache().stats();
-            metrics += r.metrics();
-        }
-        let recoveries: Vec<u64> = clients
-            .iter()
-            .flat_map(|c| c.recovery_log().iter().map(|&(_, dur)| dur))
-            .collect();
-        let failover = standby.map(|(_, sb_srv, _)| {
-            let standby_metrics = sb_srv.metrics();
-            FailoverReport {
-                promoted_at,
-                epoch: sb_srv.epoch(),
-                sessions_migrated: standby_metrics.sessions_migrated,
-                checkpoints_replicated,
-                stale_epoch_replies,
-                standby: standby_metrics,
-            }
+            true
         });
-        let report = WmpsReport {
-            clients: clients.iter().map(|c| *c.metrics()).collect(),
-            skew,
-            classroom_spread,
-            session_ticks: ledger.last_wall_time(),
-            server: server.metrics(),
-            origin_egress_bytes: net.egress_bytes(tree.origin),
-            relay: Some(RelayTierReport {
-                cache,
-                metrics,
-                reattached,
-            }),
-            recoveries,
-            faults_applied,
-            failover,
-        };
-        publish_run_metrics(&obs, &report);
-        report
+        session_report(&tier, tier.ledger.last_wall_time())
     }
 
     fn serve_with_topology(
@@ -813,44 +679,24 @@ impl Wmps {
         file: AsfFile,
         n_clients: usize,
         seed: u64,
-        wire_up: impl FnOnce(&mut Network<Wire>, lod_simnet::NodeId, &[lod_simnet::NodeId]),
+        wire_up: impl FnOnce(&mut Network<Wire>, NodeId, &[NodeId]),
     ) -> WmpsReport {
-        let play_duration = file.props.play_duration;
+        let horizon = vod_horizon(file.props.play_duration);
         let mut net: Network<Wire> = Network::new(seed);
         let s = net.add_node("server");
         let mut server = StreamingServer::new(s);
         server.publish("lecture", file);
-        let nodes: Vec<lod_simnet::NodeId> = (0..n_clients)
+        let nodes: Vec<NodeId> = (0..n_clients)
             .map(|i| net.add_node(format!("student{i}")))
             .collect();
         wire_up(&mut net, s, &nodes);
-        let mut ledger = SessionLedger::new(nodes.iter().copied());
-        let mut clients: Vec<StreamingClient> = nodes
+        let clients = nodes
             .into_iter()
             .map(|c| StreamingClient::new(c, s, "lecture"))
             .collect();
-        let mut refs: Vec<&mut StreamingClient> = clients.iter_mut().collect();
-        let horizon = play_duration * 20 + 600_000_000_000;
-        run_to_completion_with(&mut net, &mut server, &mut refs, horizon, &mut |e| {
-            ledger.record(e)
-        });
-        let (skew, classroom_spread) = skew_report(&ledger);
-
-        WmpsReport {
-            clients: clients.iter().map(|c| *c.metrics()).collect(),
-            skew,
-            classroom_spread,
-            session_ticks: ledger.last_wall_time(),
-            server: server.metrics(),
-            origin_egress_bytes: net.egress_bytes(s),
-            relay: None,
-            recoveries: clients
-                .iter()
-                .flat_map(|c| c.recovery_log().iter().map(|&(_, dur)| dur))
-                .collect(),
-            faults_applied: 0,
-            failover: None,
-        }
+        let mut tier = Tier::new(net, server, clients);
+        tier.run(horizon, |_, _| true);
+        session_report(&tier, tier.ledger.last_wall_time())
     }
 
     /// The live classroom: a teacher encodes `secs` seconds of lecture in
@@ -913,71 +759,36 @@ impl Wmps {
         let s = net.add_node("server");
         let mut server = StreamingServer::new(s);
         server.publish_live("live", LiveFeed::new(header));
-        let mut clients: Vec<StreamingClient> = (0..n_clients)
+        let clients = (0..n_clients)
             .map(|i| {
                 let c = net.add_node(format!("student{i}"));
                 net.connect_bidirectional(s, c, link);
                 StreamingClient::new(c, s, "live")
             })
             .collect();
-        for c in clients.iter_mut() {
-            c.start(&mut net);
-        }
-        let mut ledger = SessionLedger::new(clients.iter().map(|c| c.node()));
+        let mut tier = Tier::new(net, server, clients);
 
-        const STEP: u64 = 1_000_000; // 100 ms
         let live_end = secs * 10_000_000;
-        let horizon = live_end * 4 + 600_000_000_000;
-        let mut now = 0u64;
+        let mut commands = commands.to_vec();
+        commands.sort_by_key(|c| c.time);
+        let mut commands = commands.into_iter().peekable();
         let mut ended = false;
-        let mut commands_sorted: Vec<lod_asf::ScriptCommand> = commands.to_vec();
-        commands_sorted.sort_by_key(|c| c.time);
-        let mut next_cmd = 0usize;
-        while now <= horizon {
+        let stopped_at = tier.run(live_end * 4 + 600_000_000_000, |tier, now| {
+            let feed = tier.origin.live_feed("live").expect("feed published");
             if now <= live_end {
                 for p in encoder.pump(Ticks(now)) {
-                    server.live_feed("live").expect("feed published").push(p);
+                    feed.push(p);
                 }
-                while next_cmd < commands_sorted.len() && commands_sorted[next_cmd].time <= now {
-                    server
-                        .live_feed("live")
-                        .expect("feed published")
-                        .push_script(commands_sorted[next_cmd].clone());
-                    next_cmd += 1;
+                while let Some(cmd) = commands.next_if(|c| c.time <= now) {
+                    feed.push_script(cmd);
                 }
             } else if !ended {
-                server.live_feed("live").expect("feed published").end();
+                feed.end();
                 ended = true;
             }
-            server.poll(&mut net, now);
-            for d in net.advance_to(now) {
-                if d.dst == server.node() {
-                    server.on_message(&mut net, d.time, d.src, d.message);
-                } else if let Some(slot) = ledger.slot(d.dst) {
-                    clients[slot].on_message(d.time, d.message);
-                }
-            }
-            for c in clients.iter_mut() {
-                c.tick_with(now, &mut |e| ledger.record(e));
-            }
-            if ended && clients.iter().all(|c| c.is_done()) {
-                break;
-            }
-            now += STEP;
-        }
-        let (skew, classroom_spread) = skew_report(&ledger);
-        WmpsReport {
-            clients: clients.iter().map(|c| *c.metrics()).collect(),
-            skew,
-            classroom_spread,
-            session_ticks: now,
-            server: server.metrics(),
-            origin_egress_bytes: net.egress_bytes(s),
-            relay: None,
-            recoveries: Vec::new(),
-            faults_applied: 0,
-            failover: None,
-        }
+            ended
+        });
+        session_report(&tier, stopped_at)
     }
 }
 
@@ -1244,7 +1055,11 @@ mod tests {
         let file = wmps.publish(&lecture).unwrap();
         let cfg = RelayTierConfig {
             relays: 2,
-            fail_first_at: Some(100_000_000), // 10 s in: mid-lecture
+            chaos: ChaosSpec {
+                // 10 s in (mid-lecture), for good.
+                relay_crashes: vec![(100_000_000, u64::MAX, 0)],
+                ..ChaosSpec::default()
+            },
             ..RelayTierConfig::default()
         };
         let report = wmps.serve_with_relays(file, LinkSpec::lan(), LinkSpec::lan(), 4, 3, &cfg);

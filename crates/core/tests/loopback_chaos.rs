@@ -14,10 +14,6 @@
 //!   event log satisfies the repair causality invariants: every
 //!   retransmit answers a prior NACK, give-ups stay within the retry
 //!   budget, and gaps are skipped only after the budget is exhausted.
-//!
-//! Ignored by default (it binds 70 sockets across two deployments and
-//! runs for wall seconds); `scripts/ci.sh` runs it explicitly under a
-//! hard timeout.
 
 use lod_core::{serve_loopback_udp, synthetic_lecture, LoopbackConfig, Wmps};
 use lod_obs::check_causal;
@@ -46,21 +42,10 @@ fn chaos() -> FaultSpec {
     }
 }
 
-/// Wall-to-tick acceleration for the drill. Deliberately slower than
-/// the loopback default (40): this test runs 70 threads, possibly on a
-/// single core, and at 40× a tens-of-milliseconds scheduler stall eats
-/// multiple simulated seconds — enough to fire application retry timers
-/// that have nothing to do with packet loss. At 10× those timers are
-/// hundreds of wall milliseconds wide and only genuine unrepaired
-/// stalls can trip them.
-const ACCEL: u64 = 10;
-
 /// Application-level recovery, active in both runs: it is the layer
 /// whose workload (re-requests) the comparison measures. The timeout is
-/// a deliberate 3 simulated seconds — 300 wall ms at [`ACCEL`] — so a
-/// retry means a genuine unrepaired stall, not an OS scheduling hiccup.
-/// (The stock [`RetryPolicy::client`] 1 s timeout would be inside
-/// scheduler noise and make the on/off ratio non-deterministic.)
+/// a deliberate 3 simulated seconds, so a retry means a genuine
+/// unrepaired stall.
 fn app_retry() -> RetryPolicy {
     RetryPolicy {
         request_timeout: 3 * SECOND,
@@ -71,7 +56,6 @@ fn app_retry() -> RetryPolicy {
 }
 
 #[test]
-#[ignore = "real sockets + wall clock; run explicitly (ci.sh does)"]
 fn repair_cuts_app_rerequests_five_fold_under_chaos() {
     let wmps = Wmps::new();
     let lecture = synthetic_lecture(1, 1, 300_000);
@@ -84,11 +68,6 @@ fn repair_cuts_app_rerequests_five_fold_under_chaos() {
         fault: Some(chaos()),
         client_retry: Some(app_retry()),
         record_events: true,
-        accel: ACCEL,
-        // Without repair a badly wedged session can burn through long
-        // app-level backoffs — don't wait the full default for a run
-        // whose completion is not under test.
-        wall_deadline: std::time::Duration::from_secs(60),
         ..LoopbackConfig::default()
     };
     off.udp.repair = None;
@@ -117,7 +96,6 @@ fn repair_cuts_app_rerequests_five_fold_under_chaos() {
         fault: Some(chaos()),
         client_retry: Some(app_retry()),
         record_events: true,
-        accel: ACCEL,
         ..LoopbackConfig::default()
     };
     // Production-shaped tuning for a lossy trunk: enough retransmit

@@ -37,7 +37,8 @@ pub use event::{parse_event, parse_jsonl, Event, EventRecord};
 pub use metrics::{parse_prometheus, Histogram, Registry, TICK_BOUNDS};
 pub use recorder::Recorder;
 pub use span::{
-    fmt_ticks, lecture_id, sampled, HopStats, SegmentTrace, SpanAssembler, SpanRow, TraceCtx,
+    fmt_ticks, lecture_id, sampled, splitmix64, HopStats, SegmentTrace, SpanAssembler, SpanRow,
+    TraceCtx,
 };
 pub use timeline::{
     check_causal, session_timelines, worst_by_stall, CausalReport, EndKind, SessionTimeline,

@@ -51,8 +51,10 @@ pub struct TraceCtx {
     pub origin: u64,
 }
 
-/// The splitmix64 mixing function — the repo-wide deterministic hash.
-fn splitmix64(x: u64) -> u64 {
+/// The splitmix64 mixing function (Sebastiano Vigna's finalizer) — the
+/// repo-wide deterministic hash: trace sampling here, retry jitter and
+/// stream thinning in `lod-streaming`, the fault dice in `lod-transport`.
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

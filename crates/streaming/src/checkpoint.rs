@@ -301,7 +301,7 @@ impl StandbyState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retry::splitmix64;
+    use lod_obs::splitmix64;
 
     /// Deterministic checkpoint generator for the property-style tests:
     /// no proptest dependency, just a seeded splitmix64 stream.

@@ -684,6 +684,25 @@ impl StreamingClient {
         true
     }
 
+    /// One driver turn: renders what is due into `sink`
+    /// ([`StreamingClient::tick_with`]), then runs the four control
+    /// polls in the order every driver runs them — adaptive downgrade,
+    /// pending redirect, busy re-Play, retry layer. Each poll is a no-op
+    /// until its condition arms, so a driver calls this once per step
+    /// and nothing else.
+    pub fn step(
+        &mut self,
+        net: &mut impl Transport<Wire>,
+        now: u64,
+        sink: &mut impl FnMut(RenderEvent),
+    ) {
+        self.tick_with(now, sink);
+        self.poll_adaptive(net);
+        self.poll_redirect(net);
+        self.poll_busy(net, now);
+        self.poll_recovery(net, now);
+    }
+
     /// Preroll target in ticks (from the header, defaulting to 1 s).
     fn preroll(&self) -> u64 {
         self.header
@@ -1030,6 +1049,73 @@ mod tests {
         assert!(collected.0.iter().any(|e| e.script.is_some()));
         assert!(collected.0.iter().any(|e| e.script.is_none()));
         assert_eq!(collected, streamed);
+
+        // And a whole driver turn: a retry-armed client whose server
+        // dies mid-lecture, that is redirected to a second one and then
+        // cut off from it for three seconds — once through `step`, once
+        // through the five calls `step` stands for.
+        let turns = |stepped: bool| {
+            let mut net = Network::new(78);
+            let a = net.add_node("a");
+            let b = net.add_node("b");
+            let c = net.add_node("client");
+            net.connect_bidirectional(a, c, LinkSpec::broadband().with_loss(0.02));
+            net.connect_bidirectional(b, c, LinkSpec::broadband().with_loss(0.02));
+            let mut servers = [StreamingServer::new(a), StreamingServer::new(b)];
+            for s in &mut servers {
+                s.publish("lec", test_file(50, 2_000_000));
+            }
+            let mut client =
+                StreamingClient::new(c, a, "lec").with_retry(crate::RetryPolicy::client(), 5);
+            client.start(&mut net);
+            let mut events = Vec::new();
+            let mut t = 0u64;
+            while t <= 900_000_000 && !client.is_done() {
+                match t {
+                    30_000_000 => {
+                        // `a` dies; its students are told to go to `b`.
+                        net.set_link_up(a, c, false);
+                        client.on_message(t, Wire::Redirect { to: b });
+                    }
+                    40_000_000 | 70_000_000 => {
+                        let up = t == 70_000_000;
+                        net.set_link_up(b, c, up);
+                        net.set_link_up(c, b, up);
+                    }
+                    _ => {}
+                }
+                for s in &mut servers {
+                    s.poll(&mut net, t);
+                }
+                for d in net.advance_to(t) {
+                    match servers.iter_mut().find(|s| s.node() == d.dst) {
+                        Some(s) => s.on_message(&mut net, d.time, d.src, d.message),
+                        None => client.on_message(d.time, d.message),
+                    }
+                }
+                if stepped {
+                    client.step(&mut net, t, &mut |e| events.push(e));
+                } else {
+                    client.tick_with(t, &mut |e| events.push(e));
+                    client.poll_adaptive(&mut net);
+                    client.poll_redirect(&mut net);
+                    client.poll_busy(&mut net, t);
+                    client.poll_recovery(&mut net, t);
+                }
+                t += 1_000_000;
+            }
+            assert!(client.is_done());
+            assert_eq!(client.server(), b, "the redirect was applied");
+            (events, *client.metrics(), client.recovery_log().to_vec())
+        };
+        let (by_step, by_hand) = (turns(true), turns(false));
+        assert!(
+            by_step.1.retries > 0,
+            "the retry layer fired: {:?}",
+            by_step.1
+        );
+        assert!(by_step.1.samples_rendered > 0);
+        assert_eq!(by_step, by_hand);
     }
 
     #[test]

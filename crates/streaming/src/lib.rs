@@ -126,11 +126,7 @@ pub fn run_to_completion_with(
             }
         }
         for c in clients.iter_mut() {
-            c.tick_with(now, sink);
-            c.poll_adaptive(net);
-            c.poll_redirect(net);
-            c.poll_busy(net, now);
-            c.poll_recovery(net, now);
+            c.step(net, now, sink);
         }
         if clients.iter().all(|c| c.is_done()) {
             break;

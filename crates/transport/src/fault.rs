@@ -17,16 +17,12 @@
 //!   a retransmit of the same sequence gets a *fresh* coin — without
 //!   this, a deterministically dropped frame would be dropped again on
 //!   every repair attempt and NACK repair could never converge.
-//! * [`FaultyTransport`] — a [`Transport`] wrapper over any inner
-//!   backend that filters whole messages through an engine (the
-//!   message-level view); `UdpTransport::set_egress_faults` applies the
-//!   same engine per *datagram* on the wire path, which is the level the
-//!   repair sublayer actually needs (each lost datagram leaves a
-//!   sequence gap to NACK).
+//!   `UdpTransport::set_egress_faults` applies it per *datagram* on the
+//!   wire path, the level the repair sublayer needs (each lost datagram
+//!   leaves a sequence gap to NACK).
 
-use lod_simnet::{Delivery, Fault, FaultPlan, NetworkError, NodeId};
-
-use crate::Transport;
+use lod_obs::splitmix64;
+use lod_simnet::{Fault, FaultPlan, NodeId};
 
 /// A seeded chaos profile for real datagram paths.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -69,16 +65,6 @@ pub enum FaultAction {
     Duplicate,
     /// Deliver it after this many extra ticks.
     Delay(u64),
-}
-
-/// Sebastiano Vigna's splitmix64 finalizer — the same mixer the
-/// streaming retry layer uses for its deterministic jitter, re-rolled
-/// here because that copy is crate-private.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The seeded decision function applying a [`FaultSpec`].
@@ -176,161 +162,11 @@ impl FaultEngine {
         }
         FaultAction::Deliver
     }
-
-    /// The fate of a datagram sent on the reliable path: exempt from the
-    /// random bands (matching simnet's `send_reliable` contract), but a
-    /// dead link is dead for everyone.
-    pub fn action_reliable(&mut self, now: u64, src: NodeId, dst: NodeId) -> FaultAction {
-        let (_, spike_ticks, down) = self.plan_state(now, src, dst);
-        if down {
-            return FaultAction::Drop;
-        }
-        if spike_ticks > 0 {
-            return FaultAction::Delay(spike_ticks);
-        }
-        FaultAction::Deliver
-    }
-}
-
-/// Counters a [`FaultyTransport`] keeps about the chaos it inflicted.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultyStats {
-    /// Messages silently dropped.
-    pub dropped: u64,
-    /// Messages delivered twice.
-    pub duplicated: u64,
-    /// Messages held for extra ticks.
-    pub delayed: u64,
-}
-
-/// A chaos wrapper over any [`Transport`] backend.
-///
-/// Lossy sends pass through the engine: dropped messages return `Ok`
-/// (the network ate them — senders cannot tell), duplicates are sent
-/// twice, delays are parked and released by [`Transport::poll`] after
-/// their extra ticks elapse. Reliable sends only honor link/node-down
-/// windows, matching simnet semantics.
-#[derive(Debug)]
-pub struct FaultyTransport<T, M> {
-    inner: T,
-    engine: FaultEngine,
-    held: Vec<(u64, NodeId, NodeId, u64, M)>,
-    stats: FaultyStats,
-}
-
-impl<T: Transport<M>, M: Clone> FaultyTransport<T, M> {
-    /// Wraps `inner` with the chaos profile of `spec`.
-    pub fn new(inner: T, spec: FaultSpec) -> Self {
-        Self {
-            inner,
-            engine: FaultEngine::new(spec),
-            held: Vec::new(),
-            stats: FaultyStats::default(),
-        }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// The wrapped backend, mutably.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
-    /// Chaos counters.
-    pub fn fault_stats(&self) -> &FaultyStats {
-        &self.stats
-    }
-
-    fn release_due(&mut self, now: u64) {
-        let mut i = 0;
-        while i < self.held.len() {
-            if self.held[i].0 <= now {
-                let (_, src, dst, bytes, message) = self.held.remove(i);
-                let _ = self.inner.send(src, dst, bytes, message);
-            } else {
-                i += 1;
-            }
-        }
-    }
-}
-
-impl<T: Transport<M>, M: Clone> Transport<M> for FaultyTransport<T, M> {
-    fn send(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        message: M,
-    ) -> Result<(), NetworkError> {
-        let now = self.inner.now();
-        match self.engine.action(now, src, dst) {
-            FaultAction::Deliver => self.inner.send(src, dst, bytes, message),
-            FaultAction::Drop => {
-                self.stats.dropped += 1;
-                Ok(())
-            }
-            FaultAction::Duplicate => {
-                self.stats.duplicated += 1;
-                self.inner.send(src, dst, bytes, message.clone())?;
-                self.inner.send(src, dst, bytes, message)
-            }
-            FaultAction::Delay(extra) => {
-                self.stats.delayed += 1;
-                self.held
-                    .push((now.saturating_add(extra), src, dst, bytes, message));
-                Ok(())
-            }
-        }
-    }
-
-    fn send_reliable(
-        &mut self,
-        src: NodeId,
-        dst: NodeId,
-        bytes: u64,
-        message: M,
-    ) -> Result<(), NetworkError> {
-        let now = self.inner.now();
-        match self.engine.action_reliable(now, src, dst) {
-            FaultAction::Drop => {
-                self.stats.dropped += 1;
-                Ok(())
-            }
-            FaultAction::Delay(extra) => {
-                self.stats.delayed += 1;
-                self.held
-                    .push((now.saturating_add(extra), src, dst, bytes, message));
-                Ok(())
-            }
-            _ => self.inner.send_reliable(src, dst, bytes, message),
-        }
-    }
-
-    fn first_hop_backlog(&self, src: NodeId, dst: NodeId) -> Option<u64> {
-        self.inner.first_hop_backlog(src, dst)
-    }
-
-    fn now(&self) -> u64 {
-        self.inner.now()
-    }
-
-    fn link_up(&self, src: NodeId, dst: NodeId) -> bool {
-        self.inner.link_up(src, dst)
-    }
-
-    fn poll(&mut self, now: u64) -> Vec<Delivery<M>> {
-        self.release_due(now);
-        self.inner.poll(now)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lod_simnet::{LinkSpec, Network};
 
     fn nodes() -> (NodeId, NodeId) {
         (NodeId::from_index(0), NodeId::from_index(1))
@@ -401,66 +237,6 @@ mod tests {
             "latency spike adds ticks"
         );
         assert_eq!(e.action(5_500, a, b), FaultAction::Drop, "link down");
-        assert_eq!(
-            e.action_reliable(5_500, a, b),
-            FaultAction::Drop,
-            "a dead link is dead for reliable traffic too"
-        );
-        assert_eq!(
-            e.action_reliable(1_500, a, b),
-            FaultAction::Deliver,
-            "reliable traffic is exempt from loss bursts"
-        );
         assert_eq!(e.action(6_500, a, b), FaultAction::Deliver, "healed");
-    }
-
-    #[test]
-    fn faulty_wrapper_drops_and_duplicates_over_simnet() {
-        let mut net: Network<u64> = Network::new(1);
-        let a = net.add_node("a");
-        let b = net.add_node("b");
-        net.connect(a, b, LinkSpec::lan());
-        let spec = FaultSpec {
-            seed: 9,
-            loss_permille: 400,
-            dup_permille: 200,
-            ..FaultSpec::default()
-        };
-        let mut t = FaultyTransport::new(net, spec);
-        for i in 0..100u64 {
-            t.send(a, b, 100, i).unwrap();
-        }
-        let got = t.poll(10 * crate::TICKS_PER_SECOND);
-        let stats = *t.fault_stats();
-        assert!(stats.dropped > 0, "some messages dropped");
-        assert!(stats.duplicated > 0, "some messages duplicated");
-        assert_eq!(
-            got.len() as u64,
-            100 - stats.dropped + stats.duplicated,
-            "arithmetic of chaos reconciles"
-        );
-    }
-
-    #[test]
-    fn faulty_wrapper_releases_delayed_messages_later() {
-        let mut net: Network<u64> = Network::new(1);
-        let a = net.add_node("a");
-        let b = net.add_node("b");
-        net.connect(a, b, LinkSpec::lan());
-        let spec = FaultSpec {
-            seed: 1,
-            delay_permille: 1_000,
-            delay_ticks: 5 * crate::TICKS_PER_SECOND,
-            ..FaultSpec::default()
-        };
-        let mut t = FaultyTransport::new(net, spec);
-        t.send(a, b, 100, 42u64).unwrap();
-        assert!(t.poll(crate::TICKS_PER_SECOND).is_empty(), "still held");
-        assert_eq!(t.fault_stats().delayed, 1);
-        // Past the hold, the release enters the network and arrives.
-        let mut got = t.poll(6 * crate::TICKS_PER_SECOND);
-        got.extend(t.poll(8 * crate::TICKS_PER_SECOND));
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].message, 42);
     }
 }

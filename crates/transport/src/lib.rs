@@ -22,9 +22,12 @@
 //!   production SFU tiers.
 //!
 //! Determinism contract: the simnet backend is bit-reproducible for a
-//! given seed (it *is* the simulator); the UDP backend is wall-clock
-//! driven and therefore only statistically reproducible — it is gated on
-//! outcomes (lecture completes, metrics reconcile), never on byte-diffs.
+//! given seed (it *is* the simulator). The UDP backend reads the wall
+//! clock unless it is pinned to a manual one
+//! ([`UdpTransport::set_manual_now`]); pinned, and polled in a fixed
+//! order by one thread, it is a function of the ticks it is handed, so a
+//! deployment on it repeats exactly as long as the kernel drops nothing
+//! — which is how `lod-core` drives it.
 
 pub mod fault;
 pub mod frame;
@@ -34,7 +37,7 @@ pub mod udp;
 
 use lod_simnet::{Delivery, Network, NetworkError, NodeId};
 
-pub use fault::{FaultAction, FaultEngine, FaultSpec, FaultyTransport};
+pub use fault::{FaultAction, FaultEngine, FaultSpec};
 pub use frame::{
     decode_frame, encode_frame, encode_frame_with_flags, mark_retransmit, CodecError, FrameHeader,
     Reader, WireCodec, FLAG_CONTROL, FLAG_RELIABLE, FLAG_RETRANSMIT, FRAME_HEADER_BYTES,

@@ -10,11 +10,12 @@
 //! the same shape the simulator produces, so the state machines cannot
 //! tell the backends apart.
 //!
-//! Clocking: production uses the wall clock (100 ns ticks since bind);
-//! tests switch to a manual clock so pacing and gap-flush behavior stay
-//! deterministic.
+//! Clocking: a fresh transport reads the wall clock (100 ns ticks since
+//! bind); a stepped driver (and every test) switches it to a manual
+//! clock, on which pacing, gap flushes, NACK timers and fault decisions
+//! are deterministic.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, UdpSocket};
@@ -227,7 +228,10 @@ pub struct UdpTransport<M> {
     peers: HashMap<usize, SocketAddr>,
     by_addr: HashMap<SocketAddr, NodeId>,
     next_seq: HashMap<usize, u64>,
-    reorder: HashMap<usize, ReorderBuffer<(u64, Option<TraceCtx>, M)>>,
+    /// Ordered, like `hb`: a poll walks these per peer, and the order it
+    /// NACKs, skips and heartbeats in feeds the fault dice and the event
+    /// log — which must not depend on a hasher's per-process keys.
+    reorder: BTreeMap<usize, ReorderBuffer<(u64, Option<TraceCtx>, M)>>,
     repair_tx: HashMap<usize, RepairTx>,
     repair_rx: HashMap<usize, RepairRx>,
     /// Receiver side: highest data sequence each peer is known to have
@@ -235,7 +239,7 @@ pub struct UdpTransport<M> {
     /// reference that makes tail loss detectable.
     peer_top: HashMap<usize, u64>,
     /// Sender side: per-peer heartbeat pacing state.
-    hb: HashMap<usize, HbState>,
+    hb: BTreeMap<usize, HbState>,
     fault: Option<FaultEngine>,
     delayed: Vec<(u64, SocketAddr, Vec<u8>)>,
     pacer: Option<TokenBucket>,
@@ -260,11 +264,9 @@ impl<M: WireCodec> UdpTransport<M> {
         Self::from_socket(node, UdpSocket::bind(addr)?, cfg)
     }
 
-    /// Wraps an already-bound socket. This is how multi-threaded
-    /// harnesses work: bind every node's socket up front (a `UdpSocket`
-    /// is `Send`), share the address table, then build each node's
-    /// transport inside its own thread (the transport itself holds a
-    /// thread-local `Recorder` and is deliberately not `Send`).
+    /// Wraps an already-bound socket. This is how a whole deployment is
+    /// wired: bind every node's socket up front, so every address is
+    /// known, then build each transport and register its peers.
     ///
     /// # Errors
     ///
@@ -281,11 +283,11 @@ impl<M: WireCodec> UdpTransport<M> {
             peers: HashMap::new(),
             by_addr: HashMap::new(),
             next_seq: HashMap::new(),
-            reorder: HashMap::new(),
+            reorder: BTreeMap::new(),
             repair_tx: HashMap::new(),
             repair_rx: HashMap::new(),
             peer_top: HashMap::new(),
-            hb: HashMap::new(),
+            hb: BTreeMap::new(),
             fault: None,
             delayed: Vec::new(),
             pacer,
@@ -469,8 +471,7 @@ impl<M: WireCodec> UdpTransport<M> {
             // Every datagram rolls the same dice, reliable-flagged or
             // not: this stage models the physical network, and a kernel
             // dropping a UDP datagram does not consult application
-            // flags. (The message-level `FaultyTransport` wrapper is
-            // the one that mirrors simnet's reliable-send exemption.)
+            // flags.
             if let (Some(engine), Some(dst)) = (self.fault.as_mut(), dst) {
                 match engine.action(now, self.node, dst) {
                     FaultAction::Deliver => {}

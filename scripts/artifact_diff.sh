@@ -7,13 +7,16 @@
 #
 # Exports <base-rev> into a scratch tree under $TMPDIR (`git archive`, so
 # no worktree is left registered in .git if the script is killed), builds
-# the q9/q10/q11/q12/q16/q17 benches and the `wmps` CLI in both trees,
+# the q5/q6/q8/q9/q10/q11/q12/q16/q17 benches and the `wmps` CLI in both trees,
 # runs each bench at seed 7, and `cmp`s: q9 and q10 (json), q11 and q12
 # (json, jsonl, prom), q16 (json) and q17 (jsonl; its json carries
-# wall-clock timings) — and the two .asf files `wmps publish` writes with
-# fixed flags, one plain and one protected, so "the muxer still writes
-# the same bytes" is a check and not a sentence. Exits 1 naming every
-# artifact that differs. Offline, like the rest of CI.
+# wall-clock timings) — the stdout of q5_scale, q6_classroom and q8_relay,
+# the only seeded runs of `serve_and_replay`, `serve_shared_uplink`,
+# `live_classroom` and the relay-kill drill (q9–q12 reach none of them) —
+# and the two .asf files `wmps publish` writes with fixed flags, one plain
+# and one protected, so "the muxer still writes the same bytes" is a check
+# and not a sentence. Exits 1 naming every artifact that differs. Offline,
+# like the rest of CI.
 set -e
 
 base="${1:?usage: scripts/artifact_diff.sh <base-rev>}"
@@ -24,7 +27,8 @@ trap 'rm -rf "$work"' EXIT
 mkdir "$work/src" "$work/base" "$work/head"
 git -C "$root" archive "$rev" | tar -x -C "$work/src"
 
-bins="q9_chaos q10_overload q11_observability q12_failover q16_repair q17_tracing wmps"
+stdout_bins="q5_scale q6_classroom q8_relay"
+bins="q9_chaos q10_overload q11_observability q12_failover q16_repair q17_tracing $stdout_bins wmps"
 
 # produce <tree> <target-dir> <out-dir>
 produce() {
@@ -41,6 +45,7 @@ produce() {
         --json "$3/q12.json" --events "$3/q12.jsonl" --prom "$3/q12.prom" > /dev/null
     "$2/release/q16_repair" --json "$3/q16.json" > /dev/null
     "$2/release/q17_tracing" --json "$3/q17_timings.json" --events "$3/q17.jsonl" > /dev/null
+    for b in $stdout_bins; do "$2/release/$b" > "$3/$b.txt"; done
     "$2/release/wmps" publish "$3/plain.asf" --duration-secs 90 --slides 5 \
         --annotation 45:eq.4 > /dev/null
     "$2/release/wmps" publish "$3/protected.asf" --duration-secs 90 --slides 5 \
@@ -54,7 +59,7 @@ produce "$root" "${CARGO_TARGET_DIR:-$root/target}" "$work/head"
 
 status=0
 for f in q9.json q10.json q11.json q11.jsonl q11.prom q12.json q12.jsonl q12.prom \
-    q16.json q17.jsonl plain.asf protected.asf; do
+    q16.json q17.jsonl q5_scale.txt q6_classroom.txt q8_relay.txt plain.asf protected.asf; do
     if cmp -s "$work/base/$f" "$work/head/$f"; then
         echo "identical  $f"
     else

@@ -1,13 +1,14 @@
 #!/bin/sh
 # The checks a change must pass before merging: formatting, lints with
-# warnings denied, the full workspace test suite (unit + doctests), the
-# chaos-drill determinism gate — two separate processes must emit
-# byte-identical Q9 reports, because the whole simulation is seeded and
-# HashMap-order bugs only show up across processes — and the perf
-# trajectory gate, which re-runs the Q14/Q15/Q16/Q17 benches and
-# compares their "tracked" integer values against the committed
-# BENCH_q14.json / BENCH_q15.json / BENCH_q16.json / BENCH_q17.json
-# baselines (±15%, i.e. 150 permille; see perf_gate).
+# warnings denied, the full workspace test suite (unit + doctests, and
+# with them both loopback UDP drills), the determinism gates — two
+# separate processes must emit byte-identical Q9–Q12/Q16/Q17 reports and
+# byte-identical event logs of a lossy loopback UDP deployment, because
+# everything is seeded and stepped and HashMap-order bugs only show up
+# across processes — and the perf trajectory gate, which re-runs the
+# Q14/Q15/Q16/Q17 benches and compares their "tracked" integer values
+# against the committed BENCH_q14.json / BENCH_q15.json / BENCH_q16.json /
+# BENCH_q17.json baselines (±15%, i.e. 150 permille; see perf_gate).
 # Everything runs offline; external deps resolve to the third_party/ stubs.
 #
 # Perf-gate self-test: before trusting any real comparison, the stage
@@ -24,9 +25,10 @@
 #       --fresh /tmp/fresh.json --check-against BENCH_q15.json   # exits 1
 #
 # Set ARTIFACT_BASE to a revision (e.g. the merge base) to also byte-diff
-# this tree's q9–q12/q16/q17 seed-7 artifacts against that revision's
-# (scripts/artifact_diff.sh): the "byte-identical before and after" check
-# a refactor owes, which the two-runs-of-one-build gates below cannot give.
+# this tree's q9–q12/q16/q17 seed-7 artifacts and q5/q6/q8 output against
+# that revision's (scripts/artifact_diff.sh): the "byte-identical before
+# and after" check a refactor owes, which the two-runs-of-one-build gates
+# below cannot give.
 #
 # Set ARTIFACTS_DIR to a writable directory to keep the fresh BENCH
 # reports and the q11/q12 determinism artifacts produced by this run
@@ -41,29 +43,6 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "===== workspace tests (unit + doctests) ====="
 cargo test -q --offline --workspace
-
-echo "===== loopback UDP deployment (real sockets, hard timeout) ====="
-# The transport tier on actual kernel sockets: origin + 2 relays + 32
-# clients as threads on 127.0.0.1 must complete a lecture with zero
-# abandoned sessions and sample counts reconciling with simnet. The
-# test is #[ignore]d (wall-clock + sockets) and invoked explicitly
-# here; the timeout turns a stuck socket into a fast failure instead
-# of a hung CI run.
-timeout 180 cargo test -q --offline -p lod-core --test loopback_udp -- --ignored \
-    || { echo "FAIL: loopback UDP deployment did not complete (or timed out)"; exit 1; }
-echo "loopback deployment completed"
-
-echo "===== loopback UDP lossy chaos (repair on/off, hard timeout) ====="
-# The same deployment under seeded datagram loss (12% steady plus a 35%
-# origin-to-relay burst), run twice: repair off must surface the loss as
-# application re-requests, repair on must complete all 32 sessions, cut
-# those re-requests at least 5x, and satisfy the repair causality
-# invariants (every retransmit answers a prior NACK; gaps skip only
-# after budget exhaustion). Release build: the drill moves a lecture
-# for 35 nodes twice and debug-mode framing would dominate the budget.
-timeout 300 cargo test -q --offline --release -p lod-core --test loopback_chaos -- --ignored \
-    || { echo "FAIL: lossy chaos drill did not pass (or timed out)"; exit 1; }
-echo "chaos drill passed"
 
 echo "===== q9_chaos determinism (two runs, byte-identical reports) ====="
 tmpdir="$(mktemp -d)"
@@ -147,6 +126,32 @@ if ! cmp -s "$tmpdir/ta.jsonl" "$tmpdir/tb.jsonl"; then
     exit 1
 fi
 echo "span logs identical"
+
+echo "===== loopback UDP determinism (two runs, byte-identical event logs) ====="
+# The socket path is stepped by the same driver on the same manual clock
+# as simnet, so — while the kernel drops nothing — two processes serving
+# the same lossy, repaired 35-node deployment over real 127.0.0.1 sockets
+# must log the same events in the same order and print the same counters
+# (everything but the wall time).
+cargo run -q --offline --release -p lod-cli --bin wmps -- \
+    publish "$tmpdir/udp.asf" --duration-secs 60 --slides 4 > /dev/null
+for run in a b; do
+    cargo run -q --offline --release -p lod-cli --bin wmps -- \
+        serve "$tmpdir/udp.asf" --transport udp --students 32 --relays 2 \
+        --repair on --loss-permille 120 --events-out "$tmpdir/udp.jsonl" \
+        | sed 's/, wall [0-9.]*s$//' > "$tmpdir/udp_$run.txt"
+    mv "$tmpdir/udp.jsonl" "$tmpdir/udp_$run.jsonl"
+done
+for ext in txt jsonl; do
+    if ! cmp -s "$tmpdir/udp_a.$ext" "$tmpdir/udp_b.$ext"; then
+        echo "FAIL: two lossy loopback UDP runs diverged in .$ext (nondeterminism crept in)"
+        diff "$tmpdir/udp_a.$ext" "$tmpdir/udp_b.$ext" | head -20
+        exit 1
+    fi
+done
+grep -q "32/32 completed, 0 abandoned" "$tmpdir/udp_a.txt" || {
+    echo "FAIL: the lossy loopback deployment did not complete"; cat "$tmpdir/udp_a.txt"; exit 1; }
+echo "event logs and counters identical"
 
 if [ -n "${ARTIFACT_BASE:-}" ]; then
     echo "===== artifacts vs $ARTIFACT_BASE (byte-identical before and after) ====="
