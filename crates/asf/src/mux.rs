@@ -64,9 +64,13 @@ impl AsfFile {
     }
 
     /// Scrambles every payload with `license` and records the DRM header.
-    ///
-    /// Calling it twice restores plaintext but leaves the header — don't.
+    /// No-op for content that is already protected: the first license
+    /// stands (scrambling again would XOR the payloads back towards
+    /// plaintext under a header that still claims protection).
     pub fn protect(&mut self, license: &License) {
+        if self.drm.is_some() {
+            return;
+        }
         scramble_payloads(license, &mut self.packets);
         self.drm = Some(DrmHeader::for_license(license));
     }
@@ -121,14 +125,18 @@ impl AsfFile {
 /// immutable shared [`bytes::Bytes`], so the scrambled bytes go into one
 /// fresh buffer for the whole file, which every payload then views —
 /// protected content never aliases the plaintext a cache or reader may
-/// still hold. (The keystream restarts at each payload.)
+/// still hold. The keystream restarts at each payload, so every payload
+/// is XORed with a prefix of one sequence: it is generated once per
+/// pass, as long as the longest payload.
 fn scramble_payloads(license: &License, packets: &mut [DataPacket]) {
+    let payloads = || packets.iter().flat_map(|p| &p.payloads);
+    let longest = payloads().map(|p| p.data.len()).max().unwrap_or(0);
+    let mut keystream = vec![0; longest];
+    scramble_in_place(license.key, &mut keystream);
     let total = packets.iter().map(DataPacket::media_bytes).sum();
     let mut buf = Vec::with_capacity(total);
-    for payload in packets.iter().flat_map(|p| &p.payloads) {
-        let at = buf.len();
-        buf.extend_from_slice(&payload.data);
-        scramble_in_place(license.key, &mut buf[at..]);
+    for payload in payloads() {
+        buf.extend(payload.data.iter().zip(&keystream).map(|(b, k)| b ^ k));
     }
     let backing = Bytes::from(buf);
     let mut at = 0;
@@ -257,6 +265,21 @@ mod tests {
         back.unprotect(&lic).unwrap();
         assert_eq!(back.packets, f.packets);
         assert!(back.drm.is_none());
+    }
+
+    #[test]
+    fn protecting_twice_keeps_the_first_license() {
+        let f = sample_file();
+        let lic = License::new("cs101", 0xABCD);
+        let mut once = f.clone();
+        once.protect(&lic);
+        let mut twice = once.clone();
+        twice.protect(&lic);
+        assert_eq!(twice, once);
+        twice.protect(&License::new("cs102", 5));
+        assert_eq!(twice, once);
+        twice.unprotect(&lic).unwrap();
+        assert_eq!(twice, f);
     }
 
     #[test]

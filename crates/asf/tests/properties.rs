@@ -3,6 +3,7 @@
 mod common;
 
 use common::{arb_file, arb_samples, arb_script, make_file};
+use lod_asf::packet::{PACKET_HEADER_BYTES, PAYLOAD_HEADER_BYTES};
 use lod_asf::{
     read_asf, write_asf, AsfError, DataPacket, License, MediaSample, Packetizer, Payload,
     Reassembler, ScriptCommandList,
@@ -97,6 +98,18 @@ mod reference {
         pub fn incomplete(&self) -> usize {
             self.partial.len()
         }
+    }
+
+    /// DRM scrambling as `protect`/`unprotect` did it before they shared
+    /// one keystream per pass: generated afresh over every payload.
+    pub fn scramble(key: u64, packets: &[DataPacket]) -> Vec<DataPacket> {
+        let mut out = packets.to_vec();
+        for payload in out.iter_mut().flat_map(|p| &mut p.payloads) {
+            let mut data = payload.data.to_vec();
+            lod_asf::drm::scramble_in_place(key, &mut data);
+            payload.data = data.into();
+        }
+        out
     }
 
     /// The container code as it was before it wrote in one pass and read
@@ -619,6 +632,42 @@ proptest! {
         prop_assert!(wrong.unprotect(&License::new("k", key.wrapping_add(1))).is_err());
         g.unprotect(&lic).unwrap();
         prop_assert_eq!(g.packets, f.packets);
+    }
+
+    /// One keystream per pass scrambles every payload exactly as one
+    /// keystream per payload did — empty payloads, payloads on both sides
+    /// of an eight-byte word and one filling its packet included.
+    #[test]
+    fn shared_keystream_matches_reference(
+        f in arb_file(),
+        key in any::<u64>(),
+        fill in any::<u8>(),
+    ) {
+        let mut plain = f;
+        plain.drm = None;
+        let room = plain.props.packet_size as usize - PACKET_HEADER_BYTES - PAYLOAD_HEADER_BYTES;
+        for len in [0, 1, 7, 8, 9, room] {
+            plain.packets.push(DataPacket {
+                send_time: 0,
+                payloads: vec![Payload {
+                    stream: 1,
+                    object_id: u32::MAX,
+                    offset: 0,
+                    total: len as u32,
+                    pres_time: 0,
+                    data: vec![fill; len].into(),
+                }],
+            });
+        }
+        let license = License::new("course", key);
+        let scrambled = reference::scramble(key, &plain.packets);
+        prop_assert_eq!(&reference::scramble(key, &scrambled), &plain.packets);
+
+        let mut g = plain.clone();
+        g.protect(&license);
+        prop_assert_eq!(&g.packets, &scrambled);
+        g.unprotect(&license).unwrap();
+        prop_assert_eq!(g, plain);
     }
 
     /// Nothing a file or a caller supplies panics the container: parsing

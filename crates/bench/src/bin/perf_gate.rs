@@ -2,8 +2,8 @@
 //! a committed baseline and fails when any tracked value regressed.
 //!
 //! Reports (`BENCH_q14.json`, `BENCH_q15.json`) carry a `"tracked"`
-//! object of integer values where lower is better — codec/mux medians
-//! and the (deterministic) payload-copy counters. Everything outside
+//! object of integer values where lower is better — frame sizes and
+//! the (deterministic) payload-copy counters. Everything outside
 //! `"tracked"` is wall-clock context and is ignored here. A fresh value
 //! passes when
 //!

@@ -18,12 +18,13 @@
 //!   pre-zero-copy behavior) is re-enacted and reported alongside so
 //!   the O(readers) → O(1) collapse is visible in the same JSON.
 //!
-//! The JSON splits into `"tracked"` (integer medians and the — fully
-//! deterministic — copy counters; the CI perf gate compares these
-//! against the committed `BENCH_q15.json`, lower is better) and
-//! `"untracked"` (wall-clock throughput and counterfactual context).
-//! A reintroduced per-reader copy would blow `fanout_backing_allocs_256`
-//! three orders of magnitude past its committed value and fail the gate.
+//! The JSON splits into `"tracked"` (the — fully deterministic — copy
+//! counters; the CI perf gate compares these against the committed
+//! `BENCH_q15.json`, lower is better) and `"untracked"` (the two
+//! wall-clock medians, throughput and counterfactual context: this
+//! machine's, recorded, never gated). A reintroduced per-reader copy
+//! would blow `fanout_backing_allocs_256` three orders of magnitude past
+//! its committed value and fail the gate.
 //!
 //! Usage: `q15_hotpath [--json PATH]`
 
@@ -246,16 +247,16 @@ fn main() {
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"bench\": \"q15_hotpath\",");
     let _ = writeln!(json, "  \"tracked\": {{");
-    let _ = writeln!(json, "    \"mux_ns_per_packet\": {mux_ns_per_packet},");
-    let _ = writeln!(
-        json,
-        "    \"fanout_ns_per_packet\": {fanout_ns_per_packet},"
-    );
     let _ = writeln!(json, "    \"fanout_backing_allocs_4\": {allocs_4},");
     let _ = writeln!(json, "    \"fanout_backing_allocs_256\": {allocs_256},");
     let _ = writeln!(json, "    \"fanout_bytes_deep_copied_256\": {copied_256}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"untracked\": {{");
+    let _ = writeln!(json, "    \"mux_ns_per_packet\": {mux_ns_per_packet},");
+    let _ = writeln!(
+        json,
+        "    \"fanout_ns_per_packet\": {fanout_ns_per_packet},"
+    );
     let _ = writeln!(json, "    \"relays\": {RELAYS},");
     let _ = writeln!(json, "    \"readers\": {READERS},");
     let _ = writeln!(json, "    \"segment_packets\": {SEGMENT_PACKETS},");

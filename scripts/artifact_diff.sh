@@ -13,10 +13,13 @@
 # wall-clock timings) — the stdout of q5_scale, q6_classroom and q8_relay,
 # the only seeded runs of `serve_and_replay`, `serve_shared_uplink`,
 # `live_classroom` and the relay-kill drill (q9–q12 reach none of them) —
-# and the two .asf files `wmps publish` writes with fixed flags, one plain
-# and one protected, so "the muxer still writes the same bytes" is a check
-# and not a sentence. Exits 1 naming every artifact that differs. Offline,
-# like the rest of CI.
+# and five .asf files `wmps publish` writes with fixed flags, so "the
+# content generator, the DRM keystream and the muxer still write the same
+# bytes" is a check and not a sentence: a plain and a protected lecture at
+# the default sizes, the same pair at 4000-byte packets (payloads past
+# 1400 bytes, other tail lengths), and a protected video-only lecture of
+# short frames. Exits 1 naming every artifact that differs. Offline, like
+# the rest of CI.
 set -e
 
 base="${1:?usage: scripts/artifact_diff.sh <base-rev>}"
@@ -50,6 +53,12 @@ produce() {
         --annotation 45:eq.4 > /dev/null
     "$2/release/wmps" publish "$3/protected.asf" --duration-secs 90 --slides 5 \
         --annotation 45:eq.4 --license cs101:77 > /dev/null
+    "$2/release/wmps" publish "$3/plain_4000.asf" --duration-secs 37 --slides 3 \
+        --packet-size 4000 > /dev/null
+    "$2/release/wmps" publish "$3/protected_4000.asf" --duration-secs 37 --slides 3 \
+        --packet-size 4000 --license cs101:77 > /dev/null
+    "$2/release/wmps" publish "$3/protected_video_only.asf" --duration-secs 20 \
+        --audio-kbps 0 --video-kbps 64 --license cs101:77 > /dev/null
 }
 
 echo "artifact_diff: building and running $base ($rev)"
@@ -59,7 +68,8 @@ produce "$root" "${CARGO_TARGET_DIR:-$root/target}" "$work/head"
 
 status=0
 for f in q9.json q10.json q11.json q11.jsonl q11.prom q12.json q12.jsonl q12.prom \
-    q16.json q17.jsonl q5_scale.txt q6_classroom.txt q8_relay.txt plain.asf protected.asf; do
+    q16.json q17.jsonl q5_scale.txt q6_classroom.txt q8_relay.txt plain.asf protected.asf \
+    plain_4000.asf protected_4000.asf protected_video_only.asf; do
     if cmp -s "$work/base/$f" "$work/head/$f"; then
         echo "identical  $f"
     else

@@ -40,17 +40,47 @@ fn e5_publish_produces_synchronized_asf() {
     assert_eq!(read_asf(&bytes).unwrap(), file);
 }
 
-/// E5 (DRM leg): protected lectures need the right license to replay.
+/// E5 (DRM leg): protected lectures need the right license to replay,
+/// and protecting protected content changes nothing — the first license
+/// still restores the published packets.
 #[test]
 fn e5_drm_gates_playback() {
     let lecture = synthetic_lecture(501, 1, 200_000);
-    let mut file = Wmps::new().publish(&lecture).unwrap();
+    let plain = Wmps::new().publish(&lecture).unwrap();
     let license = License::new("course", 1234);
+    let mut file = plain.clone();
     file.protect(&license);
+    file.protect(&license);
+    file.protect(&License::new("course", 999));
     assert!(PlayerEngine::load(file.clone(), None).is_err());
     assert!(PlayerEngine::load(file.clone(), Some(&License::new("course", 999))).is_err());
-    let engine = PlayerEngine::load(file, Some(&license)).unwrap();
+    let engine = PlayerEngine::load(file.clone(), Some(&license)).unwrap();
     assert!(engine.sample_count() > 0);
+    file.unprotect(&license).unwrap();
+    assert_eq!(file, plain);
+}
+
+/// E5 (golden bytes): the published file is pinned, plain and protected,
+/// so neither the synthetic content generator nor the DRM keystream nor
+/// the muxer can drift without this failing. Sizes and FNV-1a-64 digests
+/// recorded from commit `40acb8f`.
+#[test]
+fn e5_published_bytes_are_pinned() {
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let mut file = Wmps::new()
+        .publish(&synthetic_lecture(7, 1, 300_000))
+        .unwrap();
+    let plain = write_asf(&file).unwrap();
+    assert_eq!(plain.len(), 2_628_901);
+    assert_eq!(fnv1a64(&plain), 0x156b_6a85_d8dd_5b8a);
+    file.protect(&License::new("course-101", 777));
+    let protected = write_asf(&file).unwrap();
+    assert_eq!(protected.len(), 2_628_945);
+    assert_eq!(fnv1a64(&protected), 0x024c_352e_559f_461b);
 }
 
 /// E6: the Abstractor's content tree spans the lecture and shorter budgets
