@@ -35,7 +35,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use lod_core::{serve_loopback_udp, synthetic_lecture, LoopbackConfig, Wmps};
+use lod_core::{serve_loopback_udp, synthetic_lecture, RelayTierConfig, UdpConfig, Wmps};
 use lod_streaming::wire::{ControlRequest, Wire};
 use lod_transport::{decode_frame, encode_frame, WireCodec};
 
@@ -169,51 +169,50 @@ fn main() {
         let file = wmps
             .publish(&synthetic_lecture(1, 1, 300_000))
             .expect("publish");
-        let cfg = LoopbackConfig::default();
-        let report = serve_loopback_udp(file, &cfg);
+        let (clients, relays) = (32, 2);
+        let cfg = RelayTierConfig {
+            relays,
+            ..RelayTierConfig::default()
+        };
+        let report = serve_loopback_udp(file, clients, 7, &cfg, UdpConfig::loopback(), None)
+            .expect("loopback sockets");
+        let completed = report.completed_sessions();
+        let abandoned = report.clients.iter().filter(|c| c.abandoned).count();
         assert_eq!(
-            report.completed, cfg.clients,
+            (completed, abandoned),
+            (clients, 0),
             "perf record requires a clean run: {report:?}"
         );
-        assert_eq!(report.abandoned, 0);
-        let wall_s = report.wall.as_secs_f64();
-        let frames_per_sec = report.transport.frames_sent as f64 / wall_s;
-        let bytes_per_sec = report.transport.bytes_sent as f64 / wall_s;
+        let socket = report.socket.expect("a socket run");
+        let (transport, reorder) = (socket.transport, socket.reorder);
+        let wall_s = socket.wall.as_secs_f64();
+        let frames_per_sec = transport.frames_sent as f64 / wall_s;
+        let bytes_per_sec = transport.bytes_sent as f64 / wall_s;
         println!(
-            "loopback: {} clients / {} relays completed in {wall_s:.2} s wall — \
+            "loopback: {clients} clients / {relays} relays completed in {wall_s:.2} s wall — \
              {frames_per_sec:.0} frames/s, {:.1} MB/s, {} reordered, {} skipped",
-            cfg.clients,
-            cfg.relays,
             bytes_per_sec / 1e6,
-            report.reorder.out_of_order,
-            report.reorder.skipped_seqs
+            reorder.out_of_order,
+            reorder.skipped_seqs
         );
 
-        let _ = writeln!(json, "    \"clients\": {},", cfg.clients);
-        let _ = writeln!(json, "    \"relays\": {},", cfg.relays);
-        let _ = writeln!(json, "    \"completed\": {},", report.completed);
-        let _ = writeln!(json, "    \"abandoned\": {},", report.abandoned);
+        let _ = writeln!(json, "    \"clients\": {clients},");
+        let _ = writeln!(json, "    \"relays\": {relays},");
+        let _ = writeln!(json, "    \"completed\": {completed},");
+        let _ = writeln!(json, "    \"abandoned\": {abandoned},");
         let _ = writeln!(json, "    \"wall_seconds\": {wall_s:.3},");
-        let _ = writeln!(
-            json,
-            "    \"frames_sent\": {},",
-            report.transport.frames_sent
-        );
+        let _ = writeln!(json, "    \"frames_sent\": {},", transport.frames_sent);
         let _ = writeln!(
             json,
             "    \"frames_received\": {},",
-            report.transport.frames_received
+            transport.frames_received
         );
-        let _ = writeln!(json, "    \"bytes_sent\": {},", report.transport.bytes_sent);
+        let _ = writeln!(json, "    \"bytes_sent\": {},", transport.bytes_sent);
         let _ = writeln!(json, "    \"frames_per_sec\": {frames_per_sec:.0},");
         let _ = writeln!(json, "    \"bytes_per_sec\": {bytes_per_sec:.0},");
-        let _ = writeln!(json, "    \"reordered\": {},", report.reorder.out_of_order);
-        let _ = writeln!(json, "    \"skipped\": {},", report.reorder.skipped_seqs);
-        let _ = writeln!(
-            json,
-            "    \"decode_errors\": {},",
-            report.transport.decode_errors
-        );
+        let _ = writeln!(json, "    \"reordered\": {},", reorder.out_of_order);
+        let _ = writeln!(json, "    \"skipped\": {},", reorder.skipped_seqs);
+        let _ = writeln!(json, "    \"decode_errors\": {},", transport.decode_errors);
     }
     let _ = writeln!(json, "    \"segment_encode_ns_median\": {enc_segment_ns},");
     let _ = writeln!(json, "    \"segment_decode_ns_median\": {dec_segment_ns},");

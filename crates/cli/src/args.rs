@@ -47,6 +47,16 @@ impl fmt::Display for CliError {
 
 impl Error for CliError {}
 
+impl CliError {
+    /// A [`CliError::BadValue`] for `value` given to `flag`.
+    pub fn bad_value(flag: &str, value: &str) -> Self {
+        CliError::BadValue {
+            flag: flag.into(),
+            value: value.into(),
+        }
+    }
+}
+
 impl From<std::io::Error> for CliError {
     fn from(e: std::io::Error) -> Self {
         CliError::Io(e)
@@ -100,6 +110,19 @@ impl Args {
         matches!(self.flag(name), Some("on" | "true" | "1"))
     }
 
+    /// `--NAME on|off` (also `true|false`, `yes|no`; default off).
+    ///
+    /// # Errors
+    ///
+    /// [`CliError::BadValue`] for any other value.
+    pub fn on_off(&self, name: &str) -> Result<bool, CliError> {
+        match self.flag_or(name, "off").as_str() {
+            "on" | "true" | "yes" => Ok(true),
+            "off" | "false" | "no" => Ok(false),
+            other => Err(CliError::bad_value(&format!("--{name}"), other)),
+        }
+    }
+
     /// String flag with a default.
     pub fn flag_or(&self, name: &str, default: &str) -> String {
         self.flag(name).unwrap_or(default).to_string()
@@ -113,10 +136,9 @@ impl Args {
     pub fn num_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, CliError> {
         match self.flag(name) {
             None => Ok(default),
-            Some(v) => v.parse().map_err(|_| CliError::BadValue {
-                flag: format!("--{name}"),
-                value: v.to_string(),
-            }),
+            Some(v) => v
+                .parse()
+                .map_err(|_| CliError::bad_value(&format!("--{name}"), v)),
         }
     }
 

@@ -37,9 +37,10 @@ USAGE:
   wmps replay  <file.asf> [--license ID:KEY]
   wmps serve   <file.asf> [--students N] [--link lan|broadband|modem] [--seed N]
                [--relays K] [--max-sessions N] [--degrade on|off]
-               [--metrics-out PATH] [--transport sim|udp]
+               [--standby] [--checkpoint-every N] [--metrics-out PATH]
+               [--trace-permille N] [--transport sim|udp]
                [--repair on|off] [--retry-budget N] [--loss-permille N]
-               [--fault-seed S]                           # udp-only knobs
+               [--fault-seed S]               # udp-only knobs; --link is sim-only
   wmps report  <events.jsonl> [--top N]
   wmps abstract [--seed N] [--minutes N] [--budget-secs N]
   wmps net     [--units N] [--streams N] [--sync-every N] | [--floor N]   # Graphviz DOT

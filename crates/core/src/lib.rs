@@ -39,7 +39,7 @@ pub use abstractor::Abstractor;
 pub use distributed::{run_classroom, ClassroomConfig, ClassroomReport};
 pub use etpn::{EtpnConfig, EtpnReport, LectureNet};
 pub use floor::{FloorControl, FloorReport, FloorRequest};
-pub use loopback::{serve_loopback_udp, LoopbackConfig, LoopbackReport};
+pub use loopback::{serve_loopback_udp, SocketReport};
 pub use presentation::{synthetic_lecture, Lecture, OutlineEntry};
 pub use replay::{ReplayConfig, ReplayReport, SyncModelKind};
 pub use wmps::{

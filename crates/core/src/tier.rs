@@ -4,9 +4,11 @@
 //! an optional warm standby, the relays, an optional redirect manager,
 //! the students — over a [`Fabric`] that says how their messages travel.
 //! Every way lod-core runs a lecture (direct, shared uplink, relay tier,
-//! live classroom, loopback UDP) builds a `Tier` and calls
-//! [`Tier::run`]; they differ in what they build and in what their
-//! `before_step` does, never in how a step is taken.
+//! live classroom) builds a `Tier` and calls [`Tier::run`]; they differ
+//! in what they build and in what their `before_step` does, never in how
+//! a step is taken. The relay tier is built by one function on either
+//! fabric (`wmps::relay_tier`), so loopback UDP is the relay tier on
+//! [`Sockets`].
 //!
 //! There is deliberately no `Node` trait: promotion reaches into the
 //! relays, the redirect manager and the clients at once, so a trait over
@@ -34,6 +36,9 @@ pub(crate) trait Fabric {
     /// Advances every node's clock to `now` and returns what arrived, at
     /// any node, in delivery order.
     fn deliveries(&mut self, now: u64) -> Vec<Delivery<Wire>>;
+
+    /// Bytes `node` has put on the wire so far.
+    fn egress_bytes(&self, node: NodeId) -> u64;
 }
 
 /// Simnet: the one network is every node's transport.
@@ -48,6 +53,10 @@ impl Fabric for Network<Wire> {
     #[inline]
     fn deliveries(&mut self, now: u64) -> Vec<Delivery<Wire>> {
         self.advance_to(now)
+    }
+
+    fn egress_bytes(&self, node: NodeId) -> u64 {
+        Network::egress_bytes(self, node)
     }
 }
 
@@ -72,6 +81,10 @@ impl Fabric for Sockets {
             out.extend(lod_transport::Transport::poll(t, now));
         }
         out
+    }
+
+    fn egress_bytes(&self, node: NodeId) -> u64 {
+        self.0[node.index()].stats().bytes_sent
     }
 }
 

@@ -22,8 +22,9 @@ use lod_streaming::{
 };
 use serde::{Deserialize, Serialize};
 
+use crate::loopback::SocketReport;
 use crate::presentation::Lecture;
-use crate::tier::{Standby, Tier};
+use crate::tier::{Fabric, Standby, Tier};
 
 /// Quality outcome of one served replay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -55,6 +56,10 @@ pub struct WmpsReport {
     /// Warm-standby failover outcome (present iff
     /// [`RelayTierConfig::failover`] was armed).
     pub failover: Option<FailoverReport>,
+    /// Socket counters, present iff the run was on real sockets
+    /// ([`crate::serve_loopback_udp`]).
+    #[serde(skip)]
+    pub socket: Option<SocketReport>,
 }
 
 /// Outcome of the warm-standby tier for one session.
@@ -239,9 +244,10 @@ pub(crate) fn vod_horizon(play_duration: u64) -> u64 {
     play_duration * 20 + 600_000_000_000
 }
 
-/// The report of a finished simnet run. `session_ticks` is the caller's
-/// to say: the last render for stored content, the stop tick for live.
-fn session_report(tier: &Tier<Network<Wire>>, session_ticks: u64) -> WmpsReport {
+/// The report of a finished run on either fabric. `session_ticks` is the
+/// caller's to say: the last render for stored content, the stop tick
+/// for live.
+pub(crate) fn session_report<F: Fabric>(tier: &Tier<F>, session_ticks: u64) -> WmpsReport {
     let (skew, classroom_spread) = skew_report(&tier.ledger);
     let mut cache = CacheStats::default();
     let mut metrics = RelayMetrics::default();
@@ -278,9 +284,125 @@ fn session_report(tier: &Tier<Network<Wire>>, session_ticks: u64) -> WmpsReport 
                 standby,
             }
         }),
+        socket: None,
     };
     publish_run_metrics(&tier.obs, &report);
     report
+}
+
+/// Builds the relay tier of `tree` on `fabric`, on either fabric: the
+/// one place the origin, the optional warm standby (on `standby`, present
+/// iff `cfg.failover` is armed), the relays, the [`RedirectManager`] and
+/// the students are made. Students address the origin and retry with a
+/// per-student salt off `seed`; `cfg.arrival_wave` staggers their start.
+/// `segment_packets` overrides the servers' segment length (`None` = the
+/// server's default). Every node is labelled in `cfg.recorder`.
+pub(crate) fn relay_tier<F: Fabric>(
+    fabric: F,
+    tree: &RelayTree,
+    standby: Option<NodeId>,
+    file: AsfFile,
+    seed: u64,
+    cfg: &RelayTierConfig,
+    segment_packets: Option<u32>,
+) -> Tier<F> {
+    let obs = &cfg.recorder;
+    obs.label_node(tree.origin.index() as u64, "origin");
+    obs.label_node(tree.router.index() as u64, "router");
+    for (i, r) in tree.relays.iter().enumerate() {
+        obs.label_node(r.index() as u64, &format!("relay{i}"));
+    }
+    for (i, s) in tree.students.iter().enumerate() {
+        obs.label_node(s.index() as u64, &format!("student{i}"));
+    }
+    // The origin and its warm standby are one recipe: same catalog,
+    // same knobs; the standby only adds `as_standby`.
+    let server_on = |node: NodeId, file: AsfFile| {
+        let mut server = StreamingServer::new(node).with_recorder(obs.clone());
+        if let Some(n) = segment_packets {
+            server = server.with_segment_packets(n);
+        }
+        if let Some(t) = cfg.idle_timeout {
+            server = server.with_idle_timeout(t);
+        }
+        if let Some(adm) = cfg.origin_admission {
+            server = server.with_admission(adm);
+        }
+        if let Some(deg) = cfg.degrade {
+            server = server.with_degrade(deg);
+        }
+        if let Some(f) = cfg.failover {
+            server = server.with_checkpointing(f.checkpoint_every);
+        }
+        for &r in &tree.relays {
+            // A relay's one shared fetch/live subscription must never
+            // be bounced: shedding it would shed a whole campus.
+            server.exempt_from_admission(r);
+        }
+        server.publish("lecture", file);
+        server
+    };
+    // The standby applies the replicated checkpoint journal every driver
+    // step and answers nothing until promoted (Plays bounce toward the
+    // primary).
+    let standby = standby.zip(cfg.failover).map(|(sb, f)| {
+        obs.label_node(sb.index() as u64, "standby");
+        Standby {
+            server: server_on(sb, file.clone()).as_standby(),
+            monitor: HeartbeatMonitor::new(sb, tree.origin, f).with_recorder(obs.clone()),
+        }
+    });
+    let origin = server_on(tree.origin, file);
+    let clients = tree
+        .students
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| {
+            let client = StreamingClient::new(c, tree.origin, "lecture").with_recorder(obs.clone());
+            match cfg.client_retry {
+                // Per-student salt: distinct jitter streams, same seed
+                // → same storm of retries on every run.
+                Some(policy) => client.with_retry(
+                    policy,
+                    seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                ),
+                None => client,
+            }
+        })
+        .collect();
+    let mut tier = Tier::new(fabric, origin, clients);
+    tier.standby = standby;
+    tier.relays = tree
+        .relays
+        .iter()
+        .map(|&r| {
+            let mut relay = RelayNode::new(r, tree.origin, cfg.cache_budget)
+                .with_prefetch(cfg.prefetch)
+                .with_recorder(obs.clone())
+                .with_trace_permille(cfg.trace_permille);
+            if let Some(adm) = cfg.relay_admission {
+                relay = relay.with_admission(adm);
+            }
+            if let Some(b) = cfg.breaker {
+                relay = relay.with_breaker(b);
+            }
+            relay.serve_vod("lecture");
+            relay
+        })
+        .collect();
+    let mut redirect = RedirectManager::new(tree.origin, tree.relays.clone());
+    if let Some(seats) = cfg.relay_capacity_sessions {
+        redirect = redirect.with_relay_capacity(seats);
+    }
+    tier.redirect = Some(redirect);
+    // Arrival schedule: all at 0, or a flash crowd in waves.
+    if let Some((wave, interval)) = cfg.arrival_wave {
+        for (i, at) in tier.start_at.iter_mut().enumerate() {
+            *at = (i / wave.max(1)) as u64 * interval;
+        }
+    }
+    tier.obs = obs.clone();
+    tier
 }
 
 /// A scripted fault storm for [`Wmps::serve_with_relays`], written in
@@ -314,12 +436,7 @@ pub struct ChaosSpec {
 impl ChaosSpec {
     /// True when the spec schedules nothing.
     pub fn is_empty(&self) -> bool {
-        self.access_loss_bursts.is_empty()
-            && self.access_flaps.is_empty()
-            && self.relay_crashes.is_empty()
-            && self.uplink_partitions.is_empty()
-            && self.uplink_latency_spikes.is_empty()
-            && self.origin_down.is_empty()
+        *self == Self::default()
     }
 
     /// Binds the symbolic storm to a concrete topology. Out-of-range
@@ -355,7 +472,9 @@ impl ChaosSpec {
     }
 }
 
-/// Configuration of the edge-relay tier for [`Wmps::serve_with_relays`].
+/// Configuration of the edge-relay tier, on simnet
+/// ([`Wmps::serve_with_relays`]) or on sockets
+/// ([`crate::serve_loopback_udp`]).
 #[derive(Debug, Clone)]
 pub struct RelayTierConfig {
     /// Number of edge relays between the origin and the students.
@@ -526,10 +645,8 @@ impl Wmps {
         seed: u64,
         cfg: &RelayTierConfig,
     ) -> WmpsReport {
-        // Killing the origin without a standby is not a survivable drill
-        // — it is a configuration error, caught before the network is
-        // built rather than surfacing as a mysterious all-clients-dead
-        // run.
+        // Killing the origin without a standby is a configuration error,
+        // not a drill: refuse it before anything is built.
         assert!(
             cfg.chaos.origin_down.is_empty() || cfg.failover.is_some(),
             "ChaosSpec::origin_down requires RelayTierConfig::failover: \
@@ -545,112 +662,21 @@ impl Wmps {
             cfg.relays,
             n_clients,
         );
-        let obs = cfg.recorder.clone();
-        obs.label_node(tree.origin.index() as u64, "origin");
-        obs.label_node(tree.router.index() as u64, "router");
-        for (i, r) in tree.relays.iter().enumerate() {
-            obs.label_node(r.index() as u64, &format!("relay{i}"));
-        }
-        for (i, s) in tree.students.iter().enumerate() {
-            obs.label_node(s.index() as u64, &format!("student{i}"));
-        }
-        // The origin and its warm standby are one recipe: same catalog,
-        // same knobs; the standby only adds `as_standby`.
-        let server_on = |node: NodeId, file: AsfFile| {
-            let mut server = StreamingServer::new(node).with_recorder(obs.clone());
-            if let Some(t) = cfg.idle_timeout {
-                server = server.with_idle_timeout(t);
-            }
-            if let Some(adm) = cfg.origin_admission {
-                server = server.with_admission(adm);
-            }
-            if let Some(deg) = cfg.degrade {
-                server = server.with_degrade(deg);
-            }
-            if let Some(f) = cfg.failover {
-                server = server.with_checkpointing(f.checkpoint_every);
-            }
-            for &r in &tree.relays {
-                // A relay's one shared fetch/live subscription must never
-                // be bounced: shedding it would shed a whole campus.
-                server.exempt_from_admission(r);
-            }
-            server.publish("lecture", file);
-            server
-        };
-        // The standby sits behind the router like the origin does,
-        // applies the replicated checkpoint journal every driver step,
-        // and answers nothing until promoted (Plays bounce toward the
-        // primary).
-        let standby = cfg.failover.map(|f| {
+        // The standby sits behind the router like the origin does.
+        let standby = cfg.failover.map(|_| {
             let sb = net.add_node("standby");
-            obs.label_node(sb.index() as u64, "standby");
             net.connect_bidirectional(sb, tree.router, uplink);
-            let peers = std::iter::once(tree.origin)
-                .chain(tree.relays.iter().copied())
-                .chain(tree.students.iter().copied());
-            for p in peers {
-                net.set_next_hop(sb, p, tree.router);
-                net.set_next_hop(p, sb, tree.router);
+            for p in (0..sb.index()).map(NodeId::from_index) {
+                if p != tree.router {
+                    net.set_next_hop(sb, p, tree.router);
+                    net.set_next_hop(p, sb, tree.router);
+                }
             }
-            Standby {
-                server: server_on(sb, file.clone()).as_standby(),
-                monitor: HeartbeatMonitor::new(sb, tree.origin, f).with_recorder(obs.clone()),
-            }
+            sb
         });
-        let origin = server_on(tree.origin, file);
-        let clients = tree
-            .students
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let client =
-                    StreamingClient::new(c, tree.origin, "lecture").with_recorder(obs.clone());
-                match cfg.client_retry {
-                    // Per-student salt: distinct jitter streams, same seed
-                    // → same storm of retries on every run.
-                    Some(policy) => client.with_retry(
-                        policy,
-                        seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    ),
-                    None => client,
-                }
-            })
-            .collect();
-        let mut tier = Tier::new(net, origin, clients);
-        tier.standby = standby;
-        tier.relays = tree
-            .relays
-            .iter()
-            .map(|&r| {
-                let mut relay = RelayNode::new(r, tree.origin, cfg.cache_budget)
-                    .with_prefetch(cfg.prefetch)
-                    .with_recorder(obs.clone())
-                    .with_trace_permille(cfg.trace_permille);
-                if let Some(adm) = cfg.relay_admission {
-                    relay = relay.with_admission(adm);
-                }
-                if let Some(b) = cfg.breaker {
-                    relay = relay.with_breaker(b);
-                }
-                relay.serve_vod("lecture");
-                relay
-            })
-            .collect();
-        let mut redirect = RedirectManager::new(tree.origin, tree.relays.clone());
-        if let Some(seats) = cfg.relay_capacity_sessions {
-            redirect = redirect.with_relay_capacity(seats);
-        }
-        tier.redirect = Some(redirect);
-        // Arrival schedule: all at 0, or a flash crowd in waves.
-        if let Some((wave, interval)) = cfg.arrival_wave {
-            for (i, at) in tier.start_at.iter_mut().enumerate() {
-                *at = (i / wave.max(1)) as u64 * interval;
-            }
-        }
-        tier.obs = obs.clone();
-
-        let mut injector = FaultInjector::new(cfg.chaos.resolve(&tree)).with_recorder(obs);
+        let mut tier = relay_tier(net, &tree, standby, file, seed, cfg, None);
+        let mut injector =
+            FaultInjector::new(cfg.chaos.resolve(&tree)).with_recorder(cfg.recorder.clone());
         tier.run(horizon, |tier, now| {
             for fault in injector.poll(&mut tier.fabric, now) {
                 tier.faults_applied += 1;
@@ -659,7 +685,7 @@ impl Wmps {
                 // redirects ride out through the (healthy) origin links.
                 if let Fault::NodeDown { node } = fault {
                     if tree.relays.contains(&node) {
-                        let redirect = tier.redirect.as_mut().expect("set above");
+                        let redirect = tier.redirect.as_mut().expect("relay tiers redirect");
                         tier.reattached += redirect.fail_relay(&mut tier.fabric, node).len();
                     } else if node == tree.origin {
                         // The crash wipes the origin's volatile session

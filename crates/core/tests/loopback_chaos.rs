@@ -15,8 +15,10 @@
 //!   retransmit answers a prior NACK, give-ups stay within the retry
 //!   budget, and gaps are skipped only after the budget is exhausted.
 
-use lod_core::{serve_loopback_udp, synthetic_lecture, LoopbackConfig, Wmps};
-use lod_obs::check_causal;
+use lod_core::{
+    serve_loopback_udp, synthetic_lecture, Recorder, RelayTierConfig, UdpConfig, Wmps, WmpsReport,
+};
+use lod_obs::{check_causal, EventRecord};
 use lod_simnet::{FaultPlan, NodeId};
 use lod_streaming::RetryPolicy;
 use lod_transport::{FaultSpec, RepairConfig};
@@ -26,10 +28,12 @@ const SECOND: u64 = 10_000_000;
 
 /// The chaos profile both runs share: 10% steady loss on every egress
 /// datagram of the origin and relay tiers, with a 35% burst on the
-/// origin ↔ relay trunks between simulated seconds 5 and 15.
+/// origin ↔ relay trunks between simulated seconds 5 and 15. The
+/// deployment lays nodes out as `relay_tree` does: origin 0, router 1,
+/// relays 2 and 3.
 fn chaos() -> FaultSpec {
     let origin = NodeId::from_index(0);
-    let relays = [NodeId::from_index(1), NodeId::from_index(2)];
+    let relays = [NodeId::from_index(2), NodeId::from_index(3)];
     let mut plan = FaultPlan::new();
     for relay in relays {
         plan = plan.loss_burst(5 * SECOND, 10 * SECOND, origin, relay, 0.35);
@@ -55,6 +59,27 @@ fn app_retry() -> RetryPolicy {
     }
 }
 
+/// Application-level re-requests: client segment retries plus relay
+/// fetch retries — the round trips transport repair exists to remove.
+fn rerequests(report: &WmpsReport) -> u64 {
+    let relay = report.relay.map_or(0, |r| r.metrics.fetch_retries);
+    report.clients.iter().map(|c| c.retries).sum::<u64>() + relay
+}
+
+/// Serves `file` to 32 students through 2 relays under [`chaos`], with
+/// [`app_retry`] armed and every event recorded.
+fn run(file: &lod_asf::AsfFile, udp: UdpConfig) -> (WmpsReport, Vec<EventRecord>) {
+    let cfg = RelayTierConfig {
+        relays: 2,
+        client_retry: Some(app_retry()),
+        recorder: Recorder::new(),
+        ..RelayTierConfig::default()
+    };
+    let report =
+        serve_loopback_udp(file.clone(), 32, 7, &cfg, udp, Some(chaos())).expect("loopback run");
+    (report, cfg.recorder.events())
+}
+
 #[test]
 fn repair_cuts_app_rerequests_five_fold_under_chaos() {
     let wmps = Wmps::new();
@@ -64,82 +89,65 @@ fn repair_cuts_app_rerequests_five_fold_under_chaos() {
     // Repair off: loss reaches the reorder buffer, times out, and is
     // skipped up to the application, which re-requests at segment
     // granularity.
-    let mut off = LoopbackConfig {
-        fault: Some(chaos()),
-        client_retry: Some(app_retry()),
-        record_events: true,
-        ..LoopbackConfig::default()
-    };
-    off.udp.repair = None;
-    let off_report = serve_loopback_udp(file.clone(), &off);
+    let (off_report, off_events) = run(&file, UdpConfig::loopback());
+    let off = off_report.socket.expect("socket run").transport;
     assert!(
-        off_report.transport.faults_dropped > 0,
-        "the chaos stage must actually drop datagrams: {:?}",
-        off_report.transport
+        off.faults_dropped > 0,
+        "the chaos stage must actually drop datagrams: {off:?}"
     );
     assert!(
-        off_report.rerequests >= 20,
+        rerequests(&off_report) >= 20,
         "without repair, ~10% datagram loss must surface as application \
-         re-requests (got {}): {:?}",
-        off_report.rerequests,
-        off_report.transport
+         re-requests (got {}): {off:?}",
+        rerequests(&off_report)
     );
     // Repair-off gap skips are unconditional flushes (nacks = 0 against
     // a budget of 0) and must still be lawful to the checker.
-    let off_causal = check_causal(&off_report.events);
+    let off_causal = check_causal(&off_events);
     assert!(off_causal.holds(), "{off_causal:?}");
-    assert_eq!(off_report.transport.retransmits_sent, 0);
+    assert_eq!(off.retransmits_sent, 0);
 
     // Repair on: the same seeded chaos, now with the NACK/retransmit
-    // sublayer between the wire and the application.
-    let mut on = LoopbackConfig {
-        fault: Some(chaos()),
-        client_retry: Some(app_retry()),
-        record_events: true,
-        ..LoopbackConfig::default()
-    };
-    // Production-shaped tuning for a lossy trunk: enough retransmit
-    // buffer that a NACK round trip cannot outrun eviction at segment
-    // fan-out rates, and enough budget to ride out the 35% burst.
-    on.udp = on.udp.with_repair(RepairConfig {
-        buffer_bytes: 4 << 20,
-        retry_budget: 6,
-        ..RepairConfig::default()
-    });
-    let on_report = serve_loopback_udp(file, &on);
-
+    // sublayer between the wire and the application. Production-shaped
+    // tuning for a lossy trunk: enough retransmit buffer that a NACK
+    // round trip cannot outrun eviction at segment fan-out rates, and
+    // enough budget to ride out the 35% burst.
+    let (on_report, on_events) = run(
+        &file,
+        UdpConfig::loopback().with_repair(RepairConfig {
+            buffer_bytes: 4 << 20,
+            retry_budget: 6,
+            ..RepairConfig::default()
+        }),
+    );
+    let on = on_report.socket.expect("socket run").transport;
     assert_eq!(
-        on_report.abandoned, 0,
-        "no session may be abandoned with repair on: {:?}",
-        on_report.transport
+        on_report.hard_failures(),
+        0,
+        "no session may be lost with repair on: {on:?}"
     );
     assert_eq!(
-        on_report.completed, on.clients,
-        "every client must complete with repair on: {:?}",
-        on_report.transport
+        on_report.completed_sessions(),
+        32,
+        "every client must complete with repair on: {on:?}"
+    );
+    assert!(on.faults_dropped > 0, "{on:?}");
+    assert!(
+        on.nacks_sent > 0 && on.retransmits_sent > 0,
+        "repair must have actually run: {on:?}"
     );
     assert!(
-        on_report.transport.faults_dropped > 0,
-        "{:?}",
-        on_report.transport
-    );
-    assert!(
-        on_report.transport.nacks_sent > 0 && on_report.transport.retransmits_sent > 0,
-        "repair must have actually run: {:?}",
-        on_report.transport
-    );
-    assert!(
-        on_report.rerequests * 5 <= off_report.rerequests,
+        rerequests(&on_report) * 5 <= rerequests(&off_report),
         "repair must cut application re-requests at least 5x: \
          {} with repair vs {} without",
-        on_report.rerequests,
-        off_report.rerequests
+        rerequests(&on_report),
+        rerequests(&off_report)
     );
 
     // Causality: every retransmit answers a NACK some receiver sent
     // earlier, give-ups respect the retry budget, and any skipped gap
     // exhausted its budget first.
-    let on_causal = check_causal(&on_report.events);
+    let on_causal = check_causal(&on_events);
     assert!(on_causal.holds(), "{on_causal:?}");
     assert!(on_causal.retransmits > 0, "{on_causal:?}");
 }

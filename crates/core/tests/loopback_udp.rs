@@ -1,74 +1,110 @@
 //! The loopback deployment drill: origin + 2 relays + 32 clients on
-//! real localhost UDP sockets, completing a published lecture, with
-//! sample counts reconciling against a simnet run of the same file and
-//! tier shape.
+//! real localhost UDP sockets, completing a published lecture, and
+//! agreeing with a simnet run of the same file and tier shape on what
+//! every student saw.
 
 use lod_core::{
-    serve_loopback_udp, synthetic_lecture, FaultSpec, LoopbackConfig, RelayTierConfig,
-    RepairConfig, RetryPolicy, Wmps,
+    check_causal, serve_loopback_udp, session_timelines, synthetic_lecture, AdmissionPolicy,
+    ChaosSpec, Event, EventRecord, FailoverConfig, FaultSpec, Recorder, RelayTierConfig,
+    RepairConfig, RetryPolicy, UdpConfig, Wmps,
 };
 use lod_simnet::LinkSpec;
+use std::io::ErrorKind;
+
+/// The drill's tier: 2 relays, recording into a fresh recorder.
+fn recorded_tier() -> RelayTierConfig {
+    RelayTierConfig {
+        relays: 2,
+        recorder: Recorder::new(),
+        ..RelayTierConfig::default()
+    }
+}
+
+/// Every `(node, label)` a log names, in emission order.
+fn labels(events: &[EventRecord]) -> Vec<(u64, String)> {
+    events
+        .iter()
+        .filter_map(|r| match &r.event {
+            Event::NodeLabel { node, label } => Some((*node, label.clone())),
+            _ => None,
+        })
+        .collect()
+}
 
 #[test]
 fn loopback_udp_lecture_completes_and_reconciles_with_simnet() {
     let wmps = Wmps::new();
     let lecture = synthetic_lecture(1, 1, 300_000);
     let file = wmps.publish(&lecture).expect("publish");
+    let students = 32;
 
-    let cfg = LoopbackConfig::default();
-    assert_eq!(cfg.relays, 2);
-    assert_eq!(cfg.clients, 32);
-    let report = serve_loopback_udp(file.clone(), &cfg);
+    let udp_cfg = recorded_tier();
+    let report = serve_loopback_udp(
+        file.clone(),
+        students,
+        7,
+        &udp_cfg,
+        UdpConfig::loopback(),
+        None,
+    )
+    .expect("loopback run");
+    let socket = report.socket.expect("a socket run reports its sockets");
 
     // Outcome gates: everyone finishes, nobody gives up or is shed.
-    assert_eq!(
-        report.abandoned, 0,
-        "no session may be abandoned on loopback: {report:?}"
-    );
-    assert_eq!(
-        report.completed, cfg.clients,
-        "every client must complete: {report:?}"
-    );
-    assert!(report.clients.iter().all(|c| !c.shed));
+    assert_eq!(report.completed_sessions(), students, "{report:?}");
+    assert_eq!(report.hard_failures(), 0, "{report:?}");
+    assert_eq!(report.shed_clients(), 0, "{report:?}");
 
-    // The tier actually did tier work: relays fetched from the origin
-    // and the sockets moved real traffic.
-    assert!(report.relay.segment_fetches > 0, "{:?}", report.relay);
+    // The tier actually did tier work: students were redirected to
+    // relays, the relays fetched from the origin, and the sockets moved
+    // real traffic.
+    let relay = report.relay.expect("relay tier");
+    assert!(relay.metrics.sessions_served > 0, "{relay:?}");
+    assert!(relay.metrics.segment_fetches > 0, "{relay:?}");
     assert!(report.server.segments_served > 0, "{:?}", report.server);
-    assert!(report.transport.frames_sent > 0);
-    assert!(report.transport.frames_received > 0);
-    assert_eq!(report.transport.decode_errors, 0, "{:?}", report.transport);
-    assert_eq!(report.transport.oversize_drops, 0, "{:?}", report.transport);
+    assert!(report.origin_egress_bytes > 0);
+    assert!(socket.transport.frames_sent > 0);
+    assert!(socket.transport.frames_received > 0);
+    assert_eq!(socket.transport.decode_errors, 0, "{:?}", socket.transport);
+    assert_eq!(socket.transport.oversize_drops, 0, "{:?}", socket.transport);
 
     // Reconcile with the simulator: the same file through the same tier
-    // shape must render the same number of samples per student — the
-    // transport must not change *what* plays, only *how* it travels.
+    // shape must give every student the same session — the transport
+    // must not change *what* plays, only *how* it travels.
+    let sim_cfg = recorded_tier();
     let sim = wmps.serve_with_relays(
         file,
         LinkSpec::lan(),
         LinkSpec::lan(),
-        cfg.clients,
+        students,
         7,
-        &RelayTierConfig {
-            relays: cfg.relays,
-            ..RelayTierConfig::default()
-        },
+        &sim_cfg,
     );
-    let sim_samples = sim.clients[0].samples_rendered;
-    assert!(sim_samples > 0);
-    assert!(
-        sim.clients
-            .iter()
-            .all(|c| c.samples_rendered == sim_samples),
-        "simnet baseline must be uniform"
-    );
-    for (i, c) in report.clients.iter().enumerate() {
+    assert!(sim.socket.is_none());
+    let (sim_log, udp_log) = (sim_cfg.recorder.events(), udp_cfg.recorder.events());
+    assert_eq!(labels(&sim_log), labels(&udp_log), "one node layout");
+    for log in [&sim_log, &udp_log] {
+        let causal = check_causal(log);
+        assert!(causal.holds(), "{causal:?}");
+    }
+    let (sim_t, udp_t) = (session_timelines(&sim_log), session_timelines(&udp_log));
+    assert_eq!(sim_t.len(), students);
+    assert_eq!(udp_t.len(), students);
+    for (i, (s, u)) in sim_t.iter().zip(&udp_t).enumerate() {
+        assert_eq!(s.label, u.label);
+        assert_eq!(s.stalls.len(), u.stalls.len(), "student {i} stalls");
+        assert_eq!(s.retries, u.retries, "student {i} retries");
+        assert_eq!(s.busy_bounces, u.busy_bounces, "student {i} bounces");
         assert_eq!(
-            c.samples_rendered, sim_samples,
-            "client {i} rendered {} samples, simnet rendered {sim_samples}",
-            c.samples_rendered
+            s.ended.map(|(_, k)| k),
+            u.ended.map(|(_, k)| k),
+            "student {i} end"
         );
-        assert_eq!(c.samples_lost, 0, "client {i}: {c:?}");
+    }
+    assert!(sim.clients[0].samples_rendered > 0);
+    for (i, (s, u)) in sim.clients.iter().zip(&report.clients).enumerate() {
+        assert_eq!(u.samples_rendered, s.samples_rendered, "student {i}");
+        assert_eq!(u.samples_lost, 0, "student {i}: {u:?}");
     }
 }
 
@@ -81,14 +117,15 @@ fn large_packets_get_smaller_segments_and_play_every_sample() {
     let file = wmps
         .publish(&synthetic_lecture(3, 1, 300_000))
         .expect("publish");
-    let cfg = LoopbackConfig {
+    let cfg = RelayTierConfig {
         relays: 1,
-        clients: 4,
-        ..LoopbackConfig::default()
+        ..RelayTierConfig::default()
     };
-    let report = serve_loopback_udp(file.clone(), &cfg);
-    assert_eq!(report.transport.oversize_drops, 0, "{:?}", report.transport);
-    assert_eq!(report.completed, cfg.clients, "{report:?}");
+    let report = serve_loopback_udp(file.clone(), 4, 7, &cfg, UdpConfig::loopback(), None)
+        .expect("loopback run");
+    let socket = report.socket.expect("socket run");
+    assert_eq!(socket.transport.oversize_drops, 0, "{:?}", socket.transport);
+    assert_eq!(report.completed_sessions(), 4, "{report:?}");
     let sim = wmps.serve_and_replay(file, LinkSpec::lan(), 1, 7);
     assert!(sim.clients[0].samples_rendered > 0);
     for (i, c) in report.clients.iter().enumerate() {
@@ -100,13 +137,72 @@ fn large_packets_get_smaller_segments_and_play_every_sample() {
 }
 
 #[test]
-#[should_panic(expected = "65000-byte packet and the stream header do not fit one 61440-byte")]
 fn packets_no_datagram_can_hold_are_refused() {
     let wmps = Wmps::new().with_packet_size(65_000);
     let file = wmps
         .publish(&synthetic_lecture(3, 1, 300_000))
         .expect("publish");
-    let _ = serve_loopback_udp(file, &LoopbackConfig::default());
+    let udp = UdpConfig::loopback();
+    let err = serve_loopback_udp(file, 4, 7, &RelayTierConfig::default(), udp, None)
+        .expect_err("no datagram holds a 65000-byte packet");
+    assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+    assert!(
+        err.to_string()
+            .contains("65000-byte packet and the stream header do not fit one 61440-byte"),
+        "{err}"
+    );
+}
+
+/// Simnet faults have no socket meaning yet: asking for them is an
+/// error, not a calm run that silently ignored the storm.
+#[test]
+fn a_chaos_spec_is_refused_on_sockets() {
+    let file = Wmps::new()
+        .publish(&synthetic_lecture(1, 1, 300_000))
+        .expect("publish");
+    let cfg = RelayTierConfig {
+        chaos: ChaosSpec {
+            relay_crashes: vec![(10_000_000, u64::MAX, 0)],
+            ..ChaosSpec::default()
+        },
+        ..RelayTierConfig::default()
+    };
+    let err = serve_loopback_udp(file, 4, 7, &cfg, UdpConfig::loopback(), None)
+        .expect_err("chaos is simnet-only");
+    assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+    assert!(err.to_string().contains("fault vocabulary"), "{err}");
+}
+
+/// The warm standby and the overload ladder run on sockets too: a
+/// one-seat-per-relay tier sheds or serves every student, and the
+/// standby replicates without ever being promoted.
+#[test]
+fn overload_and_standby_knobs_work_on_sockets() {
+    let file = Wmps::new()
+        .publish(&synthetic_lecture(1, 1, 300_000))
+        .expect("publish");
+    // One full-rate seat per server, as `wmps serve --max-sessions 1`.
+    let seat = u64::from(file.props.max_bitrate).max(64_000);
+    let admission = AdmissionPolicy::new(1, seat);
+    let cfg = RelayTierConfig {
+        relays: 2,
+        origin_admission: Some(admission),
+        relay_admission: Some(admission),
+        relay_capacity_sessions: Some(1),
+        failover: Some(FailoverConfig {
+            heartbeat_interval: 5_000_000,
+            miss_threshold: 10,
+            checkpoint_every: 10_000_000,
+        }),
+        ..RelayTierConfig::default()
+    };
+    let report =
+        serve_loopback_udp(file, 6, 7, &cfg, UdpConfig::loopback(), None).expect("loopback run");
+    assert_eq!(report.hard_failures(), 0, "{:?}", report.clients);
+    assert!(report.shed_clients() > 0, "{:?}", report.clients);
+    let failover = report.failover.expect("standby armed");
+    assert_eq!(failover.promoted_at, None);
+    assert!(failover.checkpoints_replicated > 0, "{failover:?}");
 }
 
 /// One thread steps every node on a manual clock, so the socket path is
@@ -118,22 +214,26 @@ fn lossy_loopback_runs_are_reproducible() {
     let file = Wmps::new()
         .publish(&synthetic_lecture(1, 1, 300_000))
         .expect("publish");
-    let mut cfg = LoopbackConfig {
-        fault: Some(FaultSpec::loss(16, 120)),
-        client_retry: Some(RetryPolicy::client()),
-        record_events: true,
-        ..LoopbackConfig::default()
+    let run = || {
+        let cfg = RelayTierConfig {
+            client_retry: Some(RetryPolicy::client()),
+            ..recorded_tier()
+        };
+        let udp = UdpConfig::loopback().with_repair(RepairConfig::default());
+        let fault = FaultSpec::loss(16, 120);
+        let report =
+            serve_loopback_udp(file.clone(), 32, 7, &cfg, udp, Some(fault)).expect("loopback run");
+        (report, cfg.recorder.events())
     };
-    cfg.udp = cfg.udp.with_repair(RepairConfig::default());
-    assert_eq!((cfg.relays, cfg.clients), (2, 32));
-    let a = serve_loopback_udp(file.clone(), &cfg);
-    let b = serve_loopback_udp(file, &cfg);
-    assert!(a.transport.faults_dropped > 0 && a.transport.retransmits_sent > 0);
-    assert_eq!(a.completed, cfg.clients, "{:?}", a.clients);
+    let (a, a_log) = run();
+    let (b, b_log) = run();
+    let (sa, sb) = (a.socket.expect("socket run"), b.socket.expect("socket run"));
+    assert!(sa.transport.faults_dropped > 0 && sa.transport.retransmits_sent > 0);
+    assert_eq!(a.completed_sessions(), 32, "{:?}", a.clients);
     assert_eq!(a.clients, b.clients);
-    assert_eq!(a.transport, b.transport);
-    assert_eq!(a.reorder, b.reorder);
-    assert_eq!(a.rerequests, b.rerequests);
-    assert!(!a.events.is_empty());
-    assert_eq!(a.events, b.events);
+    assert_eq!(sa.transport, sb.transport);
+    assert_eq!(sa.reorder, sb.reorder);
+    assert_eq!(a.relay, b.relay);
+    assert!(!a_log.is_empty());
+    assert_eq!(a_log, b_log);
 }

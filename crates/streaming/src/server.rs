@@ -869,13 +869,7 @@ impl StreamingServer {
             .take(seg_pkts)
             .cloned()
             .collect();
-        let header = want_header.then(|| StreamHeader {
-            props: file.props.clone(),
-            streams: file.streams.clone(),
-            script: file.script.clone(),
-            drm: file.drm.clone(),
-            epoch: self.epoch,
-        });
+        let header = want_header.then(|| StreamHeader::of(file, self.epoch));
         let data = SegmentData {
             content: content.to_string(),
             segment,
@@ -985,13 +979,7 @@ impl StreamingServer {
                 )
             };
             (
-                StreamHeader {
-                    props: file.props.clone(),
-                    streams: file.streams.clone(),
-                    script: file.script.clone(),
-                    drm: file.drm.clone(),
-                    epoch: self.epoch,
-                },
+                StreamHeader::of(file, self.epoch),
                 SourceRef::Stored(content.to_string()),
                 file.props.max_bitrate,
                 first_packet,

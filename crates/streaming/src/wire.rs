@@ -1,6 +1,8 @@
 //! Messages exchanged between streaming server and clients.
 
-use lod_asf::{DataPacket, DrmHeader, FileProperties, ScriptCommandList, StreamProperties};
+use lod_asf::{
+    AsfFile, DataPacket, DrmHeader, FileProperties, ScriptCommandList, StreamProperties,
+};
 use lod_obs::TraceCtx;
 use lod_simnet::NodeId;
 use serde::{Deserialize, Serialize};
@@ -23,6 +25,17 @@ pub struct StreamHeader {
 }
 
 impl StreamHeader {
+    /// The header of stored `file`, served at fencing `epoch`.
+    pub fn of(file: &AsfFile, epoch: u64) -> Self {
+        Self {
+            props: file.props.clone(),
+            streams: file.streams.clone(),
+            script: file.script.clone(),
+            drm: file.drm.clone(),
+            epoch,
+        }
+    }
+
     /// Approximate wire size in bytes (for the network simulation).
     pub fn wire_bytes(&self) -> u64 {
         let streams: usize = self.streams.iter().map(|s| 11 + s.name.len()).sum();

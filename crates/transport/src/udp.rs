@@ -99,6 +99,17 @@ impl Default for UdpConfig {
 }
 
 impl UdpConfig {
+    /// The loopback deployment's tuning: the defaults plus real pacing at
+    /// 200 Mbit/s, high enough never to be the bottleneck for a lecture
+    /// but low enough to smooth segment fan-out below the kernel's
+    /// socket-buffer burst size.
+    pub fn loopback() -> Self {
+        Self {
+            pace_rate_bps: 200_000_000,
+            ..Self::default()
+        }
+    }
+
     /// Sets the reorder gap-flush timeout, rejecting a zero that would
     /// skip every gap instantly.
     #[must_use]

@@ -18,8 +18,10 @@
 # bytes" is a check and not a sentence: a plain and a protected lecture at
 # the default sizes, the same pair at 4000-byte packets (payloads past
 # 1400 bytes, other tail lengths), and a protected video-only lecture of
-# short frames. Exits 1 naming every artifact that differs. Offline, like
-# the rest of CI.
+# short frames — plus one relay-tier `wmps serve` of the plain lecture
+# (relays, admission, degradation, a standby, --metrics-out): its stdout,
+# exposition and JSONL log pin the CLI's path into `serve_with_relays`.
+# Exits 1 naming every artifact that differs. Offline, like the rest of CI.
 set -e
 
 base="${1:?usage: scripts/artifact_diff.sh <base-rev>}"
@@ -59,6 +61,10 @@ produce() {
         --packet-size 4000 --license cs101:77 > /dev/null
     "$2/release/wmps" publish "$3/protected_video_only.asf" --duration-secs 20 \
         --audio-kbps 0 --video-kbps 64 --license cs101:77 > /dev/null
+    # Run from inside the output directory so the paths `serve` prints
+    # are the same in both trees.
+    (cd "$3" && "$2/release/wmps" serve plain.asf --students 8 --relays 2 \
+        --max-sessions 3 --degrade on --standby --metrics-out serve.prom > serve.txt)
 }
 
 echo "artifact_diff: building and running $base ($rev)"
@@ -69,7 +75,8 @@ produce "$root" "${CARGO_TARGET_DIR:-$root/target}" "$work/head"
 status=0
 for f in q9.json q10.json q11.json q11.jsonl q11.prom q12.json q12.jsonl q12.prom \
     q16.json q17.jsonl q5_scale.txt q6_classroom.txt q8_relay.txt plain.asf protected.asf \
-    plain_4000.asf protected_4000.asf protected_video_only.asf; do
+    plain_4000.asf protected_4000.asf protected_video_only.asf \
+    serve.txt serve.prom serve.prom.jsonl; do
     if cmp -s "$work/base/$f" "$work/head/$f"; then
         echo "identical  $f"
     else

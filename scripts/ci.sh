@@ -131,18 +131,19 @@ echo "===== loopback UDP determinism (two runs, byte-identical event logs) =====
 # The socket path is stepped by the same driver on the same manual clock
 # as simnet, so — while the kernel drops nothing — two processes serving
 # the same lossy, repaired 35-node deployment over real 127.0.0.1 sockets
-# must log the same events in the same order and print the same counters
-# (everything but the wall time).
+# must log the same events in the same order, write the same metrics
+# exposition and print the same counters (everything but the wall time).
 cargo run -q --offline --release -p lod-cli --bin wmps -- \
     publish "$tmpdir/udp.asf" --duration-secs 60 --slides 4 > /dev/null
 for run in a b; do
     cargo run -q --offline --release -p lod-cli --bin wmps -- \
         serve "$tmpdir/udp.asf" --transport udp --students 32 --relays 2 \
-        --repair on --loss-permille 120 --events-out "$tmpdir/udp.jsonl" \
+        --repair on --loss-permille 120 --metrics-out "$tmpdir/udp.prom" \
         | sed 's/, wall [0-9.]*s$//' > "$tmpdir/udp_$run.txt"
-    mv "$tmpdir/udp.jsonl" "$tmpdir/udp_$run.jsonl"
+    mv "$tmpdir/udp.prom" "$tmpdir/udp_$run.prom"
+    mv "$tmpdir/udp.prom.jsonl" "$tmpdir/udp_$run.jsonl"
 done
-for ext in txt jsonl; do
+for ext in txt jsonl prom; do
     if ! cmp -s "$tmpdir/udp_a.$ext" "$tmpdir/udp_b.$ext"; then
         echo "FAIL: two lossy loopback UDP runs diverged in .$ext (nondeterminism crept in)"
         diff "$tmpdir/udp_a.$ext" "$tmpdir/udp_b.$ext" | head -20
@@ -151,7 +152,7 @@ for ext in txt jsonl; do
 done
 grep -q "32/32 completed, 0 abandoned" "$tmpdir/udp_a.txt" || {
     echo "FAIL: the lossy loopback deployment did not complete"; cat "$tmpdir/udp_a.txt"; exit 1; }
-echo "event logs and counters identical"
+echo "event logs, expositions and counters identical"
 
 if [ -n "${ARTIFACT_BASE:-}" ]; then
     echo "===== artifacts vs $ARTIFACT_BASE (byte-identical before and after) ====="
