@@ -30,7 +30,7 @@
 
 use std::fmt::Write as _;
 
-use lod_simnet::{FaultPlan, NodeId};
+use lod_simnet::{FaultInjector, FaultPlan, NodeId};
 use lod_transport::{
     decode_frame, encode_frame, encode_frame_with_flags, mark_retransmit, ControlFrame,
     FaultAction, FaultEngine, FaultSpec, ReorderBuffer, RepairConfig, RepairRx, RepairTx,
@@ -122,7 +122,7 @@ impl WireDir {
             });
             *next_id += 1;
         };
-        match self.engine.action(now, self.src, self.dst) {
+        match self.engine.action(self.src, self.dst) {
             FaultAction::Drop => self.dropped += 1,
             FaultAction::Deliver => {
                 let mut id = self.next_id;
@@ -177,8 +177,9 @@ impl WireDir {
     }
 }
 
-/// The fault profile of the data direction (sender → receiver).
-fn data_spec(p: &Profile) -> FaultSpec {
+/// The fault profile of the data direction (sender → receiver), and
+/// the burst scheduled on it.
+fn data_faults(p: &Profile) -> (FaultSpec, FaultPlan) {
     let sender = NodeId::from_index(0);
     let receiver = NodeId::from_index(1);
     let mut spec = FaultSpec {
@@ -186,15 +187,16 @@ fn data_spec(p: &Profile) -> FaultSpec {
         loss_permille: p.loss_permille,
         ..FaultSpec::default()
     };
+    let mut plan = FaultPlan::new();
     if p.chaos_extras {
         spec.dup_permille = 10;
         spec.delay_permille = 30;
         spec.delay_ticks = 5_000;
         // A near-total burst long enough to exhaust retry budgets:
         // originals and their retransmits both die inside the window.
-        spec.plan = FaultPlan::new().loss_burst(400_000, 60_000, sender, receiver, 0.999);
+        plan = plan.loss_burst(400_000, 60_000, sender, receiver, 999);
     }
-    spec
+    (spec, plan)
 }
 
 /// The fault profile of the control direction (receiver → sender):
@@ -212,7 +214,9 @@ fn control_spec(p: &Profile) -> FaultSpec {
 fn run_drill(p: &Profile, repair: Option<RepairConfig>) -> DrillOut {
     let sender = NodeId::from_index(0);
     let receiver = NodeId::from_index(1);
-    let mut s2r = WireDir::new(data_spec(p), sender, receiver);
+    let (spec, plan) = data_faults(p);
+    let mut s2r = WireDir::new(spec, sender, receiver);
+    let mut burst = FaultInjector::new(plan);
     let mut r2s = WireDir::new(control_spec(p), receiver, sender);
 
     let mut tx = repair.map(RepairTx::new);
@@ -234,6 +238,7 @@ fn run_drill(p: &Profile, repair: Option<RepairConfig>) -> DrillOut {
     let mut now = 0;
     while now < MAX_TICKS {
         now += STEP;
+        burst.poll(&mut s2r.engine, now);
 
         // Sender: one data frame per step until the lecture is shipped.
         if next_seq <= N_FRAMES {

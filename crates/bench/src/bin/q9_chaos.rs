@@ -40,7 +40,7 @@ fn scenarios() -> Vec<Scenario> {
             name: "mild",
             // A 2% brownout on every access link mid-lecture.
             chaos: ChaosSpec {
-                access_loss_bursts: vec![(10 * SECOND, 15 * SECOND, 0.02)],
+                access_loss_bursts: vec![(10 * SECOND, 15 * SECOND, 20)],
                 ..ChaosSpec::default()
             },
         },
@@ -48,7 +48,7 @@ fn scenarios() -> Vec<Scenario> {
             name: "moderate",
             // 5% brownout plus one relay crashing for good.
             chaos: ChaosSpec {
-                access_loss_bursts: vec![(10 * SECOND, 15 * SECOND, 0.05)],
+                access_loss_bursts: vec![(10 * SECOND, 15 * SECOND, 50)],
                 relay_crashes: vec![(20 * SECOND, u64::MAX, 0)],
                 ..ChaosSpec::default()
             },
@@ -58,7 +58,7 @@ fn scenarios() -> Vec<Scenario> {
             // The acceptance storm: 5% loss burst, one relay crash, a
             // 2 s uplink partition, and two students' cables yanked.
             chaos: ChaosSpec {
-                access_loss_bursts: vec![(10 * SECOND, 15 * SECOND, 0.05)],
+                access_loss_bursts: vec![(10 * SECOND, 15 * SECOND, 50)],
                 relay_crashes: vec![(20 * SECOND, u64::MAX, 0)],
                 uplink_partitions: vec![(30 * SECOND, 2 * SECOND)],
                 access_flaps: vec![(12 * SECOND, 3 * SECOND / 2, 7), (35 * SECOND, SECOND, 21)],

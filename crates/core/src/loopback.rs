@@ -2,9 +2,12 @@
 //!
 //! [`serve_loopback_udp`] is [`crate::Wmps::serve_with_relays`] with
 //! every node on its own `127.0.0.1` [`UdpTransport`]: the same builder,
-//! config, node ids, labels, tier driver and report, plus the socket
-//! counters. Every byte crosses a real socket through the real frame
-//! codec, pacer, reorder buffer, repair sublayer and fault engine.
+//! config, node ids, labels, chaos step, tier driver and report, plus the
+//! socket counters. Every byte crosses a real socket through the real
+//! frame codec, pacer, reorder buffer, repair sublayer and fault engine.
+//! A [`crate::ChaosSpec`] storm runs here as it does on simnet: the same
+//! injector strikes and heals the same faults, and each node's egress
+//! fault engine drops, or delays, the datagrams they cover.
 //!
 //! One thread steps every node on the driver's manual clock (100 ms of
 //! lecture time per step); nothing sleeps or reads the wall clock. While
@@ -22,7 +25,9 @@ use lod_streaming::wire::{StreamHeader, Wire};
 use lod_transport::{FaultSpec, ReorderStats, TransportStats, UdpConfig, UdpTransport, WireCodec};
 
 use crate::tier::Sockets;
-use crate::wmps::{relay_tier, session_report, vod_horizon, RelayTierConfig, WmpsReport};
+use crate::wmps::{
+    relay_tier, run_relay_tier, session_report, vod_horizon, RelayTierConfig, WmpsReport,
+};
 
 /// What only a run on sockets has to say.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,14 +60,16 @@ fn segment_packets(file: &AsfFile, max_frame_bytes: usize) -> usize {
 /// router, relays, students, then the standby); the router's socket
 /// stays silent, since on loopback the kernel routes. `udp` tunes every
 /// socket; `fault` is seeded egress fault injection at every node but the
-/// students (the media direction, where loss hurts playback).
+/// students (the media direction, where loss hurts playback). A non-empty
+/// `cfg.chaos` gives every node an egress fault stage to strike, the
+/// students' with no steady rates.
 ///
 /// # Errors
 ///
 /// [`ErrorKind::InvalidInput`] when `file`'s packets cannot share a
 /// datagram with the stream header (every segment would be dropped as
-/// oversize) or when `cfg.chaos` schedules anything (its faults are
-/// simnet links and nodes); any error setting up a localhost socket.
+/// oversize) or when `cfg.chaos` kills the origin without
+/// `cfg.failover`; any error setting up a localhost socket.
 pub fn serve_loopback_udp(
     file: AsfFile,
     n_clients: usize,
@@ -72,12 +79,8 @@ pub fn serve_loopback_udp(
     fault: Option<FaultSpec>,
 ) -> io::Result<WmpsReport> {
     let refuse = |msg: String| Err(io::Error::new(ErrorKind::InvalidInput, msg));
-    if !cfg.chaos.is_empty() {
-        return refuse(
-            "a ChaosSpec does not run on sockets: use the egress FaultSpec until both \
-             fabrics share one fault vocabulary (ROADMAP open item 1)"
-                .into(),
-        );
+    if let Err(why) = cfg.check() {
+        return refuse(why.into());
     }
     let segment_packets = segment_packets(&file, udp.max_frame_bytes);
     if segment_packets == 0 {
@@ -115,10 +118,10 @@ pub fn serve_loopback_udp(
                 t.register_peer(node(peer), addr);
             }
         }
+        let student = (first_student..n_nodes).contains(&i);
         match &fault {
-            Some(spec) if !(first_student..n_nodes).contains(&i) => {
-                t.set_egress_faults(spec.clone());
-            }
+            Some(spec) if !student => t.set_egress_faults(spec.clone()),
+            _ if !cfg.chaos.is_empty() => t.set_egress_faults(FaultSpec::loss(seed, 0)),
             _ => {}
         }
         t.set_manual_now(0);
@@ -126,7 +129,7 @@ pub fn serve_loopback_udp(
     }
     let (fabric, packets) = (Sockets(transports), Some(segment_packets as u32));
     let mut tier = relay_tier(fabric, &tree, standby, file, seed, cfg, packets);
-    tier.run(horizon, |_, _| true);
+    run_relay_tier(&mut tier, &tree, cfg, horizon);
 
     let mut report = session_report(&tier, tier.ledger.last_wall_time());
     let mut transport = TransportStats::default();

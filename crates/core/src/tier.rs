@@ -17,7 +17,7 @@
 
 use lod_obs::{Event, Recorder};
 use lod_relay::{HeartbeatMonitor, RedirectManager, RelayNode};
-use lod_simnet::{Delivery, Network, NodeId};
+use lod_simnet::{Delivery, Fault, FaultTarget, Network, NodeId};
 use lod_streaming::{ClientState, SessionLedger, StreamingClient, StreamingServer, Wire};
 use lod_transport::UdpTransport;
 
@@ -85,6 +85,22 @@ impl Fabric for Sockets {
 
     fn egress_bytes(&self, node: NodeId) -> u64 {
         self.0[node.index()].stats().bytes_sent
+    }
+}
+
+/// A fault strikes every node's egress fault stage: each rules on its own
+/// datagrams, so between them they cover every datagram a fault names.
+impl FaultTarget for Sockets {
+    fn strike(&mut self, fault: Fault) {
+        for t in &mut self.0 {
+            t.strike(fault);
+        }
+    }
+
+    fn heal(&mut self, fault: Fault) {
+        for t in &mut self.0 {
+            t.heal(fault);
+        }
     }
 }
 

@@ -14,7 +14,7 @@ use lod_relay::{
     CacheStats, FailoverConfig, HeartbeatMonitor, RedirectManager, RelayMetrics, RelayNode,
 };
 use lod_simnet::{
-    relay_tree, Fault, FaultInjector, FaultPlan, LinkSpec, Network, NodeId, RelayTree,
+    relay_tree, Fault, FaultInjector, FaultPlan, FaultTarget, LinkSpec, Network, NodeId, RelayTree,
 };
 use lod_streaming::{
     AdmissionPolicy, BreakerPolicy, ClientMetrics, DegradePolicy, LiveFeed, RetryPolicy,
@@ -405,15 +405,17 @@ pub(crate) fn relay_tier<F: Fabric>(
     tier
 }
 
-/// A scripted fault storm for [`Wmps::serve_with_relays`], written in
-/// terms of *roles* (student i, relay j, the uplink) rather than
-/// [`lod_simnet::NodeId`]s, because the network is built inside the call.
+/// A scripted fault storm for the relay tier on either fabric
+/// ([`Wmps::serve_with_relays`], [`crate::serve_loopback_udp`]), written
+/// in terms of *roles* (student i, relay j, the uplink) rather than
+/// [`lod_simnet::NodeId`]s, because the nodes are built inside the call.
 /// Resolved against the concrete topology into a [`FaultPlan`].
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ChaosSpec {
-    /// `(at, duration, loss)` — every student's access link degrades to
-    /// the given loss rate for the window (the campus wifi brownout).
-    pub access_loss_bursts: Vec<(u64, u64, f64)>,
+    /// `(at, duration, loss_permille)` — every student's access link
+    /// degrades to the given loss for the window (the campus wifi
+    /// brownout).
+    pub access_loss_bursts: Vec<(u64, u64, u16)>,
     /// `(at, duration, student)` — one student's access link goes fully
     /// dark (cable yanked); their client must ride it out and resume.
     pub access_flaps: Vec<(u64, u64, usize)>,
@@ -470,6 +472,55 @@ impl ChaosSpec {
         }
         plan
     }
+}
+
+impl RelayTierConfig {
+    /// Why the tier cannot be deployed, on either fabric: killing the
+    /// origin without a standby is a configuration error, not a drill.
+    pub(crate) fn check(&self) -> Result<(), &'static str> {
+        if self.chaos.origin_down.is_empty() || self.failover.is_some() {
+            return Ok(());
+        }
+        Err(
+            "ChaosSpec::origin_down requires RelayTierConfig::failover: \
+             arm a FailoverConfig so a warm standby exists to take over",
+        )
+    }
+}
+
+/// Runs a tier [`relay_tier`] built for `tree` to `horizon` under
+/// `cfg.chaos`, on either fabric: the injector strikes and heals the
+/// storm on the fabric before every step, a crashed relay has its
+/// students re-homed, and a crashed origin loses its volatile sessions.
+pub(crate) fn run_relay_tier<F: Fabric + FaultTarget>(
+    tier: &mut Tier<F>,
+    tree: &RelayTree,
+    cfg: &RelayTierConfig,
+    horizon: u64,
+) {
+    let mut injector =
+        FaultInjector::new(cfg.chaos.resolve(tree)).with_recorder(cfg.recorder.clone());
+    tier.run(horizon, |tier, now| {
+        for fault in injector.poll(&mut tier.fabric, now) {
+            tier.faults_applied += 1;
+            // A crashed relay strands its students until the redirect
+            // manager re-homes them; the wire is already dark, so the
+            // redirects ride out from the (healthy) front server.
+            if let Fault::NodeDown { node } = fault {
+                if tree.relays.contains(&node) {
+                    let redirect = tier.redirect.as_mut().expect("relay tiers redirect");
+                    let front = tier.fabric.net(redirect.origin());
+                    tier.reattached += redirect.fail_relay(front, node).len();
+                } else if node == tree.origin {
+                    // The crash wipes the origin's volatile session
+                    // state; only the journal already replicated to the
+                    // standby survives it.
+                    tier.origin.crash();
+                }
+            }
+        }
+        true
+    });
 }
 
 /// Configuration of the edge-relay tier, on simnet
@@ -645,13 +696,9 @@ impl Wmps {
         seed: u64,
         cfg: &RelayTierConfig,
     ) -> WmpsReport {
-        // Killing the origin without a standby is a configuration error,
-        // not a drill: refuse it before anything is built.
-        assert!(
-            cfg.chaos.origin_down.is_empty() || cfg.failover.is_some(),
-            "ChaosSpec::origin_down requires RelayTierConfig::failover: \
-             arm a FailoverConfig so a warm standby exists to take over"
-        );
+        if let Err(why) = cfg.check() {
+            panic!("{why}");
+        }
         let horizon = vod_horizon(file.props.play_duration);
         let mut net: Network<Wire> = Network::new(seed);
         let tree = relay_tree(
@@ -675,28 +722,7 @@ impl Wmps {
             sb
         });
         let mut tier = relay_tier(net, &tree, standby, file, seed, cfg, None);
-        let mut injector =
-            FaultInjector::new(cfg.chaos.resolve(&tree)).with_recorder(cfg.recorder.clone());
-        tier.run(horizon, |tier, now| {
-            for fault in injector.poll(&mut tier.fabric, now) {
-                tier.faults_applied += 1;
-                // A crashed relay strands its students until the redirect
-                // manager re-homes them; the wire is already dark, so the
-                // redirects ride out through the (healthy) origin links.
-                if let Fault::NodeDown { node } = fault {
-                    if tree.relays.contains(&node) {
-                        let redirect = tier.redirect.as_mut().expect("relay tiers redirect");
-                        tier.reattached += redirect.fail_relay(&mut tier.fabric, node).len();
-                    } else if node == tree.origin {
-                        // The crash wipes the origin's volatile session
-                        // state; only the journal already replicated to
-                        // the standby survives it.
-                        tier.origin.crash();
-                    }
-                }
-            }
-            true
-        });
+        run_relay_tier(&mut tier, &tree, cfg, horizon);
         session_report(&tier, tier.ledger.last_wall_time())
     }
 
@@ -1152,7 +1178,7 @@ mod tests {
         let cfg = RelayTierConfig {
             relays: 2,
             chaos: ChaosSpec {
-                access_loss_bursts: vec![(2 * second, 5 * second, 0.05)],
+                access_loss_bursts: vec![(2 * second, 5 * second, 50)],
                 relay_crashes: vec![(5 * second, u64::MAX, 0)],
                 ..ChaosSpec::default()
             },

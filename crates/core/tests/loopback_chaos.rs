@@ -1,8 +1,8 @@
 //! The lossy-chaos drill: the loopback deployment (origin + 2 relays +
 //! 32 clients on real localhost UDP sockets) under seeded fault
 //! injection — ~10% steady datagram loss on the media direction plus a
-//! burst-loss window on the origin → relay trunks — run twice, with
-//! transport repair off and on.
+//! `ChaosSpec` burst-loss window on every student's access link — run
+//! twice, with transport repair off and on.
 //!
 //! What it proves:
 //!
@@ -16,33 +16,28 @@
 //!   budget, and gaps are skipped only after the budget is exhausted.
 
 use lod_core::{
-    serve_loopback_udp, synthetic_lecture, Recorder, RelayTierConfig, UdpConfig, Wmps, WmpsReport,
+    serve_loopback_udp, synthetic_lecture, ChaosSpec, Recorder, RelayTierConfig, UdpConfig, Wmps,
+    WmpsReport,
 };
 use lod_obs::{check_causal, EventRecord};
-use lod_simnet::{FaultPlan, NodeId};
 use lod_streaming::RetryPolicy;
 use lod_transport::{FaultSpec, RepairConfig};
 
 /// Ticks per simulated second (1 tick = 100 ns).
 const SECOND: u64 = 10_000_000;
 
-/// The chaos profile both runs share: 10% steady loss on every egress
-/// datagram of the origin and relay tiers, with a 35% burst on the
-/// origin ↔ relay trunks between simulated seconds 5 and 15. The
-/// deployment lays nodes out as `relay_tree` does: origin 0, router 1,
-/// relays 2 and 3.
-fn chaos() -> FaultSpec {
-    let origin = NodeId::from_index(0);
-    let relays = [NodeId::from_index(2), NodeId::from_index(3)];
-    let mut plan = FaultPlan::new();
-    for relay in relays {
-        plan = plan.loss_burst(5 * SECOND, 10 * SECOND, origin, relay, 0.35);
-    }
-    FaultSpec {
-        seed: 16,
-        loss_permille: 120,
-        plan,
-        ..FaultSpec::default()
+/// The steady loss both runs share: 12% on every egress datagram of the
+/// origin and relay tiers.
+fn steady_loss() -> FaultSpec {
+    FaultSpec::loss(16, 120)
+}
+
+/// The storm both runs share: a 35% burst on every student's access link
+/// between simulated seconds 5 and 15.
+fn storm() -> ChaosSpec {
+    ChaosSpec {
+        access_loss_bursts: vec![(5 * SECOND, 10 * SECOND, 350)],
+        ..ChaosSpec::default()
     }
 }
 
@@ -66,17 +61,18 @@ fn rerequests(report: &WmpsReport) -> u64 {
     report.clients.iter().map(|c| c.retries).sum::<u64>() + relay
 }
 
-/// Serves `file` to 32 students through 2 relays under [`chaos`], with
-/// [`app_retry`] armed and every event recorded.
+/// Serves `file` to 32 students through 2 relays under [`steady_loss`]
+/// and [`storm`], with [`app_retry`] armed and every event recorded.
 fn run(file: &lod_asf::AsfFile, udp: UdpConfig) -> (WmpsReport, Vec<EventRecord>) {
     let cfg = RelayTierConfig {
         relays: 2,
+        chaos: storm(),
         client_retry: Some(app_retry()),
         recorder: Recorder::new(),
         ..RelayTierConfig::default()
     };
-    let report =
-        serve_loopback_udp(file.clone(), 32, 7, &cfg, udp, Some(chaos())).expect("loopback run");
+    let report = serve_loopback_udp(file.clone(), 32, 7, &cfg, udp, Some(steady_loss()))
+        .expect("loopback run");
     (report, cfg.recorder.events())
 }
 

@@ -153,24 +153,173 @@ fn packets_no_datagram_can_hold_are_refused() {
     );
 }
 
-/// Simnet faults have no socket meaning yet: asking for them is an
-/// error, not a calm run that silently ignored the storm.
+/// Ticks per simulated second (1 tick = 100 ns).
+const SECOND: u64 = 10_000_000;
+
+/// Q9's "severe" storm, sized for 16 students: a 5% brownout on every
+/// access link, relay0 dead for good, a 2 s uplink partition and two
+/// yanked cables.
+fn severe_storm() -> RelayTierConfig {
+    RelayTierConfig {
+        chaos: ChaosSpec {
+            access_loss_bursts: vec![(10 * SECOND, 15 * SECOND, 50)],
+            relay_crashes: vec![(20 * SECOND, u64::MAX, 0)],
+            uplink_partitions: vec![(30 * SECOND, 2 * SECOND)],
+            access_flaps: vec![(12 * SECOND, 3 * SECOND / 2, 7), (35 * SECOND, SECOND, 13)],
+            ..ChaosSpec::default()
+        },
+        client_retry: Some(RetryPolicy::client()),
+        idle_timeout: Some(120 * SECOND),
+        ..recorded_tier()
+    }
+}
+
+/// The socket tuning for a storm: a brownout drops datagrams whatever
+/// their flag, so the redirect that re-homes a crashed relay's student
+/// needs the repair sublayer to be as reliable as simnet's reliable send.
+fn storm_udp() -> UdpConfig {
+    UdpConfig::loopback().with_repair(RepairConfig::default())
+}
+
+/// Every `(struck, fault, a, b)` a log names, in emission order.
+fn faults(events: &[EventRecord]) -> Vec<(bool, String, u64, u64)> {
+    events
+        .iter()
+        .filter_map(|r| match &r.event {
+            Event::FaultStrike { fault, a, b, .. } => Some((true, fault.clone(), *a, *b)),
+            Event::FaultHeal { fault, a, b } => Some((false, fault.clone(), *a, *b)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The relay-kill drill runs on sockets with no drill-specific wiring:
+/// one seeded storm strikes the same faults on both fabrics, re-homes the
+/// same students and ends every session the same way.
 #[test]
-fn a_chaos_spec_is_refused_on_sockets() {
+fn the_severe_storm_runs_alike_on_both_fabrics() {
+    let wmps = Wmps::new();
+    let file = wmps
+        .publish(&synthetic_lecture(1, 1, 300_000))
+        .expect("publish");
+    let students = 16;
+    let sim_cfg = severe_storm();
+    let sim = wmps.serve_with_relays(
+        file.clone(),
+        LinkSpec::lan(),
+        LinkSpec::lan(),
+        students,
+        7,
+        &sim_cfg,
+    );
+    let udp_cfg = severe_storm();
+    let udp =
+        serve_loopback_udp(file, students, 7, &udp_cfg, storm_udp(), None).expect("loopback run");
+
+    // 16 access bursts, one relay crash, one partition, two flaps.
+    assert_eq!(sim.faults_applied, 20);
+    assert_eq!(udp.faults_applied, sim.faults_applied);
+    let (sim_relay, udp_relay) = (
+        sim.relay.expect("relay tier"),
+        udp.relay.expect("relay tier"),
+    );
+    assert!(sim_relay.reattached > 0);
+    assert_eq!(udp_relay.reattached, sim_relay.reattached);
+    let (sim_log, udp_log) = (sim_cfg.recorder.events(), udp_cfg.recorder.events());
+    assert_eq!(faults(&udp_log), faults(&sim_log));
+    for log in [&sim_log, &udp_log] {
+        let causal = check_causal(log);
+        assert!(causal.holds(), "{causal:?}");
+    }
+    let (sim_t, udp_t) = (session_timelines(&sim_log), session_timelines(&udp_log));
+    assert_eq!(udp_t.len(), students);
+    for (i, (s, u)) in sim_t.iter().zip(&udp_t).enumerate() {
+        assert_eq!(
+            s.ended.map(|(_, k)| k),
+            u.ended.map(|(_, k)| k),
+            "student {i} end"
+        );
+    }
+    assert_eq!(udp.completed_sessions(), students, "{:?}", udp.clients);
+    let socket = udp.socket.expect("socket run").transport;
+    assert!(socket.faults_dropped > 0, "{socket:?}");
+}
+
+/// The storm on sockets is as reproducible as the calm: two runs log
+/// byte-identical events.
+#[test]
+fn the_severe_storm_replays_byte_identically_on_sockets() {
+    let file = Wmps::new()
+        .publish(&synthetic_lecture(1, 1, 300_000))
+        .expect("publish");
+    let run = || {
+        let cfg = severe_storm();
+        let report =
+            serve_loopback_udp(file.clone(), 16, 7, &cfg, storm_udp(), None).expect("loopback run");
+        (report, cfg.recorder.to_jsonl())
+    };
+    let (a, a_log) = run();
+    let (b, b_log) = run();
+    assert_eq!(a.clients, b.clients);
+    assert_eq!(a.relay, b.relay);
+    assert!(!a_log.is_empty());
+    assert!(a_log == b_log, "two storm runs logged different events");
+}
+
+/// The origin-kill drill on sockets: the origin dies for good 10 s in,
+/// the warm standby is promoted, and every student finishes with no
+/// stale-epoch reply crossing the fence.
+#[test]
+fn an_origin_kill_fails_over_on_sockets() {
+    let file = Wmps::new()
+        .publish(&synthetic_lecture(1, 1, 300_000))
+        .expect("publish");
+    // One seat per relay: two students stream via relays, two via the
+    // origin itself — the sessions a failover must migrate.
+    let cfg = RelayTierConfig {
+        relay_capacity_sessions: Some(1),
+        client_retry: Some(RetryPolicy::client()),
+        chaos: ChaosSpec {
+            origin_down: vec![(10 * SECOND, u64::MAX)],
+            ..ChaosSpec::default()
+        },
+        failover: Some(FailoverConfig::default()),
+        ..recorded_tier()
+    };
+    let report =
+        serve_loopback_udp(file, 4, 3, &cfg, UdpConfig::loopback(), None).expect("loopback run");
+    assert_eq!(report.completed_sessions(), 4, "{:?}", report.clients);
+    let fo = report.failover.expect("failover tier ran");
+    assert!(fo.promoted_at.is_some(), "the standby must be promoted");
+    assert!(fo.sessions_migrated >= 2, "{fo:?}");
+    assert_eq!(fo.stale_epoch_replies, 0, "fencing must hold: {fo:?}");
+    let causal = check_causal(&cfg.recorder.events());
+    assert!(causal.holds(), "{causal:?}");
+    assert_eq!(causal.promotions, 1);
+}
+
+/// Killing the origin with no standby to take over is refused on sockets
+/// as on simnet — here as an error rather than a panic.
+#[test]
+fn an_origin_kill_without_a_standby_is_refused_on_sockets() {
     let file = Wmps::new()
         .publish(&synthetic_lecture(1, 1, 300_000))
         .expect("publish");
     let cfg = RelayTierConfig {
         chaos: ChaosSpec {
-            relay_crashes: vec![(10_000_000, u64::MAX, 0)],
+            origin_down: vec![(SECOND, u64::MAX)],
             ..ChaosSpec::default()
         },
         ..RelayTierConfig::default()
     };
     let err = serve_loopback_udp(file, 4, 7, &cfg, UdpConfig::loopback(), None)
-        .expect_err("chaos is simnet-only");
+        .expect_err("no standby to promote");
     assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
-    assert!(err.to_string().contains("fault vocabulary"), "{err}");
+    assert!(
+        err.to_string()
+            .contains("requires RelayTierConfig::failover"),
+        "{err}"
+    );
 }
 
 /// The warm standby and the overload ladder run on sockets too: a

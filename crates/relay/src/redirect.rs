@@ -47,6 +47,12 @@ impl RedirectManager {
         self
     }
 
+    /// The server fronting the fleet: the origin, or the standby it was
+    /// re-fronted at.
+    pub fn origin(&self) -> NodeId {
+        self.origin
+    }
+
     /// Relays still in service.
     pub fn healthy_relays(&self) -> impl Iterator<Item = NodeId> + '_ {
         self.relays

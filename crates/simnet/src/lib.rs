@@ -7,13 +7,12 @@
 //! * [`Network`] — nodes connected by unidirectional [`LinkSpec`] links
 //!   with bandwidth (serialization delay), propagation delay, bounded
 //!   uniform jitter and Bernoulli loss, all driven by one seeded RNG.
-//! * [`fault`] — seeded, scheduled fault injection ([`FaultPlan`] /
-//!   [`FaultInjector`]): link flaps, loss bursts, latency spikes, node
-//!   crashes and partitions, replayed deterministically with a per-fault
-//!   strike/heal trace.
+//! * [`fault`] — the one fault vocabulary and scheduler of every fabric
+//!   ([`FaultPlan`] / [`FaultInjector`] / [`FaultTarget`]): link flaps,
+//!   loss bursts, latency spikes and node crashes, struck and healed
+//!   deterministically and composed by one rule ([`ActiveFaults`]).
 //! * [`flow`] — token-bucket flow control, the "fit on a network's
 //!   available bandwidth" knob.
-//! * [`multicast`] — sender-side fan-out groups for live broadcast.
 //! * [`trace`] — per-link counters (bytes, packets, drops) for the
 //!   experiment tables.
 //!
@@ -40,15 +39,15 @@
 pub mod fault;
 pub mod flow;
 pub mod link;
-pub mod multicast;
 pub mod network;
 pub mod topology;
 pub mod trace;
 
-pub use fault::{Fault, FaultEvent, FaultInjector, FaultPhase, FaultPlan, FaultTrace};
+pub use fault::{
+    ActiveFaults, Fault, FaultEvent, FaultInjector, FaultPlan, FaultTarget, PathFaults,
+};
 pub use flow::TokenBucket;
 pub use link::LinkSpec;
-pub use multicast::{FanOut, MulticastGroup};
 pub use network::{Delivery, Network, NetworkError, NodeId};
 pub use topology::{relay_tree, RelayTree};
-pub use trace::{LinkLoadSampler, LinkStats};
+pub use trace::LinkStats;

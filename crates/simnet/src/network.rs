@@ -10,6 +10,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::fault::{ActiveFaults, Fault, FaultTarget, PathFaults};
 use crate::link::LinkSpec;
 use crate::trace::LinkStats;
 
@@ -211,6 +212,10 @@ pub struct Network<M> {
     in_flight: BinaryHeap<Reverse<Hop>>,
     payloads: Slab<InFlight<M>>,
     rng: SmallRng,
+    /// Faults struck on this network and not yet healed.
+    faults: ActiveFaults,
+    /// Every link an active fault covers, as it was before the first.
+    unfaulted: PairMap<(LinkSpec, bool)>,
 }
 
 impl<M> Network<M> {
@@ -225,6 +230,8 @@ impl<M> Network<M> {
             in_flight: BinaryHeap::new(),
             payloads: Slab::new(),
             rng: SmallRng::seed_from_u64(seed),
+            faults: ActiveFaults::default(),
+            unfaulted: PairMap::default(),
         }
     }
 
@@ -558,6 +565,53 @@ impl<M> Network<M> {
     #[cfg(test)]
     fn payloads_held(&self) -> usize {
         self.payloads.len()
+    }
+
+    /// Re-derives every link `fault` covers from its unfaulted state and
+    /// the faults still in force on it.
+    fn recompose(&mut self, fault: Fault) {
+        let links = match fault {
+            Fault::NodeDown { node } => self.links_of(node),
+            _ => {
+                let (a, b) = fault.ends();
+                vec![(a, b), (b, a)]
+            }
+        };
+        for (src, dst) in links {
+            let key = (src.0, dst.0);
+            let Some(link) = self.links.get_mut(&key) else {
+                continue;
+            };
+            let (spec, up) = *self.unfaulted.entry(key).or_insert((link.spec, link.up));
+            let path = self.faults.compose(|f| f.covers_link(src, dst));
+            if path == PathFaults::default() {
+                self.unfaulted.remove(&key);
+            }
+            link.up = up && !path.down;
+            link.spec = LinkSpec {
+                loss: path
+                    .loss_permille
+                    .map_or(spec.loss, |p| f64::from(p) / 1000.0),
+                delay_ticks: spec.delay_ticks.saturating_add(path.extra_ticks),
+                ..spec
+            };
+        }
+    }
+}
+
+/// Simnet applies a fault to the links it covers, by the composition rule
+/// of [`ActiveFaults::compose`]: a link is down while any covering fault
+/// is, loses what the largest burst loses (its own loss otherwise), and
+/// is delayed by its own delay plus every spike.
+impl<M> FaultTarget for Network<M> {
+    fn strike(&mut self, fault: Fault) {
+        self.faults.strike(fault);
+        self.recompose(fault);
+    }
+
+    fn heal(&mut self, fault: Fault) {
+        self.faults.heal(fault);
+        self.recompose(fault);
     }
 }
 

@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::network::{Network, NodeId};
-
 /// Counters accumulated by one link.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LinkStats {
@@ -55,59 +53,9 @@ impl LinkStats {
     }
 }
 
-/// Samples the utilization of one link over time: each call to
-/// [`LinkLoadSampler::sample`] returns the mean offered load (bit/s,
-/// integer) since the previous call, from the link's `bytes_sent`
-/// counter. Integer arithmetic only, so seeded experiment reports stay
-/// byte-identical.
-#[derive(Debug, Clone, Copy)]
-pub struct LinkLoadSampler {
-    src: NodeId,
-    dst: NodeId,
-    last_bytes: u64,
-    last_at: u64,
-}
-
-impl LinkLoadSampler {
-    /// A sampler for the `src → dst` link, starting at time zero with
-    /// nothing observed.
-    pub fn new(src: NodeId, dst: NodeId) -> Self {
-        Self {
-            src,
-            dst,
-            last_bytes: 0,
-            last_at: 0,
-        }
-    }
-
-    /// Mean offered load on the link since the previous sample, in bit/s
-    /// (0 when no time has passed or the link does not exist).
-    pub fn sample<M>(&mut self, net: &Network<M>, now: u64) -> u64 {
-        let bytes = net
-            .link_stats(self.src, self.dst)
-            .map_or(self.last_bytes, |s| s.bytes_sent);
-        let dbytes = bytes.saturating_sub(self.last_bytes);
-        let dticks = now.saturating_sub(self.last_at);
-        self.last_bytes = bytes;
-        self.last_at = now;
-        if dticks == 0 {
-            return 0;
-        }
-        // bits · (ticks/second) / elapsed ticks. The numerator is
-        // computed in u128: in u64 it would wrap once a sample window
-        // carries more than u64::MAX / (8 · 10^7) ≈ 230 GB (~1.8 Tbit)
-        // of traffic. The exact quotient is clamped to `u64::MAX` (only
-        // reachable when the mean load itself exceeds ~18 Ebit/s) so
-        // the sampler saturates instead of wrapping.
-        let bits = u128::from(dbytes) * 8 * u128::from(crate::link::TICKS_PER_SECOND);
-        u64::try_from(bits / u128::from(dticks)).unwrap_or(u64::MAX)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkSpec;
 
     #[test]
     fn ratios() {
@@ -129,24 +77,6 @@ mod tests {
     }
 
     #[test]
-    fn sampler_reports_mean_bps_between_calls() {
-        let mut net: Network<u32> = Network::new(1);
-        let a = net.add_node("a");
-        let b = net.add_node("b");
-        net.connect(a, b, LinkSpec::lan());
-        let mut sampler = LinkLoadSampler::new(a, b);
-        // 12_500 bytes over 1 s = 100_000 bit/s.
-        net.send(a, b, 12_500, 0).unwrap();
-        net.advance_to(10_000_000);
-        assert_eq!(sampler.sample(&net, 10_000_000), 100_000);
-        // Nothing since the last sample.
-        net.advance_to(20_000_000);
-        assert_eq!(sampler.sample(&net, 20_000_000), 0);
-        // Zero elapsed time never divides by zero.
-        assert_eq!(sampler.sample(&net, 20_000_000), 0);
-    }
-
-    #[test]
     fn ratio_permille_twins_match_and_stay_integer() {
         let s = LinkStats {
             packets_sent: 10,
@@ -159,50 +89,5 @@ mod tests {
         let unused = LinkStats::default();
         assert_eq!(unused.delivery_permille(), 1000);
         assert_eq!(unused.loss_permille(), 0);
-    }
-
-    /// Regression: the old u64 numerator (`dbytes * 8 * TICKS_PER_SECOND`)
-    /// wrapped once a sample window carried more than ~230 GB (~1.8 Tbit).
-    /// The u128 rewrite must return the exact mean load there.
-    #[test]
-    fn sampler_survives_the_old_overflow_bound() {
-        let mut net: Network<u32> = Network::new(1);
-        let a = net.add_node("a");
-        let b = net.add_node("b");
-        net.connect(a, b, LinkSpec::lan());
-        let mut sampler = LinkLoadSampler::new(a, b);
-        // 240 GB in one second: numerator 240e9 · 8 · 1e7 ≈ 1.92e19 —
-        // past u64::MAX (≈1.845e19), inside u128.
-        let dbytes: u64 = 240_000_000_000;
-        net.send(a, b, dbytes, 0).unwrap();
-        assert_eq!(
-            sampler.sample(&net, 10_000_000),
-            dbytes * 8,
-            "mean load over exactly one second is the bit count"
-        );
-    }
-
-    /// The sampler saturates (rather than wrapping or panicking) when
-    /// the exact quotient itself exceeds u64 — only reachable with an
-    /// absurd load over a near-zero window.
-    #[test]
-    fn sampler_clamps_instead_of_wrapping() {
-        let mut net: Network<u32> = Network::new(1);
-        let a = net.add_node("a");
-        let b = net.add_node("b");
-        net.connect(a, b, LinkSpec::lan());
-        let mut sampler = LinkLoadSampler::new(a, b);
-        net.send(a, b, 1_000_000_000_000, 0).unwrap();
-        // 1 TB over a single tick: 8e19 bit/s does not fit in u64.
-        assert_eq!(sampler.sample(&net, 1), u64::MAX);
-    }
-
-    #[test]
-    fn sampler_on_missing_link_is_zero() {
-        let mut net: Network<u32> = Network::new(1);
-        let a = net.add_node("a");
-        let b = net.add_node("b");
-        let mut sampler = LinkLoadSampler::new(a, b);
-        assert_eq!(sampler.sample(&net, 10_000_000), 0);
     }
 }

@@ -6,26 +6,33 @@
 //! matters. This module closes that gap with a seeded chaos stage that
 //! works on real traffic:
 //!
-//! * [`FaultSpec`] — the chaos profile: steady-state loss / duplication
-//!   / delay rates in permille, plus a reused [`lod_simnet::FaultPlan`]
-//!   so the same burst-loss / latency-spike / link-down windows that
-//!   drive simnet storms drive real sockets too.
+//! * [`FaultSpec`] — the steady-state profile: loss / duplication / delay
+//!   rates in permille.
 //! * [`FaultEngine`] — the decision function. Splitmix64 keyed on
 //!   `(seed, src, dst, nonce)` makes every verdict a pure function of
-//!   the spec and the draw order: two runs with the same seed make the
-//!   same decisions in the same order. The nonce increments per draw, so
-//!   a retransmit of the same sequence gets a *fresh* coin — without
-//!   this, a deterministically dropped frame would be dropped again on
-//!   every repair attempt and NACK repair could never converge.
-//!   `UdpTransport::set_egress_faults` applies it per *datagram* on the
-//!   wire path, the level the repair sublayer needs (each lost datagram
-//!   leaves a sequence gap to NACK).
+//!   the spec, the faults in force and the draw order: two runs with the
+//!   same seed make the same decisions in the same order. The nonce
+//!   increments per draw, so a retransmit of the same sequence gets a
+//!   *fresh* coin — without this, a deterministically dropped frame would
+//!   be dropped again on every repair attempt and NACK repair could never
+//!   converge. `UdpTransport::set_egress_faults` applies it per
+//!   *datagram* on the wire path, the level the repair sublayer needs
+//!   (each lost datagram leaves a sequence gap to NACK).
+//!
+//! Timed faults are simnet's own vocabulary: the engine is a
+//! [`FaultTarget`], so the [`lod_simnet::FaultInjector`] that schedules a
+//! [`lod_simnet::FaultPlan`] strikes and heals the same faults here, and
+//! the engine composes those in force by simnet's rule
+//! ([`ActiveFaults::compose`]). A socket has no links, only nodes, so a
+//! fault covers every datagram sent or received by a node it names. In
+//! `relay_tree`, where every link has the silent router at one end, that
+//! is exactly the traffic the link carries on simnet.
 
 use lod_obs::splitmix64;
-use lod_simnet::{Fault, FaultPlan, NodeId};
+use lod_simnet::{ActiveFaults, Fault, FaultTarget, NodeId};
 
-/// A seeded chaos profile for real datagram paths.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// A seeded steady-state chaos profile for real datagram paths.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSpec {
     /// Seed of the decision stream.
     pub seed: u64,
@@ -37,10 +44,6 @@ pub struct FaultSpec {
     pub delay_permille: u16,
     /// Extra ticks a delayed datagram is held.
     pub delay_ticks: u64,
-    /// Timed fault windows (burst loss, latency spikes, link/node down)
-    /// reusing simnet's plan vocabulary, so one chaos spec drives both
-    /// substrates.
-    pub plan: FaultPlan,
 }
 
 impl FaultSpec {
@@ -67,17 +70,24 @@ pub enum FaultAction {
     Delay(u64),
 }
 
-/// The seeded decision function applying a [`FaultSpec`].
+/// The seeded decision function applying a [`FaultSpec`] and the faults
+/// struck on it.
 #[derive(Debug, Clone)]
 pub struct FaultEngine {
     spec: FaultSpec,
     nonce: u64,
+    active: ActiveFaults,
 }
 
 impl FaultEngine {
-    /// An engine at draw 0 of `spec`'s decision stream.
+    /// An engine at draw 0 of `spec`'s decision stream, with no fault in
+    /// force.
     pub fn new(spec: FaultSpec) -> Self {
-        Self { spec, nonce: 0 }
+        Self {
+            spec,
+            nonce: 0,
+            active: ActiveFaults::default(),
+        }
     }
 
     /// The spec this engine applies.
@@ -97,55 +107,16 @@ impl FaultEngine {
         splitmix64(key) % 1000
     }
 
-    /// Active plan windows touching the `src` → `dst` direction at
-    /// `now`: the strongest loss override, any extra latency, and
-    /// whether the path is administratively dead.
-    fn plan_state(&self, now: u64, src: NodeId, dst: NodeId) -> (Option<u64>, u64, bool) {
-        let mut burst_loss_permille = None;
-        let mut extra_ticks_total = 0;
-        let mut down = false;
-        for ev in self.spec.plan.events() {
-            if now < ev.at || now >= ev.until() {
-                continue;
-            }
-            match ev.fault {
-                Fault::LinkDown { a, b } => {
-                    if (a == src && b == dst) || (a == dst && b == src) {
-                        down = true;
-                    }
-                }
-                Fault::NodeDown { node } => {
-                    if node == src || node == dst {
-                        down = true;
-                    }
-                }
-                Fault::LossBurst { a, b, loss } => {
-                    if (a == src && b == dst) || (a == dst && b == src) {
-                        let p = (loss * 1000.0) as u64;
-                        burst_loss_permille =
-                            Some(burst_loss_permille.map_or(p, |prev: u64| prev.max(p)));
-                    }
-                }
-                Fault::LatencySpike { a, b, extra_ticks } => {
-                    if (a == src && b == dst) || (a == dst && b == src) {
-                        extra_ticks_total += extra_ticks;
-                    }
-                }
-            }
-        }
-        (burst_loss_permille, extra_ticks_total, down)
-    }
-
-    /// Decides the fate of one datagram from `src` to `dst` at `now`.
-    /// Every call consumes exactly one draw of the decision stream, so
-    /// the verdict sequence is reproducible for a given spec.
-    pub fn action(&mut self, now: u64, src: NodeId, dst: NodeId) -> FaultAction {
-        let (burst, spike_ticks, down) = self.plan_state(now, src, dst);
+    /// Decides the fate of one datagram from `src` to `dst`. Every call
+    /// consumes exactly one draw of the decision stream, so the verdict
+    /// sequence is reproducible for a given spec and fault schedule.
+    pub fn action(&mut self, src: NodeId, dst: NodeId) -> FaultAction {
+        let path = self.active.compose(|f| f.names(src) || f.names(dst));
         let roll = self.roll(src, dst);
-        if down {
+        if path.down {
             return FaultAction::Drop;
         }
-        let loss = burst.unwrap_or(u64::from(self.spec.loss_permille));
+        let loss = u64::from(path.loss_permille.unwrap_or(self.spec.loss_permille));
         // One roll, three stacked bands: [0, loss) drops, the next
         // dup_permille duplicates, the next delay_permille delays.
         if roll < loss {
@@ -154,8 +125,8 @@ impl FaultEngine {
         if roll < loss + u64::from(self.spec.dup_permille) {
             return FaultAction::Duplicate;
         }
-        if spike_ticks > 0 {
-            return FaultAction::Delay(spike_ticks);
+        if path.extra_ticks > 0 {
+            return FaultAction::Delay(path.extra_ticks);
         }
         if roll < loss + u64::from(self.spec.dup_permille) + u64::from(self.spec.delay_permille) {
             return FaultAction::Delay(self.spec.delay_ticks);
@@ -164,9 +135,20 @@ impl FaultEngine {
     }
 }
 
+impl FaultTarget for FaultEngine {
+    fn strike(&mut self, fault: Fault) {
+        self.active.strike(fault);
+    }
+
+    fn heal(&mut self, fault: Fault) {
+        self.active.heal(fault);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lod_simnet::{FaultInjector, FaultPlan};
 
     fn nodes() -> (NodeId, NodeId) {
         (NodeId::from_index(0), NodeId::from_index(1))
@@ -181,12 +163,11 @@ mod tests {
             dup_permille: 50,
             delay_permille: 50,
             delay_ticks: 1_000,
-            plan: FaultPlan::new(),
         };
         let mut e1 = FaultEngine::new(spec.clone());
         let mut e2 = FaultEngine::new(spec);
-        let v1: Vec<FaultAction> = (0..200).map(|_| e1.action(0, a, b)).collect();
-        let v2: Vec<FaultAction> = (0..200).map(|_| e2.action(0, a, b)).collect();
+        let v1: Vec<FaultAction> = (0..200).map(|_| e1.action(a, b)).collect();
+        let v2: Vec<FaultAction> = (0..200).map(|_| e2.action(a, b)).collect();
         assert_eq!(v1, v2);
         assert!(v1.contains(&FaultAction::Drop));
         assert!(v1.contains(&FaultAction::Deliver));
@@ -197,7 +178,7 @@ mod tests {
         let (a, b) = nodes();
         let mut e = FaultEngine::new(FaultSpec::loss(11, 100));
         let drops = (0..10_000)
-            .filter(|_| e.action(0, a, b) == FaultAction::Drop)
+            .filter(|_| e.action(a, b) == FaultAction::Drop)
             .count();
         assert!((600..=1_400).contains(&drops), "~10% of 10k, got {drops}");
     }
@@ -209,34 +190,55 @@ mod tests {
         // eventually gets through.
         let (a, b) = nodes();
         let mut e = FaultEngine::new(FaultSpec::loss(3, 500));
-        let verdicts: Vec<FaultAction> = (0..32).map(|_| e.action(0, a, b)).collect();
+        let verdicts: Vec<FaultAction> = (0..32).map(|_| e.action(a, b)).collect();
         assert!(verdicts.contains(&FaultAction::Deliver));
         assert!(verdicts.contains(&FaultAction::Drop));
     }
 
     #[test]
-    fn plan_windows_override_the_steady_state() {
+    fn struck_faults_override_the_steady_state() {
         let (a, b) = nodes();
-        let spec = FaultSpec {
-            seed: 5,
-            plan: FaultPlan::new()
-                .loss_burst(1_000, 1_000, a, b, 0.999)
-                .latency_spike(3_000, 1_000, a, b, 777)
-                .link_down(5_000, 1_000, a, b),
-            ..FaultSpec::default()
+        let plan = FaultPlan::new()
+            .loss_burst(1_000, 1_000, a, b, 999)
+            .latency_spike(3_000, 1_000, a, b, 777)
+            .link_down(5_000, 1_000, a, b);
+        let mut inj = FaultInjector::new(plan);
+        let mut e = FaultEngine::new(FaultSpec::loss(5, 0));
+        let mut at = |e: &mut FaultEngine, now| {
+            inj.poll(e, now);
+            e.action(a, b)
         };
-        let mut e = FaultEngine::new(spec);
-        assert_eq!(e.action(0, a, b), FaultAction::Deliver, "before any window");
+        assert_eq!(at(&mut e, 0), FaultAction::Deliver, "before any window");
         let burst_drops = (0..20)
-            .filter(|_| e.action(1_500, a, b) == FaultAction::Drop)
+            .filter(|_| at(&mut e, 1_500) == FaultAction::Drop)
             .count();
         assert!(burst_drops >= 18, "99.9% burst loss, got {burst_drops}/20");
         assert_eq!(
-            e.action(3_500, a, b),
+            at(&mut e, 3_500),
             FaultAction::Delay(777),
             "latency spike adds ticks"
         );
-        assert_eq!(e.action(5_500, a, b), FaultAction::Drop, "link down");
-        assert_eq!(e.action(6_500, a, b), FaultAction::Deliver, "healed");
+        assert_eq!(at(&mut e, 5_500), FaultAction::Drop, "link down");
+        assert_eq!(at(&mut e, 6_500), FaultAction::Deliver, "healed");
+    }
+
+    #[test]
+    fn a_fault_covers_every_datagram_of_the_nodes_it_names() {
+        // relay_tree's access link router ↔ student: on sockets it holds
+        // every datagram the student sends or receives, and nothing else.
+        let [router, relay, student, other] = [1, 2, 4, 5].map(NodeId::from_index);
+        let mut e = FaultEngine::new(FaultSpec::loss(9, 0));
+        e.strike(Fault::LinkDown {
+            a: router,
+            b: student,
+        });
+        assert_eq!(e.action(relay, student), FaultAction::Drop);
+        assert_eq!(e.action(student, relay), FaultAction::Drop);
+        assert_eq!(e.action(relay, other), FaultAction::Deliver);
+        e.heal(Fault::LinkDown {
+            a: router,
+            b: student,
+        });
+        assert_eq!(e.action(relay, student), FaultAction::Deliver);
     }
 }

@@ -22,7 +22,7 @@ use std::net::{SocketAddr, UdpSocket};
 use std::time::Instant;
 
 use lod_obs::{Event, Recorder, TraceCtx};
-use lod_simnet::{Delivery, NetworkError, NodeId, TokenBucket};
+use lod_simnet::{Delivery, Fault, FaultTarget, NetworkError, NodeId, TokenBucket};
 
 use crate::fault::{FaultAction, FaultEngine, FaultSpec};
 use crate::frame::{
@@ -358,7 +358,9 @@ impl<M: WireCodec> UdpTransport<M> {
     /// outbound datagram (data, control and retransmits alike) passes
     /// through the engine's drop/duplicate/delay decision right before
     /// `send_to`. This is datagram-level chaos — each dropped datagram
-    /// leaves a real sequence gap for the repair sublayer to NACK.
+    /// leaves a real sequence gap for the repair sublayer to NACK. Faults
+    /// struck on the transport (it is a [`FaultTarget`]) land on this
+    /// stage; without one they are ignored.
     pub fn set_egress_faults(&mut self, spec: FaultSpec) {
         self.fault = Some(FaultEngine::new(spec));
     }
@@ -484,7 +486,7 @@ impl<M: WireCodec> UdpTransport<M> {
             // dropping a UDP datagram does not consult application
             // flags.
             if let (Some(engine), Some(dst)) = (self.fault.as_mut(), dst) {
-                match engine.action(now, self.node, dst) {
+                match engine.action(self.node, dst) {
                     FaultAction::Deliver => {}
                     FaultAction::Drop => {
                         self.stats.faults_dropped += 1;
@@ -1067,6 +1069,20 @@ impl<M: WireCodec> Transport<M> for UdpTransport<M> {
     }
 }
 
+impl<M> FaultTarget for UdpTransport<M> {
+    fn strike(&mut self, fault: Fault) {
+        if let Some(engine) = self.fault.as_mut() {
+            engine.strike(fault);
+        }
+    }
+
+    fn heal(&mut self, fault: Fault) {
+        if let Some(engine) = self.fault.as_mut() {
+            engine.heal(fault);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1519,11 +1535,10 @@ mod tests {
         let b_rec = Recorder::new();
         a = a.with_recorder(recorder.clone());
         b = b.with_recorder(b_rec.clone());
-        a.set_egress_faults(FaultSpec {
-            seed: 42,
-            plan: lod_simnet::FaultPlan::new().loss_burst(0, 50_000, a.node(), b.node(), 0.999),
-            ..FaultSpec::default()
-        });
+        a.set_egress_faults(FaultSpec::loss(42, 0));
+        let plan = lod_simnet::FaultPlan::new().loss_burst(0, 50_000, a.node(), b.node(), 999);
+        let mut burst = lod_simnet::FaultInjector::new(plan);
+        burst.poll(&mut a, 0);
         for id in 1..=10u64 {
             a.send(
                 a.node(),
@@ -1538,6 +1553,7 @@ mod tests {
         }
         // Past the burst window, a trailing frame makes the gap visible.
         a.set_manual_now(60_000);
+        burst.poll(&mut a, 60_000);
         a.send(
             a.node(),
             b.node(),
@@ -1582,17 +1598,10 @@ mod tests {
         let (mut a, mut b) = pair(cfg);
         a = a.with_recorder(a_rec.clone());
         b = b.with_recorder(b_rec.clone());
-        a.set_egress_faults(FaultSpec {
-            seed: 7,
-            plan: lod_simnet::FaultPlan::new().loss_burst(
-                100_000,
-                50_000,
-                a.node(),
-                b.node(),
-                0.999,
-            ),
-            ..FaultSpec::default()
-        });
+        a.set_egress_faults(FaultSpec::loss(7, 0));
+        let plan =
+            lod_simnet::FaultPlan::new().loss_burst(100_000, 50_000, a.node(), b.node(), 999);
+        let mut burst = lod_simnet::FaultInjector::new(plan);
         a.set_manual_now(0);
         for id in 1..=2u64 {
             a.send(
@@ -1608,6 +1617,7 @@ mod tests {
         }
         // Inside the burst: the last frame vanishes, then silence.
         a.set_manual_now(100_000);
+        burst.poll(&mut a, 100_000);
         a.send(
             a.node(),
             b.node(),
@@ -1618,6 +1628,7 @@ mod tests {
             },
         )
         .unwrap();
+        burst.poll(&mut a, 160_000);
         let got = pump(&mut a, &mut b, 3, 160_000, 50_000_000);
         let ids: Vec<u64> = got.iter().map(|d| d.message.id).collect();
         assert_eq!(ids, vec![1, 2, 3], "the tail frame was repaired");

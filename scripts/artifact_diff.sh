@@ -20,7 +20,10 @@
 # 1400 bytes, other tail lengths), and a protected video-only lecture of
 # short frames — plus one relay-tier `wmps serve` of the plain lecture
 # (relays, admission, degradation, a standby, --metrics-out): its stdout,
-# exposition and JSONL log pin the CLI's path into `serve_with_relays`.
+# exposition and JSONL log pin the CLI's path into `serve_with_relays`;
+# and CI's lossy loopback `wmps serve --transport udp` (32 students, 12%
+# seeded egress loss, repair on): its stdout minus the wall time,
+# exposition and JSONL log pin the socket path and its fault engine.
 # Exits 1 naming every artifact that differs. Offline, like the rest of CI.
 set -e
 
@@ -65,6 +68,10 @@ produce() {
     # are the same in both trees.
     (cd "$3" && "$2/release/wmps" serve plain.asf --students 8 --relays 2 \
         --max-sessions 3 --degrade on --standby --metrics-out serve.prom > serve.txt)
+    "$2/release/wmps" publish "$3/udp.asf" --duration-secs 60 --slides 4 > /dev/null
+    (cd "$3" && "$2/release/wmps" serve udp.asf --transport udp --students 32 --relays 2 \
+        --repair on --loss-permille 120 --metrics-out udp.prom \
+        | sed 's/, wall [0-9.]*s$//' > udp.txt)
 }
 
 echo "artifact_diff: building and running $base ($rev)"
@@ -76,7 +83,7 @@ status=0
 for f in q9.json q10.json q11.json q11.jsonl q11.prom q12.json q12.jsonl q12.prom \
     q16.json q17.jsonl q5_scale.txt q6_classroom.txt q8_relay.txt plain.asf protected.asf \
     plain_4000.asf protected_4000.asf protected_video_only.asf \
-    serve.txt serve.prom serve.prom.jsonl; do
+    serve.txt serve.prom serve.prom.jsonl udp.txt udp.prom udp.prom.jsonl; do
     if cmp -s "$work/base/$f" "$work/head/$f"; then
         echo "identical  $f"
     else
