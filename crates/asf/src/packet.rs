@@ -306,8 +306,8 @@ pub struct Reassembler {
     /// Partial samples the window slid past.
     abandoned: usize,
     complete: Vec<MediaSample>,
-    /// Cleared `seen` lists of finished partials, kept for the next one.
-    spare_seen: Vec<Vec<(u32, u32)>>,
+    /// Emptied `pieces` lists of finished partials, kept for the next one.
+    spare_pieces: Vec<Vec<(u32, Bytes)>>,
 }
 
 /// Which objects of one stream were delivered: a ring of
@@ -368,9 +368,32 @@ struct PartialSample {
     pres_time: u64,
     total: u32,
     received: u32,
-    /// Grows to the highest byte received; reserved for `total` up front.
-    data: Vec<u8>,
-    seen: Vec<(u32, u32)>, // (offset, len) received, for duplicate checks
+    /// `(offset, view)` of every fragment received, in arrival order: the
+    /// views themselves, so nothing is copied until the sample is whole.
+    pieces: Vec<(u32, Bytes)>,
+}
+
+impl PartialSample {
+    /// The whole sample's bytes. Pieces that are adjacent windows of one
+    /// backing — fragments the packetizer sliced from one sample, in
+    /// whatever order they arrived — join into one view of it; anything
+    /// else is copied once. Leaves `pieces` empty for reuse.
+    fn assemble(&mut self) -> Bytes {
+        self.pieces.sort_unstable_by_key(|&(offset, _)| offset);
+        let mut views = self.pieces.iter().map(|(_, b)| b);
+        let mut joined = views.next().cloned().unwrap_or_default();
+        let data = if views.all(|b| joined.try_join(b)) {
+            joined
+        } else {
+            let mut data = Vec::with_capacity(self.total as usize);
+            for (_, b) in &self.pieces {
+                data.extend_from_slice(b);
+            }
+            data.into()
+        };
+        self.pieces.clear();
+        data
+    }
 }
 
 impl Reassembler {
@@ -453,8 +476,7 @@ impl Reassembler {
                     pres_time: p.pres_time,
                     total: p.total,
                     received: 0,
-                    data: Vec::with_capacity(p.total as usize),
-                    seen: self.spare_seen.pop().unwrap_or_default(),
+                    pieces: self.spare_pieces.pop().unwrap_or_default(),
                 });
                 self.partial.len() - 1
             }
@@ -468,36 +490,31 @@ impl Reassembler {
             return Err(mismatch);
         }
         // Ignore exact duplicates (retransmission); reject overlaps.
-        if entry.seen.contains(&(p.offset, len as u32)) {
+        let (offset, len) = (p.offset, len as u32);
+        if entry
+            .pieces
+            .iter()
+            .any(|(o, b)| *o == offset && b.len() as u32 == len)
+        {
             return Ok(());
         }
-        if entry
-            .seen
-            .iter()
-            .any(|&(o, l)| p.offset < o + l && o < p.offset + len as u32)
-        {
+        if entry.pieces.iter().any(|(o, b)| {
+            let l = b.len() as u32;
+            offset < o + l && *o < offset + len
+        }) {
             return Err(mismatch);
         }
-        if p.offset as usize == entry.data.len() {
-            entry.data.extend_from_slice(&p.data);
-        } else {
-            // Out of order: zero-fill the gap, or fill one left earlier.
-            if end > entry.data.len() {
-                entry.data.resize(end, 0);
-            }
-            entry.data[p.offset as usize..end].copy_from_slice(&p.data);
-        }
-        entry.seen.push((p.offset, len as u32));
-        entry.received += len as u32;
+        entry.pieces.push((offset, p.data.clone()));
+        entry.received += len;
         if entry.received >= entry.total {
             let mut done = self.partial.swap_remove(at);
             self.streams[w].mark_delivered(done.object_id);
-            done.seen.clear();
-            self.spare_seen.push(done.seen);
+            let data = done.assemble();
+            self.spare_pieces.push(done.pieces);
             self.complete.push(MediaSample {
                 stream: done.stream,
                 pres_time: done.pres_time,
-                data: done.data.into(),
+                data,
             });
         }
         Ok(())
@@ -668,11 +685,19 @@ mod tests {
     #[test]
     fn sample_total_is_capped() {
         let mut rs = Reassembler::new();
-        // At the cap: accepted, and nothing is zero-filled up front.
-        rs.push_packet(&fragment(0, 0, MAX_SAMPLE_BYTES, vec![1; 10]))
-            .unwrap();
+        // At the cap: accepted, and held as the one 10-byte view it
+        // arrived as — nothing is sized by `total` up front.
+        let first = fragment(0, 0, MAX_SAMPLE_BYTES, vec![1; 10]);
+        rs.push_packet(&first).unwrap();
         assert_eq!(rs.incomplete(), 1);
-        assert_eq!(rs.partial[0].data.len(), 10);
+        let pieces = &rs.partial[0].pieces;
+        assert_eq!(pieces.len(), 1);
+        assert_eq!(pieces[0].0, 0);
+        assert_eq!(pieces[0].1.backing_len(), 10);
+        assert_eq!(
+            pieces[0].1.backing_id(),
+            first.payloads[0].data.backing_id()
+        );
         // One past it (and the 4 GiB a wire field can ask for): refused
         // before any state is made.
         for total in [MAX_SAMPLE_BYTES + 1, u32::MAX] {
@@ -734,6 +759,34 @@ mod tests {
         let got = rs.take_completed();
         assert_eq!(got, vec![s.clone()]);
         assert_eq!(got[0].data.backing_id(), s.data.backing_id());
+    }
+
+    #[test]
+    fn fragments_of_one_sample_join_into_one_view_in_any_order() {
+        let s = MediaSample::new(1, 0, (0..1_000u32).map(|i| i as u8).collect::<Vec<u8>>());
+        let mut pk = Packetizer::new(200).unwrap();
+        pk.push(&s);
+        let mut packets = pk.finish();
+        assert!(packets.len() > 2, "sample must fragment");
+        packets.swap(0, 2);
+        packets.reverse();
+        let mut rs = Reassembler::new();
+        for p in &packets {
+            rs.push_packet(p).unwrap();
+        }
+        let got = rs.take_completed();
+        assert_eq!(got, vec![s.clone()]);
+        assert_eq!(got[0].data.backing_id(), s.data.backing_id());
+        // Fragments read back off the wire each own a backing: one copy.
+        let mut rs = Reassembler::new();
+        for p in &packets {
+            rs.push_packet(&DataPacket::read(&p.write(200).unwrap(), 200).unwrap())
+                .unwrap();
+        }
+        let got = rs.take_completed();
+        assert_eq!(got, vec![s.clone()]);
+        assert_ne!(got[0].data.backing_id(), s.data.backing_id());
+        assert_eq!(got[0].data.backing_len(), 1_000);
     }
 
     #[test]

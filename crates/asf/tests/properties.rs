@@ -602,6 +602,84 @@ proptest! {
         prop_assert_eq!(new.incomplete(), old.incomplete());
     }
 
+    /// Reassembly by view. Any permutation of a lecture's fragments, with
+    /// exact duplicates mixed in, gives what the reference model gives,
+    /// and every sample is one view of the buffer it was packetized from.
+    /// Sent through `DataPacket::write` and `read` — every packet, so
+    /// every fragment of a split sample, in its own backing — the samples
+    /// still match the model, and each split one is exactly one new
+    /// backing of its own length.
+    #[test]
+    fn reassembly_by_view_matches_reference(
+        samples in arb_samples(),
+        packet_size in 64u32..400,
+        seed in any::<u64>(),
+    ) {
+        let mut pk = Packetizer::new(packet_size).unwrap();
+        for s in &samples {
+            pk.push(s);
+        }
+        let packets = pk.finish();
+        let mut rng = proptest::test_runner::TestRng::from_seed(seed);
+        let mut draw = move |n: usize| (rng.next_u64() % n as u64) as usize;
+        let mut permuted = |mut items: Vec<DataPacket>| {
+            for i in 0..items.len() {
+                if draw(4) == 0 {
+                    items.push(items[i].clone());
+                }
+            }
+            for i in (1..items.len()).rev() {
+                items.swap(i, draw(i + 1));
+            }
+            items
+        };
+        let one_each = packets
+            .iter()
+            .flat_map(|p| &p.payloads)
+            .map(|f| DataPacket { send_time: 0, payloads: vec![f.clone()] })
+            .collect();
+        let over_the_wire = permuted(packets.clone())
+            .iter()
+            .map(|p| DataPacket::read(&p.write(packet_size).unwrap(), packet_size).unwrap())
+            .collect::<Vec<_>>();
+        for (wire, order) in [(false, permuted(one_each)), (true, over_the_wire)] {
+            let mut new = Reassembler::new();
+            let mut old = reference::Reassembler::default();
+            for p in &order {
+                prop_assert_eq!(new.push_packet(p), old.push_packet(p));
+            }
+            let got = new.take_completed();
+            prop_assert_eq!(&got, &old.take_completed());
+            prop_assert_eq!(got.len(), samples.len());
+            let read_backings: Vec<usize> = order
+                .iter()
+                .flat_map(|p| &p.payloads)
+                .map(|f| f.data.backing_id())
+                .collect();
+            let mut fresh = Vec::new();
+            for g in &got {
+                if !wire {
+                    prop_assert!(samples
+                        .iter()
+                        .any(|s| s == g && s.data.backing_id() == g.data.backing_id()));
+                } else if !read_backings.contains(&g.data.backing_id()) {
+                    prop_assert_eq!(g.data.backing_len(), g.data.len());
+                    fresh.push(g.data.backing_id());
+                }
+            }
+            if wire {
+                let split = packets
+                    .iter()
+                    .flat_map(|p| &p.payloads)
+                    .filter(|f| f.offset == 0 && f.data.len() < f.total as usize)
+                    .count();
+                fresh.sort_unstable();
+                fresh.dedup();
+                prop_assert_eq!(fresh.len(), split);
+            }
+        }
+    }
+
     /// Every serialized packet is exactly the declared size.
     #[test]
     fn packets_have_fixed_size(

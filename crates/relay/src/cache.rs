@@ -110,7 +110,9 @@ pub struct SegmentCache {
     budget: u64,
     used: u64,
     clock: u64,
-    entries: HashMap<(String, u32), Entry>,
+    /// Content name, then segment index: a lookup borrows the `&str` it
+    /// is given, so only inserting a new content allocates its name.
+    entries: HashMap<String, HashMap<u32, Entry>>,
     stats: CacheStats,
 }
 
@@ -145,7 +147,7 @@ impl SegmentCache {
     pub fn resident_backing_bytes(&self) -> u64 {
         let mut seen = HashSet::new();
         let mut total = 0u64;
-        for entry in self.entries.values() {
+        for entry in self.entries.values().flat_map(HashMap::values) {
             for packet in &entry.segment.packets {
                 for payload in &packet.payloads {
                     if seen.insert(payload.data.backing_id()) {
@@ -159,7 +161,7 @@ impl SegmentCache {
 
     /// Number of cached segments.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.values().map(HashMap::len).sum()
     }
 
     /// Whether the cache holds nothing.
@@ -177,7 +179,11 @@ impl SegmentCache {
     pub fn get(&mut self, content: &str, segment: u32) -> Option<&CachedSegment> {
         self.clock += 1;
         let clock = self.clock;
-        match self.entries.get_mut(&(content.to_string(), segment)) {
+        match self
+            .entries
+            .get_mut(content)
+            .and_then(|segments| segments.get_mut(&segment))
+        {
             Some(entry) => {
                 entry.last_used = clock;
                 self.stats.hits += 1;
@@ -201,13 +207,14 @@ impl SegmentCache {
     /// counters (for introspection and tests).
     pub fn peek(&self, content: &str, segment: u32) -> Option<&CachedSegment> {
         self.entries
-            .get(&(content.to_string(), segment))
+            .get(content)
+            .and_then(|segments| segments.get(&segment))
             .map(|e| &e.segment)
     }
 
     /// Whether the segment is resident (no accounting).
     pub fn contains(&self, content: &str, segment: u32) -> bool {
-        self.entries.contains_key(&(content.to_string(), segment))
+        self.peek(content, segment).is_some()
     }
 
     /// Inserts a segment, evicting least-recently-used entries until it
@@ -226,8 +233,7 @@ impl SegmentCache {
         if data.bytes > self.budget {
             return None;
         }
-        let key = (content.to_string(), segment);
-        if let Some(old) = self.entries.remove(&key) {
+        if let Some(old) = self.remove(content, segment) {
             self.used -= old.segment.bytes;
         }
         let mut evicted = Vec::new();
@@ -237,28 +243,50 @@ impl SegmentCache {
         self.used += data.bytes;
         self.clock += 1;
         self.stats.insertions += 1;
-        self.entries.insert(
-            key,
-            Entry {
-                segment: data,
-                last_used: self.clock,
-            },
-        );
+        let entry = Entry {
+            segment: data,
+            last_used: self.clock,
+        };
+        if let Some(segments) = self.entries.get_mut(content) {
+            segments.insert(segment, entry);
+        } else {
+            let segments = HashMap::from([(segment, entry)]);
+            self.entries.insert(content.to_string(), segments);
+        }
         Some(evicted)
     }
 
+    /// Takes `(content, segment)` out of the cache, dropping the content's
+    /// map when it empties (so no content map is ever empty), without
+    /// accounting.
+    fn remove(&mut self, content: &str, segment: u32) -> Option<Entry> {
+        let segments = self.entries.get_mut(content)?;
+        let entry = segments.remove(&segment)?;
+        if segments.is_empty() {
+            self.entries.remove(content);
+        }
+        Some(entry)
+    }
+
     fn evict_lru(&mut self) -> (String, u32, u64) {
-        let victim = self
+        // `last_used` is unique per entry, so the victim does not depend
+        // on either map's iteration order.
+        let (content, segment) = self
             .entries
             .iter()
-            .min_by_key(|(_, e)| e.last_used)
-            .map(|(k, _)| k.clone())
+            .flat_map(|(content, segments)| {
+                segments
+                    .iter()
+                    .map(move |(&segment, e)| (e.last_used, content, segment))
+            })
+            .min_by_key(|&(last_used, _, _)| last_used)
+            .map(|(_, content, segment)| (content.clone(), segment))
             .expect("eviction requested on an empty cache");
-        let entry = self.entries.remove(&victim).expect("victim just found");
+        let entry = self.remove(&content, segment).expect("victim just found");
         self.used -= entry.segment.bytes;
         self.stats.evictions += 1;
         self.stats.bytes_evicted += entry.segment.bytes;
-        (victim.0, victim.1, entry.segment.bytes)
+        (content, segment, entry.segment.bytes)
     }
 }
 

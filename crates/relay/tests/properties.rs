@@ -4,7 +4,8 @@
 //! since payloads became ref-counted [`bytes::Bytes`] views — budget
 //! accounting, eviction order and every counter are bit-for-bit
 //! unchanged whether a segment's payloads share one backing buffer or
-//! each own a private copy.
+//! each own a private copy. The cache also answers every operation as
+//! its `(String, u32)`-keyed predecessor did, kept here as a model.
 
 use lod_asf::{DataPacket, Payload};
 use lod_relay::{CachedSegment, SegmentCache};
@@ -36,6 +37,146 @@ fn segment(base: u32, bytes: u64) -> CachedSegment {
 
 fn content_name(c: u8) -> String {
     format!("lecture-{c}")
+}
+
+/// The cache as it was before its lookups stopped allocating: one map
+/// keyed by an owned `(content, segment)` pair. Kept as the model the
+/// nested-map cache is checked against.
+mod reference {
+    use std::collections::HashMap;
+
+    use lod_relay::{CacheStats, CachedSegment};
+
+    struct Entry {
+        segment: CachedSegment,
+        last_used: u64,
+    }
+
+    pub struct SegmentCache {
+        budget: u64,
+        used: u64,
+        clock: u64,
+        entries: HashMap<(String, u32), Entry>,
+        stats: CacheStats,
+    }
+
+    impl SegmentCache {
+        pub fn new(budget: u64) -> Self {
+            Self {
+                budget,
+                used: 0,
+                clock: 0,
+                entries: HashMap::new(),
+                stats: CacheStats::default(),
+            }
+        }
+
+        pub fn used_bytes(&self) -> u64 {
+            self.used
+        }
+
+        pub fn len(&self) -> usize {
+            self.entries.len()
+        }
+
+        pub fn stats(&self) -> CacheStats {
+            self.stats
+        }
+
+        pub fn get(&mut self, content: &str, segment: u32) -> Option<&CachedSegment> {
+            self.clock += 1;
+            let clock = self.clock;
+            match self.entries.get_mut(&(content.to_string(), segment)) {
+                Some(entry) => {
+                    entry.last_used = clock;
+                    self.stats.hits += 1;
+                    Some(&entry.segment)
+                }
+                None => {
+                    self.stats.misses += 1;
+                    None
+                }
+            }
+        }
+
+        pub fn record_coalesced_hit(&mut self) {
+            self.stats.hits += 1;
+        }
+
+        pub fn peek(&self, content: &str, segment: u32) -> Option<&CachedSegment> {
+            self.entries
+                .get(&(content.to_string(), segment))
+                .map(|e| &e.segment)
+        }
+
+        pub fn contains(&self, content: &str, segment: u32) -> bool {
+            self.entries.contains_key(&(content.to_string(), segment))
+        }
+
+        pub fn insert(
+            &mut self,
+            content: &str,
+            segment: u32,
+            data: CachedSegment,
+        ) -> Option<Vec<(String, u32, u64)>> {
+            if data.bytes > self.budget {
+                return None;
+            }
+            let key = (content.to_string(), segment);
+            if let Some(old) = self.entries.remove(&key) {
+                self.used -= old.segment.bytes;
+            }
+            let mut evicted = Vec::new();
+            while self.used + data.bytes > self.budget {
+                evicted.push(self.evict_lru());
+            }
+            self.used += data.bytes;
+            self.clock += 1;
+            self.stats.insertions += 1;
+            self.entries.insert(
+                key,
+                Entry {
+                    segment: data,
+                    last_used: self.clock,
+                },
+            );
+            Some(evicted)
+        }
+
+        fn evict_lru(&mut self) -> (String, u32, u64) {
+            let victim = self
+                .entries
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(k, _)| k.clone())
+                .expect("eviction requested on an empty cache");
+            let entry = self.entries.remove(&victim).expect("victim just found");
+            self.used -= entry.segment.bytes;
+            self.stats.evictions += 1;
+            self.stats.bytes_evicted += entry.segment.bytes;
+            (victim.0, victim.1, entry.segment.bytes)
+        }
+    }
+}
+
+/// Every operation the relay performs on its cache.
+#[derive(Debug, Clone)]
+enum FullOp {
+    Get(u8, u8),
+    Peek(u8, u8),
+    Contains(u8, u8),
+    Insert(u8, u8, u64),
+    Coalesced,
+}
+
+fn full_op() -> impl Strategy<Value = FullOp> {
+    prop_oneof![
+        (0u8..4, 0u8..16).prop_map(|(c, s)| FullOp::Get(c, s)),
+        (0u8..4, 0u8..16).prop_map(|(c, s)| FullOp::Peek(c, s)),
+        (0u8..4, 0u8..16).prop_map(|(c, s)| FullOp::Contains(c, s)),
+        (0u8..4, 0u8..16, 1u64..400).prop_map(|(c, s, b)| FullOp::Insert(c, s, b)),
+        Just(FullOp::Coalesced),
+    ]
 }
 
 proptest! {
@@ -160,6 +301,47 @@ proptest! {
             prop_assert_eq!(shared_cache.used_bytes(), copied_cache.used_bytes());
             prop_assert_eq!(shared_cache.len(), copied_cache.len());
             prop_assert_eq!(shared_cache.stats(), copied_cache.stats());
+        }
+    }
+
+    /// The nested-map cache answers every operation exactly as the
+    /// `(String, u32)`-keyed one did: the same lookups, the same eviction
+    /// triples in the same order, the same counters and residency.
+    #[test]
+    fn cache_matches_string_keyed_reference(
+        budget in 1u64..2_000,
+        ops in proptest::collection::vec(full_op(), 0..128),
+    ) {
+        let mut cache = SegmentCache::new(budget);
+        let mut model = reference::SegmentCache::new(budget);
+        for (i, op) in ops.into_iter().enumerate() {
+            match op {
+                FullOp::Get(c, s) => {
+                    let (c, s) = (content_name(c), u32::from(s));
+                    prop_assert_eq!(cache.get(&c, s).cloned(), model.get(&c, s).cloned());
+                }
+                FullOp::Peek(c, s) => {
+                    let (c, s) = (content_name(c), u32::from(s));
+                    prop_assert_eq!(cache.peek(&c, s), model.peek(&c, s));
+                }
+                FullOp::Contains(c, s) => {
+                    let (c, s) = (content_name(c), u32::from(s));
+                    prop_assert_eq!(cache.contains(&c, s), model.contains(&c, s));
+                }
+                FullOp::Insert(c, s, b) => {
+                    let (c, s) = (content_name(c), u32::from(s));
+                    let seg = segment(i as u32, b);
+                    prop_assert_eq!(cache.insert(&c, s, seg.clone()), model.insert(&c, s, seg));
+                }
+                FullOp::Coalesced => {
+                    cache.record_coalesced_hit();
+                    model.record_coalesced_hit();
+                }
+            }
+            prop_assert_eq!(cache.stats(), model.stats());
+            prop_assert_eq!(cache.used_bytes(), model.used_bytes());
+            prop_assert_eq!(cache.len(), model.len());
+            prop_assert_eq!(cache.is_empty(), model.len() == 0);
         }
     }
 

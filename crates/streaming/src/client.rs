@@ -82,7 +82,11 @@ pub struct StreamingClient {
     state: ClientState,
     header: Option<StreamHeader>,
     reasm: Reassembler,
-    buffer: BTreeMap<(u64, u16, u64), MediaSample>,
+    /// Playout buffer, sorted by `(pres_time, stream, arrival seq)` — the
+    /// seq makes every key unique. Samples complete almost always in that
+    /// order, so a new one is pushed on the back and rendering pops from
+    /// the front.
+    buffer: VecDeque<((u64, u16, u64), MediaSample)>,
     buffer_seq: u64,
     clock: MediaClock,
     scripts: ScriptCommandList,
@@ -138,7 +142,7 @@ impl StreamingClient {
             state: ClientState::Idle,
             header: None,
             reasm: Reassembler::new(),
-            buffer: BTreeMap::new(),
+            buffer: VecDeque::new(),
             buffer_seq: 0,
             clock: MediaClock::start_at(Ticks::ZERO),
             scripts: ScriptCommandList::new(),
@@ -264,7 +268,7 @@ impl StreamingClient {
         // Already-buffered samples of dropped streams would still render;
         // clear them so the downgrade is immediate on screen too.
         self.buffer
-            .retain(|&(_, stream, _), _| fallback.contains(&stream));
+            .retain(|((_, stream, _), _)| fallback.contains(stream));
     }
 
     /// The client's network node.
@@ -440,8 +444,14 @@ impl StreamingClient {
                         emit_span(obs, node, peer, time, true, "playout_wait", ctx);
                         self.playout_traces.insert(self.buffer_seq, ctx);
                     }
-                    self.buffer
-                        .insert((s.pres_time, s.stream, self.buffer_seq), s);
+                    let key = (s.pres_time, s.stream, self.buffer_seq);
+                    match self.buffer.back() {
+                        Some((last, _)) if *last > key => {
+                            let at = self.buffer.partition_point(|(k, _)| *k < key);
+                            self.buffer.insert(at, (key, s));
+                        }
+                        _ => self.buffer.push_back((key, s)),
+                    }
                 }
             }
             Wire::EndOfStream => {
@@ -509,7 +519,6 @@ impl StreamingClient {
             // Heartbeat answers are monitor-plane traffic.
             Wire::Pong { .. } => {}
         }
-        let _ = time;
     }
 
     /// Emits one client-side span edge for a traced segment.
@@ -817,11 +826,10 @@ impl StreamingClient {
 
     fn render_due(&mut self, now: u64, sink: &mut impl FnMut(RenderEvent)) {
         let media_now = self.media_time(now);
-        while let Some(entry) = self.buffer.first_entry() {
-            if entry.key().0 > media_now {
-                break;
-            }
-            let ((_, _, seq), sample) = entry.remove_entry();
+        while let Some(((_, _, seq), sample)) = self
+            .buffer
+            .pop_front_if(|((pres, _, _), _)| *pres <= media_now)
+        {
             if let Some(ctx) = self.playout_traces.remove(&seq) {
                 self.emit_span(now, false, "playout_wait", ctx);
             }
