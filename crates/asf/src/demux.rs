@@ -82,9 +82,11 @@ pub fn read_asf(bytes: &[u8]) -> Result<AsfFile, AsfError> {
     // The count is a wire field: reserve only what the input can hold.
     let fits = data.remaining().checked_div(psize as usize).unwrap_or(0);
     let mut packets = Vec::with_capacity((count as usize).min(fits));
+    let mut scratch = Vec::new();
     for _ in 0..count {
-        let p = DataPacket::read_from(&mut data.slice(psize as usize, "data packet")?)?;
-        for payload in &p.payloads {
+        let mut body = data.slice(psize as usize, "data packet")?;
+        let p = DataPacket::read_from(&mut body, &mut scratch)?;
+        for payload in p.payloads.iter() {
             if !streams.iter().any(|s| s.number == payload.stream) {
                 return Err(AsfError::UnknownStream(payload.stream));
             }
@@ -167,7 +169,7 @@ mod tests {
     #[test]
     fn undeclared_stream_rejected() {
         let mut f = minimal();
-        f.packets[0].payloads[0].stream = 42;
+        std::sync::Arc::make_mut(&mut f.packets[0].payloads)[0].stream = 42;
         let bytes = write_asf(&f).unwrap();
         assert_eq!(read_asf(&bytes).unwrap_err(), AsfError::UnknownStream(42));
     }

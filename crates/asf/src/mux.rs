@@ -1,5 +1,7 @@
 //! Whole-file model and serialization (the muxer).
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
 
@@ -42,7 +44,7 @@ impl AsfFile {
     pub fn last_presentation_time(&self) -> u64 {
         self.packets
             .iter()
-            .flat_map(|p| &p.payloads)
+            .flat_map(|p| p.payloads.iter())
             .map(|p| p.pres_time)
             .max()
             .unwrap_or(0)
@@ -129,7 +131,7 @@ impl AsfFile {
 /// is XORed with a prefix of one sequence: it is generated once per
 /// pass, as long as the longest payload.
 fn scramble_payloads(license: &License, packets: &mut [DataPacket]) {
-    let payloads = || packets.iter().flat_map(|p| &p.payloads);
+    let payloads = || packets.iter().flat_map(|p| p.payloads.iter());
     let longest = payloads().map(|p| p.data.len()).max().unwrap_or(0);
     let mut keystream = vec![0; longest];
     scramble_in_place(license.key, &mut keystream);
@@ -140,7 +142,12 @@ fn scramble_payloads(license: &License, packets: &mut [DataPacket]) {
     }
     let backing = Bytes::from(buf);
     let mut at = 0;
-    for payload in packets.iter_mut().flat_map(|p| &mut p.payloads) {
+    // `make_mut` copies a packet's payload list only when a reader still
+    // shares it, so the plaintext that reader holds stays untouched.
+    for payload in packets
+        .iter_mut()
+        .flat_map(|p| Arc::make_mut(&mut p.payloads))
+    {
         let end = at + payload.data.len();
         payload.data = backing.slice(at..end);
         at = end;

@@ -8,6 +8,7 @@
 //! never emitted) and out-of-order arrival.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -49,7 +50,7 @@ impl MediaSample {
 }
 
 /// One payload fragment inside a packet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Payload {
     /// Stream number.
     pub stream: u16,
@@ -66,13 +67,14 @@ pub struct Payload {
     pub data: Bytes,
 }
 
-/// A fixed-size data packet.
+/// A fixed-size data packet. Immutable once packetized: caches, fan-out
+/// and the wire share one payload list, so a clone costs one refcount.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DataPacket {
     /// Send time in ticks: when the pacer should put the packet on the wire.
     pub send_time: u64,
-    /// The payload fragments.
-    pub payloads: Vec<Payload>,
+    /// The payload fragments, shared by every clone of the packet.
+    pub payloads: Arc<[Payload]>,
 }
 
 impl DataPacket {
@@ -97,7 +99,7 @@ impl DataPacket {
             size: self.payloads.len() as u64,
         })?;
         let mut used = PACKET_HEADER_BYTES;
-        for p in &self.payloads {
+        for p in self.payloads.iter() {
             if p.data.len() > usize::from(u16::MAX) {
                 return Err(AsfError::BadSize {
                     context: "payload length",
@@ -114,7 +116,7 @@ impl DataPacket {
         }
         w.u64(self.send_time);
         w.u8(count);
-        for p in &self.payloads {
+        for p in self.payloads.iter() {
             w.u16(p.stream);
             w.u32(p.object_id);
             w.u32(p.offset);
@@ -141,15 +143,21 @@ impl DataPacket {
                 size: bytes.len() as u64,
             });
         }
-        Self::read_from(&mut Reader::new_shared(&Bytes::copy_from_slice(bytes)))
+        let backing = Bytes::copy_from_slice(bytes);
+        Self::read_from(&mut Reader::new_shared(&backing), &mut Vec::new())
     }
 
     /// Parses the packet that fills `r`; the payloads share `r`'s
-    /// backing buffer when it has one.
-    pub(crate) fn read_from(r: &mut Reader<'_>) -> Result<Self, AsfError> {
+    /// backing buffer when it has one. They are read into `scratch`,
+    /// which keeps its capacity for the caller's next packet, so each
+    /// packet costs one allocation: its payload list.
+    pub(crate) fn read_from(
+        r: &mut Reader<'_>,
+        scratch: &mut Vec<Payload>,
+    ) -> Result<Self, AsfError> {
         let send_time = r.u64("packet send time")?;
         let count = r.u8("payload count")?;
-        let mut payloads = Vec::with_capacity(count as usize);
+        scratch.clear();
         for _ in 0..count {
             let stream = r.u16("payload stream")?;
             let object_id = r.u32("payload object id")?;
@@ -158,7 +166,7 @@ impl DataPacket {
             let pres_time = r.u64("payload presentation time")?;
             let len = r.u16("payload length")? as usize;
             let data = r.bytes_shared(len, "payload data")?;
-            payloads.push(Payload {
+            scratch.push(Payload {
                 stream,
                 object_id,
                 offset,
@@ -169,7 +177,7 @@ impl DataPacket {
         }
         Ok(Self {
             send_time,
-            payloads,
+            payloads: scratch.drain(..).collect(),
         })
     }
 
@@ -260,9 +268,11 @@ impl Packetizer {
             return;
         }
         let send_time = self.current_first_time.take().unwrap_or(0);
+        // Draining keeps `current`'s capacity for the next packet; the
+        // exact-length drain collects into one allocation.
         self.done.push(DataPacket {
             send_time,
-            payloads: std::mem::take(&mut self.current),
+            payloads: self.current.drain(..).collect(),
         });
         self.current_bytes = PACKET_HEADER_BYTES;
     }
@@ -412,7 +422,7 @@ impl Reassembler {
     /// [`AsfError::BadSize`] when it declares a sample larger than
     /// [`MAX_SAMPLE_BYTES`].
     pub fn push_packet(&mut self, packet: &DataPacket) -> Result<(), AsfError> {
-        for p in &packet.payloads {
+        for p in packet.payloads.iter() {
             self.push_payload(p)?;
         }
         Ok(())
@@ -564,7 +574,7 @@ mod tests {
         let packets = pk.finish();
         assert!(packets.len() >= 3, "got {}", packets.len());
         // All fragments carry the same object id and consistent offsets.
-        let frags: Vec<&Payload> = packets.iter().flat_map(|p| &p.payloads).collect();
+        let frags: Vec<&Payload> = packets.iter().flat_map(|p| p.payloads.iter()).collect();
         assert!(frags.iter().all(|f| f.object_id == 0 && f.total == 500));
         let covered: usize = frags.iter().map(|f| f.data.len()).sum();
         assert_eq!(covered, 500);
@@ -656,13 +666,13 @@ mod tests {
         b.total = 999;
         rs.push_packet(&DataPacket {
             send_time: 0,
-            payloads: vec![a],
+            payloads: vec![a].into(),
         })
         .unwrap();
         let err = rs
             .push_packet(&DataPacket {
                 send_time: 0,
-                payloads: vec![b],
+                payloads: vec![b].into(),
             })
             .unwrap_err();
         assert!(matches!(err, AsfError::FragmentMismatch { .. }));
@@ -678,7 +688,8 @@ mod tests {
                 total,
                 pres_time: u64::from(object_id),
                 data: data.into(),
-            }],
+            }]
+            .into(),
         }
     }
 
@@ -822,9 +833,11 @@ mod tests {
     #[test]
     fn write_refuses_what_its_wire_fields_cannot_say() {
         let mut p = fragment(0, 0, 0, Vec::new());
-        p.payloads = vec![p.payloads[0].clone(); MAX_PAYLOADS];
+        let mut payloads = vec![p.payloads[0].clone(); MAX_PAYLOADS];
+        p.payloads = payloads.clone().into();
         assert!(p.write(65_000).is_ok());
-        p.payloads.push(p.payloads[0].clone());
+        payloads.push(payloads[0].clone());
+        p.payloads = payloads.into();
         assert_eq!(
             p.write(65_000).unwrap_err(),
             AsfError::BadSize {
@@ -877,7 +890,7 @@ mod tests {
         let packets = pk.finish();
         let ids: Vec<(u16, u32)> = packets
             .iter()
-            .flat_map(|p| &p.payloads)
+            .flat_map(|p| p.payloads.iter())
             .map(|p| (p.stream, p.object_id))
             .collect();
         assert_eq!(ids, [(1, 0), (2, 0), (1, 1)]);
@@ -890,7 +903,7 @@ mod tests {
         pk.push(&s);
         let packets = pk.finish();
         assert!(packets.len() > 1, "sample must fragment");
-        for frag in packets.iter().flat_map(|p| &p.payloads) {
+        for frag in packets.iter().flat_map(|p| p.payloads.iter()) {
             assert_eq!(
                 frag.data.backing_id(),
                 s.data.backing_id(),

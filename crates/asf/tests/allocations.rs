@@ -83,7 +83,7 @@ proptest! {
         let back = read_asf(&bytes).unwrap();
         prop_assert_eq!(backing_allocations() - before, 1);
         prop_assert_eq!(&back, &f);
-        let mut views = back.packets.iter().flat_map(|p| &p.payloads);
+        let mut views = back.packets.iter().flat_map(|p| p.payloads.iter());
         if let Some(first) = views.next() {
             prop_assert_eq!(first.data.backing_len(), bytes.len());
             prop_assert!(views.all(|p| p.data.backing_id() == first.data.backing_id()));
@@ -96,7 +96,7 @@ proptest! {
         let before = backing_allocations();
         g.protect(&license);
         prop_assert_eq!(backing_allocations() - before, 1);
-        let mut views = g.packets.iter().flat_map(|p| &p.payloads);
+        let mut views = g.packets.iter().flat_map(|p| p.payloads.iter());
         if let Some(first) = views.next() {
             prop_assert!(views.all(|p| p.data.backing_id() == first.data.backing_id()));
         }

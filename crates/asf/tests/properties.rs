@@ -35,7 +35,7 @@ mod reference {
 
     impl Reassembler {
         pub fn push_packet(&mut self, packet: &DataPacket) -> Result<(), AsfError> {
-            for p in &packet.payloads {
+            for p in packet.payloads.iter() {
                 self.push_payload(p)?;
             }
             Ok(())
@@ -104,7 +104,10 @@ mod reference {
     /// one keystream per pass: generated afresh over every payload.
     pub fn scramble(key: u64, packets: &[DataPacket]) -> Vec<DataPacket> {
         let mut out = packets.to_vec();
-        for payload in out.iter_mut().flat_map(|p| &mut p.payloads) {
+        for payload in out
+            .iter_mut()
+            .flat_map(|p| std::sync::Arc::make_mut(&mut p.payloads))
+        {
             let mut data = payload.data.to_vec();
             lod_asf::drm::scramble_in_place(key, &mut data);
             payload.data = data.into();
@@ -176,7 +179,7 @@ mod reference {
             let mut w = Writer::default();
             w.u64(p.send_time);
             w.u8(p.payloads.len() as u8);
-            for p in &p.payloads {
+            for p in p.payloads.iter() {
                 w.u16(p.stream);
                 w.u32(p.object_id);
                 w.u32(p.offset);
@@ -341,7 +344,7 @@ mod reference {
             }
             Ok(DataPacket {
                 send_time,
-                payloads,
+                payloads: payloads.into(),
             })
         }
 
@@ -416,7 +419,7 @@ mod reference {
             for _ in 0..count {
                 let raw = data.take(props.packet_size as usize, "data packet")?;
                 let p = read_packet(raw, props.packet_size)?;
-                for payload in &p.payloads {
+                for payload in p.payloads.iter() {
                     if !streams.iter().any(|s| s.number == payload.stream) {
                         return Err(AsfError::UnknownStream(payload.stream));
                     }
@@ -479,7 +482,7 @@ proptest! {
         // A packet size the payloads overflow: the same refusal.
         let tight = DataPacket {
             send_time: 0,
-            payloads: f.packets.iter().flat_map(|p| p.payloads.clone()).take(255).collect(),
+            payloads: f.packets.iter().flat_map(|p| p.payloads.iter().cloned()).take(255).collect(),
         };
         prop_assert_eq!(tight.write(64), reference::container::write_packet(&tight, 64));
     }
@@ -559,7 +562,7 @@ proptest! {
         let mut rng = proptest::test_runner::TestRng::from_seed(seed);
         let mut draw = move |n: u64| rng.next_u64() % n;
         let mut frags: Vec<Payload> = Vec::new();
-        for f in pk.finish().into_iter().flat_map(|p| p.payloads) {
+        for f in pk.finish().iter().flat_map(|p| p.payloads.iter().cloned()) {
             match draw(10) {
                 0 => continue, // dropped
                 1 => frags.push(f.clone()), // duplicated
@@ -591,7 +594,7 @@ proptest! {
         while !rest.is_empty() {
             let (now, later) = rest.split_at((1 + draw(3) as usize).min(rest.len()));
             rest = later;
-            let packet = DataPacket { send_time: 0, payloads: now.to_vec() };
+            let packet = DataPacket { send_time: 0, payloads: now.into() };
             prop_assert_eq!(new.push_packet(&packet), old.push_packet(&packet));
             if draw(3) == 0 {
                 prop_assert_eq!(new.take_completed(), old.take_completed());
@@ -635,8 +638,8 @@ proptest! {
         };
         let one_each = packets
             .iter()
-            .flat_map(|p| &p.payloads)
-            .map(|f| DataPacket { send_time: 0, payloads: vec![f.clone()] })
+            .flat_map(|p| p.payloads.iter())
+            .map(|f| DataPacket { send_time: 0, payloads: vec![f.clone()].into() })
             .collect();
         let over_the_wire = permuted(packets.clone())
             .iter()
@@ -653,7 +656,7 @@ proptest! {
             prop_assert_eq!(got.len(), samples.len());
             let read_backings: Vec<usize> = order
                 .iter()
-                .flat_map(|p| &p.payloads)
+                .flat_map(|p| p.payloads.iter())
                 .map(|f| f.data.backing_id())
                 .collect();
             let mut fresh = Vec::new();
@@ -670,7 +673,7 @@ proptest! {
             if wire {
                 let split = packets
                     .iter()
-                    .flat_map(|p| &p.payloads)
+                    .flat_map(|p| p.payloads.iter())
                     .filter(|f| f.offset == 0 && f.data.len() < f.total as usize)
                     .count();
                 fresh.sort_unstable();
@@ -734,7 +737,8 @@ proptest! {
                     total: len as u32,
                     pres_time: 0,
                     data: vec![fill; len].into(),
-                }],
+                }]
+                .into(),
             });
         }
         let license = License::new("course", key);

@@ -87,7 +87,8 @@ fn big_segment() -> Wire {
                 total: 1_400,
                 pres_time: u64::from(i) * 10_000,
                 data: vec![0x5A; 1_400].into(),
-            }],
+            }]
+            .into(),
         })
         .collect();
     Wire::Segment(lod_streaming::wire::SegmentData {

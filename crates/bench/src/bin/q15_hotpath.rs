@@ -32,8 +32,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use lod_asf::{
-    write_asf, AsfFile, FileProperties, MediaSample, Packetizer, ScriptCommandList, StreamKind,
-    StreamProperties,
+    write_asf, AsfFile, DataPacket, FileProperties, MediaSample, Packetizer, Payload,
+    ScriptCommandList, StreamKind, StreamProperties,
 };
 use lod_relay::{CachedSegment, SegmentCache};
 use lod_streaming::wire::{SegmentData, Wire};
@@ -162,8 +162,9 @@ fn fan_out(frame: &[u8], readers: usize) -> u64 {
     deliveries
 }
 
-/// The pre-zero-copy behavior, re-enacted: every delivery duplicates the
-/// payload storage, so allocations scale with readers.
+/// The pre-zero-copy behavior, re-enacted: every delivery rebuilds the
+/// packet's payload list over duplicated payload storage, so allocations
+/// scale with readers.
 fn fan_out_deep_copy(frame: &[u8], readers: usize) -> u64 {
     let mut deliveries = 0u64;
     for relay in 0..RELAYS {
@@ -175,10 +176,17 @@ fn fan_out_deep_copy(frame: &[u8], readers: usize) -> u64 {
         let share = readers / RELAYS + usize::from(relay < readers % RELAYS);
         for _ in 0..share {
             for p in &seg.packets {
-                let mut copy = p.clone();
-                for pl in &mut copy.payloads {
-                    pl.data = bytes::Bytes::copy_from_slice(&pl.data);
-                }
+                let copy = DataPacket {
+                    send_time: p.send_time,
+                    payloads: p
+                        .payloads
+                        .iter()
+                        .map(|pl| Payload {
+                            data: bytes::Bytes::copy_from_slice(&pl.data),
+                            ..pl.clone()
+                        })
+                        .collect(),
+                };
                 std::hint::black_box(Wire::Data(copy));
                 deliveries += 1;
             }

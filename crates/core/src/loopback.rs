@@ -44,10 +44,10 @@ pub struct SocketReport {
 /// stream header (it rides the first segment a relay fetches), at most
 /// 32. 0 when not even one fits.
 fn segment_packets(file: &AsfFile, max_frame_bytes: usize) -> usize {
-    let header = Wire::Header(StreamHeader::of(file, 0));
+    let header = Wire::Header(Box::new(StreamHeader::of(file, 0)));
     // 256 bytes cover the frame header, its trace extension and a
     // segment's own fields (153 in all).
-    let fixed = 256 + header.to_frame_payload().len();
+    let fixed = 256 + header.encoded_len();
     // The wire codec spends 12 + 26 bytes per payload on a packet where
     // ASF spends 9 + 24, so an eighth on top of the ASF size covers it.
     let packet = file.props.packet_size as usize;

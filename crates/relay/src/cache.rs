@@ -46,7 +46,7 @@ impl CachedSegment {
         let mut seen = HashSet::new();
         let mut total = 0u64;
         for packet in &self.packets {
-            for payload in &packet.payloads {
+            for payload in packet.payloads.iter() {
                 if seen.insert(payload.data.backing_id()) {
                     total += payload.data.backing_len() as u64;
                 }
@@ -149,7 +149,7 @@ impl SegmentCache {
         let mut total = 0u64;
         for entry in self.entries.values().flat_map(HashMap::values) {
             for packet in &entry.segment.packets {
-                for payload in &packet.payloads {
+                for payload in packet.payloads.iter() {
                     if seen.insert(payload.data.backing_id()) {
                         total += payload.data.backing_len() as u64;
                     }

@@ -113,7 +113,7 @@ impl std::ops::AddAssign for RelayMetrics {
 /// segment response.
 #[derive(Debug, Clone)]
 struct ContentMeta {
-    header: StreamHeader,
+    header: Box<StreamHeader>,
     total_packets: u32,
     total_segments: u32,
     segment_packets: u32,
@@ -162,7 +162,7 @@ struct LiveSub {
 struct LiveRelay {
     /// Whether the single upstream Play has been issued.
     subscribed: bool,
-    header: Option<StreamHeader>,
+    header: Option<Box<StreamHeader>>,
     packets: Vec<DataPacket>,
     scripts: Vec<ScriptCommand>,
     ended: bool,
@@ -970,7 +970,7 @@ impl RelayNode {
         }
     }
 
-    fn on_live_header(&mut self, net: &mut impl Transport<Wire>, _now: u64, h: StreamHeader) {
+    fn on_live_header(&mut self, net: &mut impl Transport<Wire>, _now: u64, h: Box<StreamHeader>) {
         let Some(content) = self.upstream_live.clone() else {
             return;
         };

@@ -6,9 +6,18 @@
 //! unchanged whether a segment's payloads share one backing buffer or
 //! each own a private copy. The cache also answers every operation as
 //! its `(String, u32)`-keyed predecessor did, kept here as a model.
+//! Fan-out shares each cached packet with every student it serves.
 
-use lod_asf::{DataPacket, Payload};
-use lod_relay::{CachedSegment, SegmentCache};
+use std::sync::Arc;
+
+use lod_asf::{
+    AsfFile, DataPacket, FileProperties, MediaSample, Packetizer, Payload, ScriptCommandList,
+    StreamKind, StreamProperties,
+};
+use lod_relay::{CachedSegment, RelayNode, SegmentCache};
+use lod_simnet::{LinkSpec, Network};
+use lod_streaming::wire::{ControlRequest, SegmentData};
+use lod_streaming::{StreamHeader, Wire};
 use proptest::prelude::*;
 
 /// One scripted cache operation.
@@ -244,7 +253,7 @@ proptest! {
         // The "origin": an immutable segment of real packets.
         let origin_packets: Vec<DataPacket> = send_times
             .iter()
-            .map(|&t| DataPacket { send_time: t, payloads: Vec::new() })
+            .map(|&t| DataPacket { send_time: t, payloads: Vec::new().into() })
             .collect();
         let origin_segment = CachedSegment {
             base_packet: base,
@@ -345,6 +354,74 @@ proptest! {
         }
     }
 
+    /// A relay serving `students` from one cached segment hands every one
+    /// of them the cached packets themselves: each delivered
+    /// `Wire::Data` shares its payload list with the cache entry (and
+    /// with the origin's file it was cut from), and nothing is dropped.
+    #[test]
+    fn fan_out_shares_each_cached_packet_with_every_student(
+        students in 1usize..9,
+        sample_bytes in proptest::collection::vec(1usize..2_000, 1..24),
+    ) {
+        let file = lecture(&sample_bytes);
+        let mut net: Network<Wire> = Network::new(3);
+        let origin = net.add_node("origin");
+        let relay_id = net.add_node("relay");
+        net.connect_bidirectional(origin, relay_id, LinkSpec::lan());
+        let students: Vec<_> = (0..students)
+            .map(|i| {
+                let s = net.add_node(format!("student-{i}"));
+                net.connect_bidirectional(relay_id, s, LinkSpec::lan());
+                s
+            })
+            .collect();
+        let mut relay = RelayNode::new(relay_id, origin, 64 << 20);
+        relay.serve_vod("lec");
+        let n = file.packets.len() as u32;
+        let segment = Wire::Segment(SegmentData {
+            content: "lec".into(),
+            segment: 0,
+            base_packet: 0,
+            total_packets: n,
+            total_segments: 1,
+            segment_packets: n,
+            packet_size: file.props.packet_size,
+            packets: file.packets.clone(),
+            header: Some(Box::new(StreamHeader::of(&file, 1))),
+            start_packet: None,
+            at_time: None,
+            epoch: 1,
+            trace: None,
+        });
+        relay.on_message(&mut net, 0, origin, segment);
+        for &s in &students {
+            let play = ControlRequest::Play { content: "lec".into(), from: 0 };
+            relay.on_message(&mut net, 0, s, Wire::Request(play));
+        }
+        let cached = relay.cache().peek("lec", 0).expect("segment cached").clone();
+        // Which cached packet each delivery shares, per student (LAN
+        // jitter may reorder deliveries).
+        let mut got = vec![Vec::new(); students.len()];
+        let mut now = 0;
+        while now < 120_000_000_000 && got.iter().any(|g| g.len() < file.packets.len()) {
+            relay.poll(&mut net, now);
+            for d in net.advance_to(now) {
+                let Wire::Data(p) = d.message else { continue };
+                let k = students.iter().position(|&s| s == d.dst).expect("a student");
+                let i = cached.packets.iter().position(|c| Arc::ptr_eq(&c.payloads, &p.payloads));
+                prop_assert!(i.is_some(), "delivered a copy of the cached packet");
+                let i = i.unwrap_or_default();
+                prop_assert!(Arc::ptr_eq(&p.payloads, &file.packets[i].payloads));
+                got[k].push(i);
+            }
+            now += 1_000_000;
+        }
+        for g in &mut got {
+            g.sort_unstable();
+            prop_assert!(g.iter().copied().eq(0..file.packets.len()), "{g:?}");
+        }
+    }
+
     /// `resident_backing_bytes` counts shared storage once: with every
     /// payload slicing one backing buffer per segment it never exceeds
     /// the deep-copy residency, and a segment's own payloads never
@@ -368,6 +445,41 @@ proptest! {
         prop_assert_eq!(shared_cache.resident_backing_bytes(), total);
         prop_assert_eq!(copied_cache.resident_backing_bytes(), total);
         prop_assert!(shared_cache.resident_backing_bytes() <= copied_cache.resident_backing_bytes());
+    }
+}
+
+/// A one-stream lecture of samples of `sizes` bytes, 100 ms apart, in
+/// 512-byte packets (large samples fragment).
+fn lecture(sizes: &[usize]) -> AsfFile {
+    let mut pk = Packetizer::new(512).expect("valid packet size");
+    for (i, &len) in sizes.iter().enumerate() {
+        pk.push(&MediaSample::new(
+            1,
+            i as u64 * 1_000_000,
+            vec![i as u8; len],
+        ));
+    }
+    AsfFile {
+        props: FileProperties {
+            file_id: 1,
+            created: 0,
+            packet_size: 512,
+            play_duration: sizes.len() as u64 * 1_000_000,
+            preroll: 0,
+            broadcast: false,
+            max_bitrate: 400_000,
+        },
+        streams: vec![StreamProperties {
+            number: 1,
+            kind: StreamKind::Video,
+            codec: 4,
+            bitrate: 400_000,
+            name: "v".into(),
+        }],
+        script: ScriptCommandList::new(),
+        drm: None,
+        packets: pk.finish(),
+        index: None,
     }
 }
 
@@ -401,7 +513,7 @@ fn twin_segments(seed: u8, bytes: u64) -> (CachedSegment, CachedSegment) {
             base_packet: 0,
             packets: vec![DataPacket {
                 send_time: 0,
-                payloads,
+                payloads: payloads.into(),
             }],
             bytes,
         }

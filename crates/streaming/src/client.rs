@@ -412,7 +412,7 @@ impl StreamingClient {
                         self.scripts.push(c.clone());
                     }
                 }
-                self.header = Some(h);
+                self.header = Some(*h);
                 // Admitted after all: cancel any scheduled busy retry.
                 self.busy_until = None;
             }

@@ -105,28 +105,58 @@ fn read_payload(r: &mut Reader<'_>) -> Result<Payload, CodecError> {
 fn write_packet(buf: &mut Vec<u8>, p: &DataPacket) {
     write_u64(buf, p.send_time);
     write_u32(buf, p.payloads.len() as u32);
-    for payload in &p.payloads {
+    for payload in p.payloads.iter() {
         write_payload(buf, payload);
     }
+}
+
+/// Encoded size of an empty payload: its fixed fields and data length.
+const MIN_PAYLOAD_BYTES: usize = 2 + 4 + 4 + 4 + 8 + 4;
+
+fn payload_len(p: &Payload) -> usize {
+    MIN_PAYLOAD_BYTES + p.data.len()
+}
+
+fn packet_len(p: &DataPacket) -> usize {
+    8 + 4 + p.payloads.iter().map(payload_len).sum::<usize>()
 }
 
 fn read_packet(r: &mut Reader<'_>) -> Result<DataPacket, CodecError> {
     let send_time = r.u64()?;
     let n = r.u32()? as usize;
-    let mut payloads = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        payloads.push(read_payload(r)?);
+    // The count is a wire field: refuse one the buffer cannot hold
+    // before anything is sized by it.
+    if n > r.remaining() / MIN_PAYLOAD_BYTES {
+        return Err(CodecError::Truncated);
     }
-    Ok(DataPacket {
-        send_time,
-        payloads,
-    })
+    // An exact-length map collects into the packet's one allocation. It
+    // cannot stop early, so it keeps the first error and fills in.
+    let mut failed = None;
+    let payloads = (0..n)
+        .map(|_| {
+            read_payload(r).unwrap_or_else(|e| {
+                failed.get_or_insert(e);
+                Payload::default()
+            })
+        })
+        .collect();
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(DataPacket {
+            send_time,
+            payloads,
+        }),
+    }
 }
 
 fn write_script_command(buf: &mut Vec<u8>, c: &ScriptCommand) {
     write_u64(buf, c.time);
     write_string(buf, &c.kind);
     write_string(buf, &c.param);
+}
+
+fn script_command_len(c: &ScriptCommand) -> usize {
+    8 + 4 + c.kind.len() + 4 + c.param.len()
 }
 
 fn read_script_command(r: &mut Reader<'_>) -> Result<ScriptCommand, CodecError> {
@@ -191,6 +221,21 @@ fn write_header(buf: &mut Vec<u8>, h: &StreamHeader) {
     write_u64(buf, h.epoch);
 }
 
+fn header_len(h: &StreamHeader) -> usize {
+    let props = 8 + 8 + 4 + 8 + 8 + 1 + 4;
+    let streams: usize = h
+        .streams
+        .iter()
+        .map(|s| 2 + 1 + 2 + 4 + 4 + s.name.len())
+        .sum();
+    let script: usize = h.script.commands().iter().map(script_command_len).sum();
+    let drm = 1 + h
+        .drm
+        .as_ref()
+        .map_or(0, |d| 4 + d.key_id.len() + d.probe.len());
+    props + 4 + streams + 4 + script + drm + 8
+}
+
 fn read_header(r: &mut Reader<'_>) -> Result<StreamHeader, CodecError> {
     let props = FileProperties {
         file_id: r.u64()?,
@@ -246,9 +291,9 @@ fn write_opt_header(buf: &mut Vec<u8>, h: Option<&StreamHeader>) {
     }
 }
 
-fn read_opt_header(r: &mut Reader<'_>) -> Result<Option<StreamHeader>, CodecError> {
+fn read_opt_header(r: &mut Reader<'_>) -> Result<Option<Box<StreamHeader>>, CodecError> {
     Ok(if r.bool()? {
-        Some(read_header(r)?)
+        Some(Box::new(read_header(r)?))
     } else {
         None
     })
@@ -305,6 +350,26 @@ fn write_request(buf: &mut Vec<u8>, req: &ControlRequest) {
             write_u64(buf, *epoch);
         }
     }
+}
+
+fn request_len(req: &ControlRequest) -> usize {
+    1 + match req {
+        ControlRequest::Play { content, .. } => 4 + content.len() + 8,
+        ControlRequest::Pause | ControlRequest::Resume | ControlRequest::Teardown => 0,
+        ControlRequest::Seek { .. } | ControlRequest::Ping { .. } => 8,
+        ControlRequest::SelectStreams(streams) => 4 + 2 * streams.len(),
+        ControlRequest::FetchSegment {
+            content,
+            at_time,
+            trace,
+            ..
+        } => 4 + content.len() + 4 + opt_len(*at_time, 8) + 1 + opt_len(*trace, 32),
+    }
+}
+
+/// Encoded size of an `Option` whose value takes `len` bytes.
+fn opt_len<T>(v: Option<T>, len: usize) -> usize {
+    1 + if v.is_some() { len } else { 0 }
 }
 
 fn read_request(r: &mut Reader<'_>) -> Result<ControlRequest, CodecError> {
@@ -391,7 +456,7 @@ impl WireCodec for Wire {
                 for p in &s.packets {
                     write_packet(buf, p);
                 }
-                write_opt_header(buf, s.header.as_ref());
+                write_opt_header(buf, s.header.as_deref());
                 match s.start_packet {
                     None => write_bool(buf, false),
                     Some(sp) => {
@@ -432,10 +497,35 @@ impl WireCodec for Wire {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Wire::Request(req) => request_len(req),
+            Wire::Header(h) => header_len(h),
+            Wire::Data(p) => packet_len(p),
+            Wire::Script(c) => script_command_len(c),
+            Wire::EndOfStream => 0,
+            Wire::NotFound(name) => 4 + name.len(),
+            Wire::Segment(s) => {
+                4 + s.content.len()
+                    + 7 * 4
+                    + s.packets.iter().map(packet_len).sum::<usize>()
+                    + 1
+                    + s.header.as_deref().map_or(0, header_len)
+                    + opt_len(s.start_packet, 4)
+                    + opt_len(s.at_time, 8)
+                    + 8
+                    + opt_len(s.trace, 32)
+            }
+            Wire::Redirect { .. } | Wire::Pong { .. } => 8,
+            Wire::Busy { alternate, .. } => 8 + opt_len(*alternate, 8),
+            Wire::Mark(_) => 32,
+        }
+    }
+
     fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(match r.u8()? {
             WIRE_REQUEST => Wire::Request(read_request(r)?),
-            WIRE_HEADER => Wire::Header(read_header(r)?),
+            WIRE_HEADER => Wire::Header(Box::new(read_header(r)?)),
             WIRE_DATA => Wire::Data(read_packet(r)?),
             WIRE_SCRIPT => Wire::Script(read_script_command(r)?),
             WIRE_EOS => Wire::EndOfStream,
@@ -542,7 +632,7 @@ mod tests {
         (any::<u64>(), proptest::collection::vec(arb_payload(), 0..4)).prop_map(
             |(send_time, payloads)| DataPacket {
                 send_time,
-                payloads,
+                payloads: payloads.into(),
             },
         )
     }
@@ -675,7 +765,7 @@ mod tests {
             (
                 any::<u32>(),
                 proptest::collection::vec(arb_packet(), 0..3),
-                opt(arb_header()),
+                opt(arb_header().prop_map(Box::new)),
             ),
             (
                 opt(any::<u32>()),
@@ -708,7 +798,7 @@ mod tests {
     fn arb_wire() -> impl Strategy<Value = Wire> {
         prop_oneof![
             arb_request().prop_map(Wire::Request),
-            arb_header().prop_map(Wire::Header),
+            arb_header().prop_map(|h| Wire::Header(Box::new(h))),
             arb_packet().prop_map(Wire::Data),
             arb_script_command().prop_map(Wire::Script),
             Just(Wire::EndOfStream),
@@ -728,6 +818,13 @@ mod tests {
         #[test]
         fn every_wire_variant_round_trips(w in arb_wire()) {
             prop_assert_eq!(round_trip(&w), w);
+        }
+
+        #[test]
+        fn encoded_len_is_exact_and_allocated_once(w in arb_wire()) {
+            let bytes = w.to_frame_payload();
+            prop_assert_eq!(w.encoded_len(), bytes.len());
+            prop_assert_eq!(bytes.capacity(), bytes.len());
         }
 
         #[test]
@@ -757,7 +854,8 @@ mod tests {
                         total: payload_len as u32,
                         pres_time: i as u64,
                         data: vec![0xAB; payload_len].into(),
-                    }],
+                    }]
+                    .into(),
                 })
                 .collect();
             let w = Wire::Segment(SegmentData {
@@ -804,7 +902,7 @@ mod tests {
             };
             let start = payload.as_ptr() as usize;
             let end = start + payload.len();
-            for frag in packets.iter().flat_map(|p| &p.payloads) {
+            for frag in packets.iter().flat_map(|p| p.payloads.iter()) {
                 if frag.data.is_empty() {
                     continue; // empty views share the static empty backing
                 }
@@ -841,7 +939,7 @@ mod tests {
             packet_size: 100,
             packets: vec![DataPacket {
                 send_time: 0,
-                payloads: vec![],
+                payloads: Vec::new().into(),
             }],
             header: None,
             start_packet: None,

@@ -96,19 +96,19 @@ impl Default for DegradePolicy {
 
 /// A live feed being produced by an encoder: packets are appended as they
 /// are encoded, and every subscribed session relays from the shared tail.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LiveFeed {
-    header: Option<StreamHeader>,
+    header: StreamHeader,
     packets: Vec<DataPacket>,
     scripts: Vec<lod_asf::ScriptCommand>,
     ended: bool,
 }
 
 impl LiveFeed {
-    /// An empty feed (header must be set before clients join).
+    /// An empty feed for the broadcast that `header` describes.
     pub fn new(header: StreamHeader) -> Self {
         Self {
-            header: Some(header),
+            header,
             packets: Vec::new(),
             scripts: Vec::new(),
             ended: false,
@@ -144,14 +144,19 @@ impl LiveFeed {
     /// Archives the (finished) broadcast as a stored ASF file — the step
     /// that turns a live lecture into Lecture-*on-Demand*: the packets,
     /// the teacher's script commands, a seek index, and the final
-    /// duration all land in one replayable file.
+    /// duration all land in one replayable file. Always `Some`: every
+    /// feed carries its header.
     pub fn into_asf(self) -> Option<AsfFile> {
-        let header = self.header?;
-        let mut script = header.script.clone();
+        Some(self.archive())
+    }
+
+    fn archive(self) -> AsfFile {
+        let header = self.header;
+        let mut script = header.script;
         for c in self.scripts {
             script.push(c);
         }
-        let mut props = header.props.clone();
+        let mut props = header.props;
         props.broadcast = false;
         let mut file = AsfFile {
             props,
@@ -163,7 +168,7 @@ impl LiveFeed {
         };
         file.props.play_duration = file.last_presentation_time();
         file.build_index(10_000_000);
-        Some(file)
+        file
     }
 }
 
@@ -641,12 +646,11 @@ impl StreamingServer {
         let Some(feed) = self.live.remove(name) else {
             return false;
         };
-        if !feed.ended || feed.header.is_none() {
+        if !feed.ended {
             self.live.insert(name.to_string(), feed);
             return false;
         }
-        let file = feed.into_asf().expect("header checked above");
-        self.stored.insert(as_name.into(), file);
+        self.stored.insert(as_name.into(), feed.archive());
         true
     }
 
@@ -869,7 +873,7 @@ impl StreamingServer {
             .take(seg_pkts)
             .cloned()
             .collect();
-        let header = want_header.then(|| StreamHeader::of(file, self.epoch));
+        let header = want_header.then(|| Box::new(StreamHeader::of(file, self.epoch)));
         let data = SegmentData {
             content: content.to_string(),
             segment,
@@ -932,8 +936,7 @@ impl StreamingServer {
                 .or_else(|| {
                     self.live
                         .get(content)
-                        .and_then(|f| f.header.as_ref())
-                        .map(|h| u64::from(h.props.max_bitrate))
+                        .map(|f| u64::from(f.header.props.max_bitrate))
                 });
             let is_new = !self.sessions.iter().any(|s| s.client == client)
                 && !self.admission_exempt.contains(&client)
@@ -985,7 +988,7 @@ impl StreamingServer {
                 first_packet,
             )
         } else if let Some(feed) = self.live.get(content) {
-            let mut header = feed.header.clone().expect("live feeds carry a header");
+            let mut header = feed.header.clone();
             header.epoch = self.epoch;
             let rate = header.props.max_bitrate;
             self.metrics.live_subscribers += 1;
@@ -1009,7 +1012,7 @@ impl StreamingServer {
             .filter(|st| st.kind == StreamKind::Video)
             .map(|st| u64::from(st.bitrate))
             .sum();
-        let _ = net.send_reliable(self.node, client, bytes, Wire::Header(header));
+        let _ = net.send_reliable(self.node, client, bytes, Wire::Header(Box::new(header)));
         self.metrics.sessions_served += 1;
         if start == 0 {
             self.metrics.plays_from_zero += 1;
@@ -1098,12 +1101,7 @@ impl StreamingServer {
                     None => continue,
                 },
                 SourceRef::Live(name) => match self.live.get(name) {
-                    Some(f) => (
-                        &f.packets,
-                        &f.scripts,
-                        f.ended,
-                        f.header.as_ref().map_or(1500, |h| h.props.packet_size),
-                    ),
+                    Some(f) => (&f.packets, &f.scripts, f.ended, f.header.props.packet_size),
                     None => continue,
                 },
             };
@@ -1211,16 +1209,16 @@ impl StreamingServer {
                 }
                 // Stream thinning: strip payloads of deselected streams
                 // and decimate video payloads while degraded; skip
-                // packets that end up empty.
+                // packets that end up empty. A packet keeps sharing its
+                // payload list unless a payload actually goes.
                 let (packet, wire_bytes) = if s.stream_filter.is_none() && !s.thinning() {
                     (p.clone(), u64::from(packet_size))
                 } else {
-                    let mut thin = p.clone();
                     let (num, den) = s.keep;
                     let filter = &s.stream_filter;
                     let video_streams = &s.video_streams;
                     let decimate = num < den;
-                    thin.payloads.retain(|pl| {
+                    let kept = |pl: &&lod_asf::Payload| {
                         if let Some(keep) = filter {
                             if !keep.contains(&pl.stream) {
                                 return false;
@@ -1236,11 +1234,20 @@ impl StreamingServer {
                             return h % den < num;
                         }
                         true
-                    });
-                    if thin.payloads.is_empty() {
+                    };
+                    let n_kept = p.payloads.iter().filter(kept).count();
+                    if n_kept == 0 {
                         s.next_packet += 1;
                         continue;
                     }
+                    let thin = if n_kept == p.payloads.len() {
+                        p.clone()
+                    } else {
+                        DataPacket {
+                            send_time: p.send_time,
+                            payloads: p.payloads.iter().filter(kept).cloned().collect(),
+                        }
+                    };
                     let bytes = (lod_asf::packet::PACKET_HEADER_BYTES
                         + thin.payloads.len() * lod_asf::packet::PAYLOAD_HEADER_BYTES
                         + thin.media_bytes()) as u64;
@@ -1318,6 +1325,8 @@ impl StreamingServer {
 
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use lod_asf::{
         FileProperties, MediaSample, Packetizer, ScriptCommandList, StreamKind, StreamProperties,
@@ -1735,6 +1744,92 @@ pub(crate) mod tests {
         server.on_message(&mut net, 0, relay, play);
         assert_eq!(server.session_count(), 2, "the relay is never refused");
         assert_eq!(server.metrics().sessions_shed, 0);
+    }
+
+    /// The thinning rule as the server applied it when every send copied
+    /// the payload list: copy it, then drop what the stream filter and
+    /// the video decimation refuse.
+    fn copy_and_retain(
+        p: &DataPacket,
+        filter: Option<&[u16]>,
+        (num, den): (u64, u64),
+        video: &[u16],
+    ) -> Vec<lod_asf::Payload> {
+        let mut thin = p.payloads.to_vec();
+        thin.retain(|pl| {
+            if filter.is_some_and(|keep| !keep.contains(&pl.stream)) {
+                return false;
+            }
+            if num < den && video.contains(&pl.stream) {
+                let h = lod_obs::splitmix64(pl.pres_time ^ (u64::from(pl.stream) << 48));
+                return h % den < num;
+            }
+            true
+        });
+        thin
+    }
+
+    #[test]
+    fn thinning_keeps_what_copying_kept_and_shares_untouched_packets() {
+        let file = av_test_file(40, 1_000_000);
+        let cases = [
+            (None, (1, 1)),
+            (Some(&[2][..]), (1, 1)),
+            (Some(&[1, 2][..]), (1, 1)),
+            (None, (1, 2)),
+            (Some(&[1][..]), (1, 3)),
+        ];
+        for (filter, keep) in cases {
+            let mut net = Network::new(26);
+            let s = net.add_node("server");
+            let c = net.add_node("client");
+            // No jitter: packets arrive in the order they were sent.
+            net.connect_bidirectional(s, c, LinkSpec::lan().with_jitter(0));
+            let mut server = StreamingServer::new(s);
+            server.publish("lec", file.clone());
+            if let Some(f) = filter {
+                let select = Wire::Request(ControlRequest::SelectStreams(f.to_vec()));
+                server.on_message(&mut net, 0, c, select);
+            }
+            let play = Wire::Request(ControlRequest::Play {
+                content: "lec".into(),
+                from: 0,
+            });
+            server.on_message(&mut net, 0, c, play);
+            server.sessions[0].keep = keep;
+            let mut got = Vec::new();
+            for t in (0..200_000_000).step_by(1_000_000) {
+                server.poll(&mut net, t);
+                for d in net.advance_to(t) {
+                    if let Wire::Data(p) = d.message {
+                        got.push(p);
+                    }
+                }
+            }
+            let plain = filter.is_none() && keep.0 >= keep.1;
+            let want: Vec<_> = file
+                .packets
+                .iter()
+                .map(|p| (p, copy_and_retain(p, filter, keep, &[1])))
+                .filter(|(_, thin)| !thin.is_empty())
+                .collect();
+            assert_eq!(got.len(), want.len(), "{filter:?} {keep:?}");
+            let mut bytes = 0;
+            for (g, (p, thin)) in got.iter().zip(&want) {
+                assert_eq!(g.send_time, p.send_time);
+                assert_eq!(&g.payloads[..], &thin[..], "{filter:?} {keep:?}");
+                let whole = thin.len() == p.payloads.len();
+                assert_eq!(Arc::ptr_eq(&g.payloads, &p.payloads), whole);
+                bytes += if plain {
+                    256
+                } else {
+                    (lod_asf::packet::PACKET_HEADER_BYTES
+                        + thin.len() * lod_asf::packet::PAYLOAD_HEADER_BYTES
+                        + g.media_bytes()) as u64
+                };
+            }
+            assert_eq!(server.metrics().payload_bytes_sent, bytes);
+        }
     }
 
     #[test]

@@ -121,8 +121,10 @@ pub struct SegmentData {
     pub packet_size: u32,
     /// The packets of this segment, in order.
     pub packets: Vec<DataPacket>,
-    /// The stream header, when the request set `want_header`.
-    pub header: Option<StreamHeader>,
+    /// The stream header, when the request set `want_header` (boxed:
+    /// most segments carry none, and every `Wire` is as large as its
+    /// largest variant).
+    pub header: Option<Box<StreamHeader>>,
     /// Global packet index resolved from the request's `at_time`.
     pub start_packet: Option<u32>,
     /// Echo of the request's `at_time` (lets the relay match a
@@ -138,7 +140,7 @@ pub struct SegmentData {
 impl SegmentData {
     /// Wire size of the segment payload in bytes.
     pub fn wire_bytes(&self) -> u64 {
-        let header = self.header.as_ref().map_or(0, StreamHeader::wire_bytes);
+        let header = self.header.as_deref().map_or(0, StreamHeader::wire_bytes);
         48 + self.packets.len() as u64 * u64::from(self.packet_size) + header
     }
 }
@@ -148,8 +150,10 @@ impl SegmentData {
 pub enum Wire {
     /// A control request (client → server).
     Request(ControlRequest),
-    /// Header metadata (server → client, first response to Play).
-    Header(StreamHeader),
+    /// Header metadata (server → client, first response to Play). Boxed,
+    /// so the data packets that make up almost all traffic do not travel
+    /// in a message sized for a header.
+    Header(Box<StreamHeader>),
     /// One data packet (server → client).
     Data(DataPacket),
     /// A script command added to a live stream after the header went out
@@ -251,7 +255,7 @@ mod tests {
     fn data_wire_size_is_packet_size() {
         let w = Wire::Data(DataPacket {
             send_time: 0,
-            payloads: vec![],
+            payloads: Vec::new().into(),
         });
         assert_eq!(w.wire_bytes(1500), 1500);
     }
@@ -260,7 +264,7 @@ mod tests {
     fn segment_wire_size_counts_packets_and_header() {
         let packet = DataPacket {
             send_time: 0,
-            payloads: vec![],
+            payloads: Vec::new().into(),
         };
         let mut seg = SegmentData {
             content: "lec".into(),
@@ -278,7 +282,7 @@ mod tests {
             trace: None,
         };
         assert_eq!(seg.wire_bytes(), 48 + 2 * 256);
-        seg.header = Some(StreamHeader {
+        seg.header = Some(Box::new(StreamHeader {
             props: FileProperties {
                 file_id: 0,
                 created: 0,
@@ -292,13 +296,24 @@ mod tests {
             script: ScriptCommandList::new(),
             drm: None,
             epoch: 0,
-        });
+        }));
         let with_header = seg.wire_bytes();
         assert_eq!(
             with_header,
             48 + 2 * 256 + seg.header.as_ref().unwrap().wire_bytes()
         );
         assert_eq!(Wire::Segment(seg).wire_bytes(256), with_header);
+    }
+
+    #[test]
+    fn a_data_packet_travels_in_a_small_message() {
+        // Every simnet slot and delivery holds a whole `Wire`; a header
+        // inline in it made each data packet carry 280 bytes.
+        assert!(
+            std::mem::size_of::<Wire>() <= 152,
+            "{}",
+            std::mem::size_of::<Wire>()
+        );
     }
 
     #[test]

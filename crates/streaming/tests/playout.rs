@@ -111,7 +111,7 @@ proptest! {
         let mut client =
             StreamingClient::new(node, server, "lec").with_adaptive_thinning(0, vec![AUDIO]);
         client.start(&mut net);
-        client.on_message(0, Wire::Header(StreamHeader::of(&file, 0)));
+        client.on_message(0, Wire::Header(Box::new(StreamHeader::of(&file, 0))));
         let mut model = Model::default();
         let (mut rendered, mut expected) = (Vec::new(), Vec::new());
         let mut queue = packets.into_iter();

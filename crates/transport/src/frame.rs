@@ -264,6 +264,10 @@ pub trait WireCodec: Sized {
     /// Appends the encoding of `self` to `buf`.
     fn encode_wire(&self, buf: &mut Vec<u8>);
 
+    /// Exactly how many bytes [`WireCodec::encode_wire`] appends, so a
+    /// frame payload is allocated once at its final size.
+    fn encoded_len(&self) -> usize;
+
     /// The trace context this message carries, when it is part of a
     /// sampled segment delivery. The transport stamps it into the frame
     /// header so span events can be emitted at every hop without
@@ -279,9 +283,9 @@ pub trait WireCodec: Sized {
     /// [`CodecError`] on truncated or malformed input.
     fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError>;
 
-    /// The encoding of `self` as a fresh frame payload.
+    /// The encoding of `self` as a fresh frame payload, allocated once.
     fn to_frame_payload(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
+        let mut buf = Vec::with_capacity(self.encoded_len());
         self.encode_wire(&mut buf);
         buf
     }

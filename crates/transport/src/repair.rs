@@ -193,6 +193,16 @@ impl WireCodec for ControlFrame {
         }
     }
 
+    fn encoded_len(&self) -> usize {
+        match self {
+            ControlFrame::Nack { offsets, .. } => {
+                let top = offsets.last().copied().unwrap_or(0);
+                1 + 8 + 2 + usize::from(top).div_ceil(8)
+            }
+            ControlFrame::Heartbeat { .. } => 1 + 8,
+        }
+    }
+
     fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.u8()? {
             TAG_NACK => {
@@ -745,6 +755,13 @@ mod tests {
             #[test]
             fn every_control_variant_round_trips(c in arb_control()) {
                 prop_assert_eq!(round_trip(&c), c);
+            }
+
+            #[test]
+            fn encoded_len_is_exact_and_allocated_once(c in arb_control()) {
+                let bytes = c.to_frame_payload();
+                prop_assert_eq!(c.encoded_len(), bytes.len());
+                prop_assert_eq!(bytes.capacity(), bytes.len());
             }
 
             #[test]

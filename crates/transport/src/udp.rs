@@ -1104,6 +1104,10 @@ mod tests {
             frame::write_bytes(buf, &self.body);
         }
 
+        fn encoded_len(&self) -> usize {
+            8 + 4 + self.body.len()
+        }
+
         fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
             Ok(Self {
                 id: r.u64()?,
@@ -1422,6 +1426,10 @@ mod tests {
     impl WireCodec for TracedMsg {
         fn encode_wire(&self, buf: &mut Vec<u8>) {
             frame::write_u64(buf, self.id);
+        }
+
+        fn encoded_len(&self) -> usize {
+            8
         }
 
         fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
