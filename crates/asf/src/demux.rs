@@ -1,6 +1,6 @@
 //! Parsing ASF bytes back into an [`AsfFile`] (the demuxer).
 
-use bytes::Bytes;
+use bytes::BytesMut;
 
 use crate::error::AsfError;
 use crate::guid;
@@ -30,11 +30,15 @@ fn read_object<'a>(
 
 /// Parses a complete ASF byte stream.
 ///
-/// `bytes` is copied once, and every payload of the result is a view of
-/// that copy (one allocation per file, not one per payload) — so a
-/// [`crate::Payload`] or a whole-fragment [`crate::MediaSample`] kept
-/// from the result keeps the whole file image alive. Copy the bytes out
-/// (`to_vec`) to hold a few of them past the file's lifetime.
+/// The payload bytes — and nothing else: not headers, padding or index —
+/// are copied once, in file order, into one packed image, and every
+/// payload of the result is a view of it (one allocation per file, not
+/// one per payload). A [`crate::Payload`] or a [`crate::MediaSample`]
+/// kept from the result keeps the whole image alive; copy the bytes out
+/// (`to_vec`) to hold a few of them past the file's lifetime. The
+/// [`crate::Packetizer`] splits a sample only where a packet is full, so
+/// its fragments end one packet and start the next: in the image they
+/// are adjacent, and reassembly joins them into one view.
 ///
 /// # Errors
 ///
@@ -42,9 +46,7 @@ fn read_object<'a>(
 /// packets referencing streams not declared in the header fail with
 /// [`AsfError::UnknownStream`].
 pub fn read_asf(bytes: &[u8]) -> Result<AsfFile, AsfError> {
-    // The one copy: every payload read below is a view of this image.
-    let image = Bytes::copy_from_slice(bytes);
-    let mut r = Reader::new_shared(&image);
+    let mut r = Reader::new(bytes);
 
     // Header object.
     let (g, mut header) = read_object(&mut r, "header object")?;
@@ -81,18 +83,32 @@ pub fn read_asf(bytes: &[u8]) -> Result<AsfFile, AsfError> {
     let psize = props.packet_size;
     // The count is a wire field: reserve only what the input can hold.
     let fits = data.remaining().checked_div(psize as usize).unwrap_or(0);
-    let mut packets = Vec::with_capacity((count as usize).min(fits));
-    let mut scratch = Vec::new();
+    let mut sends = Vec::with_capacity((count as usize).min(fits));
+    let mut heads = Vec::new();
+    // The one copy: payload bytes only, never more than the data object.
+    let mut payload_bytes = BytesMut::with_capacity(data.remaining());
     for _ in 0..count {
         let mut body = data.slice(psize as usize, "data packet")?;
-        let p = DataPacket::read_from(&mut body, &mut scratch)?;
-        for payload in p.payloads.iter() {
-            if !streams.iter().any(|s| s.number == payload.stream) {
-                return Err(AsfError::UnknownStream(payload.stream));
+        let first = heads.len();
+        let send_time = DataPacket::read_parts(&mut body, &mut heads, &mut payload_bytes)?;
+        for head in &heads[first..] {
+            if !streams.iter().any(|s| s.number == head.stream) {
+                return Err(AsfError::UnknownStream(head.stream));
             }
         }
-        packets.push(p);
+        sends.push((send_time, heads.len()));
     }
+    // Every payload read above is a view of this image.
+    let image = payload_bytes.freeze();
+    let (mut first, mut at) = (0, 0);
+    let packets = sends
+        .into_iter()
+        .map(|(send_time, end)| {
+            let p = DataPacket::from_parts(send_time, &heads[first..end], &image, &mut at);
+            first = end;
+            p
+        })
+        .collect();
 
     // Optional index object.
     let mut index = None;

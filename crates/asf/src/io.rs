@@ -1,7 +1,5 @@
 //! Little-endian byte reader/writer helpers (crate-internal).
 
-use bytes::Bytes;
-
 use crate::error::AsfError;
 use crate::guid::Guid;
 
@@ -111,14 +109,10 @@ impl Writer {
 /// Cursor-style little-endian reader with EOF checking.
 #[derive(Debug)]
 pub(crate) struct Reader<'a> {
-    /// The whole input; this reader's window of it is `pos..end`, so a
-    /// sub-reader's positions are still offsets into `backing`.
+    /// The whole input; this reader's window of it is `pos..end`.
     data: &'a [u8],
     pos: usize,
     end: usize,
-    /// The ref-counted buffer `data` borrows from, when there is one:
-    /// lets [`Reader::bytes_shared`] hand out views instead of copies.
-    backing: Option<&'a Bytes>,
 }
 
 impl<'a> Reader<'a> {
@@ -127,16 +121,6 @@ impl<'a> Reader<'a> {
             data,
             pos: 0,
             end: data.len(),
-            backing: None,
-        }
-    }
-
-    /// A reader over a ref-counted buffer; [`Reader::bytes_shared`]
-    /// returns zero-copy slices of it.
-    pub(crate) fn new_shared(backing: &'a Bytes) -> Self {
-        Self {
-            backing: Some(backing),
-            ..Self::new(backing)
         }
     }
 
@@ -189,22 +173,6 @@ impl<'a> Reader<'a> {
         self.take(n, context)
     }
 
-    /// The next `n` bytes as a [`Bytes`]: a view of the backing buffer
-    /// when the reader was built with [`Reader::new_shared`], a fresh
-    /// copy otherwise.
-    pub(crate) fn bytes_shared(
-        &mut self,
-        n: usize,
-        context: &'static str,
-    ) -> Result<Bytes, AsfError> {
-        let start = self.pos;
-        let s = self.take(n, context)?;
-        Ok(match self.backing {
-            Some(backing) => backing.slice(start..start + n),
-            None => Bytes::copy_from_slice(s),
-        })
-    }
-
     pub(crate) fn string(&mut self, context: &'static str) -> Result<String, AsfError> {
         let len = self.u16(context)? as usize;
         let b = self.take(len, context)?;
@@ -223,7 +191,6 @@ impl<'a> Reader<'a> {
             data: self.data,
             pos: start,
             end: start + n,
-            backing: self.backing,
         })
     }
 }
@@ -283,24 +250,6 @@ mod tests {
         assert_eq!(r.u64("t").unwrap(), 24 + 4);
         assert_eq!(r.u32("t").unwrap(), 7);
         assert!(r.is_empty());
-    }
-
-    #[test]
-    fn shared_reader_hands_out_views_even_from_a_sub_reader() {
-        let backing = Bytes::from(vec![9, 1, 2, 3, 4, 5]);
-        let mut r = Reader::new_shared(&backing);
-        assert_eq!(r.u8("t").unwrap(), 9);
-        let mut sub = r.slice(4, "t").unwrap();
-        assert_eq!(sub.u8("t").unwrap(), 1);
-        let view = sub.bytes_shared(3, "t").unwrap();
-        assert_eq!(view, [2u8, 3, 4][..]);
-        assert_eq!(view.backing_id(), backing.backing_id());
-        assert!(sub.bytes_shared(1, "t").is_err(), "past the sub-reader");
-        assert_eq!(r.u8("t").unwrap(), 5);
-        // No backing: a copy.
-        let raw = [1u8, 2];
-        let copy = Reader::new(&raw).bytes_shared(2, "t").unwrap();
-        assert_eq!(copy, raw[..]);
     }
 
     #[test]

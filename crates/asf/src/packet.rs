@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 use crate::error::AsfError;
@@ -65,6 +65,17 @@ pub struct Payload {
     /// The fragment bytes: a zero-copy view of the sample's backing
     /// buffer, shared (not duplicated) by caches and fan-out readers.
     pub data: Bytes,
+}
+
+/// A payload's header as read from the wire, apart from its bytes.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PayloadHead {
+    pub(crate) stream: u16,
+    object_id: u32,
+    offset: u32,
+    total: u32,
+    pres_time: u64,
+    len: u16,
 }
 
 /// A fixed-size data packet. Immutable once packetized: caches, fan-out
@@ -130,7 +141,7 @@ impl DataPacket {
     }
 
     /// Parses one packet of exactly `packet_size` bytes. The payloads
-    /// are views of one copy of `bytes`.
+    /// are views of one copy of their bytes, packed back to back.
     ///
     /// # Errors
     ///
@@ -143,42 +154,62 @@ impl DataPacket {
                 size: bytes.len() as u64,
             });
         }
-        let backing = Bytes::copy_from_slice(bytes);
-        Self::read_from(&mut Reader::new_shared(&backing), &mut Vec::new())
+        let (mut heads, mut data) = (Vec::new(), BytesMut::with_capacity(bytes.len()));
+        let send_time = Self::read_parts(&mut Reader::new(bytes), &mut heads, &mut data)?;
+        Ok(Self::from_parts(send_time, &heads, &data.freeze(), &mut 0))
     }
 
-    /// Parses the packet that fills `r`; the payloads share `r`'s
-    /// backing buffer when it has one. They are read into `scratch`,
-    /// which keeps its capacity for the caller's next packet, so each
-    /// packet costs one allocation: its payload list.
-    pub(crate) fn read_from(
+    /// Parses the packet that fills `r` into its parts: each payload's
+    /// header is pushed to `heads` and its bytes appended to `data`, so
+    /// the payloads of successive packets land back to back. Returns the
+    /// send time.
+    pub(crate) fn read_parts(
         r: &mut Reader<'_>,
-        scratch: &mut Vec<Payload>,
-    ) -> Result<Self, AsfError> {
+        heads: &mut Vec<PayloadHead>,
+        data: &mut BytesMut,
+    ) -> Result<u64, AsfError> {
         let send_time = r.u64("packet send time")?;
         let count = r.u8("payload count")?;
-        scratch.clear();
         for _ in 0..count {
-            let stream = r.u16("payload stream")?;
-            let object_id = r.u32("payload object id")?;
-            let offset = r.u32("payload offset")?;
-            let total = r.u32("payload total")?;
-            let pres_time = r.u64("payload presentation time")?;
-            let len = r.u16("payload length")? as usize;
-            let data = r.bytes_shared(len, "payload data")?;
-            scratch.push(Payload {
-                stream,
-                object_id,
-                offset,
-                total,
-                pres_time,
-                data,
-            });
+            let head = PayloadHead {
+                stream: r.u16("payload stream")?,
+                object_id: r.u32("payload object id")?,
+                offset: r.u32("payload offset")?,
+                total: r.u32("payload total")?,
+                pres_time: r.u64("payload presentation time")?,
+                len: r.u16("payload length")?,
+            };
+            data.put_slice(r.bytes(usize::from(head.len), "payload data")?);
+            heads.push(head);
         }
-        Ok(Self {
+        Ok(send_time)
+    }
+
+    /// The packet whose payload headers are `heads` and whose payload
+    /// bytes lie back to back in `image` from `*at` on; moves `*at` past
+    /// them. One allocation: the payload list.
+    pub(crate) fn from_parts(
+        send_time: u64,
+        heads: &[PayloadHead],
+        image: &Bytes,
+        at: &mut usize,
+    ) -> Self {
+        let payloads = heads.iter().map(|h| {
+            let start = *at;
+            *at += usize::from(h.len);
+            Payload {
+                stream: h.stream,
+                object_id: h.object_id,
+                offset: h.offset,
+                total: h.total,
+                pres_time: h.pres_time,
+                data: image.slice(start..*at),
+            }
+        });
+        Self {
             send_time,
-            payloads: scratch.drain(..).collect(),
-        })
+            payloads: payloads.collect(),
+        }
     }
 
     /// Sum of payload byte lengths (excludes headers and padding).

@@ -316,6 +316,16 @@ mod reference {
         }
 
         pub fn read_packet(bytes: &[u8], packet_size: u32) -> Result<DataPacket, AsfError> {
+            read_packet_with(bytes, packet_size, &Bytes::copy_from_slice)
+        }
+
+        /// Parses a packet, `payload` turning each payload's bytes into
+        /// its `Bytes`.
+        fn read_packet_with(
+            bytes: &[u8],
+            packet_size: u32,
+            payload: &impl Fn(&[u8]) -> Bytes,
+        ) -> Result<DataPacket, AsfError> {
             if bytes.len() != packet_size as usize {
                 return Err(AsfError::BadSize {
                     context: "data packet",
@@ -338,7 +348,7 @@ mod reference {
                     pres_time: r.u64("payload presentation time")?,
                     data: {
                         let len = r.u16("payload length")? as usize;
-                        Bytes::copy_from_slice(r.take(len, "payload data")?)
+                        payload(r.take(len, "payload data")?)
                     },
                 });
             }
@@ -349,6 +359,24 @@ mod reference {
         }
 
         pub fn read_asf(bytes: &[u8]) -> Result<AsfFile, AsfError> {
+            read_asf_with(bytes, &Bytes::copy_from_slice)
+        }
+
+        /// The reader as it was before it packed the payload bytes: the
+        /// whole input copied into one image, every payload a view of it,
+        /// so a payload pinned headers, padding and index as well.
+        pub fn read_asf_whole_image(bytes: &[u8]) -> Result<AsfFile, AsfError> {
+            let image = Bytes::copy_from_slice(bytes);
+            read_asf_with(bytes, &|s: &[u8]| {
+                let at = s.as_ptr() as usize - bytes.as_ptr() as usize;
+                image.slice(at..at + s.len())
+            })
+        }
+
+        fn read_asf_with(
+            bytes: &[u8],
+            payload: &impl Fn(&[u8]) -> Bytes,
+        ) -> Result<AsfFile, AsfError> {
             let mut r = Reader {
                 data: bytes,
                 pos: 0,
@@ -418,7 +446,7 @@ mod reference {
             let mut packets = Vec::new();
             for _ in 0..count {
                 let raw = data.take(props.packet_size as usize, "data packet")?;
-                let p = read_packet(raw, props.packet_size)?;
+                let p = read_packet_with(raw, props.packet_size, payload)?;
                 for payload in p.payloads.iter() {
                     if !streams.iter().any(|s| s.number == payload.stream) {
                         return Err(AsfError::UnknownStream(payload.stream));
@@ -487,7 +515,7 @@ proptest! {
         prop_assert_eq!(tight.write(64), reference::container::write_packet(&tight, 64));
     }
 
-    /// The shared-image reader returns what the copy-per-payload one did:
+    /// The packed-image reader returns what the copy-per-payload one did:
     /// on a written file, and — result for result, error for error — on
     /// that file with bytes overwritten and its tail cut off.
     #[test]
@@ -515,6 +543,62 @@ proptest! {
         }
         bytes.truncate(((bytes.len() as f64) * keep.min(1.0)) as usize);
         prop_assert_eq!(read_asf(&bytes), reference::container::read_asf(&bytes));
+    }
+
+    /// The packed-image reader returns what the whole-image one did, `Ok`
+    /// or the same `Err`: on a written file with each packet and payload
+    /// header byte — the fields the packed reader parses its own way —
+    /// overwritten in turn, and with a few bytes overwritten anywhere and
+    /// its tail cut off. Where both parse, the model's payloads view a
+    /// copy of the whole input and the packed reader's a copy of exactly
+    /// their own bytes.
+    #[test]
+    fn packed_read_matches_whole_image_model(
+        f in arb_file(),
+        value in any::<u8>(),
+        patches in proptest::collection::vec((any::<usize>(), any::<u8>()), 0..6),
+        keep in 0.0f64..4.0,
+    ) {
+        let same = |bytes: &[u8]| -> Result<(), TestCaseError> {
+            let (got, model) = (read_asf(bytes), reference::container::read_asf_whole_image(bytes));
+            prop_assert_eq!(&got, &model);
+            if let (Ok(got), Ok(model)) = (got, model) {
+                let payload_bytes: usize = got.packets.iter().map(DataPacket::media_bytes).sum();
+                let first = |f: &lod_asf::AsfFile| {
+                    f.packets.iter().flat_map(|p| p.payloads.iter()).next().map(|p| p.data.backing_len())
+                };
+                prop_assert_eq!(first(&got), first(&model).map(|_| payload_bytes));
+                prop_assert_eq!(first(&model).unwrap_or(bytes.len()), bytes.len());
+            }
+            Ok(())
+        };
+        let mut bytes = write_asf(&f).unwrap();
+        let header_len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
+        let psize = f.props.packet_size as usize;
+        let mut fields = Vec::new();
+        for (k, p) in f.packets.iter().enumerate() {
+            let start = header_len + 28 + k * psize;
+            fields.extend(start..start + PACKET_HEADER_BYTES);
+            let mut at = start + PACKET_HEADER_BYTES;
+            for payload in p.payloads.iter() {
+                fields.extend(at..at + PAYLOAD_HEADER_BYTES);
+                at += PAYLOAD_HEADER_BYTES + payload.data.len();
+            }
+        }
+        for &at in &fields {
+            let was = std::mem::replace(&mut bytes[at], value);
+            same(&bytes)?;
+            bytes[at] = was;
+        }
+        for (at, v) in patches {
+            let target = match fields.len() {
+                n if at % 2 == 1 && n > 0 => fields[(at / 2) % n],
+                _ => (at / 2) % bytes.len(),
+            };
+            bytes[target] = v;
+        }
+        bytes.truncate(((bytes.len() as f64) * keep.min(1.0)) as usize);
+        same(&bytes)?;
     }
 
     /// Packetize → reassemble restores every sample exactly.

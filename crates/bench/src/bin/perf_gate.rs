@@ -1,30 +1,27 @@
 //! The perf-regression gate: compares a fresh benchmark report against
-//! a committed baseline and fails when any tracked value regressed.
+//! a committed baseline and fails when any tracked value changed.
 //!
-//! Reports (`BENCH_q14.json`, `BENCH_q15.json`) carry a `"tracked"`
-//! object of integer values where lower is better — frame sizes and
-//! the (deterministic) payload-copy counters. Everything outside
-//! `"tracked"` is wall-clock context and is ignored here. A fresh value
-//! passes when
-//!
-//! ```text
-//! fresh * 1000 <= baseline * (1000 + tolerance_permille)
-//! ```
-//!
-//! integer math only, so the verdict is identical on every machine.
-//! Improvements always pass (they are adopted by re-running the bench
-//! with `--json` and committing the new baseline — see README, "Perf
-//! trajectory"). Every baseline key must be present in the fresh
-//! report: a silently dropped metric is a gate failure, not a pass.
+//! Reports (`BENCH_q14.json` … `BENCH_q17.json`) carry a `"tracked"`
+//! object of integer values — frame sizes and the deterministic
+//! payload-copy, repair and span counters — that are the same on every
+//! machine and every run. Everything outside `"tracked"` is wall-clock
+//! context and is ignored here. A fresh report passes when it holds
+//! every baseline key with exactly the baseline's value: a drift of one
+//! unit either way fails, an improvement included, because a tracked
+//! value that moved means the behaviour changed. Such a change is
+//! adopted by re-running the bench with `--json` and committing the new
+//! baseline (see README, "Perf trajectory"). A baseline key missing
+//! from the fresh report fails too: a silently dropped metric is a gate
+//! failure, not a pass.
 //!
 //! Usage:
-//!   perf_gate --fresh FRESH.json --check-against BASELINE.json \
-//!             [--tolerance-permille 150]
+//!   perf_gate --fresh FRESH.json --check-against BASELINE.json
 //!   perf_gate --self-test
 //!
-//! `--self-test` runs the comparator against fixtures with an injected
-//! regression (must FAIL) and an in-tolerance drift (must PASS) —
-//! `scripts/ci.sh` runs it before trusting any real comparison.
+//! `--self-test` runs the comparator against fixtures — a one-unit
+//! drift up, a count that fell, a copy-counter blow-up and a dropped key,
+//! each of which must FAIL — and `scripts/ci.sh` runs it before trusting
+//! any real comparison.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -62,30 +59,24 @@ fn parse_tracked(source: &str) -> Result<Vec<(String, u64)>, String> {
 
 /// Compares fresh against baseline; returns a human-readable report and
 /// whether the gate passes.
-fn compare(baseline: &str, fresh: &str, tolerance_permille: u64) -> Result<(String, bool), String> {
+fn compare(baseline: &str, fresh: &str) -> Result<(String, bool), String> {
     let baseline = parse_tracked(baseline).map_err(|e| format!("baseline: {e}"))?;
     let fresh = parse_tracked(fresh).map_err(|e| format!("fresh: {e}"))?;
     let mut report = String::new();
     let mut pass = true;
     for (key, base) in &baseline {
-        let Some((_, new)) = fresh.iter().find(|(k, _)| k == key) else {
-            let _ = writeln!(report, "FAIL {key}: missing from fresh report");
-            pass = false;
-            continue;
-        };
-        // Lower is better; `base * (1000 + tol)` fits u64 comfortably
-        // for ns-scale medians.
-        let limit = base * (1000 + tolerance_permille);
-        if new * 1000 <= limit {
-            let _ = writeln!(report, "ok   {key}: {new} (baseline {base})");
-        } else {
-            let _ = writeln!(
-                report,
-                "FAIL {key}: {new} regressed past baseline {base} \
-                 (+{tolerance_permille} permille allowed, limit {})",
-                limit / 1000
-            );
-            pass = false;
+        match fresh.iter().find(|(k, _)| k == key) {
+            Some((_, new)) if new == base => {
+                let _ = writeln!(report, "ok   {key}: {new}");
+            }
+            Some((_, new)) => {
+                let _ = writeln!(report, "FAIL {key}: {new}, baseline {base}");
+                pass = false;
+            }
+            None => {
+                let _ = writeln!(report, "FAIL {key}: missing from fresh report");
+                pass = false;
+            }
         }
     }
     Ok((report, pass))
@@ -93,37 +84,37 @@ fn compare(baseline: &str, fresh: &str, tolerance_permille: u64) -> Result<(Stri
 
 /// Fixture-driven check of the comparator itself.
 fn self_test() -> Result<(), String> {
-    let baseline = r#"{ "bench": "fixture", "tracked": { "a_ns": 1000, "b_allocs": 4 } }"#;
-    // +10% on a_ns: inside the default 15% tolerance.
-    let drift = r#"{ "bench": "fixture", "tracked": { "a_ns": 1100, "b_allocs": 4 } }"#;
-    // +20% on a_ns: a deliberate regression the gate must catch.
-    let regressed = r#"{ "bench": "fixture", "tracked": { "a_ns": 1200, "b_allocs": 4 } }"#;
-    // b_allocs quadrupled: the copy-counter blow-up must also fail.
-    let copies = r#"{ "bench": "fixture", "tracked": { "a_ns": 1000, "b_allocs": 16 } }"#;
-    // A tracked key vanished: must fail, not silently pass.
-    let dropped = r#"{ "bench": "fixture", "tracked": { "a_ns": 1000 } }"#;
+    let baseline = r#"{ "bench": "fixture", "tracked": { "a_bytes": 1000, "b_allocs": 4 } }"#;
+    let must_fail = [
+        (
+            "a one-unit drift up",
+            r#"{ "bench": "fixture", "tracked": { "a_bytes": 1001, "b_allocs": 4 } }"#,
+        ),
+        (
+            "a tracked count that fell",
+            r#"{ "bench": "fixture", "tracked": { "a_bytes": 1000, "b_allocs": 3 } }"#,
+        ),
+        (
+            "a copy-counter blow-up",
+            r#"{ "bench": "fixture", "tracked": { "a_bytes": 1000, "b_allocs": 16 } }"#,
+        ),
+        (
+            "a dropped tracked key",
+            r#"{ "bench": "fixture", "tracked": { "a_bytes": 1000 } }"#,
+        ),
+    ];
 
-    let (_, pass) = compare(baseline, baseline, 150)?;
+    let (_, pass) = compare(baseline, baseline)?;
     if !pass {
         return Err("identical reports must pass".into());
     }
-    let (_, pass) = compare(baseline, drift, 150)?;
-    if !pass {
-        return Err("in-tolerance drift must pass".into());
+    for (what, fresh) in must_fail {
+        let (report, pass) = compare(baseline, fresh)?;
+        if pass {
+            return Err(format!("{what} must fail:\n{report}"));
+        }
     }
-    let (report, pass) = compare(baseline, regressed, 150)?;
-    if pass {
-        return Err(format!("injected +20% regression must fail:\n{report}"));
-    }
-    let (report, pass) = compare(baseline, copies, 150)?;
-    if pass {
-        return Err(format!("copy-counter blow-up must fail:\n{report}"));
-    }
-    let (report, pass) = compare(baseline, dropped, 150)?;
-    if pass {
-        return Err(format!("dropped tracked key must fail:\n{report}"));
-    }
-    if compare(r#"{ "untracked": {} }"#, drift, 150).is_ok() {
+    if compare(r#"{ "untracked": {} }"#, baseline).is_ok() {
         return Err("baseline without a tracked section must error".into());
     }
     Ok(())
@@ -132,7 +123,6 @@ fn self_test() -> Result<(), String> {
 fn main() -> ExitCode {
     let mut fresh = None;
     let mut baseline = None;
-    let mut tolerance_permille = 150u64;
     let mut run_self_test = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -141,17 +131,10 @@ fn main() -> ExitCode {
             "--check-against" => {
                 baseline = Some(args.next().expect("--check-against takes a path"));
             }
-            "--tolerance-permille" => {
-                tolerance_permille = args
-                    .next()
-                    .expect("--tolerance-permille takes an integer")
-                    .parse()
-                    .expect("tolerance must be a non-negative integer");
-            }
             "--self-test" => run_self_test = true,
             other => panic!(
                 "unknown argument {other} (usage: perf_gate --fresh F.json \
-                 --check-against B.json [--tolerance-permille N] | --self-test)"
+                 --check-against B.json | --self-test)"
             ),
         }
     }
@@ -159,7 +142,7 @@ fn main() -> ExitCode {
     if run_self_test {
         return match self_test() {
             Ok(()) => {
-                println!("perf_gate self-test: comparator catches injected regressions — ok");
+                println!("perf_gate self-test: comparator catches every injected change — ok");
                 ExitCode::SUCCESS
             }
             Err(e) => {
@@ -177,18 +160,15 @@ fn main() -> ExitCode {
         .unwrap_or_else(|e| panic!("cannot read fresh report {fresh}: {e}"));
     let baseline_text = std::fs::read_to_string(&baseline)
         .unwrap_or_else(|e| panic!("cannot read baseline {baseline}: {e}"));
-    match compare(&baseline_text, &fresh_text, tolerance_permille) {
+    match compare(&baseline_text, &fresh_text) {
         Ok((report, pass)) => {
-            print!(
-                "perf gate: {fresh} vs baseline {baseline} \
-                 (tolerance +{tolerance_permille} permille)\n{report}"
-            );
+            print!("perf gate: {fresh} vs baseline {baseline} (exact)\n{report}");
             if pass {
                 println!("perf gate: PASS");
                 ExitCode::SUCCESS
             } else {
                 println!(
-                    "perf gate: FAIL — if the regression is intended, re-run the bench \
+                    "perf gate: FAIL — if the change is intended, re-run the bench \
                      with --json and commit the new baseline (see README, Perf trajectory)"
                 );
                 ExitCode::FAILURE
@@ -220,20 +200,20 @@ mod tests {
     }
 
     #[test]
-    fn boundary_is_inclusive() {
-        // Exactly +15.0% passes; one more ns fails.
+    fn only_the_exact_value_passes() {
         let base = r#"{ "tracked": { "a": 1000 } }"#;
-        let at_limit = r#"{ "tracked": { "a": 1150 } }"#;
-        let over = r#"{ "tracked": { "a": 1151 } }"#;
-        assert!(compare(base, at_limit, 150).unwrap().1);
-        assert!(!compare(base, over, 150).unwrap().1);
+        assert!(compare(base, base).unwrap().1);
+        for drifted in [999, 1001, 10, 1150] {
+            let fresh = format!(r#"{{ "tracked": {{ "a": {drifted} }} }}"#);
+            assert!(!compare(base, &fresh).unwrap().1, "{drifted} passed");
+        }
     }
 
     #[test]
-    fn improvements_and_extra_fresh_keys_pass() {
+    fn extra_fresh_keys_are_not_compared() {
         let base = r#"{ "tracked": { "a": 1000 } }"#;
-        let fresh = r#"{ "tracked": { "a": 10, "brand_new": 99999 } }"#;
-        assert!(compare(base, fresh, 150).unwrap().1);
+        let fresh = r#"{ "tracked": { "a": 1000, "brand_new": 99999 } }"#;
+        assert!(compare(base, fresh).unwrap().1);
     }
 
     #[test]

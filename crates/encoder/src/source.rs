@@ -140,29 +140,47 @@ const fn emit(s: u64) -> u8 {
     (s >> 24) as u8
 }
 
-/// Eight steps at once. Both the state after eight steps and the eight
-/// bytes emitted on the way (packed little-endian, first byte lowest) are
-/// linear maps of the state they start from, so each is the XOR of one
-/// table entry per byte of that state: `[i][v]` is the image of the state
-/// whose byte `i` is `v` and whose other bytes are zero.
-struct EightSteps {
-    state: [[u64; 256]; 8],
-    bytes: [[u64; 256]; 8],
+/// A cache line of emitted bytes: 64 of them as eight little-endian
+/// words, aligned so one table entry is one line.
+#[derive(Clone, Copy)]
+#[repr(align(64))]
+struct Line([u64; 8]);
+
+impl Line {
+    /// The line's 64 bytes in emission order.
+    fn to_le_bytes(self) -> [u8; 64] {
+        let mut bytes = [0u8; 64];
+        for (dst, w) in bytes.chunks_exact_mut(8).zip(self.0) {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+        bytes
+    }
 }
 
-static EIGHT_STEPS: EightSteps = {
-    let mut t = EightSteps {
+/// Sixty-four steps at once. Both the state after sixty-four steps and
+/// the 64 bytes emitted on the way (first byte lowest) are linear maps of
+/// the state they start from, so each is the XOR of one table entry per
+/// byte of that state: `[i][v]` is the image of the state whose byte `i`
+/// is `v` and whose other bytes are zero. Each of the eight bytes XORs in
+/// one whole line (8 × 256 × 64 B = 128 KiB of lines, which sit in L2).
+struct SixtyFourSteps {
+    state: [[u64; 256]; 8],
+    bytes: [[Line; 256]; 8],
+}
+
+static SIXTY_FOUR_STEPS: SixtyFourSteps = {
+    let mut t = SixtyFourSteps {
         state: [[0; 256]; 8],
-        bytes: [[0; 256]; 8],
+        bytes: [[Line([0; 8]); 256]; 8],
     };
     let mut bit = 0;
     while bit < 64 {
         // The image of one basis state, from the scalar step itself.
-        let (mut s, mut bytes) = (1u64 << bit, 0u64);
+        let (mut s, mut line) = (1u64 << bit, [0u64; 8]);
         let mut j = 0;
-        while j < 8 {
+        while j < 64 {
             s = step(s);
-            bytes |= (emit(s) as u64) << (8 * j);
+            line[j / 8] |= (emit(s) as u64) << (8 * (j % 8));
             j += 1;
         }
         // Every byte value with this as its highest bit: the image of
@@ -171,7 +189,11 @@ static EIGHT_STEPS: EightSteps = {
         let mut rest = 0;
         while rest < top {
             t.state[i][top | rest] = t.state[i][rest] ^ s;
-            t.bytes[i][top | rest] = t.bytes[i][rest] ^ bytes;
+            let mut w = 0;
+            while w < 8 {
+                t.bytes[i][top | rest].0[w] = t.bytes[i][rest].0[w] ^ line[w];
+                w += 1;
+            }
             rest += 1;
         }
         bit += 1;
@@ -179,34 +201,40 @@ static EIGHT_STEPS: EightSteps = {
     t
 };
 
-/// The state eight steps after `state`, and the eight bytes emitted on
-/// the way as one little-endian word.
+/// The state sixty-four steps after `state`, and the 64 bytes emitted on
+/// the way as one line.
 #[inline]
-fn eight_steps(state: u64) -> (u64, u64) {
-    let (mut next, mut bytes) = (0, 0);
+fn sixty_four_steps(state: u64) -> (u64, Line) {
+    let (mut next, mut line) = (0, [0u64; 8]);
     for (i, v) in state.to_le_bytes().into_iter().enumerate() {
-        next ^= EIGHT_STEPS.state[i][usize::from(v)];
-        bytes ^= EIGHT_STEPS.bytes[i][usize::from(v)];
+        next ^= SIXTY_FOUR_STEPS.state[i][usize::from(v)];
+        let entry = &SIXTY_FOUR_STEPS.bytes[i][usize::from(v)].0;
+        for (w, e) in line.iter_mut().zip(entry) {
+            *w ^= e;
+        }
     }
-    (next, bytes)
+    (next, Line(line))
 }
 
 /// Deterministic pseudo-content: `len` bytes derived from `seed` (used to
 /// fill encoded samples so DRM and packetization operate on real data).
 ///
-/// One byte per xorshift64 step, produced eight steps at a time (see
-/// `EightSteps`); the `len % 8` tail takes single steps.
+/// One byte per xorshift64 step, produced sixty-four steps at a time (see
+/// `SixtyFourSteps`). The `len % 64` tail is the start of one more line:
+/// nothing reads the state after it.
 pub fn synth_bytes(seed: u64, len: usize) -> Vec<u8> {
     let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-    let mut out = Vec::with_capacity(len);
-    for _ in 0..len / 8 {
-        let (next, bytes) = eight_steps(state);
-        out.extend_from_slice(&bytes.to_le_bytes());
+    let mut out = vec![0u8; len];
+    let mut lines = out.chunks_exact_mut(64);
+    for chunk in &mut lines {
+        let (next, line) = sixty_four_steps(state);
+        chunk.copy_from_slice(&line.to_le_bytes());
         state = next;
     }
-    for _ in 0..len % 8 {
-        state = step(state);
-        out.push(emit(state));
+    let tail = lines.into_remainder();
+    if !tail.is_empty() {
+        let n = tail.len();
+        tail.copy_from_slice(&sixty_four_steps(state).1.to_le_bytes()[..n]);
     }
     out
 }
@@ -255,8 +283,8 @@ mod tests {
         assert_eq!(synth_bytes(7, 0).len(), 0);
     }
 
-    /// The generator as it was before it took eight steps at a time: the
-    /// oracle the table kernel must match byte for byte.
+    /// The generator as it was before it used tables: the oracle the
+    /// table kernel must match byte for byte.
     fn scalar_synth_bytes(seed: u64, len: usize) -> Vec<u8> {
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         (0..len)
@@ -269,15 +297,16 @@ mod tests {
             .collect()
     }
 
-    /// Every tail residue on both sides of one word and of several, over
-    /// a few hundred seeds and the two extreme ones.
+    /// Every tail residue on both sides of one 64-byte line and of a few
+    /// (words included), over a few hundred seeds and the two extreme
+    /// ones.
     #[test]
     fn table_kernel_matches_the_scalar_loop_around_word_boundaries() {
         let seeds = (0..300u64)
             .map(|i| i.wrapping_mul(0xD6E8_FEB8_6659_FD93) ^ i)
             .chain([0, u64::MAX]);
         for seed in seeds {
-            for len in 0..=70 {
+            for len in 0..=200 {
                 assert_eq!(
                     synth_bytes(seed, len),
                     scalar_synth_bytes(seed, len),
@@ -295,10 +324,17 @@ mod tests {
 
         /// The tables hold linear maps: were an entry wrong, XOR-ing two
         /// states would not XOR their images, whatever seeds are in use.
+        /// Every word of the line, and the state, of `a ^ b` is the XOR of
+        /// those of `a` and of `b`.
         #[test]
-        fn eight_steps_is_linear(a in any::<u64>(), b in any::<u64>()) {
-            let ((next_a, bytes_a), (next_b, bytes_b)) = (eight_steps(a), eight_steps(b));
-            prop_assert_eq!(eight_steps(a ^ b), (next_a ^ next_b, bytes_a ^ bytes_b));
+        fn sixty_four_steps_is_linear(a in any::<u64>(), b in any::<u64>()) {
+            let ((next_a, Line(line_a)), (next_b, Line(line_b))) =
+                (sixty_four_steps(a), sixty_four_steps(b));
+            let (next, Line(line)) = sixty_four_steps(a ^ b);
+            prop_assert_eq!(next, next_a ^ next_b);
+            for w in 0..8 {
+                prop_assert_eq!(line[w], line_a[w] ^ line_b[w], "word {}", w);
+            }
         }
     }
 }

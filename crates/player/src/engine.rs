@@ -47,7 +47,7 @@ impl PlayerEngine {
         let duration = file.props.play_duration.max(file.last_presentation_time());
         Ok(Self {
             samples,
-            script: file.script.clone(),
+            script: file.script,
             duration,
         })
     }

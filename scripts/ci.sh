@@ -8,17 +8,19 @@
 # across processes — and the perf trajectory gate, which re-runs the
 # Q14/Q15/Q16/Q17 benches and compares their "tracked" integer values
 # against the committed BENCH_q14.json / BENCH_q15.json / BENCH_q16.json /
-# BENCH_q17.json baselines (±15%, i.e. 150 permille; see perf_gate).
+# BENCH_q17.json baselines for equality (every tracked value is
+# deterministic, so any change fails; see perf_gate).
 # Everything runs offline; external deps resolve to the third_party/ stubs.
 #
 # Perf-gate self-test: before trusting any real comparison, the stage
 # runs `perf_gate --self-test`, which feeds the comparator a fixture
-# baseline plus (a) an in-tolerance +10% drift that must PASS, (b) a
-# deliberate +20% regression that must FAIL, (c) a copy-counter blow-up
-# that must FAIL, and (d) a report missing a tracked key that must
-# FAIL. A comparator that waves any of those through fails CI here,
-# long before it could wave through a real regression. To reproduce a
-# gate failure by hand, inject a regression into a fresh report, e.g.:
+# baseline plus (a) a one-unit drift up in a tracked count, (b) a
+# tracked count that fell, (c) a copy-counter blow-up and (d) a report
+# missing a tracked key, each of which must FAIL, while the identical
+# report must PASS. A comparator that waves any of those through fails
+# CI here, long before it could wave through a real change. To
+# reproduce a gate failure by hand, change a value in a fresh report,
+# e.g.:
 #   ./target/release/q15_hotpath --json /tmp/fresh.json
 #   sed -i 's/"fanout_backing_allocs_256": [0-9]*/"fanout_backing_allocs_256": 256/' /tmp/fresh.json
 #   cargo run --release -p lod-bench --bin perf_gate -- \
@@ -184,14 +186,14 @@ cargo build -q --offline --release -p lod-bench \
 ./target/release/q15_hotpath --json "$tmpdir/q15_fresh.json" > /dev/null
 ./target/release/perf_gate --fresh "$tmpdir/q14_fresh.json" --check-against BENCH_q14.json
 ./target/release/perf_gate --fresh "$tmpdir/q15_fresh.json" --check-against BENCH_q15.json
-# q16's tracked values are fully deterministic (no wall clock), so the
-# ±15% tolerance is pure slack: any drift is a protocol-behavior change
-# that should come with a deliberate baseline update.
+# q16's tracked values are fully deterministic (no wall clock): any
+# drift is a protocol-behavior change that comes with a deliberate
+# baseline update.
 ./target/release/perf_gate --fresh "$tmpdir/ra.json" --check-against BENCH_q16.json
 # q17's tracked values are likewise deterministic: wire-format byte
 # counts and the span/trace ledger of the seeded run.
 ./target/release/perf_gate --fresh "$tmpdir/ta.json" --check-against BENCH_q17.json
-echo "tracked values within tolerance of committed baselines"
+echo "tracked values equal to committed baselines"
 
 if [ -n "${ARTIFACTS_DIR:-}" ]; then
     echo "===== collecting artifacts into $ARTIFACTS_DIR ====="
