@@ -426,11 +426,11 @@ impl PartialSample {
         let data = if views.all(|b| joined.try_join(b)) {
             joined
         } else {
-            let mut data = Vec::with_capacity(self.total as usize);
+            let mut data = BytesMut::with_capacity(self.total as usize);
             for (_, b) in &self.pieces {
-                data.extend_from_slice(b);
+                data.put_slice(b);
             }
-            data.into()
+            data.freeze()
         };
         self.pieces.clear();
         data

@@ -8,7 +8,7 @@ mod common;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bytes::stats::backing_allocations;
+use bytes::stats::{backing_allocations, bytes_deep_copied};
 use common::{arb_file, make_file};
 use lod_asf::{
     read_asf, write_asf, AsfError, DataPacket, License, MediaSample, Payload, Reassembler,
@@ -78,7 +78,8 @@ fn hostile_counts_reserve_nothing() {
 
 /// Fragments the packetizer would never write: two split samples whose
 /// halves interleave, so no sample's fragments are adjacent in the read
-/// image. Each still reassembles, through one copy of its own.
+/// image. Each still reassembles, through one copy of its own that
+/// `bytes::stats` sees: a backing each and all 20 bytes deep-copied.
 fn interleaved_fragments_take_the_copy() {
     let a: Vec<u8> = (0..10).collect();
     let b: Vec<u8> = (100..110).collect();
@@ -99,13 +100,14 @@ fn interleaved_fragments_take_the_copy() {
     }
     let back = read_asf(&write_asf(&f).unwrap()).unwrap();
     let image = back.packets[0].payloads[0].data.backing_id();
-    let before = backing_allocations();
+    let (before, copied_before) = (backing_allocations(), bytes_deep_copied());
     let mut rs = Reassembler::new();
     for p in &back.packets {
         rs.push_packet(p).unwrap();
     }
     let got = rs.take_completed();
     assert_eq!(backing_allocations() - before, 2);
+    assert_eq!(bytes_deep_copied() - copied_before, 20);
     assert_eq!(got, [MediaSample::new(1, 1, a), MediaSample::new(2, 2, b)]);
     for s in &got {
         assert_ne!(s.data.backing_id(), image);

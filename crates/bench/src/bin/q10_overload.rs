@@ -21,9 +21,7 @@
 //!
 //! Usage: `q10_overload [--seed N] [--json PATH]`
 
-use std::fmt::Write as _;
-
-use lod_bench::report::{header, row};
+use lod_bench::report::{emit, header, row, Json};
 use lod_core::{
     synthetic_lecture, AdmissionPolicy, BreakerPolicy, DegradePolicy, RelayTierConfig, Wmps,
     WmpsReport,
@@ -119,30 +117,26 @@ impl Outcome {
         }
     }
 
-    fn json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"completed\": {}, \"shed\": {}, \
-             \"hard_failures\": {}, \"degraded_sessions\": {}, \
-             \"downshifts\": {}, \"upshifts\": {}, \"busy_bounces\": {}, \
-             \"origin_shed\": {}, \"relay_shed\": {}, \"breaker_opens\": {}, \
-             \"fetches_suppressed\": {}, \"worst_rebuffer_permille\": {}, \
-             \"session_ms\": {}}}",
-            self.name,
-            self.completed,
-            self.shed,
-            self.hard_failures,
-            self.degraded_sessions,
-            self.downshifts,
-            self.upshifts,
-            self.busy_bounces,
-            self.origin_shed,
-            self.relay_shed,
-            self.breaker_opens,
-            self.fetches_suppressed,
-            self.worst_rebuffer_permille,
-            self.session_ms,
-        );
+    fn json(&self) -> Json<'static> {
+        Json::Row(vec![
+            ("name", self.name.into()),
+            ("completed", self.completed.into()),
+            ("shed", self.shed.into()),
+            ("hard_failures", self.hard_failures.into()),
+            ("degraded_sessions", self.degraded_sessions.into()),
+            ("downshifts", self.downshifts.into()),
+            ("upshifts", self.upshifts.into()),
+            ("busy_bounces", self.busy_bounces.into()),
+            ("origin_shed", self.origin_shed.into()),
+            ("relay_shed", self.relay_shed.into()),
+            ("breaker_opens", self.breaker_opens.into()),
+            ("fetches_suppressed", self.fetches_suppressed.into()),
+            (
+                "worst_rebuffer_permille",
+                self.worst_rebuffer_permille.into(),
+            ),
+            ("session_ms", self.session_ms.into()),
+        ])
     }
 }
 
@@ -287,24 +281,18 @@ fn main() {
         admit_degrade.shed, admit_only.shed
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"students\": {STUDENTS},");
-    let _ = writeln!(json, "  \"relays\": {RELAYS},");
-    let _ = writeln!(json, "  \"nominal_bps\": {nominal},");
-    let _ = writeln!(json, "  \"seats\": {seats},");
-    json.push_str("  \"scenarios\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        o.json(&mut json);
-        json.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    if let Some(path) = json_path {
-        std::fs::write(&path, &json).expect("write json report");
-        println!("\nreport written to {path}");
-    } else {
-        println!("\n{json}");
-    }
+    let json = Json::Obj(vec![
+        ("seed", seed.into()),
+        ("students", STUDENTS.into()),
+        ("relays", RELAYS.into()),
+        ("nominal_bps", nominal.into()),
+        ("seats", seats.into()),
+        (
+            "scenarios",
+            Json::Arr(outcomes.iter().map(Outcome::json).collect()),
+        ),
+    ]);
+    emit(&json.render(), json_path.as_deref());
 
     println!(
         "shape: the same crowd hits the same wires three times. Unprotected,\n\

@@ -26,8 +26,7 @@
 //! Usage: `q11_observability [--seed N] [--json PATH] [--events PATH]
 //! [--prom PATH]`
 
-use std::fmt::Write as _;
-
+use lod_bench::report::{emit, Json};
 use lod_core::{
     check_causal, parse_jsonl, session_timelines, synthetic_lecture, worst_by_stall,
     AdmissionPolicy, BreakerPolicy, ChaosSpec, DegradePolicy, Recorder, RelayTierConfig, Wmps,
@@ -187,34 +186,28 @@ fn main() {
     }
 
     // Integers only, so the JSON report is byte-for-byte reproducible.
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"students\": {STUDENTS},");
-    let _ = writeln!(json, "  \"relays\": {RELAYS},");
-    let _ = writeln!(json, "  \"events\": {},", events.len());
-    let _ = writeln!(json, "  \"sessions\": {},", timelines.len());
-    let _ = writeln!(json, "  \"completed\": {},", report.completed_sessions());
-    let _ = writeln!(json, "  \"shed\": {},", report.shed_clients());
-    let _ = writeln!(json, "  \"hard_failures\": {},", report.hard_failures());
-    let _ = writeln!(json, "  \"downshifts\": {},", causal.downshifts);
-    let _ = writeln!(json, "  \"upshifts\": {},", report.server.upshifts);
-    let _ = writeln!(json, "  \"recoveries\": {},", causal.recoveries);
-    let _ = writeln!(json, "  \"origin_shed\": {},", report.server.sessions_shed);
-    let _ = writeln!(json, "  \"relay_shed\": {relay_shed},");
-    let _ = writeln!(json, "  \"faults_applied\": {},", report.faults_applied);
-    let _ = writeln!(
-        json,
-        "  \"worst_rebuffer_permille\": {},",
-        report.worst_rebuffer_permille(play_duration.max(1))
-    );
-    let _ = writeln!(json, "  \"session_ms\": {}", report.session_ticks / 10_000);
-    json.push_str("}\n");
-    if let Some(path) = json_path {
-        std::fs::write(&path, &json).expect("write json report");
-        println!("\nreport written to {path}");
-    } else {
-        println!("\n{json}");
-    }
+    let json = Json::Obj(vec![
+        ("seed", seed.into()),
+        ("students", STUDENTS.into()),
+        ("relays", RELAYS.into()),
+        ("events", events.len().into()),
+        ("sessions", timelines.len().into()),
+        ("completed", report.completed_sessions().into()),
+        ("shed", report.shed_clients().into()),
+        ("hard_failures", report.hard_failures().into()),
+        ("downshifts", causal.downshifts.into()),
+        ("upshifts", report.server.upshifts.into()),
+        ("recoveries", causal.recoveries.into()),
+        ("origin_shed", report.server.sessions_shed.into()),
+        ("relay_shed", relay_shed.into()),
+        ("faults_applied", report.faults_applied.into()),
+        (
+            "worst_rebuffer_permille",
+            report.worst_rebuffer_permille(play_duration.max(1)).into(),
+        ),
+        ("session_ms", (report.session_ticks / 10_000).into()),
+    ]);
+    emit(&json.render(), json_path.as_deref());
     if let Some(path) = events_path {
         std::fs::write(&path, &jsonl).expect("write event log");
         println!("event log written to {path}");

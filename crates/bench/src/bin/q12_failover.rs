@@ -32,8 +32,7 @@
 //! Usage: `q12_failover [--seed N] [--json PATH] [--events PATH]
 //! [--prom PATH]`
 
-use std::fmt::Write as _;
-
+use lod_bench::report::{emit, Json};
 use lod_core::{
     check_causal, parse_jsonl, session_timelines, synthetic_lecture, worst_by_stall,
     AdmissionPolicy, ChaosSpec, DegradePolicy, FailoverConfig, Recorder, RelayTierConfig, Wmps,
@@ -219,55 +218,32 @@ fn main() {
     }
 
     // Integers only, so the JSON report is byte-for-byte reproducible.
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"students\": {STUDENTS},");
-    let _ = writeln!(json, "  \"relays\": {RELAYS},");
-    let _ = writeln!(json, "  \"origin_dies_ms\": {},", ORIGIN_DIES_AT / 10_000);
-    let _ = writeln!(
-        json,
-        "  \"promoted_ms\": {},",
-        fo.promoted_at.unwrap_or(0) / 10_000
-    );
-    let _ = writeln!(json, "  \"epoch\": {},", fo.epoch);
-    let _ = writeln!(json, "  \"completed\": {},", report.completed_sessions());
-    let _ = writeln!(json, "  \"sessions_migrated\": {},", fo.sessions_migrated);
-    let _ = writeln!(
-        json,
-        "  \"checkpoints_replicated\": {},",
-        fo.checkpoints_replicated
-    );
-    let _ = writeln!(
-        json,
-        "  \"checkpoints_emitted\": {},",
-        report.server.checkpoints_emitted
-    );
-    let _ = writeln!(
-        json,
-        "  \"plays_from_zero\": {},",
-        fo.standby.plays_from_zero
-    );
-    let _ = writeln!(
-        json,
-        "  \"stale_epoch_replies\": {},",
-        fo.stale_epoch_replies
-    );
-    let _ = writeln!(json, "  \"heartbeat_misses\": {},", causal.heartbeat_misses);
-    let _ = writeln!(json, "  \"events\": {},", events.len());
-    let _ = writeln!(json, "  \"faults_applied\": {},", report.faults_applied);
-    let _ = writeln!(
-        json,
-        "  \"worst_rebuffer_permille\": {},",
-        report.worst_rebuffer_permille(play_duration.max(1))
-    );
-    let _ = writeln!(json, "  \"session_ms\": {}", report.session_ticks / 10_000);
-    json.push_str("}\n");
-    if let Some(path) = json_path {
-        std::fs::write(&path, &json).expect("write json report");
-        println!("\nreport written to {path}");
-    } else {
-        println!("\n{json}");
-    }
+    let json = Json::Obj(vec![
+        ("seed", seed.into()),
+        ("students", STUDENTS.into()),
+        ("relays", RELAYS.into()),
+        ("origin_dies_ms", (ORIGIN_DIES_AT / 10_000).into()),
+        ("promoted_ms", (fo.promoted_at.unwrap_or(0) / 10_000).into()),
+        ("epoch", fo.epoch.into()),
+        ("completed", report.completed_sessions().into()),
+        ("sessions_migrated", fo.sessions_migrated.into()),
+        ("checkpoints_replicated", fo.checkpoints_replicated.into()),
+        (
+            "checkpoints_emitted",
+            report.server.checkpoints_emitted.into(),
+        ),
+        ("plays_from_zero", fo.standby.plays_from_zero.into()),
+        ("stale_epoch_replies", fo.stale_epoch_replies.into()),
+        ("heartbeat_misses", causal.heartbeat_misses.into()),
+        ("events", events.len().into()),
+        ("faults_applied", report.faults_applied.into()),
+        (
+            "worst_rebuffer_permille",
+            report.worst_rebuffer_permille(play_duration.max(1)).into(),
+        ),
+        ("session_ms", (report.session_ticks / 10_000).into()),
+    ]);
+    emit(&json.render(), json_path.as_deref());
     if let Some(path) = events_path {
         std::fs::write(&path, &jsonl).expect("write event log");
         println!("event log written to {path}");

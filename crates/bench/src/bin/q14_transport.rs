@@ -17,8 +17,8 @@
 //!
 //! * `"tracked"` — the two frame sizes: exact on every machine.
 //!   `scripts/ci.sh` re-runs this bench and fails when a fresh tracked
-//!   value exceeds the committed `BENCH_q14.json` by more than the
-//!   tolerance (see `perf_gate`). Lower is better for every tracked key.
+//!   value differs from the committed `BENCH_q14.json` (see
+//!   `perf_gate`, which compares for equality).
 //! * `"untracked"` — the codec medians and the loopback numbers. The
 //!   loopback counts repeat exactly run to run; the medians and the
 //!   wall-clock figures (seconds, frames/sec) are the machine's, and
@@ -32,9 +32,7 @@
 //! untracked block then carries just the medians) — what the CI perf
 //! gate runs.
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
+use lod_bench::report::{emit, median_ns, BenchReport, Json};
 use lod_core::{serve_loopback_udp, synthetic_lecture, RelayTierConfig, UdpConfig, Wmps};
 use lod_streaming::wire::{ControlRequest, Wire};
 use lod_transport::{decode_frame, encode_frame, WireCodec};
@@ -60,19 +58,6 @@ fn parse_args() -> Args {
         }
     }
     parsed
-}
-
-/// Median ns per call of `f` over `iters` timed samples.
-fn median_ns(iters: usize, mut f: impl FnMut()) -> u64 {
-    let mut samples: Vec<u64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 /// A 32 × 1400 B segment, the frame the relay tier actually ships.
@@ -156,13 +141,7 @@ fn main() {
         ctrl_frame.len()
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"q14_transport\",");
-    let _ = writeln!(json, "  \"tracked\": {{");
-    let _ = writeln!(json, "    \"segment_frame_bytes\": {},", seg_frame.len());
-    let _ = writeln!(json, "    \"control_frame_bytes\": {}", ctrl_frame.len());
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"untracked\": {{");
+    let mut untracked = Vec::new();
     if !args.codec_only {
         // Loopback deployment: the acceptance scenario, timed. Counts that
         // repeat exactly and wall-clock figures alike are for the record.
@@ -197,43 +176,41 @@ fn main() {
             reorder.skipped_seqs
         );
 
-        let _ = writeln!(json, "    \"clients\": {clients},");
-        let _ = writeln!(json, "    \"relays\": {relays},");
-        let _ = writeln!(json, "    \"completed\": {completed},");
-        let _ = writeln!(json, "    \"abandoned\": {abandoned},");
-        let _ = writeln!(json, "    \"wall_seconds\": {wall_s:.3},");
-        let _ = writeln!(json, "    \"frames_sent\": {},", transport.frames_sent);
-        let _ = writeln!(
-            json,
-            "    \"frames_received\": {},",
-            transport.frames_received
-        );
-        let _ = writeln!(json, "    \"bytes_sent\": {},", transport.bytes_sent);
-        let _ = writeln!(json, "    \"frames_per_sec\": {frames_per_sec:.0},");
-        let _ = writeln!(json, "    \"bytes_per_sec\": {bytes_per_sec:.0},");
-        let _ = writeln!(json, "    \"reordered\": {},", reorder.out_of_order);
-        let _ = writeln!(json, "    \"skipped\": {},", reorder.skipped_seqs);
-        let _ = writeln!(json, "    \"decode_errors\": {},", transport.decode_errors);
+        untracked = vec![
+            ("clients", clients.into()),
+            ("relays", relays.into()),
+            ("completed", completed.into()),
+            ("abandoned", abandoned.into()),
+            ("wall_seconds", Json::Num(format!("{wall_s:.3}"))),
+            ("frames_sent", transport.frames_sent.into()),
+            ("frames_received", transport.frames_received.into()),
+            ("bytes_sent", transport.bytes_sent.into()),
+            ("frames_per_sec", Json::Num(format!("{frames_per_sec:.0}"))),
+            ("bytes_per_sec", Json::Num(format!("{bytes_per_sec:.0}"))),
+            ("reordered", reorder.out_of_order.into()),
+            ("skipped", reorder.skipped_seqs.into()),
+            ("decode_errors", transport.decode_errors.into()),
+        ];
     }
-    let _ = writeln!(json, "    \"segment_encode_ns_median\": {enc_segment_ns},");
-    let _ = writeln!(json, "    \"segment_decode_ns_median\": {dec_segment_ns},");
-    let _ = writeln!(
-        json,
-        "    \"segment_decode_shared_ns_median\": {dec_segment_shared_ns},"
-    );
-    let _ = writeln!(json, "    \"control_encode_ns_median\": {enc_control_ns},");
-    let _ = writeln!(json, "    \"control_decode_ns_median\": {dec_control_ns}");
-    let _ = writeln!(json, "  }}");
-    json.push('}');
-    json.push('\n');
-
-    match args.json {
-        Some(path) => {
-            std::fs::write(&path, &json).expect("write json report");
-            println!("\nreport written to {path}");
-        }
-        None => println!("\n{json}"),
-    }
+    untracked.extend(vec![
+        ("segment_encode_ns_median", enc_segment_ns.into()),
+        ("segment_decode_ns_median", dec_segment_ns.into()),
+        (
+            "segment_decode_shared_ns_median",
+            dec_segment_shared_ns.into(),
+        ),
+        ("control_encode_ns_median", enc_control_ns.into()),
+        ("control_decode_ns_median", dec_control_ns.into()),
+    ]);
+    let report = BenchReport {
+        bench: "q14_transport",
+        tracked: vec![
+            ("segment_frame_bytes", seg_frame.len() as u64),
+            ("control_frame_bytes", ctrl_frame.len() as u64),
+        ],
+        untracked,
+    };
+    emit(&report.render(), args.json.as_deref());
 
     println!(
         "\nshape: the codec costs microseconds against a millisecond-scale\n\

@@ -19,22 +19,20 @@
 //!   the O(readers) → O(1) collapse is visible in the same JSON.
 //!
 //! The JSON splits into `"tracked"` (the — fully deterministic — copy
-//! counters; the CI perf gate compares these against the committed
-//! `BENCH_q15.json`, lower is better) and `"untracked"` (the two
-//! wall-clock medians, throughput and counterfactual context: this
-//! machine's, recorded, never gated). A reintroduced per-reader copy
+//! counters; the CI perf gate holds these to exactly the committed
+//! `BENCH_q15.json`) and `"untracked"` (the two wall-clock medians,
+//! throughput and counterfactual context: this machine's, recorded,
+//! never gated). A reintroduced per-reader copy
 //! would blow `fanout_backing_allocs_256` three orders of magnitude past
 //! its committed value and fail the gate.
 //!
 //! Usage: `q15_hotpath [--json PATH]`
 
-use std::fmt::Write as _;
-use std::time::Instant;
-
 use lod_asf::{
     write_asf, AsfFile, DataPacket, FileProperties, MediaSample, Packetizer, Payload,
     ScriptCommandList, StreamKind, StreamProperties,
 };
+use lod_bench::report::{emit, median_ns, BenchReport};
 use lod_relay::{CachedSegment, SegmentCache};
 use lod_streaming::wire::{SegmentData, Wire};
 use lod_transport::{decode_frame, encode_frame, WireCodec};
@@ -54,19 +52,6 @@ fn parse_args() -> Option<String> {
         }
     }
     json
-}
-
-/// Median ns per call of `f` over `iters` timed samples.
-fn median_ns(iters: usize, mut f: impl FnMut()) -> u64 {
-    let mut samples: Vec<u64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 /// A 60-second ~400 kbit/s lecture, the mux workload.
@@ -252,44 +237,27 @@ fn main() {
          ({deep_copied_256} B copied)"
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"q15_hotpath\",");
-    let _ = writeln!(json, "  \"tracked\": {{");
-    let _ = writeln!(json, "    \"fanout_backing_allocs_4\": {allocs_4},");
-    let _ = writeln!(json, "    \"fanout_backing_allocs_256\": {allocs_256},");
-    let _ = writeln!(json, "    \"fanout_bytes_deep_copied_256\": {copied_256}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"untracked\": {{");
-    let _ = writeln!(json, "    \"mux_ns_per_packet\": {mux_ns_per_packet},");
-    let _ = writeln!(
-        json,
-        "    \"fanout_ns_per_packet\": {fanout_ns_per_packet},"
-    );
-    let _ = writeln!(json, "    \"relays\": {RELAYS},");
-    let _ = writeln!(json, "    \"readers\": {READERS},");
-    let _ = writeln!(json, "    \"segment_packets\": {SEGMENT_PACKETS},");
-    let _ = writeln!(json, "    \"mux_packets\": {n_packets},");
-    let _ = writeln!(json, "    \"fanout_deliveries\": {deliveries},");
-    let _ = writeln!(json, "    \"fanout_mb_per_sec\": {},", mb_per_sec as u64);
-    let _ = writeln!(
-        json,
-        "    \"deepcopy_backing_allocs_256\": {deep_allocs_256},"
-    );
-    let _ = writeln!(
-        json,
-        "    \"deepcopy_bytes_deep_copied_256\": {deep_copied_256}"
-    );
-    let _ = writeln!(json, "  }}");
-    json.push('}');
-    json.push('\n');
-
-    match json_path {
-        Some(path) => {
-            std::fs::write(&path, &json).expect("write json report");
-            println!("\nreport written to {path}");
-        }
-        None => println!("\n{json}"),
-    }
+    let report = BenchReport {
+        bench: "q15_hotpath",
+        tracked: vec![
+            ("fanout_backing_allocs_4", allocs_4),
+            ("fanout_backing_allocs_256", allocs_256),
+            ("fanout_bytes_deep_copied_256", copied_256),
+        ],
+        untracked: vec![
+            ("mux_ns_per_packet", mux_ns_per_packet.into()),
+            ("fanout_ns_per_packet", fanout_ns_per_packet.into()),
+            ("relays", RELAYS.into()),
+            ("readers", READERS.into()),
+            ("segment_packets", SEGMENT_PACKETS.into()),
+            ("mux_packets", n_packets.into()),
+            ("fanout_deliveries", deliveries.into()),
+            ("fanout_mb_per_sec", (mb_per_sec as u64).into()),
+            ("deepcopy_backing_allocs_256", deep_allocs_256.into()),
+            ("deepcopy_bytes_deep_copied_256", deep_copied_256.into()),
+        ],
+    };
+    emit(&report.render(), json_path.as_deref());
 
     println!(
         "\nshape: payload copies no longer scale with the audience — the\n\

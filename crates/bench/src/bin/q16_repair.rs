@@ -20,16 +20,15 @@
 //! whose retry budget is exhausted are ever skipped). The canonical
 //! profile — 12% steady loss with a near-total burst on top, plus
 //! duplication and delay-reordering — feeds the `"tracked"` section the
-//! CI perf gate compares against `BENCH_q16.json` (lower is better for
-//! every key: more NACKs, retransmits, give-ups or skips for the same
-//! seeded chaos means the protocol got chattier or weaker). A sweep
+//! CI perf gate holds to exactly `BENCH_q16.json` (more NACKs,
+//! retransmits, give-ups or skips for the same seeded chaos means the
+//! protocol got chattier or weaker; fewer means it changed too). A sweep
 //! over steady-loss rates lands in `"untracked"` for the experiment
 //! record.
 //!
 //! Usage: `q16_repair [--json PATH]`
 
-use std::fmt::Write as _;
-
+use lod_bench::report::{emit, BenchReport, Json};
 use lod_simnet::{FaultInjector, FaultPlan, NodeId};
 use lod_transport::{
     decode_frame, encode_frame, encode_frame_with_flags, mark_retransmit, ControlFrame,
@@ -482,88 +481,47 @@ fn main() {
         "a starved buffer must produce explicit give-ups: {tinybuf:?}"
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"bench\": \"q16_repair\",");
-    let _ = writeln!(json, "  \"tracked\": {{");
-    let _ = writeln!(json, "    \"nack_frame_bytes\": {},", nack_frame.len());
-    let _ = writeln!(json, "    \"heartbeat_frame_bytes\": {},", hb_frame.len());
-    let _ = writeln!(
-        json,
-        "    \"chaos_off_skipped_seqs\": {},",
-        chaos_off.skipped
-    );
-    let _ = writeln!(json, "    \"chaos_on_skipped_seqs\": {},", chaos_on.skipped);
-    let _ = writeln!(
-        json,
-        "    \"chaos_on_nacks_sent\": {},",
-        chaos_on.nacks_sent
-    );
-    let _ = writeln!(
-        json,
-        "    \"chaos_on_seqs_nacked\": {},",
-        chaos_on.seqs_nacked
-    );
-    let _ = writeln!(
-        json,
-        "    \"chaos_on_retransmits\": {},",
-        chaos_on.retransmits
-    );
-    let _ = writeln!(json, "    \"chaos_on_give_ups\": {},", chaos_on.give_ups);
-    let _ = writeln!(json, "    \"tinybuf_give_ups\": {},", tinybuf.give_ups);
-    let _ = writeln!(json, "    \"tinybuf_skipped_seqs\": {}", tinybuf.skipped);
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"untracked\": {{");
-    let _ = writeln!(json, "    \"frames_per_run\": {N_FRAMES},");
-    let _ = writeln!(json, "    \"payload_bytes\": {PAYLOAD_BYTES},");
-    let _ = writeln!(json, "    \"sweep\": [");
-    for (i, (p, off, on)) in sweep.iter().enumerate() {
-        let _ = writeln!(json, "      {{");
-        let _ = writeln!(json, "        \"profile\": \"{}\",", p.name);
-        let _ = writeln!(json, "        \"loss_permille\": {},", p.loss_permille);
-        let _ = writeln!(json, "        \"burst\": {},", p.chaos_extras);
-        let _ = writeln!(json, "        \"off_skipped\": {},", off.skipped);
-        let _ = writeln!(
-            json,
-            "        \"off_data_dropped\": {},",
-            off.data_frames_dropped
-        );
-        let _ = writeln!(json, "        \"on_skipped\": {},", on.skipped);
-        let _ = writeln!(
-            json,
-            "        \"on_data_dropped\": {},",
-            on.data_frames_dropped
-        );
-        let _ = writeln!(
-            json,
-            "        \"on_control_dropped\": {},",
-            on.control_frames_dropped
-        );
-        let _ = writeln!(json, "        \"on_nacks_sent\": {},", on.nacks_sent);
-        let _ = writeln!(json, "        \"on_retransmits\": {},", on.retransmits);
-        let _ = writeln!(json, "        \"on_give_ups\": {},", on.give_ups);
-        let _ = writeln!(json, "        \"on_repaired_gaps\": {},", on.repaired_gaps);
-        let _ = writeln!(json, "        \"on_out_of_order\": {},", on.out_of_order);
-        let _ = writeln!(json, "        \"on_duplicates\": {},", on.duplicates);
-        let _ = writeln!(json, "        \"on_ticks\": {},", on.ticks);
-        let _ = writeln!(json, "        \"off_ticks\": {}", off.ticks);
-        let _ = writeln!(
-            json,
-            "      }}{}",
-            if i + 1 == sweep.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }}");
-    json.push('}');
-    json.push('\n');
-
-    match json_path {
-        Some(path) => {
-            std::fs::write(&path, &json).expect("write json report");
-            println!("\nreport written to {path}");
-        }
-        None => println!("\n{json}"),
-    }
+    let sweep = sweep.iter().map(|(p, off, on)| {
+        Json::Obj(vec![
+            ("profile", p.name.into()),
+            ("loss_permille", p.loss_permille.into()),
+            ("burst", p.chaos_extras.into()),
+            ("off_skipped", off.skipped.into()),
+            ("off_data_dropped", off.data_frames_dropped.into()),
+            ("on_skipped", on.skipped.into()),
+            ("on_data_dropped", on.data_frames_dropped.into()),
+            ("on_control_dropped", on.control_frames_dropped.into()),
+            ("on_nacks_sent", on.nacks_sent.into()),
+            ("on_retransmits", on.retransmits.into()),
+            ("on_give_ups", on.give_ups.into()),
+            ("on_repaired_gaps", on.repaired_gaps.into()),
+            ("on_out_of_order", on.out_of_order.into()),
+            ("on_duplicates", on.duplicates.into()),
+            ("on_ticks", on.ticks.into()),
+            ("off_ticks", off.ticks.into()),
+        ])
+    });
+    let report = BenchReport {
+        bench: "q16_repair",
+        tracked: vec![
+            ("nack_frame_bytes", nack_frame.len() as u64),
+            ("heartbeat_frame_bytes", hb_frame.len() as u64),
+            ("chaos_off_skipped_seqs", chaos_off.skipped),
+            ("chaos_on_skipped_seqs", chaos_on.skipped),
+            ("chaos_on_nacks_sent", chaos_on.nacks_sent),
+            ("chaos_on_seqs_nacked", chaos_on.seqs_nacked),
+            ("chaos_on_retransmits", chaos_on.retransmits),
+            ("chaos_on_give_ups", chaos_on.give_ups),
+            ("tinybuf_give_ups", tinybuf.give_ups),
+            ("tinybuf_skipped_seqs", tinybuf.skipped),
+        ],
+        untracked: vec![
+            ("frames_per_run", N_FRAMES.into()),
+            ("payload_bytes", PAYLOAD_BYTES.into()),
+            ("sweep", Json::Arr(sweep.collect())),
+        ],
+    };
+    emit(&report.render(), json_path.as_deref());
 
     println!(
         "\nshape: a 13-byte NACK covering up to 64 sequences replaces\n\

@@ -13,9 +13,7 @@
 //!
 //! Usage: `q9_chaos [--seed N] [--json PATH]`
 
-use std::fmt::Write as _;
-
-use lod_bench::report::{header, ms, row};
+use lod_bench::report::{emit, header, ms, row, Json};
 use lod_core::{synthetic_lecture, ChaosSpec, RelayTierConfig, Wmps, WmpsReport};
 use lod_simnet::LinkSpec;
 use lod_streaming::RetryPolicy;
@@ -108,28 +106,22 @@ impl Outcome {
         }
     }
 
-    fn json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "    {{\"name\": \"{}\", \"completed\": {}, \"abandoned\": {}, \
-             \"faults_applied\": {}, \"reattached\": {}, \"retries\": {}, \
-             \"recoveries\": {}, \"recover_ms_p95\": {}, \"recover_ms_max\": {}, \
-             \"mean_startup_ms\": {}, \"max_stalls\": {}, \
-             \"origin_egress_bytes\": {}, \"session_ms\": {}}}",
-            self.name,
-            self.completed,
-            self.abandoned,
-            self.faults_applied,
-            self.reattached,
-            self.retries,
-            self.recoveries,
-            self.recover_ms_p95,
-            self.recover_ms_max,
-            self.mean_startup_ms,
-            self.max_stalls,
-            self.origin_egress_bytes,
-            self.session_ms,
-        );
+    fn json(&self) -> Json<'static> {
+        Json::Row(vec![
+            ("name", self.name.into()),
+            ("completed", self.completed.into()),
+            ("abandoned", self.abandoned.into()),
+            ("faults_applied", self.faults_applied.into()),
+            ("reattached", self.reattached.into()),
+            ("retries", self.retries.into()),
+            ("recoveries", self.recoveries.into()),
+            ("recover_ms_p95", self.recover_ms_p95.into()),
+            ("recover_ms_max", self.recover_ms_max.into()),
+            ("mean_startup_ms", self.mean_startup_ms.into()),
+            ("max_stalls", self.max_stalls.into()),
+            ("origin_egress_bytes", self.origin_egress_bytes.into()),
+            ("session_ms", self.session_ms.into()),
+        ])
     }
 }
 
@@ -237,22 +229,16 @@ fn main() {
         severe.recover_ms_p95, severe.recoveries
     );
 
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"seed\": {seed},");
-    let _ = writeln!(json, "  \"students\": {STUDENTS},");
-    let _ = writeln!(json, "  \"relays\": {RELAYS},");
-    json.push_str("  \"scenarios\": [\n");
-    for (i, o) in outcomes.iter().enumerate() {
-        o.json(&mut json);
-        json.push_str(if i + 1 < outcomes.len() { ",\n" } else { "\n" });
-    }
-    json.push_str("  ]\n}\n");
-    if let Some(path) = json_path {
-        std::fs::write(&path, &json).expect("write json report");
-        println!("\nreport written to {path}");
-    } else {
-        println!("\n{json}");
-    }
+    let json = Json::Obj(vec![
+        ("seed", seed.into()),
+        ("students", STUDENTS.into()),
+        ("relays", RELAYS.into()),
+        (
+            "scenarios",
+            Json::Arr(outcomes.iter().map(Outcome::json).collect()),
+        ),
+    ]);
+    emit(&json.render(), json_path.as_deref());
 
     println!(
         "shape: the storm knocks out a relay (its students re-home through\n\

@@ -17,6 +17,10 @@
 //!   rationals (Gaussian elimination), used to verify conservation
 //!   properties of the multimedia nets built on top.
 //!
+//! The paper's model is a *timed* net, so stochastic delays and
+//! Karp–Miller coverability are not here: nothing built on this crate
+//! needs them.
+//!
 //! # Example
 //!
 //! ```
@@ -42,14 +46,12 @@
 //! ```
 
 pub mod analysis;
-pub mod coverability;
 pub mod dot;
 pub mod error;
 pub mod firing;
 pub mod invariants;
 pub mod marking;
 pub mod net;
-pub mod stochastic;
 pub mod timed;
 
 pub use dot::to_dot;
@@ -57,5 +59,4 @@ pub use error::PetriError;
 pub use firing::{FiringSequence, RandomFirer};
 pub use marking::Marking;
 pub use net::{NetBuilder, PetriNet, PlaceId, TransitionId};
-pub use stochastic::{Delay, StochasticExecutor, StochasticNet};
 pub use timed::{TimedEvent, TimedExecutor, TimedNet};

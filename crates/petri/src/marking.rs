@@ -85,14 +85,6 @@ impl Marking {
         self.tokens.iter().all(|&t| t <= 1)
     }
 
-    /// Componentwise `self >= other` (coverability comparison).
-    ///
-    /// Returns `false` when the lengths differ.
-    pub fn covers(&self, other: &Marking) -> bool {
-        self.tokens.len() == other.tokens.len()
-            && self.tokens.iter().zip(&other.tokens).all(|(a, b)| a >= b)
-    }
-
     /// Renders the marking against a net's place names, e.g. `{ready:2, done:1}`.
     pub fn display<'a>(&'a self, net: &'a PetriNet) -> MarkingDisplay<'a> {
         MarkingDisplay { marking: self, net }
@@ -146,22 +138,6 @@ mod tests {
         m.add(p, 2);
         m.remove(p, 5);
         assert_eq!(m.tokens(p), 0);
-    }
-
-    #[test]
-    fn covers_is_componentwise() {
-        let a = Marking::from_counts(vec![2, 1]);
-        let b = Marking::from_counts(vec![1, 1]);
-        assert!(a.covers(&b));
-        assert!(!b.covers(&a));
-        assert!(a.covers(&a));
-    }
-
-    #[test]
-    fn covers_rejects_length_mismatch() {
-        let a = Marking::from_counts(vec![2, 1]);
-        let b = Marking::from_counts(vec![2, 1, 0]);
-        assert!(!a.covers(&b));
     }
 
     #[test]

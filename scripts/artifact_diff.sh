@@ -7,8 +7,9 @@
 #
 # Exports <base-rev> into a scratch tree under $TMPDIR (`git archive`, so
 # no worktree is left registered in .git if the script is killed), builds
-# the q5/q6/q8/q9/q10/q11/q12/q16/q17 benches and the `wmps` CLI in both trees,
-# runs each bench at seed 7, and `cmp`s: q9 and q10 (json), q11 and q12
+# the q5/q6/q8/q9/q10/q11/q12/q14/q15/q16/q17 benches, `perf_gate` and the
+# `wmps` CLI in both trees, runs each bench at seed 7, and `cmp`s: q9 and
+# q10 (json), q11 and q12
 # (json, jsonl, prom), q16 (json) and q17 (jsonl; its json carries
 # wall-clock timings) — the stdout of q5_scale, q6_classroom and q8_relay,
 # the only seeded runs of `serve_and_replay`, `serve_shared_uplink`,
@@ -24,6 +25,10 @@
 # and CI's lossy loopback `wmps serve --transport udp` (32 students, 12%
 # seeded egress loss, repair on): its stdout minus the wall time,
 # exposition and JSONL log pin the socket path and its fault engine.
+# The timed reports of `q14_transport --codec-only` and `q15_hotpath`
+# carry wall-clock medians, so each gets two checks instead of a `cmp`:
+# this tree's `perf_gate` holds its tracked values to the base's, and a
+# `cmp` with every number masked holds its keys, order and layout.
 # Exits 1 naming every artifact that differs. Offline, like the rest of CI.
 set -e
 
@@ -36,7 +41,8 @@ mkdir "$work/src" "$work/base" "$work/head"
 git -C "$root" archive "$rev" | tar -x -C "$work/src"
 
 stdout_bins="q5_scale q6_classroom q8_relay"
-bins="q9_chaos q10_overload q11_observability q12_failover q16_repair q17_tracing $stdout_bins wmps"
+bins="q9_chaos q10_overload q11_observability q12_failover q14_transport q15_hotpath \
+    q16_repair q17_tracing perf_gate $stdout_bins wmps"
 
 # produce <tree> <target-dir> <out-dir>
 produce() {
@@ -51,6 +57,8 @@ produce() {
         --json "$3/q11.json" --events "$3/q11.jsonl" --prom "$3/q11.prom" > /dev/null
     "$2/release/q12_failover" --seed 7 \
         --json "$3/q12.json" --events "$3/q12.jsonl" --prom "$3/q12.prom" > /dev/null
+    "$2/release/q14_transport" --codec-only --json "$3/q14.json" > /dev/null
+    "$2/release/q15_hotpath" --json "$3/q15.json" > /dev/null
     "$2/release/q16_repair" --json "$3/q16.json" > /dev/null
     "$2/release/q17_tracing" --json "$3/q17_timings.json" --events "$3/q17.jsonl" > /dev/null
     for b in $stdout_bins; do "$2/release/$b" > "$3/$b.txt"; done
@@ -77,7 +85,8 @@ produce() {
 echo "artifact_diff: building and running $base ($rev)"
 produce "$work/src" "$work/target" "$work/base"
 echo "artifact_diff: building and running the working tree"
-produce "$root" "${CARGO_TARGET_DIR:-$root/target}" "$work/head"
+head_target="${CARGO_TARGET_DIR:-$root/target}"
+produce "$root" "$head_target" "$work/head"
 
 status=0
 for f in q9.json q10.json q11.json q11.jsonl q11.prom q12.json q12.jsonl q12.prom \
@@ -92,6 +101,26 @@ for f in q9.json q10.json q11.json q11.jsonl q11.prom q12.json q12.jsonl q12.pro
             *.asf) cmp "$work/base/$f" "$work/head/$f" || true ;;
             *) diff "$work/base/$f" "$work/head/$f" | head -10 ;;
         esac
+        status=1
+    fi
+done
+for f in q14.json q15.json; do
+    if "$head_target/release/perf_gate" --fresh "$work/head/$f" \
+        --check-against "$work/base/$f" > "$work/gate.txt"; then
+        echo "identical  $f (tracked values)"
+    else
+        echo "DIFFERS    $f (tracked values)"
+        grep FAIL "$work/gate.txt" || true
+        status=1
+    fi
+    for side in base head; do
+        sed -E 's/-?[0-9]+(\.[0-9]+)?/N/g' "$work/$side/$f" > "$work/$side/$f.masked"
+    done
+    if cmp -s "$work/base/$f.masked" "$work/head/$f.masked"; then
+        echo "identical  $f (keys and layout, numbers masked)"
+    else
+        echo "DIFFERS    $f (keys and layout, numbers masked)"
+        diff "$work/base/$f.masked" "$work/head/$f.masked" | head -10
         status=1
     fi
 done

@@ -116,8 +116,8 @@ echo "===== q17_tracing determinism (two runs, byte-identical span logs) ====="
 # The tracing plane end to end: span minting, Mark propagation, the
 # clock-skew clamp and the assembler are all integer-clocked, so two
 # processes must emit byte-identical full-trace event logs. The bench
-# also enforces the overhead contract in-binary (sampled 10‰ within 5%
-# of obs-off) and the causal span invariants over the merged log.
+# also enforces in-binary that its 50‰ plane keeps whole-chain traces of
+# a few segments, and the causal span invariants over the merged log.
 cargo run -q --offline --release -p lod-bench --bin q17_tracing -- \
     --json "$tmpdir/ta.json" --events "$tmpdir/ta.jsonl" > /dev/null
 cargo run -q --offline --release -p lod-bench --bin q17_tracing -- \
