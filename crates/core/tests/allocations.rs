@@ -120,11 +120,13 @@ fn simnet_sessions_share_packets_and_allocate_no_payload_backing() {
     }
     // Copying a packet per student per delivery costs at least one
     // allocation each (≈1.4 per packet delivered in all); sharing it
-    // leaves ≈0.21, the per-step and per-segment rest.
+    // leaves ≈0.139 (4 177 for 30 032 packets), the per-step and
+    // per-segment rest. Keying content by a `String` per session and
+    // segment read ≈0.208.
     let delivered = (STUDENTS * file.packets.len()) as u64;
     let heap = runs[0].1 .1.heap;
     assert!(
-        heap * 4 <= delivered,
+        heap * 100 <= delivered * 14,
         "serve_with_relays: {heap} heap allocations for {delivered} packets delivered"
     );
 }

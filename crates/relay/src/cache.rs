@@ -20,7 +20,7 @@
 //! [`SegmentCache::resident_backing_bytes`], which deduplicate backing
 //! allocations by identity so shared storage is counted once.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 
 use lod_asf::DataPacket;
 use serde::{Deserialize, Serialize};
@@ -98,10 +98,29 @@ impl CacheStats {
     }
 }
 
+/// A content name's index in a [`SegmentCache`]'s content table. The
+/// relay resolves a name from the wire once and carries this id, so no
+/// per-packet lookup hashes or compares a name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ContentId(u32);
+
+impl ContentId {
+    pub(crate) fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Entry {
     segment: CachedSegment,
     last_used: u64,
+}
+
+/// One content's name and its resident segments.
+#[derive(Debug, Clone)]
+struct Content {
+    name: String,
+    segments: BTreeMap<u32, Entry>,
 }
 
 /// LRU segment cache with a hard byte budget.
@@ -110,9 +129,11 @@ pub struct SegmentCache {
     budget: u64,
     used: u64,
     clock: u64,
-    /// Content name, then segment index: a lookup borrows the `&str` it
-    /// is given, so only inserting a new content allocates its name.
-    entries: HashMap<String, HashMap<u32, Entry>>,
+    /// Every content interned so far, in intern order; a [`ContentId`]
+    /// indexes it. A content keeps its slot when its last segment goes,
+    /// so the table is as long as the number of distinct names ever
+    /// cached or interned — for a relay, its declared catalog.
+    contents: Vec<Content>,
     stats: CacheStats,
 }
 
@@ -124,7 +145,7 @@ impl SegmentCache {
             budget: budget_bytes,
             used: 0,
             clock: 0,
-            entries: HashMap::new(),
+            contents: Vec::new(),
             stats: CacheStats::default(),
         }
     }
@@ -147,7 +168,7 @@ impl SegmentCache {
     pub fn resident_backing_bytes(&self) -> u64 {
         let mut seen = HashSet::new();
         let mut total = 0u64;
-        for entry in self.entries.values().flat_map(HashMap::values) {
+        for entry in self.contents.iter().flat_map(|c| c.segments.values()) {
             for packet in &entry.segment.packets {
                 for payload in packet.payloads.iter() {
                     if seen.insert(payload.data.backing_id()) {
@@ -161,12 +182,12 @@ impl SegmentCache {
 
     /// Number of cached segments.
     pub fn len(&self) -> usize {
-        self.entries.values().map(HashMap::len).sum()
+        self.contents.iter().map(|c| c.segments.len()).sum()
     }
 
     /// Whether the cache holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.contents.iter().all(|c| c.segments.is_empty())
     }
 
     /// Accounting so far.
@@ -174,16 +195,46 @@ impl SegmentCache {
         self.stats
     }
 
+    /// The id of `content`, found by scanning the content table.
+    pub(crate) fn resolve(&self, content: &str) -> Option<ContentId> {
+        let i = self.contents.iter().position(|c| c.name == content)?;
+        Some(ContentId(i as u32))
+    }
+
+    /// The id of `content`, adding it to the content table when new.
+    pub(crate) fn intern(&mut self, content: &str) -> ContentId {
+        self.resolve(content).unwrap_or_else(|| {
+            let id = u32::try_from(self.contents.len()).expect("fewer than 2^32 contents");
+            self.contents.push(Content {
+                name: content.to_string(),
+                segments: BTreeMap::new(),
+            });
+            ContentId(id)
+        })
+    }
+
+    /// The name `id` was interned under.
+    pub(crate) fn name(&self, id: ContentId) -> &str {
+        &self.contents[id.index()].name
+    }
+
     /// Looks up a segment, recording a hit or miss and refreshing its
     /// recency on hit.
     pub fn get(&mut self, content: &str, segment: u32) -> Option<&CachedSegment> {
+        let id = self.resolve(content);
+        self.lookup(id, segment)
+    }
+
+    /// [`SegmentCache::get`] by content id.
+    pub(crate) fn get_id(&mut self, content: ContentId, segment: u32) -> Option<&CachedSegment> {
+        self.lookup(Some(content), segment)
+    }
+
+    fn lookup(&mut self, content: Option<ContentId>, segment: u32) -> Option<&CachedSegment> {
         self.clock += 1;
         let clock = self.clock;
-        match self
-            .entries
-            .get_mut(content)
-            .and_then(|segments| segments.get_mut(&segment))
-        {
+        let entry = content.and_then(|id| self.contents[id.index()].segments.get_mut(&segment));
+        match entry {
             Some(entry) => {
                 entry.last_used = clock;
                 self.stats.hits += 1;
@@ -206,9 +257,15 @@ impl SegmentCache {
     /// Looks up a segment without touching recency or the hit/miss
     /// counters (for introspection and tests).
     pub fn peek(&self, content: &str, segment: u32) -> Option<&CachedSegment> {
-        self.entries
-            .get(content)
-            .and_then(|segments| segments.get(&segment))
+        self.peek_id(self.resolve(content)?, segment)
+    }
+
+    /// [`SegmentCache::peek`] by content id: an index and one ordered-map
+    /// probe, on the relay's per-packet path.
+    pub(crate) fn peek_id(&self, content: ContentId, segment: u32) -> Option<&CachedSegment> {
+        self.contents[content.index()]
+            .segments
+            .get(&segment)
             .map(|e| &e.segment)
     }
 
@@ -230,10 +287,31 @@ impl SegmentCache {
         segment: u32,
         data: CachedSegment,
     ) -> Option<Vec<(String, u32, u64)>> {
+        // Refused before interning, so a refused segment adds no name.
         if data.bytes > self.budget {
             return None;
         }
-        if let Some(old) = self.remove(content, segment) {
+        let id = self.intern(content);
+        let evicted = self.insert_id(id, segment, data)?;
+        let named = evicted
+            .into_iter()
+            .map(|(id, segment, bytes)| (self.name(id).to_string(), segment, bytes));
+        Some(named.collect())
+    }
+
+    /// [`SegmentCache::insert`] by content id; evictions name their
+    /// content by id too.
+    pub(crate) fn insert_id(
+        &mut self,
+        content: ContentId,
+        segment: u32,
+        data: CachedSegment,
+    ) -> Option<Vec<(ContentId, u32, u64)>> {
+        if data.bytes > self.budget {
+            return None;
+        }
+        let segments = &mut self.contents[content.index()].segments;
+        if let Some(old) = segments.remove(&segment) {
             self.used -= old.segment.bytes;
         }
         let mut evicted = Vec::new();
@@ -247,46 +325,35 @@ impl SegmentCache {
             segment: data,
             last_used: self.clock,
         };
-        if let Some(segments) = self.entries.get_mut(content) {
-            segments.insert(segment, entry);
-        } else {
-            let segments = HashMap::from([(segment, entry)]);
-            self.entries.insert(content.to_string(), segments);
-        }
+        self.contents[content.index()]
+            .segments
+            .insert(segment, entry);
         Some(evicted)
     }
 
-    /// Takes `(content, segment)` out of the cache, dropping the content's
-    /// map when it empties (so no content map is ever empty), without
-    /// accounting.
-    fn remove(&mut self, content: &str, segment: u32) -> Option<Entry> {
-        let segments = self.entries.get_mut(content)?;
-        let entry = segments.remove(&segment)?;
-        if segments.is_empty() {
-            self.entries.remove(content);
-        }
-        Some(entry)
-    }
-
-    fn evict_lru(&mut self) -> (String, u32, u64) {
+    fn evict_lru(&mut self) -> (ContentId, u32, u64) {
         // `last_used` is unique per entry, so the victim does not depend
-        // on either map's iteration order.
-        let (content, segment) = self
-            .entries
+        // on iteration order.
+        let (id, segment) = self
+            .contents
             .iter()
-            .flat_map(|(content, segments)| {
-                segments
+            .enumerate()
+            .flat_map(|(i, c)| {
+                c.segments
                     .iter()
-                    .map(move |(&segment, e)| (e.last_used, content, segment))
+                    .map(move |(&segment, e)| (e.last_used, i, segment))
             })
             .min_by_key(|&(last_used, _, _)| last_used)
-            .map(|(_, content, segment)| (content.clone(), segment))
+            .map(|(_, i, segment)| (ContentId(i as u32), segment))
             .expect("eviction requested on an empty cache");
-        let entry = self.remove(&content, segment).expect("victim just found");
+        let entry = self.contents[id.index()]
+            .segments
+            .remove(&segment)
+            .expect("victim just found");
         self.used -= entry.segment.bytes;
         self.stats.evictions += 1;
         self.stats.bytes_evicted += entry.segment.bytes;
-        (content, segment, entry.segment.bytes)
+        (id, segment, entry.segment.bytes)
     }
 }
 

@@ -14,7 +14,7 @@
 //!   packets out to every local student, turning an O(students) origin
 //!   uplink load into O(relays).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 
 use lod_asf::{DataPacket, ScriptCommand};
 use lod_obs::{lecture_id, sampled, Event, Recorder, TraceCtx};
@@ -24,7 +24,7 @@ use lod_streaming::{AdmissionPolicy, BreakerPolicy, BreakerState, CircuitBreaker
 use lod_transport::Transport;
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CachedSegment, SegmentCache};
+use crate::cache::{CachedSegment, ContentId, SegmentCache};
 
 /// High bit marking a synthetic in-flight key for a *time-resolving*
 /// fetch (`at_time` lookups have no segment number until the origin
@@ -124,7 +124,7 @@ struct ContentMeta {
 #[derive(Debug)]
 struct VodSession {
     client: NodeId,
-    content: String,
+    content: ContentId,
     next_packet: u32,
     /// Wall time of presentation time zero.
     base_time: u64,
@@ -169,6 +169,40 @@ struct LiveRelay {
     subs: Vec<LiveSub>,
 }
 
+/// What the relay knows about one content it serves. Indexed by the
+/// content's [`ContentId`], so it iterates in intern order.
+#[derive(Debug)]
+struct Content {
+    /// Served on demand ([`RelayNode::serve_vod`]).
+    vod: bool,
+    /// Re-broadcast live ([`RelayNode::serve_live`]).
+    live: bool,
+    /// `lecture_id` of the name, for the tracing plane.
+    lecture: u64,
+    /// Catalog facts, learned from the first segment answer.
+    meta: Option<ContentMeta>,
+    /// The local re-broadcast, from its first subscriber on.
+    feed: Option<LiveRelay>,
+    /// Upstream fetches in flight, keyed by segment (or a
+    /// [`time_fetch_key`] for time-resolving fetches).
+    inflight: BTreeMap<u32, InflightFetch>,
+}
+
+impl Content {
+    /// Best-known bitrate cost of one session of this content (0 until
+    /// the header has been learned — first contact is admitted on the
+    /// session cap alone).
+    fn nominal_bps(&self) -> u64 {
+        if let Some(m) = &self.meta {
+            return u64::from(m.header.props.max_bitrate);
+        }
+        self.feed
+            .as_ref()
+            .and_then(|f| f.header.as_ref())
+            .map_or(0, |h| u64::from(h.props.max_bitrate))
+    }
+}
+
 /// An edge relay node.
 #[derive(Debug)]
 pub struct RelayNode {
@@ -177,18 +211,15 @@ pub struct RelayNode {
     cache: SegmentCache,
     prefetch: bool,
     backlog_limit: u64,
-    /// Contents this relay serves on demand / live.
-    vod_content: HashSet<String>,
-    live_content: HashSet<String>,
+    /// Contents this relay serves, indexed by the [`ContentId`] the
+    /// cache interned each name under: the two tables grow together, and
+    /// only [`RelayNode::serve_vod`] and [`RelayNode::serve_live`] grow
+    /// them.
+    contents: Vec<Content>,
     /// The live feed currently subscribed upstream. Data packets carry no
     /// content name, so a relay re-broadcasts one live lecture at a time.
-    upstream_live: Option<String>,
-    meta: HashMap<String, ContentMeta>,
+    upstream_live: Option<ContentId>,
     sessions: Vec<VodSession>,
-    live: HashMap<String, LiveRelay>,
-    /// Upstream fetches in flight, keyed by `(content, segment)` (or a
-    /// [`time_fetch_key`] for time-resolving fetches).
-    inflight: HashMap<(String, u32), InflightFetch>,
     /// Pacing/abandon policy for upstream fetches.
     fetch_retry: RetryPolicy,
     /// Mixed into the retry jitter so relays desynchronize.
@@ -236,13 +267,9 @@ impl RelayNode {
             cache: SegmentCache::new(cache_budget),
             prefetch: true,
             backlog_limit: 20_000_000, // 2 s, like the origin
-            vod_content: HashSet::new(),
-            live_content: HashSet::new(),
+            contents: Vec::new(),
             upstream_live: None,
-            meta: HashMap::new(),
             sessions: Vec::new(),
-            live: HashMap::new(),
-            inflight: HashMap::new(),
             fetch_retry: RetryPolicy::relay_upstream(),
             fetch_salt: 0,
             admission: None,
@@ -337,12 +364,14 @@ impl RelayNode {
     /// traffic.
     pub fn retarget_origin(&mut self, standby: NodeId, epoch: u64, now: u64) {
         self.origin = standby;
-        self.inflight.clear();
         if let Some(b) = &mut self.breaker {
             b.force_probe(now);
         }
-        for meta in self.meta.values_mut() {
-            meta.header.epoch = epoch;
+        for c in &mut self.contents {
+            c.inflight.clear();
+            if let Some(meta) = &mut c.meta {
+                meta.header.epoch = epoch;
+            }
         }
     }
 
@@ -363,18 +392,42 @@ impl RelayNode {
 
     /// Local subscribers across all live feeds.
     pub fn live_subscriber_count(&self) -> usize {
-        self.live.values().map(|l| l.subs.len()).sum()
+        self.feeds().map(|f| f.subs.len()).sum()
     }
 
     /// Registers stored content this relay may serve (by pulling segments
     /// from the origin).
     pub fn serve_vod(&mut self, content: impl Into<String>) {
-        self.vod_content.insert(content.into());
+        let id = self.intern(&content.into());
+        self.contents[id.index()].vod = true;
     }
 
     /// Registers a live lecture this relay re-broadcasts locally.
     pub fn serve_live(&mut self, content: impl Into<String>) {
-        self.live_content.insert(content.into());
+        let id = self.intern(&content.into());
+        self.contents[id.index()].live = true;
+    }
+
+    /// The id of a content this relay serves, adding it when new.
+    fn intern(&mut self, name: &str) -> ContentId {
+        let id = self.cache.intern(name);
+        if id.index() == self.contents.len() {
+            self.contents.push(Content {
+                vod: false,
+                live: false,
+                lecture: lecture_id(name),
+                meta: None,
+                feed: None,
+                inflight: BTreeMap::new(),
+            });
+        }
+        id
+    }
+
+    /// Every live re-broadcast with at least one subscriber so far, in
+    /// intern order.
+    fn feeds(&self) -> impl Iterator<Item = &LiveRelay> {
+        self.contents.iter().filter_map(|c| c.feed.as_ref())
     }
 
     /// Handles a message delivered to the relay at `now`.
@@ -430,12 +483,16 @@ impl RelayNode {
                 if self.refuse_if_over_budget(net, now, from, &content) {
                     return;
                 }
-                if self.live_content.contains(&content) {
-                    self.start_live_sub(net, now, from, &content, start);
-                } else if self.vod_content.contains(&content) {
-                    self.start_vod(net, now, from, &content, start);
-                } else {
-                    let _ = net.send_reliable(self.node, from, 32, Wire::NotFound(content));
+                match self.cache.resolve(&content) {
+                    Some(id) if self.contents[id.index()].live => {
+                        self.start_live_sub(net, from, id, start);
+                    }
+                    Some(id) if self.contents[id.index()].vod => {
+                        self.start_vod(net, now, from, id, start);
+                    }
+                    _ => {
+                        let _ = net.send_reliable(self.node, from, 32, Wire::NotFound(content));
+                    }
                 }
             }
             ControlRequest::Pause => {
@@ -460,8 +517,8 @@ impl RelayNode {
                     // time to a packet in its segment response.
                     s.pending_time = Some(to);
                     s.eos_sent = false;
-                    let content = s.content.clone();
-                    self.request_time_resolved(net, now, &content, to, false);
+                    let content = s.content;
+                    self.request_time_resolved(net, now, content, to, false);
                 }
             }
             // Relays serve whole streams; thinning stays an origin
@@ -479,7 +536,7 @@ impl RelayNode {
                     }
                 }
                 self.sessions.retain(|s| s.client != from);
-                for feed in self.live.values_mut() {
+                for feed in self.contents.iter_mut().filter_map(|c| c.feed.as_mut()) {
                     feed.subs.retain(|s| s.client != from);
                 }
             }
@@ -508,14 +565,16 @@ impl RelayNode {
         };
         let seated = self.sessions.iter().any(|s| s.client == from)
             || self
-                .live
-                .values()
+                .feeds()
                 .any(|f| f.subs.iter().any(|s| s.client == from));
         if seated {
             return false;
         }
         let active = self.sessions.len() + self.live_subscriber_count();
-        let nominal = self.nominal_bps(content);
+        let nominal = self
+            .cache
+            .resolve(content)
+            .map_or(0, |id| self.contents[id.index()].nominal_bps());
         let over = active >= adm.max_sessions as usize
             || self.committed_bps().saturating_add(nominal) > adm.capacity_bps;
         if over {
@@ -536,31 +595,18 @@ impl RelayNode {
         over
     }
 
-    /// Best-known bitrate cost of one session of `content` (0 until the
-    /// header has been learned — first contact is admitted on the session
-    /// cap alone).
-    fn nominal_bps(&self, content: &str) -> u64 {
-        if let Some(m) = self.meta.get(content) {
-            return u64::from(m.header.props.max_bitrate);
-        }
-        self.live
-            .get(content)
-            .and_then(|f| f.header.as_ref())
-            .map_or(0, |h| u64::from(h.props.max_bitrate))
-    }
-
     /// Bit/s currently committed to local clients (VoD sessions plus live
     /// subscribers, at each content's advertised max bitrate).
     fn committed_bps(&self) -> u64 {
         let vod: u64 = self
             .sessions
             .iter()
-            .map(|s| self.nominal_bps(&s.content))
+            .map(|s| self.contents[s.content.index()].nominal_bps())
             .sum();
         let live: u64 = self
-            .live
+            .contents
             .iter()
-            .map(|(name, f)| self.nominal_bps(name) * f.subs.len() as u64)
+            .filter_map(|c| Some(c.nominal_bps() * c.feed.as_ref()?.subs.len() as u64))
             .sum();
         vod + live
     }
@@ -576,23 +622,24 @@ impl RelayNode {
         net: &mut impl Transport<Wire>,
         now: u64,
         client: NodeId,
-        content: &str,
+        content: ContentId,
         start: u64,
     ) {
         self.metrics.sessions_served += 1;
         self.sessions.retain(|s| s.client != client);
-        let known_header = self.meta.get(content).map(|m| m.header.clone());
-        let (pacer, header_sent, next_packet, pending_time) = match known_header {
+        let meta = self.contents[content.index()].meta.as_ref();
+        let (pacer, header_sent, next_packet, pending_time) = match meta.map(|m| &m.header) {
             Some(header) => {
                 let bytes = header.wire_bytes();
+                let pacer = Self::session_pacer(header);
                 let msg = Wire::Header(header.clone());
                 let _ = net.send_reliable(self.node, client, bytes, msg);
                 if start == 0 {
-                    (Self::session_pacer(&header), true, 0, None)
+                    (pacer, true, 0, None)
                 } else {
                     // Let the origin resolve the start time via its index.
                     self.request_time_resolved(net, now, content, start, false);
-                    (Self::session_pacer(&header), true, 0, Some(start))
+                    (pacer, true, 0, Some(start))
                 }
             }
             None => {
@@ -610,7 +657,7 @@ impl RelayNode {
         };
         self.sessions.push(VodSession {
             client,
-            content: content.to_string(),
+            content,
             next_packet,
             base_time: now.saturating_sub(start),
             paused: false,
@@ -627,13 +674,14 @@ impl RelayNode {
     fn start_live_sub(
         &mut self,
         net: &mut impl Transport<Wire>,
-        now: u64,
         client: NodeId,
-        content: &str,
+        content: ContentId,
         start: u64,
     ) {
         self.metrics.live_subscribers += 1;
-        let feed = self.live.entry(content.to_string()).or_default();
+        let feed = self.contents[content.index()]
+            .feed
+            .get_or_insert_with(LiveRelay::default);
         feed.subs.retain(|s| s.client != client);
         let (pacer, header_sent) = match &feed.header {
             Some(h) => {
@@ -656,23 +704,22 @@ impl RelayNode {
         if !feed.subscribed {
             // The single upstream subscription every local student shares.
             feed.subscribed = true;
-            self.upstream_live = Some(content.to_string());
+            self.upstream_live = Some(content);
             let req = Wire::Request(ControlRequest::Play {
-                content: content.to_string(),
+                content: self.cache.name(content).to_string(),
                 from: 0,
             });
             let bytes = req.wire_bytes(0);
             let _ = net.send_reliable(self.node, self.origin, bytes, req);
         }
-        let _ = now;
     }
 
     /// Decides whether an upstream request under `key` may go out at
     /// `now`: first issues pass, re-issues wait out the request timeout
     /// plus jittered exponential backoff, and a spent budget answers
     /// `GiveUp`.
-    fn fetch_gate(&self, key: &(String, u32), now: u64) -> FetchGate {
-        match self.inflight.get(key) {
+    fn fetch_gate(&self, content: ContentId, key: u32, now: u64) -> FetchGate {
+        match self.contents[content.index()].inflight.get(&key) {
             None => FetchGate::Send { retry: false },
             Some(fl) => {
                 let retry_no = fl.attempts; // retry #n follows issue #n
@@ -684,7 +731,7 @@ impl RelayNode {
                     .saturating_add(self.fetch_retry.request_timeout)
                     .saturating_add(
                         self.fetch_retry
-                            .retry_delay(retry_no, self.fetch_salt ^ u64::from(key.1)),
+                            .retry_delay(retry_no, self.fetch_salt ^ u64::from(key)),
                     );
                 if now >= due {
                     FetchGate::Send { retry: true }
@@ -695,6 +742,10 @@ impl RelayNode {
         }
     }
 
+    fn inflight(&mut self, content: ContentId) -> &mut BTreeMap<u32, InflightFetch> {
+        &mut self.contents[content.index()].inflight
+    }
+
     /// Runs the fetch gate for `key`; returns `false` when nothing should
     /// be sent (either too soon, or the budget is gone — in which case
     /// the content's waiters have been told NotFound).
@@ -702,18 +753,19 @@ impl RelayNode {
         &mut self,
         net: &mut impl Transport<Wire>,
         now: u64,
-        key: &(String, u32),
+        content: ContentId,
+        key: u32,
     ) -> bool {
-        match self.fetch_gate(key, now) {
+        match self.fetch_gate(content, key, now) {
             FetchGate::Wait => false,
             FetchGate::GiveUp => {
-                self.inflight.remove(key);
+                self.inflight(content).remove(&key);
                 self.metrics.fetch_give_ups += 1;
                 self.obs.emit(
                     now,
                     Event::FetchGiveUp {
                         node: self.node.index() as u64,
-                        segment: u64::from(key.1),
+                        segment: u64::from(key),
                     },
                 );
                 if let Some(b) = &mut self.breaker {
@@ -727,7 +779,7 @@ impl RelayNode {
                         );
                     }
                 }
-                self.on_not_found(net, &key.0.clone());
+                self.abandon(net, content);
                 false
             }
             FetchGate::Send { retry } => {
@@ -749,7 +801,7 @@ impl RelayNode {
                         // origin. Dropping the in-flight record makes the
                         // eventual half-open probe a fresh first issue.
                         self.metrics.fetches_suppressed += 1;
-                        self.inflight.remove(key);
+                        self.inflight(content).remove(&key);
                         return false;
                     }
                     if was_open {
@@ -769,11 +821,11 @@ impl RelayNode {
                         now,
                         Event::FetchRetry {
                             node: self.node.index() as u64,
-                            segment: u64::from(key.1),
+                            segment: u64::from(key),
                         },
                     );
                 }
-                let e = self.inflight.entry(key.clone()).or_insert(InflightFetch {
+                let e = self.inflight(content).entry(key).or_insert(InflightFetch {
                     last_at: now,
                     attempts: 0,
                 });
@@ -789,12 +841,11 @@ impl RelayNode {
         &mut self,
         net: &mut impl Transport<Wire>,
         now: u64,
-        content: &str,
+        content: ContentId,
         segment: u32,
         want_header: bool,
     ) {
-        let key = (content.to_string(), segment);
-        if !self.admit_fetch(net, now, &key) {
+        if !self.admit_fetch(net, now, content, segment) {
             return;
         }
         let trace = self.mint_trace(content, segment, now);
@@ -807,7 +858,7 @@ impl RelayNode {
                 .emit(now, span_event(true, node, peer, "relay_fetch", ctx));
         }
         let req = Wire::Request(ControlRequest::FetchSegment {
-            content: content.to_string(),
+            content: self.cache.name(content).to_string(),
             segment,
             at_time: None,
             want_header,
@@ -822,11 +873,11 @@ impl RelayNode {
     /// decision is a pure function of (lecture, segment, permille), so
     /// every retry — and every other relay at the same permille — picks
     /// the same segments.
-    fn mint_trace(&mut self, content: &str, segment: u32, now: u64) -> Option<TraceCtx> {
+    fn mint_trace(&mut self, content: ContentId, segment: u32, now: u64) -> Option<TraceCtx> {
         if self.trace_permille == 0 {
             return None;
         }
-        let lecture = lecture_id(content);
+        let lecture = self.contents[content.index()].lecture;
         let segment = u64::from(segment);
         if !sampled(lecture, segment, self.trace_permille) {
             return None;
@@ -848,16 +899,15 @@ impl RelayNode {
         &mut self,
         net: &mut impl Transport<Wire>,
         now: u64,
-        content: &str,
+        content: ContentId,
         at: u64,
         want_header: bool,
     ) {
-        let key = (content.to_string(), time_fetch_key(at));
-        if !self.admit_fetch(net, now, &key) {
+        if !self.admit_fetch(net, now, content, time_fetch_key(at)) {
             return;
         }
         let req = Wire::Request(ControlRequest::FetchSegment {
-            content: content.to_string(),
+            content: self.cache.name(content).to_string(),
             segment: 0,
             at_time: Some(at),
             want_header,
@@ -889,6 +939,12 @@ impl RelayNode {
 
     fn on_segment(&mut self, net: &mut impl Transport<Wire>, now: u64, mut seg: SegmentData) {
         self.breaker_success(now);
+        self.metrics.upstream_bytes_received += seg.wire_bytes();
+        // An answer for a content this relay does not serve was never
+        // asked for: it leaves no state behind, whatever it names.
+        let Some(id) = self.cache.resolve(&seg.content) else {
+            return;
+        };
         if let Some(ctx) = seg.trace {
             let (node, peer) = (self.node.index() as u64, self.origin.index() as u64);
             // Clamped to the mint tick like every other span site: the
@@ -898,25 +954,21 @@ impl RelayNode {
                 span_event(false, node, peer, "relay_fetch", ctx),
             );
         }
-        self.metrics.upstream_bytes_received += seg.wire_bytes();
-        self.inflight.remove(&(seg.content.clone(), seg.segment));
+        let content = &mut self.contents[id.index()];
+        content.inflight.remove(&seg.segment);
         if let Some(at) = seg.at_time {
             // A time-resolving fetch travels under its synthetic key.
-            self.inflight
-                .remove(&(seg.content.clone(), time_fetch_key(at)));
+            content.inflight.remove(&time_fetch_key(at));
         }
-        if !self.meta.contains_key(&seg.content) {
+        if content.meta.is_none() {
             if let Some(h) = &seg.header {
-                self.meta.insert(
-                    seg.content.clone(),
-                    ContentMeta {
-                        header: h.clone(),
-                        total_packets: seg.total_packets,
-                        total_segments: seg.total_segments,
-                        segment_packets: seg.segment_packets.max(1),
-                        packet_size: seg.packet_size,
-                    },
-                );
+                content.meta = Some(ContentMeta {
+                    header: h.clone(),
+                    total_packets: seg.total_packets,
+                    total_segments: seg.total_segments,
+                    segment_packets: seg.segment_packets.max(1),
+                    packet_size: seg.packet_size,
+                });
             }
         }
         if !seg.packets.is_empty() {
@@ -928,7 +980,7 @@ impl RelayNode {
                 bytes: seg.packets.len() as u64 * u64::from(seg.packet_size),
                 packets: std::mem::take(&mut seg.packets),
             };
-            if let Some(evicted) = self.cache.insert(&seg.content, seg.segment, data) {
+            if let Some(evicted) = self.cache.insert_id(id, seg.segment, data) {
                 for (_, segment, bytes) in evicted {
                     self.obs.emit(
                         now,
@@ -944,13 +996,13 @@ impl RelayNode {
         // Wake sessions that were waiting on this content: send the header
         // to any session that never got one, and anchor time-resolved
         // starts/seeks.
-        let header = self.meta.get(&seg.content).map(|m| m.header.clone());
+        let header = self.contents[id.index()].meta.as_ref().map(|m| &m.header);
         for s in &mut self.sessions {
-            if s.content != seg.content {
+            if s.content != id {
                 continue;
             }
             if !s.header_sent {
-                if let Some(h) = &header {
+                if let Some(h) = header {
                     let bytes = h.wire_bytes();
                     let _ = net.send_reliable(self.node, s.client, bytes, Wire::Header(h.clone()));
                     s.pacer = Self::session_pacer(h);
@@ -970,18 +1022,23 @@ impl RelayNode {
         }
     }
 
+    /// The live feed subscribed upstream, once a local student has asked
+    /// for it.
+    fn upstream_feed(&mut self) -> Option<&mut LiveRelay> {
+        let id = self.upstream_live?;
+        self.contents[id.index()].feed.as_mut()
+    }
+
     fn on_live_header(&mut self, net: &mut impl Transport<Wire>, _now: u64, h: Box<StreamHeader>) {
-        let Some(content) = self.upstream_live.clone() else {
-            return;
-        };
-        let Some(feed) = self.live.get_mut(&content) else {
+        let node = self.node;
+        let Some(feed) = self.upstream_feed() else {
             return;
         };
         feed.header = Some(h.clone());
         for sub in &mut feed.subs {
             if !sub.header_sent {
                 let bytes = h.wire_bytes();
-                let _ = net.send_reliable(self.node, sub.client, bytes, Wire::Header(h.clone()));
+                let _ = net.send_reliable(node, sub.client, bytes, Wire::Header(h.clone()));
                 sub.pacer = Self::session_pacer(&h);
                 sub.header_sent = true;
             }
@@ -989,46 +1046,46 @@ impl RelayNode {
     }
 
     fn on_live_data(&mut self, _now: u64, p: DataPacket) {
-        let Some(content) = &self.upstream_live else {
-            return;
-        };
-        let Some(feed) = self.live.get_mut(content) else {
+        let Some(feed) = self.upstream_feed() else {
             return;
         };
         let size = feed
             .header
             .as_ref()
             .map_or(1500, |h| u64::from(h.props.packet_size));
-        self.metrics.upstream_bytes_received += size;
         feed.packets.push(p);
+        self.metrics.upstream_bytes_received += size;
     }
 
     fn on_live_script(&mut self, c: ScriptCommand) {
-        if let Some(content) = &self.upstream_live {
-            if let Some(feed) = self.live.get_mut(content) {
-                feed.scripts.push(c);
-            }
+        if let Some(feed) = self.upstream_feed() {
+            feed.scripts.push(c);
         }
     }
 
     fn on_live_eos(&mut self) {
-        if let Some(content) = &self.upstream_live {
-            if let Some(feed) = self.live.get_mut(content) {
-                feed.ended = true;
-            }
+        if let Some(feed) = self.upstream_feed() {
+            feed.ended = true;
         }
     }
 
     fn on_not_found(&mut self, net: &mut impl Transport<Wire>, name: &str) {
-        // The origin does not know this content: pass the verdict on to
-        // every waiting session and drop them.
+        if let Some(id) = self.cache.resolve(name) {
+            self.abandon(net, id);
+        }
+    }
+
+    /// The origin does not know `content` (or its fetch budget ran out):
+    /// pass the verdict on to every waiting session and drop them.
+    fn abandon(&mut self, net: &mut impl Transport<Wire>, content: ContentId) {
+        let name = self.cache.name(content);
         for s in &self.sessions {
-            if s.content == name {
+            if s.content == content {
                 let _ = net.send_reliable(self.node, s.client, 32, Wire::NotFound(name.into()));
             }
         }
-        self.sessions.retain(|s| s.content != name);
-        self.inflight.retain(|(c, _), _| c != name);
+        self.sessions.retain(|s| s.content != content);
+        self.contents[content.index()].inflight.clear();
     }
 
     /// Sends everything due at `now`: cached VoD packets per session, live
@@ -1044,33 +1101,33 @@ impl RelayNode {
         // a pending time anchor): the fetch gate dedups, paces the
         // retries, and eventually abandons them. Without this, a fetch
         // lost on a dark uplink would never be re-issued.
-        let mut waiting: Vec<(String, Option<u64>, bool)> = Vec::new();
+        let mut waiting: Vec<(ContentId, Option<u64>, bool)> = Vec::new();
         for s in &self.sessions {
             if s.eos_sent || s.paused {
                 continue;
             }
-            let has_meta = self.meta.contains_key(&s.content);
+            let has_meta = self.contents[s.content.index()].meta.is_some();
             if let Some(at) = s.pending_time {
-                waiting.push((s.content.clone(), Some(at), !has_meta));
+                waiting.push((s.content, Some(at), !has_meta));
             } else if !s.header_sent && !has_meta {
-                waiting.push((s.content.clone(), None, true));
+                waiting.push((s.content, None, true));
             }
         }
         for (content, at, want_header) in waiting {
             match at {
-                Some(at) => self.request_time_resolved(net, now, &content, at, want_header),
-                None => self.request_segment(net, now, &content, 0, want_header),
+                Some(at) => self.request_time_resolved(net, now, content, at, want_header),
+                None => self.request_segment(net, now, content, 0, want_header),
             }
         }
-        // (content, segment, want_header) fetches decided while sessions
-        // are borrowed.
-        let mut fetches: Vec<(String, u32)> = Vec::new();
-        let mut prefetches: Vec<(String, u32)> = Vec::new();
+        // (content, segment) fetches decided while sessions are borrowed.
+        let mut fetches: Vec<(ContentId, u32)> = Vec::new();
+        let mut prefetches: Vec<(ContentId, u32)> = Vec::new();
         for s in &mut self.sessions {
             if s.paused || s.eos_sent || !s.header_sent || s.pending_time.is_some() {
                 continue;
             }
-            let Some(meta) = self.meta.get(&s.content) else {
+            let content = &self.contents[s.content.index()];
+            let Some(meta) = &content.meta else {
                 continue;
             };
             loop {
@@ -1089,9 +1146,8 @@ impl RelayNode {
                     // One recorded cache lookup per (session, segment):
                     // resident → hit; fetch already in flight → coalesced
                     // hit; otherwise a miss that triggers the pull.
-                    let key = (s.content.clone(), seg_idx);
-                    if self.cache.contains(&s.content, seg_idx) {
-                        let _ = self.cache.get(&s.content, seg_idx);
+                    if self.cache.peek_id(s.content, seg_idx).is_some() {
+                        let _ = self.cache.get_id(s.content, seg_idx);
                         self.obs.emit(
                             now,
                             Event::CacheHit {
@@ -1099,7 +1155,7 @@ impl RelayNode {
                                 segment: u64::from(seg_idx),
                             },
                         );
-                    } else if self.inflight.contains_key(&key) {
+                    } else if content.inflight.contains_key(&seg_idx) {
                         self.cache.record_coalesced_hit();
                         self.obs.emit(
                             now,
@@ -1109,7 +1165,7 @@ impl RelayNode {
                             },
                         );
                     } else {
-                        let _ = self.cache.get(&s.content, seg_idx); // records the miss
+                        let _ = self.cache.get_id(s.content, seg_idx); // records the miss
                         self.obs.emit(
                             now,
                             Event::CacheMiss {
@@ -1117,20 +1173,20 @@ impl RelayNode {
                                 segment: u64::from(seg_idx),
                             },
                         );
-                        fetches.push(key);
+                        fetches.push((s.content, seg_idx));
                     }
                     s.counted_seg = Some(seg_idx);
                     if self.prefetch && seg_idx + 1 < meta.total_segments {
-                        prefetches.push((s.content.clone(), seg_idx + 1));
+                        prefetches.push((s.content, seg_idx + 1));
                     }
                 }
-                let Some(seg) = self.cache.peek(&s.content, seg_idx) else {
+                let Some(seg) = self.cache.peek_id(s.content, seg_idx) else {
                     // Not resident: in flight, lost upstream, or evicted
                     // under pressure. Always re-ask — the fetch gate
                     // swallows the call while the outstanding request is
                     // inside its patience window and paces the retries
                     // after it.
-                    fetches.push((s.content.clone(), seg_idx));
+                    fetches.push((s.content, seg_idx));
                     break;
                 };
                 if s.fanout.map(|(i, _)| i) != Some(seg_idx) {
@@ -1148,23 +1204,22 @@ impl RelayNode {
                             .emit(now, span_event(false, node, peer, "fan_out", prev));
                     }
                     let mut ctx = None;
-                    if self.trace_permille > 0 {
-                        let lecture = lecture_id(&s.content);
-                        if sampled(lecture, u64::from(seg_idx), self.trace_permille) {
-                            self.trace_seq += 1;
-                            let c = TraceCtx {
-                                lecture,
-                                segment: u64::from(seg_idx),
-                                seq: self.trace_seq,
-                                origin: now,
-                            };
-                            self.obs
-                                .emit(now, span_event(true, node, peer, "fan_out", c));
-                            let mark = Wire::Mark(c);
-                            let bytes = mark.wire_bytes(0);
-                            let _ = net.send_reliable(self.node, s.client, bytes, mark);
-                            ctx = Some(c);
-                        }
+                    if self.trace_permille > 0
+                        && sampled(content.lecture, u64::from(seg_idx), self.trace_permille)
+                    {
+                        self.trace_seq += 1;
+                        let c = TraceCtx {
+                            lecture: content.lecture,
+                            segment: u64::from(seg_idx),
+                            seq: self.trace_seq,
+                            origin: now,
+                        };
+                        self.obs
+                            .emit(now, span_event(true, node, peer, "fan_out", c));
+                        let mark = Wire::Mark(c);
+                        let bytes = mark.wire_bytes(0);
+                        let _ = net.send_reliable(self.node, s.client, bytes, mark);
+                        ctx = Some(c);
                     }
                     s.fanout = Some((seg_idx, ctx));
                 }
@@ -1190,20 +1245,22 @@ impl RelayNode {
         }
         self.sessions.retain(|s| !s.eos_sent);
         for (content, segment) in fetches {
-            self.request_segment(net, now, &content, segment, false);
+            self.request_segment(net, now, content, segment, false);
         }
         for (content, segment) in prefetches {
-            if !self.cache.contains(&content, segment)
-                && !self.inflight.contains_key(&(content.clone(), segment))
+            if self.cache.peek_id(content, segment).is_none()
+                && !self.contents[content.index()]
+                    .inflight
+                    .contains_key(&segment)
             {
                 self.metrics.prefetches += 1;
-                self.request_segment(net, now, &content, segment, false);
+                self.request_segment(net, now, content, segment, false);
             }
         }
     }
 
     fn poll_live(&mut self, net: &mut impl Transport<Wire>, now: u64) {
-        for feed in self.live.values_mut() {
+        for feed in self.contents.iter_mut().filter_map(|c| c.feed.as_mut()) {
             let packet_size = feed
                 .header
                 .as_ref()
@@ -1423,6 +1480,43 @@ mod tests {
         assert!(client.is_done());
         assert_eq!(client.metrics().samples_rendered, 0);
         assert_eq!(relay.session_count(), 0);
+    }
+
+    #[test]
+    fn replies_for_unserved_content_leave_no_state() {
+        let (mut net, tree, _origin, mut relay) = world(1);
+        let file = test_file(50, 2_000_000);
+        let reply = |content: String, segment: u32| {
+            Wire::Segment(SegmentData {
+                content,
+                segment,
+                base_packet: 0,
+                total_packets: file.packets.len() as u32,
+                total_segments: 1,
+                segment_packets: file.packets.len() as u32,
+                packet_size: file.props.packet_size,
+                packets: file.packets.clone(),
+                header: Some(Box::new(StreamHeader::of(&file, 0))),
+                start_packet: None,
+                at_time: None,
+                epoch: 0,
+                trace: None,
+            })
+        };
+        let mut wire_bytes = 0;
+        for i in 0..20u32 {
+            let msg = reply(format!("unserved-{i}"), i);
+            if let Wire::Segment(seg) = &msg {
+                wire_bytes += seg.wire_bytes();
+            }
+            relay.on_message(&mut net, 0, tree.origin, msg);
+        }
+        assert_eq!(relay.cache().len(), 0);
+        assert_eq!(relay.cache().stats(), Default::default());
+        assert_eq!(relay.metrics().upstream_bytes_received, wire_bytes);
+        // A served content's reply is still cached.
+        relay.on_message(&mut net, 0, tree.origin, reply("lec".into(), 0));
+        assert_eq!(relay.cache().len(), 1);
     }
 
     #[test]

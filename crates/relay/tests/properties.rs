@@ -4,8 +4,8 @@
 //! since payloads became ref-counted [`bytes::Bytes`] views — budget
 //! accounting, eviction order and every counter are bit-for-bit
 //! unchanged whether a segment's payloads share one backing buffer or
-//! each own a private copy. The cache also answers every operation as
-//! its `(String, u32)`-keyed predecessor did, kept here as a model.
+//! each own a private copy. The cache also answers every operation as an
+//! LRU over one `BTreeMap<(String, u32), _>`, kept here as a model.
 //! Fan-out shares each cached packet with every student it serves.
 
 use std::sync::Arc;
@@ -48,11 +48,10 @@ fn content_name(c: u8) -> String {
     format!("lecture-{c}")
 }
 
-/// The cache as it was before its lookups stopped allocating: one map
-/// keyed by an owned `(content, segment)` pair. Kept as the model the
-/// nested-map cache is checked against.
+/// The cache as one ordered map keyed by an owned `(content, segment)`
+/// pair. Kept as the model the content-table cache is checked against.
 mod reference {
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     use lod_relay::{CacheStats, CachedSegment};
 
@@ -65,7 +64,7 @@ mod reference {
         budget: u64,
         used: u64,
         clock: u64,
-        entries: HashMap<(String, u32), Entry>,
+        entries: BTreeMap<(String, u32), Entry>,
         stats: CacheStats,
     }
 
@@ -75,7 +74,7 @@ mod reference {
                 budget,
                 used: 0,
                 clock: 0,
-                entries: HashMap::new(),
+                entries: BTreeMap::new(),
                 stats: CacheStats::default(),
             }
         }
@@ -186,6 +185,16 @@ fn full_op() -> impl Strategy<Value = FullOp> {
         (0u8..4, 0u8..16, 1u64..400).prop_map(|(c, s, b)| FullOp::Insert(c, s, b)),
         Just(FullOp::Coalesced),
     ]
+}
+
+/// Segment `s` of the model ops: most are small, the top two are the
+/// largest a wire `u32` can name.
+fn segment_index(s: u8) -> u32 {
+    match s {
+        15 => u32::MAX,
+        14 => u32::MAX - 1,
+        s => u32::from(s),
+    }
 }
 
 proptest! {
@@ -313,9 +322,10 @@ proptest! {
         }
     }
 
-    /// The nested-map cache answers every operation exactly as the
-    /// `(String, u32)`-keyed one did: the same lookups, the same eviction
-    /// triples in the same order, the same counters and residency.
+    /// The content-table cache answers every operation exactly as an LRU
+    /// over one ordered `(String, u32)`-keyed map: the same lookups, the
+    /// same eviction triples in the same order, the same counters and
+    /// residency.
     #[test]
     fn cache_matches_string_keyed_reference(
         budget in 1u64..2_000,
@@ -326,19 +336,19 @@ proptest! {
         for (i, op) in ops.into_iter().enumerate() {
             match op {
                 FullOp::Get(c, s) => {
-                    let (c, s) = (content_name(c), u32::from(s));
+                    let (c, s) = (content_name(c), segment_index(s));
                     prop_assert_eq!(cache.get(&c, s).cloned(), model.get(&c, s).cloned());
                 }
                 FullOp::Peek(c, s) => {
-                    let (c, s) = (content_name(c), u32::from(s));
+                    let (c, s) = (content_name(c), segment_index(s));
                     prop_assert_eq!(cache.peek(&c, s), model.peek(&c, s));
                 }
                 FullOp::Contains(c, s) => {
-                    let (c, s) = (content_name(c), u32::from(s));
+                    let (c, s) = (content_name(c), segment_index(s));
                     prop_assert_eq!(cache.contains(&c, s), model.contains(&c, s));
                 }
                 FullOp::Insert(c, s, b) => {
-                    let (c, s) = (content_name(c), u32::from(s));
+                    let (c, s) = (content_name(c), segment_index(s));
                     let seg = segment(i as u32, b);
                     prop_assert_eq!(cache.insert(&c, s, seg.clone()), model.insert(&c, s, seg));
                 }
@@ -446,6 +456,24 @@ proptest! {
         prop_assert_eq!(copied_cache.resident_backing_bytes(), total);
         prop_assert!(shared_cache.resident_backing_bytes() <= copied_cache.resident_backing_bytes());
     }
+}
+
+/// A segment at the top of the `u32` range costs what one at 0 does: a
+/// table indexed by segment number would need gigabytes to hold it.
+#[test]
+fn the_last_segment_index_allocates_like_the_first() {
+    let mut cache = SegmentCache::new(1_000);
+    for s in [u32::MAX, 0, u32::MAX - 1] {
+        assert_eq!(cache.insert("lec", s, segment(s, 100)), Some(Vec::new()));
+    }
+    assert_eq!(cache.len(), 3);
+    assert_eq!(cache.used_bytes(), 300);
+    assert!(cache.contains("lec", u32::MAX));
+    assert_eq!(
+        cache.get("lec", u32::MAX).map(|s| s.base_packet),
+        Some(u32::MAX)
+    );
+    assert!(cache.peek("lec", u32::MAX - 2).is_none());
 }
 
 /// A one-stream lecture of samples of `sizes` bytes, 100 ms apart, in

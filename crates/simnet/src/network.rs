@@ -1,10 +1,9 @@
 //! The event-driven network core.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -84,6 +83,8 @@ pub struct Delivery<M> {
 
 #[derive(Debug)]
 struct LinkState {
+    src: usize,
+    dst: usize,
     spec: LinkSpec,
     /// Time at which the link's transmitter becomes free.
     next_free: u64,
@@ -93,39 +94,30 @@ struct LinkState {
     /// later [`Network::set_link_up`] restores it intact.
     up: bool,
     stats: LinkStats,
+    /// The link as it was before the first fault that still covers it;
+    /// `None` while no fault does.
+    unfaulted: Option<(LinkSpec, bool)>,
 }
 
-/// Multiply-mix hasher for the `(node, node)` keys of the link and route
-/// tables. Node indices are minted by [`Network::add_node`] and every
-/// send validates them against it, so the keys are small dense integers
-/// the program chose itself: there is no crafted-collision exposure for
-/// SipHash to defend against, and it was a fifth of the per-message cost.
-#[derive(Debug, Default, Clone, Copy)]
-struct PairHasher(u64);
+/// The empty cell of a route or link row.
+const NONE: u32 = u32::MAX;
 
-impl Hasher for PairHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        // The table indexes by the low bits and tags by the high ones;
-        // a multiply only mixes upward, so fold the top half back down.
-        self.0 ^ (self.0 >> 32)
-    }
+/// Reads cell `(a, b)` of a per-node table: `None` when row `a` has no
+/// cell `b` or holds [`NONE`] there.
+fn cell(rows: &[Vec<u32>], a: usize, b: usize) -> Option<usize> {
+    let v = *rows.get(a)?.get(b)?;
+    (v != NONE).then_some(v as usize)
 }
 
-type PairMap<V> = HashMap<(usize, usize), V, BuildHasherDefault<PairHasher>>;
+/// Writes cell `(a, b)`, growing row `a` to `b + 1` cells. Callers have
+/// checked both indices against the node count.
+fn set_cell(rows: &mut [Vec<u32>], a: usize, b: usize, v: u32) {
+    let row = &mut rows[a];
+    if row.len() <= b {
+        row.resize(b + 1, NONE);
+    }
+    row[b] = v;
+}
 
 /// One message crossing one link. Ordered by arrival time, then by send
 /// sequence — which is unique, so no later field ever decides.
@@ -203,10 +195,15 @@ impl<T> Slab<T> {
 #[derive(Debug)]
 pub struct Network<M> {
     names: Vec<String>,
-    links: PairMap<LinkState>,
-    /// Static routing: `(at, final_dst) → next_hop`. Absent entries mean
+    /// Every link, in one table.
+    links: Vec<LinkState>,
+    /// `link_ids[src][dst]`: the `src → dst` link's index in `links`.
+    /// This and `next_hop` hold one row per node, as long as the highest
+    /// node index the row holds; only ids this network minted index them.
+    link_ids: Vec<Vec<u32>>,
+    /// Static routing: `next_hop[at][final_dst]`. An empty cell means
     /// "deliver over the direct link".
-    next_hop: PairMap<usize>,
+    next_hop: Vec<Vec<u32>>,
     now: u64,
     seq: u64,
     in_flight: BinaryHeap<Reverse<Hop>>,
@@ -214,8 +211,6 @@ pub struct Network<M> {
     rng: SmallRng,
     /// Faults struck on this network and not yet healed.
     faults: ActiveFaults,
-    /// Every link an active fault covers, as it was before the first.
-    unfaulted: PairMap<(LinkSpec, bool)>,
 }
 
 impl<M> Network<M> {
@@ -223,22 +218,25 @@ impl<M> Network<M> {
     pub fn new(seed: u64) -> Self {
         Self {
             names: Vec::new(),
-            links: PairMap::default(),
-            next_hop: PairMap::default(),
+            links: Vec::new(),
+            link_ids: Vec::new(),
+            next_hop: Vec::new(),
             now: 0,
             seq: 0,
             in_flight: BinaryHeap::new(),
             payloads: Slab::new(),
             rng: SmallRng::seed_from_u64(seed),
             faults: ActiveFaults::default(),
-            unfaulted: PairMap::default(),
         }
     }
 
     /// Declares that traffic at `at` bound for `dst` must be forwarded via
     /// `hop` (static source routing; transitive — `hop` may itself route).
+    /// A route naming a node this network did not mint is ignored.
     pub fn set_next_hop(&mut self, at: NodeId, dst: NodeId, hop: NodeId) {
-        self.next_hop.insert((at.0, dst.0), hop.0);
+        if [at, dst, hop].iter().all(|n| n.0 < self.names.len()) {
+            set_cell(&mut self.next_hop, at.0, dst.0, hop.0 as u32);
+        }
     }
 
     /// Routes every destination in `dsts` through `router` for traffic
@@ -251,7 +249,13 @@ impl<M> Network<M> {
 
     /// Adds a node and returns its id.
     pub fn add_node(&mut self, name: impl Into<String>) -> NodeId {
+        assert!(
+            self.names.len() < NONE as usize,
+            "a network holds fewer than 2^32 - 1 nodes"
+        );
         self.names.push(name.into());
+        self.link_ids.push(Vec::new());
+        self.next_hop.push(Vec::new());
         NodeId(self.names.len() - 1)
     }
 
@@ -269,17 +273,32 @@ impl<M> Network<M> {
         &self.names[node.0]
     }
 
-    /// Installs (or replaces) the unidirectional link `src → dst`.
+    /// Installs (or replaces) the unidirectional link `src → dst`. A link
+    /// to or from a node this network did not mint is ignored.
     pub fn connect(&mut self, src: NodeId, dst: NodeId, spec: LinkSpec) {
-        self.links.insert(
-            (src.0, dst.0),
-            LinkState {
-                spec,
-                next_free: self.now,
-                up: true,
-                stats: LinkStats::default(),
-            },
-        );
+        if src.0 >= self.names.len() || dst.0 >= self.names.len() {
+            return;
+        }
+        let link = LinkState {
+            src: src.0,
+            dst: dst.0,
+            spec,
+            next_free: self.now,
+            up: true,
+            stats: LinkStats::default(),
+            unfaulted: None,
+        };
+        match cell(&self.link_ids, src.0, dst.0) {
+            Some(id) => self.links[id] = link,
+            None => {
+                let id = u32::try_from(self.links.len())
+                    .ok()
+                    .filter(|&id| id != NONE)
+                    .expect("fewer than 2^32 - 1 links");
+                self.links.push(link);
+                set_cell(&mut self.link_ids, src.0, dst.0, id);
+            }
+        }
     }
 
     /// Installs symmetric links in both directions.
@@ -292,7 +311,22 @@ impl<M> Network<M> {
     /// in flight still arrive; new sends fail with
     /// [`NetworkError::NoRoute`].
     pub fn disconnect(&mut self, src: NodeId, dst: NodeId) {
-        self.links.remove(&(src.0, dst.0));
+        let Some(id) = cell(&self.link_ids, src.0, dst.0) else {
+            return;
+        };
+        self.link_ids[src.0][dst.0] = NONE;
+        self.links.swap_remove(id);
+        if let Some(moved) = self.links.get(id) {
+            self.link_ids[moved.src][moved.dst] = id as u32;
+        }
+    }
+
+    fn link(&self, src: NodeId, dst: NodeId) -> Option<&LinkState> {
+        cell(&self.link_ids, src.0, dst.0).map(|id| &self.links[id])
+    }
+
+    fn link_mut(&mut self, src: NodeId, dst: NodeId) -> Option<&mut LinkState> {
+        cell(&self.link_ids, src.0, dst.0).map(|id| &mut self.links[id])
     }
 
     /// Takes the `src → dst` link down or brings it back up (fault
@@ -301,7 +335,7 @@ impl<M> Network<M> {
     /// packets are dropped (counted in [`LinkStats`]). Packets already in
     /// flight still arrive. Returns `false` when no such link exists.
     pub fn set_link_up(&mut self, src: NodeId, dst: NodeId, up: bool) -> bool {
-        match self.links.get_mut(&(src.0, dst.0)) {
+        match self.link_mut(src, dst) {
             Some(l) => {
                 l.up = up;
                 true
@@ -312,19 +346,19 @@ impl<M> Network<M> {
 
     /// Whether the `src → dst` link exists and is carrying traffic.
     pub fn is_link_up(&self, src: NodeId, dst: NodeId) -> bool {
-        self.links.get(&(src.0, dst.0)).is_some_and(|l| l.up)
+        self.link(src, dst).is_some_and(|l| l.up)
     }
 
     /// Parameters of the `src → dst` link, if it exists.
     pub fn link_spec(&self, src: NodeId, dst: NodeId) -> Option<LinkSpec> {
-        self.links.get(&(src.0, dst.0)).map(|l| l.spec)
+        self.link(src, dst).map(|l| l.spec)
     }
 
     /// Replaces the `src → dst` link's parameters in place, preserving its
     /// queue and counters (fault injection: loss bursts, latency spikes).
     /// Returns `false` when no such link exists.
     pub fn set_link_spec(&mut self, src: NodeId, dst: NodeId, spec: LinkSpec) -> bool {
-        match self.links.get_mut(&(src.0, dst.0)) {
+        match self.link_mut(src, dst) {
             Some(l) => {
                 l.spec = spec;
                 true
@@ -337,9 +371,9 @@ impl<M> Network<M> {
     pub fn links_of(&self, node: NodeId) -> Vec<(NodeId, NodeId)> {
         let mut out: Vec<(NodeId, NodeId)> = self
             .links
-            .keys()
-            .filter(|&&(s, d)| s == node.0 || d == node.0)
-            .map(|&(s, d)| (NodeId(s), NodeId(d)))
+            .iter()
+            .filter(|l| l.src == node.0 || l.dst == node.0)
+            .map(|l| (NodeId(l.src), NodeId(l.dst)))
             .collect();
         out.sort_unstable();
         out
@@ -352,32 +386,31 @@ impl<M> Network<M> {
 
     /// Traffic counters of the `src → dst` link.
     pub fn link_stats(&self, src: NodeId, dst: NodeId) -> Option<&LinkStats> {
-        self.links.get(&(src.0, dst.0)).map(|l| &l.stats)
+        self.link(src, dst).map(|l| &l.stats)
     }
 
     /// Total bytes `node` has put on the wire across all of its outgoing
     /// links (uplink usage — what a distribution tier tries to minimise at
     /// the origin).
     pub fn egress_bytes(&self, node: NodeId) -> u64 {
-        self.links
-            .iter()
-            .filter(|((src, _), _)| *src == node.0)
-            .map(|(_, l)| l.stats.bytes_sent)
+        let row = self.link_ids.get(node.0).map_or(&[][..], Vec::as_slice);
+        row.iter()
+            .filter(|&&id| id != NONE)
+            .map(|&id| self.links[id as usize].stats.bytes_sent)
             .sum()
     }
 
     /// Queueing + serialization backlog of the link right now (how long a
     /// packet enqueued at `now` would wait before starting serialization).
     pub fn link_backlog(&self, src: NodeId, dst: NodeId) -> Option<u64> {
-        self.links
-            .get(&(src.0, dst.0))
+        self.link(src, dst)
             .map(|l| l.next_free.saturating_sub(self.now))
     }
 
     /// The node a packet from `src` toward `dst` leaves through first:
     /// the static next hop when one is routed, otherwise `dst` itself.
     pub fn first_hop(&self, src: NodeId, dst: NodeId) -> NodeId {
-        NodeId(self.next_hop.get(&(src.0, dst.0)).copied().unwrap_or(dst.0))
+        NodeId(cell(&self.next_hop, src.0, dst.0).unwrap_or(dst.0))
     }
 
     /// Backlog of the *first-hop* link on the `src → dst` path. Unlike
@@ -385,10 +418,7 @@ impl<M> Network<M> {
     /// is connected through a router — which is where a shared uplink
     /// actually queues. `None` when no first-hop link exists.
     pub fn first_hop_backlog(&self, src: NodeId, dst: NodeId) -> Option<u64> {
-        let hop = self.first_hop(src, dst);
-        self.links
-            .get(&(src.0, hop.0))
-            .map(|l| l.next_free.saturating_sub(self.now))
+        self.link_backlog(src, self.first_hop(src, dst))
     }
 
     /// Enqueues `message` of `bytes` wire size from `src` toward `dst`,
@@ -442,8 +472,8 @@ impl<M> Network<M> {
         if dst.0 >= self.names.len() {
             return Err(NetworkError::UnknownNode(dst));
         }
-        let hop = self.next_hop.get(&(src.0, dst.0)).copied().unwrap_or(dst.0);
-        if !self.links.get(&(src.0, hop)).is_some_and(|l| l.up) {
+        let hop = cell(&self.next_hop, src.0, dst.0).unwrap_or(dst.0);
+        if !self.is_link_up(src, NodeId(hop)) {
             return Err(NetworkError::NoRoute { src, dst });
         }
         let seq = self.seq;
@@ -467,7 +497,7 @@ impl<M> Network<M> {
             return;
         };
         let (bytes, reliable) = (p.bytes, p.reliable);
-        let Some(link) = self.links.get_mut(&(from, to)) else {
+        let Some(link) = cell(&self.link_ids, from, to).map(|id| &mut self.links[id]) else {
             // Later-hop link missing: drop like a router with no route.
             self.payloads.remove(slot);
             return;
@@ -520,8 +550,8 @@ impl<M> Network<M> {
             }
             self.in_flight.pop();
             let at = hop.to;
-            if let Some(link) = self.links.get_mut(&(hop.from, at)) {
-                link.stats.packets_delivered += 1;
+            if let Some(id) = cell(&self.link_ids, hop.from, at) {
+                self.links[id].stats.packets_delivered += 1;
             }
             let final_dst = self
                 .payloads
@@ -539,11 +569,7 @@ impl<M> Network<M> {
                 });
             } else {
                 // Forward toward the destination.
-                let next = self
-                    .next_hop
-                    .get(&(at, final_dst))
-                    .copied()
-                    .unwrap_or(final_dst);
+                let next = cell(&self.next_hop, at, final_dst).unwrap_or(final_dst);
                 self.enqueue_on_link(at, next, hop.seq, hop.slot, hop.arrival);
             }
         }
@@ -578,14 +604,14 @@ impl<M> Network<M> {
             }
         };
         for (src, dst) in links {
-            let key = (src.0, dst.0);
-            let Some(link) = self.links.get_mut(&key) else {
+            let Some(id) = cell(&self.link_ids, src.0, dst.0) else {
                 continue;
             };
-            let (spec, up) = *self.unfaulted.entry(key).or_insert((link.spec, link.up));
+            let link = &mut self.links[id];
+            let (spec, up) = *link.unfaulted.get_or_insert((link.spec, link.up));
             let path = self.faults.compose(|f| f.covers_link(src, dst));
             if path == PathFaults::default() {
-                self.unfaulted.remove(&key);
+                link.unfaulted = None;
             }
             link.up = up && !path.down;
             link.spec = LinkSpec {
