@@ -65,6 +65,21 @@ impl AsfFile {
         self.index = Some(idx);
     }
 
+    /// The packet from which playback at presentation time `time` starts
+    /// (the seek rule): the index's [`AsfIndex::packet_for`] when the file
+    /// has an index, otherwise the first packet sent at or after `time`
+    /// (`packets.len()` when none is).
+    pub fn packet_at(&self, time: u64) -> u32 {
+        match &self.index {
+            Some(idx) => idx.packet_for(time),
+            None => self
+                .packets
+                .iter()
+                .position(|p| p.send_time >= time)
+                .unwrap_or(self.packets.len()) as u32,
+        }
+    }
+
     /// Scrambles every payload with `license` and records the DRM header.
     /// No-op for content that is already protected: the first license
     /// stands (scrambling again would XOR the payloads back towards

@@ -888,6 +888,27 @@ proptest! {
         }
     }
 
+    /// The seek rule has one definition: `packet_at` is the index's
+    /// `packet_for` on an indexed file and the first packet sent at or
+    /// after the time on an unindexed one.
+    #[test]
+    fn packet_at_is_index_lookup_or_linear_scan(
+        samples in arb_samples(),
+        interval in 1u64..50_000,
+        times in proptest::collection::vec(0u64..120_000, 1..16),
+    ) {
+        let mut f = make_file(&samples, ScriptCommandList::new(), 256);
+        for &t in &times {
+            let scan = f.packets.iter().position(|p| p.send_time >= t);
+            prop_assert_eq!(f.packet_at(t) as usize, scan.unwrap_or(f.packets.len()));
+        }
+        f.build_index(interval);
+        let idx = f.index.clone().unwrap();
+        for &t in &times {
+            prop_assert_eq!(f.packet_at(t), idx.packet_for(t));
+        }
+    }
+
     /// Truncating a valid file fails cleanly, never panics: every cut of
     /// a small file, through header, packets and index.
     #[test]

@@ -223,7 +223,6 @@ fn main() {
             breaker: sc.degrade.then(BreakerPolicy::upstream),
             arrival_wave: Some((32, 2 * SECOND)),
             client_retry: Some(RetryPolicy::client()),
-            idle_timeout: Some(120 * SECOND),
             ..RelayTierConfig::default()
         };
         let report = wmps.serve_with_relays(file.clone(), uplink, access, STUDENTS, seed, &cfg);

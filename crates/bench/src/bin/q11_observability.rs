@@ -103,7 +103,6 @@ fn main() {
         breaker: Some(BreakerPolicy::upstream()),
         arrival_wave: Some((32, 2 * SECOND)),
         client_retry: Some(RetryPolicy::client()),
-        idle_timeout: Some(120 * SECOND),
         chaos: ChaosSpec {
             // First-wave students: admitted and playing when the cable
             // goes, so each flap opens an outage the log must close.

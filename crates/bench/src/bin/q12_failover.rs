@@ -113,7 +113,6 @@ fn main() {
         relay_capacity_sessions: Some(RELAY_STEER),
         degrade: Some(DegradePolicy::default()),
         client_retry: Some(RetryPolicy::client()),
-        idle_timeout: Some(120 * SECOND),
         chaos: ChaosSpec {
             origin_down: vec![(ORIGIN_DIES_AT, u64::MAX)],
             ..ChaosSpec::default()

@@ -176,7 +176,6 @@ fn main() {
             relays: RELAYS,
             chaos: sc.chaos.clone(),
             client_retry: Some(RetryPolicy::client()),
-            idle_timeout: Some(120 * SECOND),
             ..RelayTierConfig::default()
         };
         let report = wmps.serve_with_relays(file.clone(), uplink, access, STUDENTS, seed, &cfg);

@@ -322,9 +322,6 @@ pub(crate) fn relay_tier<F: Fabric>(
         if let Some(n) = segment_packets {
             server = server.with_segment_packets(n);
         }
-        if let Some(t) = cfg.idle_timeout {
-            server = server.with_idle_timeout(t);
-        }
         if let Some(adm) = cfg.origin_admission {
             server = server.with_admission(adm);
         }
@@ -541,9 +538,6 @@ pub struct RelayTierConfig {
     /// Arm every client with this retry policy (salted per student off
     /// the session seed, so runs stay byte-for-byte reproducible).
     pub client_retry: Option<RetryPolicy>,
-    /// Origin idle-session reaping window in ticks (`None` = the
-    /// server's default).
-    pub idle_timeout: Option<u64>,
     /// Admission budget at the origin (relays are exempted — their
     /// shared live/fetch traffic is the tier's whole point).
     pub origin_admission: Option<AdmissionPolicy>,
@@ -588,7 +582,6 @@ impl Default for RelayTierConfig {
             prefetch: true,
             chaos: ChaosSpec::default(),
             client_retry: None,
-            idle_timeout: None,
             origin_admission: None,
             relay_admission: None,
             degrade: None,

@@ -169,7 +169,6 @@ fn severe_storm() -> RelayTierConfig {
             ..ChaosSpec::default()
         },
         client_retry: Some(RetryPolicy::client()),
-        idle_timeout: Some(120 * SECOND),
         ..recorded_tier()
     }
 }

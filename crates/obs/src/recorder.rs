@@ -6,6 +6,7 @@ use std::rc::Rc;
 
 use crate::event::{Event, EventRecord};
 use crate::metrics::Registry;
+use crate::span::TraceCtx;
 
 /// Event storage: unbounded by default (determinism artifacts need the
 /// full log), or a preallocated fixed-capacity ring that keeps the most
@@ -136,6 +137,36 @@ impl Recorder {
         }
     }
 
+    /// Records one edge of the traced segment `ctx` crossing `hop`
+    /// between `node` and `peer`: an [`Event::SpanOpen`] when `open`,
+    /// else an [`Event::SpanClose`]. Every span edge in the system comes
+    /// from here. A disabled recorder returns before the hop name is
+    /// copied, so an untraced run pays one branch per call site.
+    pub fn span(&self, at: u64, open: bool, node: u64, peer: u64, hop: &str, ctx: TraceCtx) {
+        if self.inner.is_none() {
+            return;
+        }
+        let (hop, lecture, segment) = (hop.to_string(), ctx.lecture, ctx.segment);
+        let event = if open {
+            Event::SpanOpen {
+                node,
+                peer,
+                hop,
+                lecture,
+                segment,
+            }
+        } else {
+            Event::SpanClose {
+                node,
+                peer,
+                hop,
+                lecture,
+                segment,
+            }
+        };
+        self.emit(at, event);
+    }
+
     /// Names a node's role (`origin`, `relay0`, `student17`). Emits a
     /// [`Event::NodeLabel`] at tick 0 and remembers the mapping for
     /// [`Recorder::node_by_label`].
@@ -251,6 +282,58 @@ mod tests {
         assert_eq!(r.event_count(), 0);
         assert_eq!(r.to_jsonl(), "");
         assert_eq!(r.prometheus(), "");
+    }
+
+    #[test]
+    fn span_edges_record_only_when_enabled() {
+        let ctx = TraceCtx {
+            lecture: 7,
+            segment: 3,
+            seq: 1,
+            origin: 5,
+        };
+        let off = Recorder::disabled();
+        off.span(10, true, 1, 2, "fan_out", ctx);
+        off.span(11, false, 1, 2, "fan_out", ctx);
+        assert_eq!(off.event_count(), 0);
+        assert_eq!(off.to_jsonl(), "");
+        assert_eq!(off.prometheus(), "");
+
+        let on = Recorder::new();
+        on.span(10, true, 1, 2, "fan_out", ctx);
+        on.span(11, false, 1, 2, "fan_out", ctx);
+        let ev = on.events();
+        assert_eq!(ev.len(), 2);
+        for (rec, (at, open)) in ev.iter().zip([(10, true), (11, false)]) {
+            let (Event::SpanOpen {
+                node,
+                peer,
+                hop,
+                lecture,
+                segment,
+            }
+            | Event::SpanClose {
+                node,
+                peer,
+                hop,
+                lecture,
+                segment,
+            }) = &rec.event
+            else {
+                panic!("not a span edge: {rec:?}");
+            };
+            let is_open = matches!(rec.event, Event::SpanOpen { .. });
+            let got = (
+                rec.at,
+                is_open,
+                *node,
+                *peer,
+                hop.as_str(),
+                *lecture,
+                *segment,
+            );
+            assert_eq!(got, (at, open, 1, 2, "fan_out", 7, 3));
+        }
     }
 
     #[test]

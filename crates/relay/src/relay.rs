@@ -20,7 +20,10 @@ use lod_asf::{DataPacket, ScriptCommand};
 use lod_obs::{lecture_id, sampled, Event, Recorder, TraceCtx};
 use lod_simnet::{NodeId, TokenBucket};
 use lod_streaming::wire::{ControlRequest, SegmentData, StreamHeader, Wire};
-use lod_streaming::{AdmissionPolicy, BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy};
+use lod_streaming::{
+    session_pacer, AdmissionPolicy, BreakerPolicy, BreakerState, CircuitBreaker, Playhead,
+    RetryPolicy,
+};
 use lod_transport::Transport;
 use serde::{Deserialize, Serialize};
 
@@ -31,27 +34,23 @@ use crate::cache::{CachedSegment, ContentId, SegmentCache};
 /// answers). Real segment indices never reach 2^31.
 const TIME_FETCH_BIT: u32 = 1 << 31;
 
-/// Builds one span edge for the relay's tracing hooks (a plain function
-/// so it can be called while a session is mutably borrowed).
-fn span_event(open: bool, node: u64, peer: u64, hop: &str, ctx: TraceCtx) -> Event {
-    let (hop, lecture, segment) = (hop.to_string(), ctx.lecture, ctx.segment);
-    if open {
-        Event::SpanOpen {
-            node,
-            peer,
-            hop,
-            lecture,
-            segment,
-        }
-    } else {
-        Event::SpanClose {
-            node,
-            peer,
-            hop,
-            lecture,
-            segment,
-        }
-    }
+/// Greets a local `client` with its content's `header` when the relay
+/// knows it. Returns the session's pacer — sized from the header, or a
+/// placeholder that nothing draws on until the header arrives — and
+/// whether the header went out.
+fn greet(
+    net: &mut impl Transport<Wire>,
+    node: NodeId,
+    client: NodeId,
+    header: Option<&StreamHeader>,
+) -> (TokenBucket, bool) {
+    let Some(h) = header else {
+        return (TokenBucket::new(128_000, 16_000), false);
+    };
+    let msg = Wire::Header(Box::new(h.clone()));
+    let _ = net.send_reliable(node, client, h.wire_bytes(), msg);
+    let bps = u64::from(h.props.max_bitrate);
+    (session_pacer(bps, h.props.packet_size), true)
 }
 
 /// In-flight key for a time-resolving fetch of presentation time `at`.
@@ -126,10 +125,9 @@ struct VodSession {
     client: NodeId,
     content: ContentId,
     next_packet: u32,
-    /// Wall time of presentation time zero.
-    base_time: u64,
-    paused: bool,
-    paused_at: u64,
+    /// When each packet is due; paused and re-anchored by control
+    /// requests.
+    playhead: Playhead,
     pacer: TokenBucket,
     /// Segment whose cache lookup has been recorded for this session.
     counted_seg: Option<u32>,
@@ -152,6 +150,9 @@ struct LiveSub {
     next_script: usize,
     /// Skip packets before this presentation time (late joiners).
     start_from: u64,
+    /// Only its pause state matters: an unpaused subscriber is sent what
+    /// the feed holds as fast as its pacer allows.
+    playhead: Playhead,
     pacer: TokenBucket,
     header_sent: bool,
     eos_sent: bool,
@@ -485,7 +486,7 @@ impl RelayNode {
                 }
                 match self.cache.resolve(&content) {
                     Some(id) if self.contents[id.index()].live => {
-                        self.start_live_sub(net, from, id, start);
+                        self.start_live_sub(net, now, from, id, start);
                     }
                     Some(id) if self.contents[id.index()].vod => {
                         self.start_vod(net, now, from, id, start);
@@ -496,19 +497,13 @@ impl RelayNode {
                 }
             }
             ControlRequest::Pause => {
-                if let Some(s) = self.sessions.iter_mut().find(|s| s.client == from) {
-                    if !s.paused {
-                        s.paused = true;
-                        s.paused_at = now;
-                    }
+                if let Some(p) = self.playhead_of(from) {
+                    p.pause(now);
                 }
             }
             ControlRequest::Resume => {
-                if let Some(s) = self.sessions.iter_mut().find(|s| s.client == from) {
-                    if s.paused {
-                        s.paused = false;
-                        s.base_time += now - s.paused_at;
-                    }
+                if let Some(p) = self.playhead_of(from) {
+                    p.resume(now);
                 }
             }
             ControlRequest::Seek { to } => {
@@ -531,8 +526,7 @@ impl RelayNode {
                     }
                     if let Some((_, Some(ctx))) = s.fanout {
                         let (node, peer) = (self.node.index() as u64, from.index() as u64);
-                        self.obs
-                            .emit(now, span_event(false, node, peer, "fan_out", ctx));
+                        self.obs.span(now, false, node, peer, "fan_out", ctx);
                     }
                 }
                 self.sessions.retain(|s| s.client != from);
@@ -549,10 +543,27 @@ impl RelayNode {
         }
     }
 
+    /// The playhead of `client`'s VoD session or live subscription.
+    fn playhead_of(&mut self, client: NodeId) -> Option<&mut Playhead> {
+        let vod = self
+            .sessions
+            .iter_mut()
+            .map(|s| (s.client, &mut s.playhead));
+        let live = self
+            .contents
+            .iter_mut()
+            .filter_map(|c| c.feed.as_mut())
+            .flat_map(|f| f.subs.iter_mut())
+            .map(|s| (s.client, &mut s.playhead));
+        vod.chain(live).find(|(c, _)| *c == client).map(|(_, p)| p)
+    }
+
     /// Admission control for a local Play: a client beyond the session or
     /// committed-bitrate budget is answered [`Wire::Busy`] (and `true`
     /// returned). Replays from already-seated clients always pass — they
-    /// re-anchor an existing seat rather than claiming a new one.
+    /// re-anchor an existing seat rather than claiming a new one. Every
+    /// VoD session and live subscriber holds a seat and commits its
+    /// content's nominal bitrate.
     fn refuse_if_over_budget(
         &mut self,
         net: &mut impl Transport<Wire>,
@@ -563,34 +574,18 @@ impl RelayNode {
         let Some(adm) = self.admission else {
             return false;
         };
-        let seated = self.sessions.iter().any(|s| s.client == from)
-            || self
-                .feeds()
-                .any(|f| f.subs.iter().any(|s| s.client == from));
-        if seated {
-            return false;
+        if self.playhead_of(from).is_some() {
+            return false; // seated: a VoD session or a live subscription
         }
         let active = self.sessions.len() + self.live_subscriber_count();
         let nominal = self
             .cache
             .resolve(content)
             .map_or(0, |id| self.contents[id.index()].nominal_bps());
-        let over = active >= adm.max_sessions as usize
-            || self.committed_bps().saturating_add(nominal) > adm.capacity_bps;
+        let over = adm.refuses(active, self.committed_bps(), nominal);
         if over {
             self.metrics.sessions_shed += 1;
-            self.obs.emit(
-                now,
-                Event::AdmissionShed {
-                    node: self.node.index() as u64,
-                    client: from.index() as u64,
-                },
-            );
-            let msg = Wire::Busy {
-                retry_after: adm.retry_after,
-                alternate: None,
-            };
-            let _ = net.send_reliable(self.node, from, 32, msg);
+            adm.shed(net, &self.obs, now, self.node, from);
         }
         over
     }
@@ -611,12 +606,6 @@ impl RelayNode {
         vod + live
     }
 
-    fn session_pacer(header: &StreamHeader) -> TokenBucket {
-        let rate = (u64::from(header.props.max_bitrate).max(64_000)) * 2;
-        let burst = (rate / 8 / 2).max(u64::from(header.props.packet_size) * 8);
-        TokenBucket::new(rate, burst)
-    }
-
     fn start_vod(
         &mut self,
         net: &mut impl Transport<Wire>,
@@ -628,43 +617,22 @@ impl RelayNode {
         self.metrics.sessions_served += 1;
         self.sessions.retain(|s| s.client != client);
         let meta = self.contents[content.index()].meta.as_ref();
-        let (pacer, header_sent, next_packet, pending_time) = match meta.map(|m| &m.header) {
-            Some(header) => {
-                let bytes = header.wire_bytes();
-                let pacer = Self::session_pacer(header);
-                let msg = Wire::Header(header.clone());
-                let _ = net.send_reliable(self.node, client, bytes, msg);
-                if start == 0 {
-                    (pacer, true, 0, None)
-                } else {
-                    // Let the origin resolve the start time via its index.
-                    self.request_time_resolved(net, now, content, start, false);
-                    (pacer, true, 0, Some(start))
-                }
-            }
-            None => {
-                // First contact with this content: fetch the opening
-                // segment (or the one containing `start`) with the header.
-                if start == 0 {
-                    self.request_segment(net, now, content, 0, true);
-                } else {
-                    self.request_time_resolved(net, now, content, start, true);
-                }
-                // Placeholder pacer until the header arrives.
-                let pending = if start == 0 { None } else { Some(start) };
-                (TokenBucket::new(128_000, 16_000), false, 0, pending)
-            }
-        };
+        let (pacer, header_sent) = greet(net, self.node, client, meta.map(|m| &*m.header));
+        // The origin resolves a start time via its index; on first
+        // contact the fetch brings the header along.
+        if start != 0 {
+            self.request_time_resolved(net, now, content, start, !header_sent);
+        } else if !header_sent {
+            self.request_segment(net, now, content, 0, true);
+        }
         self.sessions.push(VodSession {
             client,
             content,
-            next_packet,
-            base_time: now.saturating_sub(start),
-            paused: false,
-            paused_at: 0,
+            next_packet: 0,
+            playhead: Playhead::new(now, start),
             pacer,
             counted_seg: None,
-            pending_time,
+            pending_time: (start != 0).then_some(start),
             header_sent,
             eos_sent: false,
             fanout: None,
@@ -674,6 +642,7 @@ impl RelayNode {
     fn start_live_sub(
         &mut self,
         net: &mut impl Transport<Wire>,
+        now: u64,
         client: NodeId,
         content: ContentId,
         start: u64,
@@ -683,20 +652,13 @@ impl RelayNode {
             .feed
             .get_or_insert_with(LiveRelay::default);
         feed.subs.retain(|s| s.client != client);
-        let (pacer, header_sent) = match &feed.header {
-            Some(h) => {
-                let bytes = h.wire_bytes();
-                let msg = Wire::Header(h.clone());
-                let _ = net.send_reliable(self.node, client, bytes, msg);
-                (Self::session_pacer(h), true)
-            }
-            None => (TokenBucket::new(128_000, 16_000), false),
-        };
+        let (pacer, header_sent) = greet(net, self.node, client, feed.header.as_deref());
         feed.subs.push(LiveSub {
             client,
             next_packet: 0,
             next_script: 0,
             start_from: start,
+            playhead: Playhead::new(now, start),
             pacer,
             header_sent,
             eos_sent: false,
@@ -854,8 +816,7 @@ impl RelayNode {
             // when the fetch leaves, closed when the segment answer (or
             // a retry's answer) lands in `on_segment`.
             let (node, peer) = (self.node.index() as u64, self.origin.index() as u64);
-            self.obs
-                .emit(now, span_event(true, node, peer, "relay_fetch", ctx));
+            self.obs.span(now, true, node, peer, "relay_fetch", ctx);
         }
         let req = Wire::Request(ControlRequest::FetchSegment {
             content: self.cache.name(content).to_string(),
@@ -949,10 +910,8 @@ impl RelayNode {
             let (node, peer) = (self.node.index() as u64, self.origin.index() as u64);
             // Clamped to the mint tick like every other span site: the
             // answer cannot land before the fetch was minted.
-            self.obs.emit(
-                now.max(ctx.origin),
-                span_event(false, node, peer, "relay_fetch", ctx),
-            );
+            self.obs
+                .span(now.max(ctx.origin), false, node, peer, "relay_fetch", ctx);
         }
         let content = &mut self.contents[id.index()];
         content.inflight.remove(&seg.segment);
@@ -996,25 +955,20 @@ impl RelayNode {
         // Wake sessions that were waiting on this content: send the header
         // to any session that never got one, and anchor time-resolved
         // starts/seeks.
-        let header = self.contents[id.index()].meta.as_ref().map(|m| &m.header);
+        let header = self.contents[id.index()].meta.as_ref().map(|m| &*m.header);
         for s in &mut self.sessions {
             if s.content != id {
                 continue;
             }
-            if !s.header_sent {
-                if let Some(h) = header {
-                    let bytes = h.wire_bytes();
-                    let _ = net.send_reliable(self.node, s.client, bytes, Wire::Header(h.clone()));
-                    s.pacer = Self::session_pacer(h);
-                    s.header_sent = true;
-                }
+            if !s.header_sent && header.is_some() {
+                (s.pacer, s.header_sent) = greet(net, self.node, s.client, header);
             }
             if let (Some(waiting), Some(echo), Some(start)) =
                 (s.pending_time, seg.at_time, seg.start_packet)
             {
                 if echo == waiting {
                     s.next_packet = start;
-                    s.base_time = now.saturating_sub(waiting);
+                    s.playhead.anchor(now, waiting);
                     s.counted_seg = None;
                     s.pending_time = None;
                 }
@@ -1035,13 +989,8 @@ impl RelayNode {
             return;
         };
         feed.header = Some(h.clone());
-        for sub in &mut feed.subs {
-            if !sub.header_sent {
-                let bytes = h.wire_bytes();
-                let _ = net.send_reliable(node, sub.client, bytes, Wire::Header(h.clone()));
-                sub.pacer = Self::session_pacer(&h);
-                sub.header_sent = true;
-            }
+        for sub in feed.subs.iter_mut().filter(|s| !s.header_sent) {
+            (sub.pacer, sub.header_sent) = greet(net, node, sub.client, Some(&h));
         }
     }
 
@@ -1103,7 +1052,7 @@ impl RelayNode {
         // lost on a dark uplink would never be re-issued.
         let mut waiting: Vec<(ContentId, Option<u64>, bool)> = Vec::new();
         for s in &self.sessions {
-            if s.eos_sent || s.paused {
+            if s.eos_sent || s.playhead.is_paused() {
                 continue;
             }
             let has_meta = self.contents[s.content.index()].meta.is_some();
@@ -1123,7 +1072,7 @@ impl RelayNode {
         let mut fetches: Vec<(ContentId, u32)> = Vec::new();
         let mut prefetches: Vec<(ContentId, u32)> = Vec::new();
         for s in &mut self.sessions {
-            if s.paused || s.eos_sent || !s.header_sent || s.pending_time.is_some() {
+            if s.playhead.is_paused() || s.eos_sent || !s.header_sent || s.pending_time.is_some() {
                 continue;
             }
             let content = &self.contents[s.content.index()];
@@ -1134,8 +1083,7 @@ impl RelayNode {
                 if s.next_packet >= meta.total_packets {
                     if let Some((_, Some(ctx))) = s.fanout.take() {
                         let (node, peer) = (self.node.index() as u64, s.client.index() as u64);
-                        self.obs
-                            .emit(now, span_event(false, node, peer, "fan_out", ctx));
+                        self.obs.span(now, false, node, peer, "fan_out", ctx);
                     }
                     let _ = net.send_reliable(self.node, s.client, 16, Wire::EndOfStream);
                     s.eos_sent = true;
@@ -1200,8 +1148,7 @@ impl RelayNode {
                     // stays untraced.
                     let (node, peer) = (self.node.index() as u64, s.client.index() as u64);
                     if let Some((_, Some(prev))) = s.fanout.take() {
-                        self.obs
-                            .emit(now, span_event(false, node, peer, "fan_out", prev));
+                        self.obs.span(now, false, node, peer, "fan_out", prev);
                     }
                     let mut ctx = None;
                     if self.trace_permille > 0
@@ -1214,8 +1161,7 @@ impl RelayNode {
                             seq: self.trace_seq,
                             origin: now,
                         };
-                        self.obs
-                            .emit(now, span_event(true, node, peer, "fan_out", c));
+                        self.obs.span(now, true, node, peer, "fan_out", c);
                         let mark = Wire::Mark(c);
                         let bytes = mark.wire_bytes(0);
                         let _ = net.send_reliable(self.node, s.client, bytes, mark);
@@ -1227,7 +1173,7 @@ impl RelayNode {
                 let Some(p) = seg.packets.get(offset) else {
                     break; // short final segment; total_packets guards EOS
                 };
-                if p.send_time + s.base_time > now {
+                if !s.playhead.is_due(p.send_time, now) {
                     break;
                 }
                 if net.first_hop_backlog(self.node, s.client).unwrap_or(0) > self.backlog_limit {
@@ -1266,7 +1212,7 @@ impl RelayNode {
                 .as_ref()
                 .map_or(1500, |h| u64::from(h.props.packet_size));
             for sub in &mut feed.subs {
-                if sub.eos_sent || !sub.header_sent {
+                if sub.eos_sent || !sub.header_sent || sub.playhead.is_paused() {
                     continue;
                 }
                 while sub.next_script < feed.scripts.len() {
@@ -1681,6 +1627,158 @@ mod tests {
         assert_eq!(a.metrics().samples_rendered, 50);
         assert_eq!(b.metrics().samples_rendered, 50);
         assert!(relay.metrics().sessions_shed >= 1);
+    }
+
+    /// Steps origin and relay from `from` to `to` (inclusive, 100 ms
+    /// apart), delivering what reaches them; whatever is addressed to a
+    /// student is dropped.
+    fn step(
+        net: &mut Network<Wire>,
+        origin: &mut StreamingServer,
+        relay: &mut RelayNode,
+        from: u64,
+        to: u64,
+    ) {
+        for now in (from..=to).step_by(1_000_000) {
+            origin.poll(net, now);
+            relay.poll(net, now);
+            for d in net.advance_to(now) {
+                if d.dst == origin.node() {
+                    origin.on_message(net, d.time, d.src, d.message);
+                } else if d.dst == relay.node() {
+                    relay.on_message(net, d.time, d.src, d.message);
+                }
+            }
+        }
+    }
+
+    /// The relay twin of the origin's test: pause at 1 s, seek to 4 s at
+    /// 100 s, resume at 101 s, and the relay sends again within a second.
+    #[test]
+    fn seek_while_paused_resumes_at_the_seek_target() {
+        let (mut net, tree, mut origin, mut relay) = world(1);
+        let student = tree.students[0];
+        let req = |r| Wire::Request(r);
+        let play = ControlRequest::Play {
+            content: "lec".into(),
+            from: 0,
+        };
+        relay.on_message(&mut net, 0, student, req(play));
+        step(&mut net, &mut origin, &mut relay, 0, 9_000_000);
+        relay.on_message(&mut net, 10_000_000, student, req(ControlRequest::Pause));
+        step(&mut net, &mut origin, &mut relay, 10_000_000, 999_000_000);
+        let seek = ControlRequest::Seek { to: 40_000_000 };
+        relay.on_message(&mut net, 1_000_000_000, student, req(seek));
+        step(
+            &mut net,
+            &mut origin,
+            &mut relay,
+            1_000_000_000,
+            1_009_000_000,
+        );
+        relay.on_message(
+            &mut net,
+            1_010_000_000,
+            student,
+            req(ControlRequest::Resume),
+        );
+        let before = relay.metrics().payload_bytes_sent;
+        step(
+            &mut net,
+            &mut origin,
+            &mut relay,
+            1_010_000_000,
+            1_020_000_000,
+        );
+        assert!(
+            relay.metrics().payload_bytes_sent > before,
+            "nothing sent in the second after the resume"
+        );
+    }
+
+    /// A paused student on a relay's live re-broadcast receives no data
+    /// until it resumes, like a paused student of the origin.
+    #[test]
+    fn paused_live_subscriber_receives_nothing_until_resume() {
+        let mut net = Network::new(5);
+        let tree = relay_tree(
+            &mut net,
+            LinkSpec::lan(),
+            LinkSpec::lan(),
+            LinkSpec::lan(),
+            1,
+            1,
+        );
+        let student = tree.students[0];
+        let mut origin = StreamingServer::new(tree.origin);
+        let base = test_file(30, 2_000_000);
+        origin.publish_live(
+            "talk",
+            lod_streaming::LiveFeed::new(StreamHeader::of(&base, 0)),
+        );
+        let mut relay = RelayNode::new(tree.relays[0], tree.origin, 1 << 20);
+        relay.serve_live("talk");
+        let play = ControlRequest::Play {
+            content: "talk".into(),
+            from: 0,
+        };
+        relay.on_message(&mut net, 0, student, Wire::Request(play));
+        step(&mut net, &mut origin, &mut relay, 0, 10_000_000);
+        let pause = Wire::Request(ControlRequest::Pause);
+        relay.on_message(&mut net, 10_000_000, student, pause);
+        for p in base.packets.iter().cloned() {
+            origin.live_feed("talk").unwrap().push(p);
+        }
+        step(&mut net, &mut origin, &mut relay, 11_000_000, 100_000_000);
+        assert!(
+            relay.metrics().upstream_bytes_received > 0,
+            "the feed reached the relay"
+        );
+        assert_eq!(relay.metrics().payload_bytes_sent, 0, "paused: no data");
+        let resume = Wire::Request(ControlRequest::Resume);
+        relay.on_message(&mut net, 101_000_000, student, resume);
+        step(&mut net, &mut origin, &mut relay, 101_000_000, 110_000_000);
+        assert!(
+            relay.metrics().payload_bytes_sent > 0,
+            "resumed: data flows"
+        );
+    }
+
+    /// The origin and a relay under one admission policy refuse at the
+    /// same boundary: the (max_sessions+1)-th seat, and the first seat
+    /// whose nominal bitrate would exceed `capacity_bps`.
+    #[test]
+    fn origin_and_relay_refuse_at_the_same_boundary() {
+        // The lecture costs 500 kbit/s: 3 seats fit 1.5 Mbit/s, 4 do not.
+        for (policy, admitted) in [
+            (AdmissionPolicy::new(2, 100_000_000), 2),
+            (AdmissionPolicy::new(64, 1_500_000), 3),
+            (AdmissionPolicy::new(64, 1_499_999), 2),
+        ] {
+            let (mut net, tree, origin, relay) = world(5);
+            let mut origin = origin.with_admission(policy);
+            let mut relay = relay.with_admission(policy);
+            // The relay learns the lecture's bitrate from its first
+            // segment; seed that through a seat-free fetch.
+            let lec = relay.cache.resolve("lec").unwrap();
+            relay.request_segment(&mut net, 0, lec, 0, true);
+            step(&mut net, &mut origin, &mut relay, 0, 10_000_000);
+            let play = || {
+                Wire::Request(ControlRequest::Play {
+                    content: "lec".into(),
+                    from: 0,
+                })
+            };
+            for &s in &tree.students {
+                origin.on_message(&mut net, 20_000_000, s, play());
+                relay.on_message(&mut net, 20_000_000, s, play());
+            }
+            assert_eq!(origin.session_count(), admitted, "origin under {policy:?}");
+            assert_eq!(relay.session_count(), admitted, "relay under {policy:?}");
+            let shed = (tree.students.len() - admitted) as u64;
+            assert_eq!(origin.metrics().sessions_shed, shed);
+            assert_eq!(relay.metrics().sessions_shed, shed);
+        }
     }
 
     #[test]

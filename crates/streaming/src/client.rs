@@ -439,9 +439,12 @@ impl StreamingClient {
                     // its "playout_wait" — closed when this very sample
                     // is rendered.
                     if let Some(ctx) = self.pending_marks.pop_front() {
-                        let (obs, node, peer) = (&self.obs, self.node, self.server);
-                        emit_span(obs, node, peer, time, false, "reassemble", ctx);
-                        emit_span(obs, node, peer, time, true, "playout_wait", ctx);
+                        // Clamped as `Self::span` does; the drain holds
+                        // `self.reasm`, so the method cannot be called.
+                        let (node, peer) = (self.node.index() as u64, self.server.index() as u64);
+                        let at = time.max(ctx.origin);
+                        self.obs.span(at, false, node, peer, "reassemble", ctx);
+                        self.obs.span(at, true, node, peer, "playout_wait", ctx);
                         self.playout_traces.insert(self.buffer_seq, ctx);
                     }
                     let key = (s.pres_time, s.stream, self.buffer_seq);
@@ -510,7 +513,7 @@ impl StreamingClient {
                 // The relay announced a sampled segment's fan-out: open
                 // the client-side "reassemble" span and remember the
                 // context for the first sample that completes.
-                self.emit_span(time, true, "reassemble", ctx);
+                self.span(time, true, "reassemble", ctx);
                 self.pending_marks.push_back(ctx);
             }
             // Relay-plane traffic; clients never consume raw segments.
@@ -521,9 +524,15 @@ impl StreamingClient {
         }
     }
 
-    /// Emits one client-side span edge for a traced segment.
-    fn emit_span(&self, at: u64, open: bool, hop: &str, ctx: TraceCtx) {
-        emit_span(&self.obs, self.node, self.server, at, open, hop, ctx);
+    /// Records one client-side span edge of a traced segment, at `at`
+    /// clamped to the context's mint tick: the driver may poll the
+    /// minting relay ahead of the network clock, so a marker can arrive
+    /// stamped before its own fan-out span opened. The clamp
+    /// (Lamport-style) keeps delivery-chain opens monotone.
+    fn span(&self, at: u64, open: bool, hop: &str, ctx: TraceCtx) {
+        let (node, peer) = (self.node.index() as u64, self.server.index() as u64);
+        self.obs
+            .span(at.max(ctx.origin), open, node, peer, hop, ctx);
     }
 
     /// The node this client currently streams from.
@@ -811,10 +820,10 @@ impl StreamingClient {
         // completed, or a traced sample never rendered, still closes at
         // session end so every opened span pairs up.
         for ctx in std::mem::take(&mut self.pending_marks) {
-            self.emit_span(now, false, "reassemble", ctx);
+            self.span(now, false, "reassemble", ctx);
         }
         for (_, ctx) in std::mem::take(&mut self.playout_traces) {
-            self.emit_span(now, false, "playout_wait", ctx);
+            self.span(now, false, "playout_wait", ctx);
         }
         self.obs.emit(
             now,
@@ -831,7 +840,7 @@ impl StreamingClient {
             .pop_front_if(|((pres, _, _), _)| *pres <= media_now)
         {
             if let Some(ctx) = self.playout_traces.remove(&seq) {
-                self.emit_span(now, false, "playout_wait", ctx);
+                self.span(now, false, "playout_wait", ctx);
             }
             self.metrics.samples_rendered += 1;
             sink(RenderEvent {
@@ -865,47 +874,6 @@ impl StreamingClient {
         }
         self.scripts_fired_to = Some(media_now);
     }
-}
-
-/// Emits one span edge of a traced segment between a client `node` and
-/// its server `peer`.
-fn emit_span(
-    obs: &Recorder,
-    node: NodeId,
-    peer: NodeId,
-    at: u64,
-    open: bool,
-    hop: &str,
-    ctx: TraceCtx,
-) {
-    if !obs.is_enabled() {
-        return;
-    }
-    // Clamp to the context's mint tick: the driver may poll the
-    // minting relay ahead of the network clock, so a marker can
-    // arrive stamped before its own fan-out span opened. The clamp
-    // (Lamport-style) keeps delivery-chain opens monotone.
-    let at = at.max(ctx.origin);
-    let (node, peer) = (node.index() as u64, peer.index() as u64);
-    let (hop, lecture, segment) = (hop.to_string(), ctx.lecture, ctx.segment);
-    let event = if open {
-        Event::SpanOpen {
-            node,
-            peer,
-            hop,
-            lecture,
-            segment,
-        }
-    } else {
-        Event::SpanClose {
-            node,
-            peer,
-            hop,
-            lecture,
-            segment,
-        }
-    };
-    obs.emit(at, event);
 }
 
 #[cfg(test)]

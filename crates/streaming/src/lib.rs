@@ -10,8 +10,8 @@
 //! The pieces:
 //!
 //! * [`wire`] — the typed messages exchanged over `lod-simnet`.
-//! * [`server`] — sessions, send-time pacing, seek via the ASF index,
-//!   live relaying.
+//! * [`server`] — sessions, seek via the ASF index, admission,
+//!   degradation, live relaying.
 //! * [`client`] — reassembly, preroll buffering, stall/resume logic,
 //!   render events.
 //! * [`ledger`] — running accounts of a session's render events, and
@@ -20,6 +20,7 @@
 //!   backoff with deterministic jitter, bounded retries
 //!   ([`RetryPolicy`]).
 //! * [`metrics`] — per-client quality counters.
+//! * [`pacing`] — the playhead and pacer every serving node shares.
 //! * [`checkpoint`] — session-state journaling for warm-standby origin
 //!   failover ([`SessionCheckpoint`], [`SessionJournal`],
 //!   [`StandbyState`]).
@@ -66,6 +67,7 @@ pub mod client;
 pub mod codec;
 pub mod ledger;
 pub mod metrics;
+pub mod pacing;
 pub mod retry;
 pub mod server;
 pub mod wire;
@@ -76,6 +78,7 @@ pub use checkpoint::{
 pub use client::{ClientState, RenderEvent, StreamingClient};
 pub use ledger::{ClientSlots, SessionLedger};
 pub use metrics::{ClientMetrics, ServerMetrics};
+pub use pacing::{session_pacer, Playhead};
 pub use retry::{BreakerPolicy, BreakerState, CircuitBreaker, RetryPolicy};
 pub use server::{AdmissionPolicy, DegradePolicy, LiveFeed, StreamingServer};
 pub use wire::{ControlRequest, SegmentData, StreamHeader, Wire};

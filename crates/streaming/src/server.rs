@@ -4,30 +4,23 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 
 use lod_asf::{AsfFile, DataPacket, StreamKind};
 use lod_encoder::BandwidthProfile;
-use lod_obs::{Event, Recorder, TraceCtx};
+use lod_obs::{Event, Recorder};
 use lod_simnet::{NodeId, TokenBucket};
 use lod_transport::Transport;
 
 use crate::checkpoint::{JournalEntry, SessionCheckpoint, SessionJournal, StandbyState};
 use crate::metrics::ServerMetrics;
+use crate::pacing::{session_pacer, Playhead};
 use crate::wire::{ControlRequest, SegmentData, StreamHeader, Wire};
 
-/// The fields of one [`ControlRequest::FetchSegment`], bundled so the
-/// segment-serving path passes them as a unit.
-struct Fetch {
-    content: String,
-    segment: u32,
-    at_time: Option<u64>,
-    want_header: bool,
-    trace: Option<TraceCtx>,
-}
-
-/// Admission control: the capacity budget a server is willing to commit
-/// to sessions. A `Play` beyond the budget is answered with
-/// [`Wire::Busy`] instead of silently queueing behind a saturated
-/// uplink. Budget accounting uses each session's *effective* (possibly
-/// downshifted) bitrate, so graceful degradation frees admission room
-/// for the clients it bounced.
+/// Admission control: the capacity budget a node (the origin or a
+/// relay) is willing to commit to sessions. A `Play` beyond the budget
+/// is answered with [`Wire::Busy`] instead of silently queueing behind a
+/// saturated uplink. The test ([`AdmissionPolicy::refuses`]) and the
+/// bounce ([`AdmissionPolicy::shed`]) are shared; each node decides who
+/// is already seated and what its sessions commit. The origin counts
+/// each session's *effective* (possibly downshifted) bitrate, so
+/// graceful degradation frees admission room for the clients it bounced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct AdmissionPolicy {
     /// Hard cap on concurrent sessions.
@@ -40,6 +33,10 @@ pub struct AdmissionPolicy {
 }
 
 impl AdmissionPolicy {
+    /// The `retry_after` suggested to bounced clients unless overridden:
+    /// 2 s.
+    pub const DEFAULT_RETRY_AFTER: u64 = 20_000_000;
+
     /// A budget of `max_sessions` sessions and `capacity_bps` committed
     /// bit/s, suggesting a 2 s retry to bounced clients.
     pub fn new(max_sessions: u32, capacity_bps: u64) -> Self {
@@ -48,8 +45,41 @@ impl AdmissionPolicy {
         Self {
             max_sessions,
             capacity_bps,
-            retry_after: 20_000_000,
+            retry_after: Self::DEFAULT_RETRY_AFTER,
         }
+    }
+
+    /// The budget test: whether a node already serving `active` sessions
+    /// that commit `committed_bps` must refuse a new session costing
+    /// `nominal_bps`.
+    pub fn refuses(&self, active: usize, committed_bps: u64, nominal_bps: u64) -> bool {
+        active as u64 >= u64::from(self.max_sessions)
+            || committed_bps.saturating_add(nominal_bps) > self.capacity_bps
+    }
+
+    /// The bounce: records an [`Event::AdmissionShed`] at `node` and
+    /// answers `client` with a [`Wire::Busy`] suggesting this policy's
+    /// `retry_after`.
+    pub fn shed(
+        &self,
+        net: &mut impl Transport<Wire>,
+        obs: &Recorder,
+        now: u64,
+        node: NodeId,
+        client: NodeId,
+    ) {
+        obs.emit(
+            now,
+            Event::AdmissionShed {
+                node: node.index() as u64,
+                client: client.index() as u64,
+            },
+        );
+        let busy = Wire::Busy {
+            retry_after: self.retry_after,
+            alternate: None,
+        };
+        let _ = net.send_reliable(node, client, busy.wire_bytes(0), busy);
     }
 
     /// Overrides the suggested retry delay (ticks).
@@ -185,11 +215,9 @@ struct Session {
     next_packet: usize,
     /// Next live script command to relay.
     next_script: usize,
-    /// Wall time corresponding to presentation time zero for this session.
-    base_time: u64,
-    paused: bool,
-    /// Wall time the pause began (to re-anchor on resume).
-    paused_at: u64,
+    /// When each packet is due; paused and re-anchored by control
+    /// requests.
+    playhead: Playhead,
     pacer: TokenBucket,
     /// When set, only payloads of these streams are sent.
     stream_filter: Option<Vec<u16>>,
@@ -219,14 +247,6 @@ struct Session {
 }
 
 impl Session {
-    /// Pacer for `bps`: 2× the rate so the client can build preroll,
-    /// with a burst covering at least the driver's polling cadence.
-    fn pacer_for(bps: u64, packet_size: u32) -> TokenBucket {
-        let rate = bps.max(64_000) * 2;
-        let burst = (rate / 8 / 2).max(u64::from(packet_size) * 8);
-        TokenBucket::new(rate, burst)
-    }
-
     /// Steps one rung down the profile ladder. Returns `false` when
     /// already at the bottom (audio-only).
     fn downshift(&mut self) -> bool {
@@ -244,7 +264,7 @@ impl Session {
             (target_video, self.video_bps)
         };
         self.effective_bps = floor + target_video;
-        self.pacer = Self::pacer_for(self.effective_bps, self.packet_size);
+        self.pacer = session_pacer(self.effective_bps, self.packet_size);
         true
     }
 
@@ -269,7 +289,7 @@ impl Session {
             }
         };
         self.effective_bps = restored;
-        self.pacer = Self::pacer_for(self.effective_bps, self.packet_size);
+        self.pacer = session_pacer(self.effective_bps, self.packet_size);
         true
     }
 
@@ -399,18 +419,6 @@ impl StreamingServer {
     /// answered with [`Wire::Busy`] and counted in
     /// `ServerMetrics::sessions_shed`.
     pub fn with_admission(mut self, policy: AdmissionPolicy) -> Self {
-        assert!(
-            policy.max_sessions > 0,
-            "admission max_sessions must be positive"
-        );
-        assert!(
-            policy.capacity_bps > 0,
-            "admission capacity_bps must be positive"
-        );
-        assert!(
-            policy.retry_after > 0,
-            "admission retry_after must be positive"
-        );
         self.admission = Some(policy);
         self
     }
@@ -693,7 +701,7 @@ impl StreamingServer {
         if self.standby {
             if let (ControlRequest::Play { .. }, Some(primary)) = (&req, self.primary_hint) {
                 let busy = Wire::Busy {
-                    retry_after: 20_000_000, // 2 s, the admission default
+                    retry_after: AdmissionPolicy::DEFAULT_RETRY_AFTER,
                     alternate: Some(primary),
                 };
                 let bytes = busy.wire_bytes(0);
@@ -714,44 +722,23 @@ impl StreamingServer {
             }
             ControlRequest::Pause => {
                 if let Some(s) = self.sessions.iter_mut().find(|s| s.client == from) {
-                    if !s.paused {
-                        s.paused = true;
-                        s.paused_at = now;
-                    }
+                    s.playhead.pause(now);
                 }
             }
             ControlRequest::Resume => {
                 if let Some(s) = self.sessions.iter_mut().find(|s| s.client == from) {
-                    if s.paused {
-                        s.paused = false;
-                        s.base_time += now - s.paused_at;
-                    }
+                    s.playhead.resume(now);
                 }
             }
             ControlRequest::Seek { to } => {
-                let mut target = None;
-                if let Some(s) = self.sessions.iter().find(|s| s.client == from) {
+                let stored = &self.stored;
+                if let Some(s) = self.sessions.iter_mut().find(|s| s.client == from) {
                     if let SourceRef::Stored(name) = &s.source {
-                        if let Some(file) = self.stored.get(name) {
-                            let pkt = file.index.as_ref().map_or_else(
-                                || {
-                                    file.packets
-                                        .iter()
-                                        .position(|p| p.send_time >= to)
-                                        .unwrap_or(file.packets.len())
-                                        as u32
-                                },
-                                |idx| idx.packet_for(to),
-                            );
-                            target = Some((pkt as usize, to));
+                        if let Some(file) = stored.get(name) {
+                            s.next_packet = file.packet_at(to) as usize;
+                            s.playhead.anchor(now, to);
+                            s.eos_sent = false;
                         }
-                    }
-                }
-                if let Some((pkt, to)) = target {
-                    if let Some(s) = self.sessions.iter_mut().find(|s| s.client == from) {
-                        s.next_packet = pkt;
-                        s.base_time = now.saturating_sub(to);
-                        s.eos_sent = false;
                     }
                 }
             }
@@ -772,20 +759,7 @@ impl StreamingServer {
                 }
                 self.sessions.retain(|s| s.client != from);
             }
-            ControlRequest::FetchSegment {
-                content,
-                segment,
-                at_time,
-                want_header,
-                trace,
-            } => {
-                let fetch = Fetch {
-                    content,
-                    segment,
-                    at_time,
-                    want_header,
-                    trace,
-                };
+            fetch @ ControlRequest::FetchSegment { .. } => {
                 self.serve_segment(net, now, from, fetch);
             }
             // Answered before the dispatch (heartbeats bypass role gates).
@@ -793,77 +767,52 @@ impl StreamingServer {
         }
     }
 
-    /// Answers a relay's segment pull with one run of stored packets
-    /// (the destructured [`ControlRequest::FetchSegment`] fields ride in
-    /// a [`Fetch`] bundle).
-    /// When `at_time` is given the segment index is resolved from the ASF
-    /// seek index instead of the caller's `segment` argument. A traced
-    /// fetch books the origin's "packetize" span and echoes the context
-    /// into the [`Wire::Segment`] answer.
+    /// Answers a relay's [`ControlRequest::FetchSegment`] with one run of
+    /// stored packets. When `at_time` is given the segment index is
+    /// resolved by the seek rule instead of the caller's `segment`
+    /// argument. A traced fetch books the origin's "packetize" span and
+    /// echoes the context into the [`Wire::Segment`] answer.
     fn serve_segment(
         &mut self,
         net: &mut impl Transport<Wire>,
         now: u64,
         relay: NodeId,
-        fetch: Fetch,
+        fetch: ControlRequest,
     ) {
-        let Fetch {
+        let ControlRequest::FetchSegment {
             content,
             segment,
             at_time,
             want_header,
             trace,
-        } = fetch;
+        } = fetch
+        else {
+            return; // `on_message` hands over fetches only
+        };
         let content = content.as_str();
-        // Span ticks are clamped to the context's mint tick: a driver may
-        // poll the minting relay ahead of the network clock, so a receipt
-        // tick can lag the mint — the clamp is the Lamport-style repair
-        // that keeps delivery-chain opens monotone.
-        let span_at = trace.map_or(now, |ctx| now.max(ctx.origin));
-        if let Some(ctx) = trace {
-            self.obs.emit(
-                span_at,
-                Event::SpanOpen {
-                    node: self.node.index() as u64,
-                    peer: relay.index() as u64,
-                    hop: "packetize".to_string(),
-                    lecture: ctx.lecture,
-                    segment: ctx.segment,
-                },
-            );
-        }
+        // The "packetize" span, both edges at the receipt tick clamped to
+        // the context's mint tick: a driver may poll the minting relay
+        // ahead of the network clock, so a receipt tick can lag the mint
+        // — the clamp is the Lamport-style repair that keeps
+        // delivery-chain opens monotone.
+        let (node, peer) = (self.node.index() as u64, relay.index() as u64);
+        let packetize = |obs: &Recorder, open: bool| {
+            if let Some(ctx) = trace {
+                obs.span(now.max(ctx.origin), open, node, peer, "packetize", ctx);
+            }
+        };
+        packetize(&self.obs, true);
         let Some(file) = self.stored.get(content) else {
             let _ = net.send_reliable(self.node, relay, 32, Wire::NotFound(content.to_string()));
-            if let Some(ctx) = trace {
-                // The fetch dead-ends here; close the span so the trace
-                // still balances.
-                self.obs.emit(
-                    span_at,
-                    Event::SpanClose {
-                        node: self.node.index() as u64,
-                        peer: relay.index() as u64,
-                        hop: "packetize".to_string(),
-                        lecture: ctx.lecture,
-                        segment: ctx.segment,
-                    },
-                );
-            }
+            // The fetch dead-ends here; close the span so the trace still
+            // balances.
+            packetize(&self.obs, false);
             return;
         };
         let seg_pkts = self.segment_packets as usize;
         let total_packets = file.packets.len() as u32;
         let total_segments = file.packets.len().div_ceil(seg_pkts) as u32;
-        let start_packet = at_time.map(|to| {
-            file.index.as_ref().map_or_else(
-                || {
-                    file.packets
-                        .iter()
-                        .position(|p| p.send_time >= to)
-                        .unwrap_or(file.packets.len()) as u32
-                },
-                |idx| idx.packet_for(to),
-            )
-        });
+        let start_packet = at_time.map(|to| file.packet_at(to));
         let segment = start_packet.map_or(segment, |p| p / self.segment_packets);
         let base = segment as usize * seg_pkts;
         let packets: Vec<DataPacket> = file
@@ -892,18 +841,7 @@ impl StreamingServer {
         let bytes = data.wire_bytes();
         self.metrics.segments_served += 1;
         self.metrics.payload_bytes_sent += bytes;
-        if let Some(ctx) = trace {
-            self.obs.emit(
-                span_at,
-                Event::SpanClose {
-                    node: self.node.index() as u64,
-                    peer: relay.index() as u64,
-                    hop: "packetize".to_string(),
-                    lecture: ctx.lecture,
-                    segment: ctx.segment,
-                },
-            );
-        }
+        packetize(&self.obs, false);
         let _ = net.send_reliable(self.node, relay, bytes, Wire::Segment(data));
     }
 
@@ -943,49 +881,22 @@ impl StreamingServer {
                 && restored.is_none();
             if let (Some(nominal), true) = (nominal, is_new) {
                 let committed: u64 = self.sessions.iter().map(|s| s.effective_bps).sum();
-                if self.sessions.len() as u64 >= u64::from(policy.max_sessions)
-                    || committed.saturating_add(nominal) > policy.capacity_bps
-                {
+                if policy.refuses(self.sessions.len(), committed, nominal) {
                     self.metrics.sessions_shed += 1;
-                    self.obs.emit(
-                        now,
-                        Event::AdmissionShed {
-                            node: self.node.index() as u64,
-                            client: client.index() as u64,
-                        },
-                    );
-                    let busy = Wire::Busy {
-                        retry_after: policy.retry_after,
-                        alternate: None,
-                    };
-                    let bytes = busy.wire_bytes(0);
-                    let _ = net.send_reliable(self.node, client, bytes, busy);
+                    policy.shed(net, &self.obs, now, self.node, client);
                     return;
                 }
             }
         }
         let (header, source, rate, first_packet) = if let Some(file) = self.stored.get(content) {
             // Resume mid-file (a redirect handoff or a client retry from
-            // its playback horizon): start at the indexed packet instead
-            // of re-sending the whole prefix.
-            let first_packet = if start == 0 {
-                0
-            } else {
-                file.index.as_ref().map_or_else(
-                    || {
-                        file.packets
-                            .iter()
-                            .position(|p| p.send_time >= start)
-                            .unwrap_or(file.packets.len())
-                    },
-                    |idx| idx.packet_for(start) as usize,
-                )
-            };
+            // its playback horizon): start at the seek packet instead of
+            // re-sending the whole prefix.
             (
                 StreamHeader::of(file, self.epoch),
                 SourceRef::Stored(content.to_string()),
                 file.props.max_bitrate,
-                first_packet,
+                file.packet_at(start) as usize,
             )
         } else if let Some(feed) = self.live.get(content) {
             let mut header = feed.header.clone();
@@ -1053,13 +964,9 @@ impl StreamingServer {
             source,
             next_packet: first_packet,
             next_script: 0,
-            base_time: now.saturating_sub(start),
-            paused: false,
-            paused_at: 0,
-            // Pace at 2x the (possibly degraded) bitrate so the client
-            // can build preroll; the burst covers at least the driver's
-            // polling cadence (100 ms).
-            pacer: Session::pacer_for(effective_bps, packet_size),
+            playhead: Playhead::new(now, start),
+            // Paced at the (possibly degraded) bitrate.
+            pacer: session_pacer(effective_bps, packet_size),
             stream_filter: self.pending_filters.remove(&client),
             eos_sent: false,
             last_activity: now,
@@ -1083,7 +990,7 @@ impl StreamingServer {
     /// Sends every packet that is due at `now` on every session.
     pub fn poll(&mut self, net: &mut impl Transport<Wire>, now: u64) {
         for s in &mut self.sessions {
-            if s.paused || s.eos_sent {
+            if s.playhead.is_paused() || s.eos_sent {
                 continue;
             }
             // Set on any state transition worth journaling (rung change,
@@ -1196,7 +1103,7 @@ impl StreamingServer {
             }
             while s.next_packet < packets.len() {
                 let p = &packets[s.next_packet];
-                if p.send_time + s.base_time > now {
+                if !s.playhead.is_due(p.send_time, now) {
                     break;
                 }
                 // Backpressure (the TCP send window of the era's HTTP
@@ -1464,6 +1371,93 @@ pub(crate) mod tests {
         );
         server.poll(&mut net, 62_000_000);
         assert!(net.in_flight() >= before);
+    }
+
+    /// Pause at 1 s, seek to 4 s at 100 s, resume at 101 s: playback
+    /// continues from 4 s at once, not after the 99 s the session spent
+    /// paused before the seek.
+    #[test]
+    fn seek_while_paused_resumes_at_the_seek_target() {
+        let (mut net, mut server, c) = setup();
+        let play = ControlRequest::Play {
+            content: "lec".into(),
+            from: 0,
+        };
+        server.on_message(&mut net, 0, c, Wire::Request(play));
+        server.poll(&mut net, 5_000_000);
+        server.on_message(
+            &mut net,
+            10_000_000,
+            c,
+            Wire::Request(ControlRequest::Pause),
+        );
+        let seek = ControlRequest::Seek { to: 40_000_000 };
+        server.on_message(&mut net, 1_000_000_000, c, Wire::Request(seek));
+        server.poll(&mut net, 1_005_000_000);
+        let resume = Wire::Request(ControlRequest::Resume);
+        server.on_message(&mut net, 1_010_000_000, c, resume);
+        let before = server.metrics().payload_bytes_sent;
+        for t in (1_010_000_000..=1_020_000_000).step_by(1_000_000) {
+            server.poll(&mut net, t);
+        }
+        assert!(
+            server.metrics().payload_bytes_sent > before,
+            "nothing sent in the second after the resume"
+        );
+    }
+
+    /// The seek rule is one rule: on an indexed and an unindexed file, a
+    /// Play from `t`, a Seek to `t` and a relay's time-resolved fetch at
+    /// `t` all start at the same packet.
+    #[test]
+    fn play_seek_and_fetch_start_at_the_same_packet() {
+        let world = || {
+            let (net, mut server, c) = setup();
+            let mut raw = test_file(40, 2_000_000);
+            raw.index = None;
+            server.publish("raw", raw);
+            (net, server, c)
+        };
+        let request = |server: &mut StreamingServer, net: &mut Network<Wire>, c, req| {
+            server.on_message(net, 0, c, Wire::Request(req));
+        };
+        for content in ["lec", "raw"] {
+            for t in [0, 3_000_000, 40_000_000, 77_000_000, 1_000_000_000] {
+                let play = |from| ControlRequest::Play {
+                    content: content.into(),
+                    from,
+                };
+                let (mut net, mut server, c) = world();
+                request(&mut server, &mut net, c, play(t));
+                let from_play = server.sessions[0].next_packet;
+
+                let (mut net, mut server, c) = world();
+                request(&mut server, &mut net, c, play(0));
+                request(&mut server, &mut net, c, ControlRequest::Seek { to: t });
+                assert_eq!(
+                    server.sessions[0].next_packet, from_play,
+                    "{content} seek {t}"
+                );
+
+                let (mut net, mut server, c) = world();
+                let fetch = ControlRequest::FetchSegment {
+                    content: content.into(),
+                    segment: 0,
+                    at_time: Some(t),
+                    want_header: false,
+                    trace: None,
+                };
+                request(&mut server, &mut net, c, fetch);
+                let start =
+                    net.advance_to(1_000_000_000)
+                        .into_iter()
+                        .find_map(|d| match d.message {
+                            Wire::Segment(seg) => seg.start_packet,
+                            _ => None,
+                        });
+                assert_eq!(start, Some(from_play as u32), "{content} fetch {t}");
+            }
+        }
     }
 
     #[test]

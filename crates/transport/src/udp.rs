@@ -37,33 +37,6 @@ use crate::{Transport, TICKS_PER_SECOND};
 /// widest NACK span one frame can carry).
 const MISSING_CAP: usize = 512;
 
-/// Emits one transport-hop span edge for a traced frame. Centralized so
-/// every hook pays the `hop` allocation only when a recorder is armed.
-fn emit_span(obs: &Recorder, at: u64, open: bool, node: u64, peer: u64, hop: &str, ctx: TraceCtx) {
-    if !obs.is_enabled() {
-        return;
-    }
-    let (hop, lecture, segment) = (hop.to_string(), ctx.lecture, ctx.segment);
-    let event = if open {
-        Event::SpanOpen {
-            node,
-            peer,
-            hop,
-            lecture,
-            segment,
-        }
-    } else {
-        Event::SpanClose {
-            node,
-            peer,
-            hop,
-            lecture,
-            segment,
-        }
-    };
-    obs.emit(at, event);
-}
-
 /// Knobs for a [`UdpTransport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpConfig {
@@ -439,15 +412,8 @@ impl<M: WireCodec> UdpTransport<M> {
             // "pace" spans the pacer/fault stage: open here, closed by
             // `raw_send` when the datagram actually reaches the socket
             // (or by the fault stage when it eats the frame).
-            emit_span(
-                &self.obs,
-                now,
-                true,
-                self.node.index() as u64,
-                dst.index() as u64,
-                "pace",
-                ctx,
-            );
+            let (node, peer) = (self.node.index() as u64, dst.index() as u64);
+            self.obs.span(now, true, node, peer, "pace", ctx);
         }
         if let Some(repair) = self.cfg.repair {
             let sent_seq = *seq - 1;
@@ -496,7 +462,7 @@ impl<M: WireCodec> UdpTransport<M> {
                         // later if the segment is recovered).
                         if let Some(ctx) = peek_trace(frame) {
                             let (node, peer) = (self.node.index() as u64, dst.index() as u64);
-                            emit_span(&self.obs, now, false, node, peer, "pace", ctx);
+                            self.obs.span(now, false, node, peer, "pace", ctx);
                         }
                         return;
                     }
@@ -529,7 +495,7 @@ impl<M: WireCodec> UdpTransport<M> {
                     let node = self.node.index() as u64;
                     let peer = self.by_addr.get(&addr).map(|p| p.index() as u64);
                     if let Some(peer) = peer {
-                        emit_span(&self.obs, now, false, node, peer, "pace", ctx);
+                        self.obs.span(now, false, node, peer, "pace", ctx);
                     }
                 }
             }
@@ -662,19 +628,12 @@ impl<M: WireCodec> UdpTransport<M> {
                 } else {
                     "wire"
                 };
-                emit_span(
-                    &self.obs,
-                    header.sent_at.min(now),
-                    true,
-                    node,
-                    peer,
-                    hop,
-                    ctx,
-                );
-                emit_span(&self.obs, now, false, node, peer, hop, ctx);
+                self.obs
+                    .span(header.sent_at.min(now), true, node, peer, hop, ctx);
+                self.obs.span(now, false, node, peer, hop, ctx);
                 // "reorder" opens at arrival and closes when the frame
                 // leaves the resequencing buffer (possibly right now).
-                emit_span(&self.obs, now, true, node, peer, "reorder", ctx);
+                self.obs.span(now, true, node, peer, "reorder", ctx);
             }
             let buffer = self
                 .reorder
@@ -690,7 +649,7 @@ impl<M: WireCodec> UdpTransport<M> {
             for (bytes, trace, message) in buffer.accept(header.seq, now, entry) {
                 if let Some(ctx) = trace {
                     let (node, peer) = (self.node.index() as u64, src.index() as u64);
-                    emit_span(&self.obs, now, false, node, peer, "reorder", ctx);
+                    self.obs.span(now, false, node, peer, "reorder", ctx);
                 }
                 out.push(Delivery {
                     time: now,
@@ -869,7 +828,7 @@ impl<M: WireCodec> UdpTransport<M> {
                 for (bytes, trace, message) in released {
                     if let Some(ctx) = trace {
                         let (n, p) = (node.index() as u64, src_index as u64);
-                        emit_span(&self.obs, now, false, n, p, "reorder", ctx);
+                        self.obs.span(now, false, n, p, "reorder", ctx);
                     }
                     out.push(Delivery {
                         time: now,
@@ -925,7 +884,7 @@ impl<M: WireCodec> UdpTransport<M> {
             for (bytes, trace, message) in buffer.flush_due(now) {
                 if let Some(ctx) = trace {
                     let (n, p) = (node.index() as u64, src_index as u64);
-                    emit_span(&self.obs, now, false, n, p, "reorder", ctx);
+                    self.obs.span(now, false, n, p, "reorder", ctx);
                 }
                 out.push(Delivery {
                     time: now,
