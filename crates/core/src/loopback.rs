@@ -124,7 +124,6 @@ pub fn serve_loopback_udp(
             _ if !cfg.chaos.is_empty() => t.set_egress_faults(FaultSpec::loss(seed, 0)),
             _ => {}
         }
-        t.set_manual_now(0);
         transports.push(t);
     }
     let (fabric, packets) = (Sockets(transports), Some(segment_packets as u32));

@@ -34,7 +34,7 @@ mod span;
 mod timeline;
 
 pub use event::{parse_event, parse_jsonl, Event, EventRecord};
-pub use metrics::{parse_prometheus, Histogram, Registry, TICK_BOUNDS};
+pub use metrics::{Histogram, Registry, TICK_BOUNDS};
 pub use recorder::Recorder;
 pub use span::{
     fmt_ticks, lecture_id, sampled, splitmix64, HopStats, SegmentTrace, SpanAssembler, SpanRow,

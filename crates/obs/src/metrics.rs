@@ -261,150 +261,6 @@ impl Registry {
     }
 }
 
-/// Parser state for one histogram exposition block.
-struct HistBlock {
-    name: String,
-    bounds: Vec<u64>,
-    cumulative: Vec<u64>,
-    sum: Option<u64>,
-    count: Option<u64>,
-    saw_inf: bool,
-}
-
-impl HistBlock {
-    /// Validates the finished block and installs it into `reg`,
-    /// de-cumulating the `le` bucket counts back to per-bucket counts.
-    fn finish(self, reg: &mut Registry) -> Result<(), String> {
-        let name = self.name;
-        if !self.saw_inf {
-            return Err(format!("histogram {name} missing +Inf bucket"));
-        }
-        let sum = self
-            .sum
-            .ok_or_else(|| format!("histogram {name} missing _sum"))?;
-        let count = self
-            .count
-            .ok_or_else(|| format!("histogram {name} missing _count"))?;
-        if self.cumulative.last() != Some(&count) {
-            return Err(format!(
-                "histogram {name} +Inf bucket disagrees with _count"
-            ));
-        }
-        if !self.bounds.windows(2).all(|w| w[0] < w[1]) {
-            return Err(format!("histogram {name} bounds not strictly increasing"));
-        }
-        let mut counts = Vec::with_capacity(self.cumulative.len());
-        let mut prev = 0u64;
-        for &c in &self.cumulative {
-            if c < prev {
-                return Err(format!("histogram {name} cumulative counts decrease"));
-            }
-            counts.push(c - prev);
-            prev = c;
-        }
-        reg.histograms.insert(
-            name,
-            Histogram {
-                bounds: self.bounds,
-                counts,
-                sum,
-                count,
-            },
-        );
-        Ok(())
-    }
-}
-
-enum Section {
-    Counter,
-    Gauge,
-    Hist(HistBlock),
-}
-
-/// Parses a text exposition produced by [`Registry::render`] back into a
-/// [`Registry`]. The exact inverse on well-formed input —
-/// `parse_prometheus(&r.render()) == Ok(r)` — and an error (never a
-/// panic) on anything malformed: samples before a `# TYPE` header,
-/// non-integer values, histograms missing their `+Inf` bucket, `_sum` or
-/// `_count`, or cumulative bucket counts that decrease.
-pub fn parse_prometheus(text: &str) -> Result<Registry, String> {
-    let mut reg = Registry::new();
-    let mut section: Option<Section> = None;
-    for line in text.lines() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            if let Some(Section::Hist(block)) = section.take() {
-                block.finish(&mut reg)?;
-            }
-            let (name, kind) = rest
-                .rsplit_once(' ')
-                .ok_or_else(|| format!("malformed TYPE header: {line}"))?;
-            section = Some(match kind {
-                "counter" => Section::Counter,
-                "gauge" => Section::Gauge,
-                "histogram" => Section::Hist(HistBlock {
-                    name: name.to_string(),
-                    bounds: Vec::new(),
-                    cumulative: Vec::new(),
-                    sum: None,
-                    count: None,
-                    saw_inf: false,
-                }),
-                other => return Err(format!("unknown metric type {other}: {line}")),
-            });
-            continue;
-        }
-        let (name, value) = line
-            .rsplit_once(' ')
-            .ok_or_else(|| format!("malformed sample line: {line}"))?;
-        let value: u64 = value
-            .parse()
-            .map_err(|e| format!("non-integer value in {line}: {e}"))?;
-        match &mut section {
-            None => return Err(format!("sample before any # TYPE header: {line}")),
-            Some(Section::Counter) => {
-                reg.counters.insert(name.to_string(), value);
-            }
-            Some(Section::Gauge) => {
-                reg.gauges.insert(name.to_string(), value);
-            }
-            Some(Section::Hist(block)) => {
-                let suffix = name.strip_prefix(block.name.as_str()).ok_or_else(|| {
-                    format!("sample {name} inside histogram block {}", block.name)
-                })?;
-                if let Some(le) = suffix
-                    .strip_prefix("_bucket{le=\"")
-                    .and_then(|s| s.strip_suffix("\"}"))
-                {
-                    if block.saw_inf {
-                        return Err(format!("bucket after +Inf in histogram {}", block.name));
-                    }
-                    if le == "+Inf" {
-                        block.saw_inf = true;
-                    } else {
-                        block
-                            .bounds
-                            .push(le.parse().map_err(|e| format!("bad le bound {le}: {e}"))?);
-                    }
-                    block.cumulative.push(value);
-                } else if suffix == "_sum" {
-                    block.sum = Some(value);
-                } else if suffix == "_count" {
-                    block.count = Some(value);
-                } else {
-                    return Err(format!("unexpected histogram sample: {line}"));
-                }
-            }
-        }
-    }
-    if let Some(Section::Hist(block)) = section.take() {
-        block.finish(&mut reg)?;
-    }
-    Ok(reg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -483,40 +339,6 @@ lod_startup_ticks_sum 7
 lod_startup_ticks_count 1
 ";
         assert_eq!(text, expected);
-    }
-
-    #[test]
-    fn exposition_round_trips_exactly() {
-        let mut r = Registry::new();
-        r.counter_add("lod_events_total{kind=\"stall_start\"}", 2);
-        r.counter_add("lod_bytes_total", 99);
-        r.gauge_set("lod_session_ticks", 1234);
-        r.gauge_set("lod_events_dropped", 7);
-        r.observe("lod_startup_ticks", &TICK_BOUNDS, 7);
-        r.observe("lod_startup_ticks", &TICK_BOUNDS, 123_456_789);
-        r.observe("lod_trace_hop_ticks{hop=\"wire\"}", &[10, 100], 55);
-        let text = r.render();
-        let back = parse_prometheus(&text).expect("parse");
-        assert_eq!(back, r);
-        assert_eq!(back.render(), text);
-    }
-
-    #[test]
-    fn parse_prometheus_rejects_malformed_expositions() {
-        assert!(parse_prometheus("lod_x 1").is_err(), "sample before TYPE");
-        assert!(parse_prometheus("# TYPE lod_x counter\nlod_x one").is_err());
-        assert!(parse_prometheus("# TYPE lod_x widget\n").is_err());
-        // Histogram with no +Inf bucket.
-        let no_inf = "# TYPE h histogram\nh_bucket{le=\"10\"} 1\nh_sum 5\nh_count 1\n";
-        assert!(parse_prometheus(no_inf).is_err());
-        // Cumulative counts that decrease.
-        let decreasing = "# TYPE h histogram\nh_bucket{le=\"10\"} 2\n\
-                          h_bucket{le=\"+Inf\"} 1\nh_sum 5\nh_count 1\n";
-        assert!(parse_prometheus(decreasing).is_err());
-        // +Inf bucket disagreeing with _count.
-        let off_count = "# TYPE h histogram\nh_bucket{le=\"10\"} 1\n\
-                         h_bucket{le=\"+Inf\"} 1\nh_sum 5\nh_count 2\n";
-        assert!(parse_prometheus(off_count).is_err());
     }
 
     #[test]

@@ -33,7 +33,6 @@ use std::collections::BTreeMap;
 use std::fmt::Write;
 
 use crate::event::{Event, EventRecord};
-use crate::metrics::{Registry, TICK_BOUNDS};
 
 /// Compact trace context for one sampled segment delivery. 32 bytes on
 /// the wire (four little-endian u64s), cheap enough to stamp into every
@@ -150,11 +149,13 @@ impl SegmentTrace {
             out.push_str("  (no spans)\n");
             return out;
         }
+        // A span that closes before it opens (a skewed or hand-edited
+        // log) still lies inside [t0, t1], so every bar fits the width.
         let t0 = self.spans.iter().map(|s| s.open).min().unwrap_or(0);
         let t1 = self
             .spans
             .iter()
-            .map(|s| s.close.unwrap_or(s.open))
+            .map(|s| s.close.map_or(s.open, |c| c.max(s.open)))
             .max()
             .unwrap_or(t0);
         let total = (t1 - t0).max(1);
@@ -203,15 +204,12 @@ pub struct HopStats {
 
 /// Reconstructs per-segment waterfalls from span events in a merged
 /// JSONL log. Feed it every record (non-span events are ignored), then
-/// ask for individual [`SegmentTrace`]s, aggregate [`HopStats`], or
-/// per-hop latency [`Histogram`]s via [`SpanAssembler::feed_histograms`].
+/// ask for individual [`SegmentTrace`]s or aggregate [`HopStats`].
 ///
 /// Duplicate opens keep the earliest tick and duplicate closes the
 /// latest (fault-injected duplicate frames legitimately double-close a
 /// `pace` span); closes without a matching open are counted in
 /// [`SpanAssembler::stray_closes`] but otherwise ignored.
-///
-/// [`Histogram`]: crate::Histogram
 #[derive(Debug, Default)]
 pub struct SpanAssembler {
     // (lecture, segment) -> (node, peer, hop) -> (open, close)
@@ -365,22 +363,6 @@ impl SpanAssembler {
             })
             .collect()
     }
-
-    /// Feeds every closed span's duration into per-hop tick histograms
-    /// named `lod_trace_hop_ticks{hop="…"}` over [`TICK_BOUNDS`].
-    pub fn feed_histograms(&self, reg: &mut Registry) {
-        for spans in self.segments.values() {
-            for ((_, _, hop), (open, close)) in spans {
-                if let (Some(o), Some(c)) = (open, close) {
-                    reg.observe(
-                        &format!("lod_trace_hop_ticks{{hop=\"{hop}\"}}"),
-                        &TICK_BOUNDS,
-                        c.saturating_sub(*o),
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// Nearest-rank percentile over a sorted slice, `permille` in [0, 1000].
@@ -465,6 +447,33 @@ mod tests {
     }
 
     #[test]
+    fn waterfall_fits_spans_that_close_before_they_open() {
+        // An unsorted log can hand the assembler a close ticked before
+        // its open; the waterfall must still draw every bar in the width.
+        let bars = |records: &[EventRecord]| {
+            let mut asm = SpanAssembler::new();
+            asm.ingest_all(records);
+            let art = asm.trace(None, 0).expect("trace").waterfall(20);
+            art.lines()
+                .skip(1)
+                .map(|l| l.split('|').nth(1).expect("bar").chars().count())
+                .collect::<Vec<_>>()
+        };
+        let alone = [
+            span(100, true, 2, 3, "reorder", 0),
+            span(50, false, 2, 3, "reorder", 0),
+        ];
+        assert_eq!(bars(&alone), [21]);
+        let after_a_lawful_span = [
+            span(0, true, 1, 2, "wire", 0),
+            span(10, false, 1, 2, "wire", 0),
+            alone[0].clone(),
+            alone[1].clone(),
+        ];
+        assert_eq!(bars(&after_a_lawful_span), [21, 21]);
+    }
+
+    #[test]
     fn duplicate_opens_and_closes_collapse_to_widest_span() {
         let mut asm = SpanAssembler::new();
         asm.ingest_all(&[
@@ -488,7 +497,7 @@ mod tests {
     }
 
     #[test]
-    fn hop_stats_and_histograms_cover_closed_spans() {
+    fn hop_stats_cover_closed_spans() {
         let mut asm = SpanAssembler::new();
         for seg in 0..10u64 {
             asm.ingest(&span(0, true, 1, 2, "wire", seg));
@@ -500,13 +509,6 @@ mod tests {
         assert_eq!(stats[0].count, 10);
         assert_eq!(stats[0].p50, 5000);
         assert_eq!(stats[0].p99, 10_000);
-        let mut reg = Registry::new();
-        asm.feed_histograms(&mut reg);
-        let text = reg.render();
-        assert!(
-            text.contains("lod_trace_hop_ticks{hop=\"wire\"}_count 10"),
-            "{text}"
-        );
     }
 
     #[test]

@@ -201,7 +201,7 @@ pub fn session_timelines(events: &[EventRecord]) -> Vec<SessionTimeline> {
                     start,
                     ticks: *stall_ticks,
                 });
-                t.stall_ticks += *stall_ticks;
+                t.stall_ticks = t.stall_ticks.saturating_add(*stall_ticks);
             }
             Event::Downshift {
                 client,
@@ -523,7 +523,7 @@ pub fn check_causal(events: &[EventRecord]) -> CausalReport {
                 let asked = nack_ranges.get(&(*peer, *node)).is_some_and(|ranges| {
                     ranges
                         .iter()
-                        .any(|&(base, span)| *seq >= base && *seq < base + span)
+                        .any(|&(base, span)| *seq >= base && *seq - base < span)
                 });
                 if !asked {
                     report.unmatched_retransmits += 1;
@@ -709,6 +709,51 @@ mod tests {
         let tls = vec![a, b, c];
         let worst: Vec<u64> = worst_by_stall(&tls, 2).iter().map(|t| t.client).collect();
         assert_eq!(worst, vec![2, 1]);
+    }
+
+    #[test]
+    fn stall_ticks_saturate_instead_of_overflowing() {
+        let stall = |at| {
+            rec(
+                at,
+                Event::StallEnd {
+                    client: 1,
+                    stall_ticks: u64::MAX,
+                },
+            )
+        };
+        let tl = session_timelines(&[stall(10), stall(20)]);
+        assert_eq!(tl[0].stall_ticks, u64::MAX);
+        assert_eq!(tl[0].stalls.len(), 2);
+        assert!(tl[0].render().contains("stalled for"));
+    }
+
+    #[test]
+    fn nack_at_the_top_of_the_sequence_space_covers_its_range() {
+        let resend = |seq| {
+            rec(
+                20,
+                Event::Retransmit {
+                    node: 1,
+                    peer: 5,
+                    seq,
+                    attempt: 1,
+                },
+            )
+        };
+        let nack = rec(
+            10,
+            Event::NackSent {
+                node: 5,
+                peer: 1,
+                base_seq: u64::MAX,
+                span: 3,
+            },
+        );
+        let r = check_causal(&[nack.clone(), resend(u64::MAX)]);
+        assert_eq!((r.retransmits, r.unmatched_retransmits), (1, 0));
+        let r = check_causal(&[nack, resend(u64::MAX - 1)]);
+        assert_eq!((r.retransmits, r.unmatched_retransmits), (1, 1));
     }
 
     #[test]

@@ -10,11 +10,8 @@
 //! promotion the standby resumes each session from its checkpointed
 //! horizon via the ordinary `Play{from>0}` machinery.
 //!
-//! Everything here is integer-only and hand-rolled JSONL in the exact
-//! `lod-obs` conventions (fixed field order, unquoted integers, `\"` and
-//! `\\` string escapes), so a replicated journal is byte-identical across
-//! seeded replays and survives a serialize → parse round trip
-//! bit-for-bit. Replication lag is *bounded but nonzero* by design: the
+//! Replication hands the drained entries to the standby in memory, in
+//! append order. Replication lag is *bounded but nonzero* by design: the
 //! standby's view is stale-but-consistent, never corrupt — any prefix of
 //! the journal is a valid state.
 
@@ -23,10 +20,9 @@ use std::collections::BTreeMap;
 /// Compact snapshot of one streaming session, sufficient to resume it on
 /// a promoted standby: who, what, how far, and at which degrade rung.
 ///
-/// All counters are integers (bools ride as 0/1 on the wire) so the
-/// journal serializes byte-stably. The admission seat is implicit: a
-/// checkpointed, non-ended session *owns* a seat, and the standby honors
-/// it by admitting the resume without charging the admission budget.
+/// The admission seat is implicit: a checkpointed, non-ended session
+/// *owns* a seat, and the standby honors it by admitting the resume
+/// without charging the admission budget.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SessionCheckpoint {
     /// Client node index.
@@ -56,131 +52,6 @@ pub struct JournalEntry {
     pub at: u64,
     /// The session snapshot.
     pub ckpt: SessionCheckpoint,
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c => out.push(c),
-        }
-    }
-}
-
-impl JournalEntry {
-    /// Serializes the entry as one flat JSON object (no trailing
-    /// newline). Field order is fixed, so equal entries always produce
-    /// equal bytes.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write;
-        let c = &self.ckpt;
-        let mut out = String::with_capacity(96);
-        let _ = write!(
-            out,
-            "{{\"at\":{},\"client\":{},\"content\":\"",
-            self.at, c.client
-        );
-        escape_into(&mut out, &c.content);
-        let _ = write!(
-            out,
-            "\",\"next_packet\":{},\"effective_bps\":{},\"keep_num\":{},\"keep_den\":{},\
-             \"live\":{},\"ended\":{}}}",
-            c.next_packet,
-            c.effective_bps,
-            c.keep_num,
-            c.keep_den,
-            u64::from(c.live),
-            u64::from(c.ended),
-        );
-        out
-    }
-
-    /// Parses one journal line produced by [`JournalEntry::to_json`].
-    pub fn parse(line: &str) -> Result<Self, String> {
-        let inner = line
-            .trim()
-            .strip_prefix('{')
-            .and_then(|s| s.strip_suffix('}'))
-            .ok_or_else(|| format!("not a JSON object: {line}"))?;
-        let mut nums: BTreeMap<String, u64> = BTreeMap::new();
-        let mut content: Option<String> = None;
-        let mut chars = inner.chars().peekable();
-        loop {
-            while matches!(chars.peek(), Some(',') | Some(' ')) {
-                chars.next();
-            }
-            if chars.peek().is_none() {
-                break;
-            }
-            if chars.next() != Some('"') {
-                return Err(format!("expected key quote in: {line}"));
-            }
-            let mut key = String::new();
-            for c in chars.by_ref() {
-                if c == '"' {
-                    break;
-                }
-                key.push(c);
-            }
-            if chars.next() != Some(':') {
-                return Err(format!("expected ':' after key {key} in: {line}"));
-            }
-            match chars.peek() {
-                Some('"') => {
-                    chars.next();
-                    let mut s = String::new();
-                    let mut escaped = false;
-                    for c in chars.by_ref() {
-                        if escaped {
-                            s.push(c);
-                            escaped = false;
-                        } else if c == '\\' {
-                            escaped = true;
-                        } else if c == '"' {
-                            break;
-                        } else {
-                            s.push(c);
-                        }
-                    }
-                    if key == "content" {
-                        content = Some(s);
-                    } else {
-                        return Err(format!("unexpected string field {key} in: {line}"));
-                    }
-                }
-                Some(c) if c.is_ascii_digit() => {
-                    let mut n = String::new();
-                    while matches!(chars.peek(), Some(c) if c.is_ascii_digit()) {
-                        n.push(chars.next().expect("peeked"));
-                    }
-                    let v = n
-                        .parse::<u64>()
-                        .map_err(|e| format!("bad number {n}: {e}"))?;
-                    nums.insert(key, v);
-                }
-                other => return Err(format!("unsupported value start {other:?} in: {line}")),
-            }
-        }
-        let num = |key: &str| -> Result<u64, String> {
-            nums.get(key)
-                .copied()
-                .ok_or_else(|| format!("missing field {key} in: {line}"))
-        };
-        Ok(Self {
-            at: num("at")?,
-            ckpt: SessionCheckpoint {
-                client: num("client")?,
-                content: content.ok_or_else(|| format!("missing field content in: {line}"))?,
-                next_packet: num("next_packet")?,
-                effective_bps: num("effective_bps")?,
-                keep_num: num("keep_num")?,
-                keep_den: num("keep_den")?,
-                live: num("live")? != 0,
-                ended: num("ended")? != 0,
-            },
-        })
-    }
 }
 
 /// The origin's outbound checkpoint stream.
@@ -221,25 +92,6 @@ impl SessionJournal {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Serializes the queued tail as JSONL, one entry per line, in append
-    /// order. Byte-identical across seeded replays.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.entries.len() * 96);
-        for e in &self.entries {
-            out.push_str(&e.to_json());
-            out.push('\n');
-        }
-        out
-    }
-}
-
-/// Parses a JSONL journal dump back into entries, in order.
-pub fn parse_journal(text: &str) -> Result<Vec<JournalEntry>, String> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .map(JournalEntry::parse)
-        .collect()
 }
 
 /// The standby's replicated view: latest checkpoint per client.
@@ -321,42 +173,20 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_bit_for_bit() {
-        // Every session field — horizon, degrade rung, thinning ratio,
-        // mode, terminality — survives serialize → parse exactly, across
-        // hundreds of generated cases including quote/backslash names.
-        for case in 0..400u64 {
-            let e = JournalEntry {
-                at: splitmix64(case) % 1_000_000_000,
-                ckpt: gen_ckpt(0xC0FFEE, case),
-            };
-            let line = e.to_json();
-            let back = JournalEntry::parse(&line).expect("parses");
-            assert_eq!(back, e, "case {case}: {line}");
-            // And the re-serialization is byte-identical.
-            assert_eq!(back.to_json(), line, "case {case}");
-        }
-    }
-
-    #[test]
-    fn journal_jsonl_round_trips_in_order() {
+    fn drain_returns_entries_in_append_order() {
         let mut j = SessionJournal::new();
-        for i in 0..50u64 {
-            j.append(i * 10, gen_ckpt(7, i));
+        let appended: Vec<JournalEntry> = (0..50u64)
+            .map(|i| JournalEntry {
+                at: i * 10,
+                ckpt: gen_ckpt(7, i),
+            })
+            .collect();
+        for e in &appended {
+            j.append(e.at, e.ckpt.clone());
         }
-        let text = j.to_jsonl();
-        let parsed = parse_journal(&text).expect("parses");
-        assert_eq!(parsed.len(), 50);
-        let drained = j.drain();
-        assert_eq!(parsed, drained);
+        assert_eq!(j.len(), 50);
+        assert_eq!(j.drain(), appended);
         assert!(j.is_empty());
-    }
-
-    #[test]
-    fn parse_rejects_garbage() {
-        assert!(JournalEntry::parse("not json").is_err());
-        assert!(JournalEntry::parse("{\"at\":1}").is_err());
-        assert!(JournalEntry::parse("{\"at\":1,\"client\":2,\"content\":3}").is_err());
     }
 
     #[test]

@@ -72,9 +72,7 @@ pub mod retry;
 pub mod server;
 pub mod wire;
 
-pub use checkpoint::{
-    parse_journal, JournalEntry, SessionCheckpoint, SessionJournal, StandbyState,
-};
+pub use checkpoint::{JournalEntry, SessionCheckpoint, SessionJournal, StandbyState};
 pub use client::{ClientState, RenderEvent, StreamingClient};
 pub use ledger::{ClientSlots, SessionLedger};
 pub use metrics::{ClientMetrics, ServerMetrics};

@@ -10,16 +10,15 @@
 //! the same shape the simulator produces, so the state machines cannot
 //! tell the backends apart.
 //!
-//! Clocking: a fresh transport reads the wall clock (100 ns ticks since
-//! bind); a stepped driver (and every test) switches it to a manual
-//! clock, on which pacing, gap flushes, NACK timers and fault decisions
-//! are deterministic.
+//! Clocking: the transport keeps no clock of its own. It starts at tick
+//! 0, and the driver that steps it hands it the current tick with
+//! [`UdpTransport::set_manual_now`], so pacing, gap flushes, NACK timers
+//! and fault decisions are deterministic.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, UdpSocket};
-use std::time::Instant;
 
 use lod_obs::{Event, Recorder, TraceCtx};
 use lod_simnet::{Delivery, Fault, FaultTarget, NetworkError, NodeId, TokenBucket};
@@ -183,14 +182,6 @@ impl TransportStats {
     }
 }
 
-#[derive(Debug)]
-enum Clock {
-    /// Ticks since the transport was bound.
-    Wall(Instant),
-    /// Test-controlled time.
-    Manual(u64),
-}
-
 /// Per-peer heartbeat pacing: heartbeats fire only after the data path
 /// toward that peer goes quiet, and only a bounded burst of them — the
 /// receiver remembers the advertised top, so the advertisement needs to
@@ -229,7 +220,8 @@ pub struct UdpTransport<M> {
     pacer: Option<TokenBucket>,
     queue: VecDeque<(SocketAddr, Vec<u8>)>,
     queued_bytes: u64,
-    clock: Clock,
+    /// The tick the driver last handed in.
+    now: u64,
     cfg: UdpConfig,
     stats: TransportStats,
     obs: Recorder,
@@ -277,7 +269,7 @@ impl<M: WireCodec> UdpTransport<M> {
             pacer,
             queue: VecDeque::new(),
             queued_bytes: 0,
-            clock: Clock::Wall(Instant::now()),
+            now: 0,
             cfg,
             stats: TransportStats::default(),
             obs: Recorder::disabled(),
@@ -322,9 +314,9 @@ impl<M: WireCodec> UdpTransport<M> {
         self.by_addr.insert(addr, node);
     }
 
-    /// Switches to (or advances) the deterministic manual clock.
+    /// Sets the transport's clock to the driver's tick.
     pub fn set_manual_now(&mut self, now: u64) {
-        self.clock = Clock::Manual(now);
+        self.now = now;
     }
 
     /// Installs a seeded fault stage on this node's egress: every
@@ -991,12 +983,7 @@ impl<M: WireCodec> Transport<M> for UdpTransport<M> {
     }
 
     fn now(&self) -> u64 {
-        match &self.clock {
-            Clock::Wall(epoch) => {
-                u64::try_from(epoch.elapsed().as_nanos() / 100).unwrap_or(u64::MAX)
-            }
-            Clock::Manual(t) => *t,
-        }
+        self.now
     }
 
     fn link_up(&self, src: NodeId, dst: NodeId) -> bool {
@@ -1047,7 +1034,7 @@ mod tests {
     use super::*;
     use crate::frame::{self, Reader};
     use crate::CodecError;
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// Minimal codec-bearing message for transport-level tests (the
     /// real `Wire` codec lives in `lod-streaming`).
@@ -1083,8 +1070,6 @@ mod tests {
         let (a_addr, b_addr) = (a.local_addr(), b.local_addr());
         a.register_peer(b_id, b_addr);
         b.register_peer(a_id, a_addr);
-        a.set_manual_now(0);
-        b.set_manual_now(0);
         (a, b)
     }
 
@@ -1161,7 +1146,6 @@ mod tests {
             UdpTransport::bind_localhost(recv_id, UdpConfig::default())
                 .unwrap()
                 .with_recorder(recorder.clone());
-        rx.set_manual_now(0);
         let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
         rx.register_peer(sender_id, raw.local_addr().unwrap());
 
@@ -1206,7 +1190,6 @@ mod tests {
         let sender_id = NodeId::from_index(0);
         let mut rx: UdpTransport<TestMsg> =
             UdpTransport::bind_localhost(NodeId::from_index(1), cfg).unwrap();
-        rx.set_manual_now(0);
         let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
         rx.register_peer(sender_id, raw.local_addr().unwrap());
         // Seq 1 arrives; seq 2 is lost; 3 and 4 arrive and wait.
@@ -1286,7 +1269,6 @@ mod tests {
         let sender_id = NodeId::from_index(0);
         let mut rx: UdpTransport<TestMsg> =
             UdpTransport::bind_localhost(NodeId::from_index(1), UdpConfig::default()).unwrap();
-        rx.set_manual_now(0);
         let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
         rx.register_peer(sender_id, raw.local_addr().unwrap());
         raw.send_to(b"not a frame at all", rx.local_addr()).unwrap();
@@ -1569,7 +1551,6 @@ mod tests {
         let plan =
             lod_simnet::FaultPlan::new().loss_burst(100_000, 50_000, a.node(), b.node(), 999);
         let mut burst = lod_simnet::FaultInjector::new(plan);
-        a.set_manual_now(0);
         for id in 1..=2u64 {
             a.send(
                 a.node(),
@@ -1642,7 +1623,6 @@ mod tests {
         )
         .unwrap()
         .with_recorder(recorder.clone());
-        rx.set_manual_now(0);
         let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
         raw.set_nonblocking(true).unwrap();
         rx.register_peer(sender_id, raw.local_addr().unwrap());

@@ -1,7 +1,8 @@
 #!/bin/sh
 # The checks a change must pass before merging: formatting, lints with
 # warnings denied, the full workspace test suite (unit + doctests, and
-# with them both loopback UDP drills), the determinism gates — two
+# with them both loopback UDP drills), a release build of the wmps_bench
+# benchmark exactly as BENCHMARK.json builds it, the determinism gates — two
 # separate processes must emit byte-identical Q9–Q12/Q16/Q17 reports and
 # byte-identical event logs of a lossy loopback UDP deployment, because
 # everything is seeded and stepped and HashMap-order bugs only show up
@@ -45,6 +46,14 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "===== workspace tests (unit + doctests) ====="
 cargo test -q --offline --workspace
+
+echo "===== wmps_bench release build (as BENCHMARK.json builds it) ====="
+# The benchmark is its own package with its own lock file, outside the
+# workspace, so the stages above never compile it. Build it the way the
+# benchmark command does (release, offline, --locked): a removed public
+# item it uses, or a dependency its lock file lacks, fails here.
+cargo build --release --offline --locked --quiet \
+    --manifest-path crates/bench/src/bin/wmps_bench/Cargo.toml --target-dir target/wmps_bench
 
 echo "===== q9_chaos determinism (two runs, byte-identical reports) ====="
 tmpdir="$(mktemp -d)"
