@@ -41,6 +41,7 @@ pub use header::{FileProperties, StreamKind, StreamProperties};
 pub use index::AsfIndex;
 pub use mux::{write_asf, AsfFile};
 pub use packet::{
-    DataPacket, MediaSample, Packetizer, Payload, Reassembler, MAX_SAMPLE_BYTES, REASSEMBLY_WINDOW,
+    DataPacket, Keep, LengthReassembler, MediaSample, Packetizer, Payload, Reassembler,
+    MAX_SAMPLE_BYTES, REASSEMBLY_WINDOW,
 };
 pub use script::{ScriptCommand, ScriptCommandList};

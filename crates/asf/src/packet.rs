@@ -5,9 +5,12 @@
 //! samples are split across packets as *payload fragments*. The
 //! [`Packetizer`] performs the split; the [`Reassembler`] undoes it on the
 //! receiving side, tolerating packet loss (incomplete samples are simply
-//! never emitted) and out-of-order arrival.
+//! never emitted) and out-of-order arrival. Its rules see only each
+//! fragment's extent; a [`LengthReassembler`] applies them keeping no
+//! bytes, for a receiver that needs a sample's size, not its content.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
 use bytes::{BufMut, Bytes, BytesMut};
@@ -320,14 +323,92 @@ impl Packetizer {
     }
 }
 
-/// Largest sample the [`Reassembler`] will rebuild. `total` is a wire
+/// Largest sample a [`Reassembler`] will rebuild. `total` is a wire
 /// field: without a cap one crafted fragment sizes a 4 GiB buffer. Far
 /// above anything the encoder emits (slides are tens of kilobytes).
 pub const MAX_SAMPLE_BYTES: u32 = 16 << 20;
 
-/// Object ids per stream the [`Reassembler`] tracks at once. Ids more
+/// Object ids per stream a [`Reassembler`] tracks at once. Ids more
 /// than this far behind the newest one seen count as delivered.
 pub const REASSEMBLY_WINDOW: u32 = 1024;
+
+/// What a [`Reassembler`] keeps of each fragment beside its extent, and
+/// what it makes of a completed sample. The rules — which fragment is a
+/// duplicate, an overlap or a contradiction, when a sample is whole — see
+/// only extents, so they are the same whatever is kept.
+///
+/// [`Bytes`] keeps each fragment's view and completes [`MediaSample`]s;
+/// `()` keeps nothing and completes `(stream, pres_time, len)` (see
+/// [`LengthReassembler`]).
+pub trait Keep: Sized + fmt::Debug {
+    /// A completed sample.
+    type Sample: fmt::Debug;
+    /// What is kept of fragment `p`.
+    fn keep(p: &Payload) -> Self;
+    /// What is kept of a whole `total`-byte sample, joined from the
+    /// `(offset, len, kept)` of its fragments in arrival order: they
+    /// cover `0..total` exactly, without overlap.
+    fn join(total: u32, pieces: &mut [(u32, u32, Self)]) -> Self;
+    /// The completed `total`-byte sample.
+    fn sample(stream: u16, pres_time: u64, total: u32, whole: Self) -> Self::Sample;
+    /// `(pres_time, stream)` of a completed sample: the order
+    /// [`Reassembler::drain_completed`] hands them on in.
+    fn order(sample: &Self::Sample) -> (u64, u16);
+}
+
+impl Keep for Bytes {
+    type Sample = MediaSample;
+
+    fn keep(p: &Payload) -> Self {
+        p.data.clone()
+    }
+
+    /// Pieces that are adjacent windows of one backing — fragments the
+    /// packetizer sliced from one sample, in whatever order they arrived
+    /// — join into one view of it; anything else is copied once.
+    fn join(total: u32, pieces: &mut [(u32, u32, Self)]) -> Self {
+        pieces.sort_unstable_by_key(|&(offset, _, _)| offset);
+        let mut views = pieces.iter().map(|(_, _, b)| b);
+        let mut joined = views.next().cloned().unwrap_or_default();
+        if views.all(|b| joined.try_join(b)) {
+            return joined;
+        }
+        let mut data = BytesMut::with_capacity(total as usize);
+        for (_, _, b) in pieces.iter() {
+            data.put_slice(b);
+        }
+        data.freeze()
+    }
+
+    fn sample(stream: u16, pres_time: u64, _: u32, data: Self) -> MediaSample {
+        MediaSample {
+            stream,
+            pres_time,
+            data,
+        }
+    }
+
+    fn order(s: &MediaSample) -> (u64, u16) {
+        (s.pres_time, s.stream)
+    }
+}
+
+impl Keep for () {
+    /// `(stream, pres_time, len)`.
+    type Sample = (u16, u64, u32);
+
+    fn keep(_: &Payload) {}
+
+    fn join(_: u32, _: &mut [(u32, u32, ())]) {}
+
+    fn sample(stream: u16, pres_time: u64, total: u32, (): ()) -> (u16, u64, u32) {
+        (stream, pres_time, total)
+    }
+
+    fn order(&(stream, pres_time, _): &(u16, u64, u32)) -> (u64, u16) {
+        (pres_time, stream)
+    }
+}
 
 /// Rebuilds media samples from packets (loss- and reorder-tolerant).
 ///
@@ -337,18 +418,39 @@ pub const REASSEMBLY_WINDOW: u32 = 1024;
 /// seen; a partial sample it slides past is abandoned (and still counted
 /// by [`Reassembler::incomplete`]), and late fragments of anything below
 /// it are ignored like any other duplicate.
-#[derive(Debug, Default)]
-pub struct Reassembler {
+///
+/// `K` is what is kept of each fragment ([`Keep`]): by default its bytes,
+/// so completed samples are [`MediaSample`]s.
+#[derive(Debug)]
+pub struct Reassembler<K: Keep = Bytes> {
     /// A handful of streams: found by linear scan.
     streams: Vec<StreamWindow>,
     /// The one or two samples in flight (more only under loss), newest
     /// last: fragments arrive in order, so the scan runs from the back.
-    partial: Vec<PartialSample>,
+    partial: Vec<PartialSample<K>>,
     /// Partial samples the window slid past.
     abandoned: usize,
-    complete: Vec<MediaSample>,
+    complete: Vec<K::Sample>,
     /// Emptied `pieces` lists of finished partials, kept for the next one.
-    spare_pieces: Vec<Vec<(u32, Bytes)>>,
+    spare_pieces: Vec<Vec<(u32, u32, K)>>,
+}
+
+/// A [`Reassembler`] that keeps no fragment bytes: it completes each
+/// sample as `(stream, pres_time, len)`, for a receiver that only needs
+/// to know what arrived when. Same rules, same errors, same
+/// [`Reassembler::incomplete`] count.
+pub type LengthReassembler = Reassembler<()>;
+
+impl<K: Keep> Default for Reassembler<K> {
+    fn default() -> Self {
+        Self {
+            streams: Vec::new(),
+            partial: Vec::new(),
+            abandoned: 0,
+            complete: Vec::new(),
+            spare_pieces: Vec::new(),
+        }
+    }
 }
 
 /// Which objects of one stream were delivered: a ring of
@@ -403,38 +505,15 @@ impl StreamWindow {
 }
 
 #[derive(Debug)]
-struct PartialSample {
+struct PartialSample<K> {
     stream: u16,
     object_id: u32,
     pres_time: u64,
     total: u32,
     received: u32,
-    /// `(offset, view)` of every fragment received, in arrival order: the
-    /// views themselves, so nothing is copied until the sample is whole.
-    pieces: Vec<(u32, Bytes)>,
-}
-
-impl PartialSample {
-    /// The whole sample's bytes. Pieces that are adjacent windows of one
-    /// backing — fragments the packetizer sliced from one sample, in
-    /// whatever order they arrived — join into one view of it; anything
-    /// else is copied once. Leaves `pieces` empty for reuse.
-    fn assemble(&mut self) -> Bytes {
-        self.pieces.sort_unstable_by_key(|&(offset, _)| offset);
-        let mut views = self.pieces.iter().map(|(_, b)| b);
-        let mut joined = views.next().cloned().unwrap_or_default();
-        let data = if views.all(|b| joined.try_join(b)) {
-            joined
-        } else {
-            let mut data = BytesMut::with_capacity(self.total as usize);
-            for (_, b) in &self.pieces {
-                data.put_slice(b);
-            }
-            data.freeze()
-        };
-        self.pieces.clear();
-        data
-    }
+    /// `(offset, len, kept)` of every fragment received, in arrival
+    /// order: nothing is joined until the sample is whole.
+    pieces: Vec<(u32, u32, K)>,
 }
 
 impl Reassembler {
@@ -442,7 +521,9 @@ impl Reassembler {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<K: Keep> Reassembler<K> {
     /// Feeds one packet's payloads.
     ///
     /// # Errors
@@ -502,13 +583,11 @@ impl Reassembler {
                     self.abandoned += before - self.partial.len();
                 }
                 if p.offset == 0 && len == p.total as usize {
-                    // The whole sample in one fragment: hand the view on.
+                    // The whole sample in one fragment: hand it on.
                     window.mark_delivered(p.object_id);
-                    self.complete.push(MediaSample {
-                        stream: p.stream,
-                        pres_time: p.pres_time,
-                        data: p.data.clone(),
-                    });
+                    let whole = K::keep(p);
+                    self.complete
+                        .push(K::sample(p.stream, p.pres_time, p.total, whole));
                     return Ok(());
                 }
                 self.partial.push(PartialSample {
@@ -535,42 +614,41 @@ impl Reassembler {
         if entry
             .pieces
             .iter()
-            .any(|(o, b)| *o == offset && b.len() as u32 == len)
+            .any(|&(o, l, _)| o == offset && l == len)
         {
             return Ok(());
         }
-        if entry.pieces.iter().any(|(o, b)| {
-            let l = b.len() as u32;
-            offset < o + l && *o < offset + len
-        }) {
+        if entry
+            .pieces
+            .iter()
+            .any(|&(o, l, _)| offset < o + l && o < offset + len)
+        {
             return Err(mismatch);
         }
-        entry.pieces.push((offset, p.data.clone()));
+        entry.pieces.push((offset, len, K::keep(p)));
         entry.received += len;
         if entry.received >= entry.total {
             let mut done = self.partial.swap_remove(at);
             self.streams[w].mark_delivered(done.object_id);
-            let data = done.assemble();
+            let whole = K::join(done.total, &mut done.pieces);
+            done.pieces.clear();
             self.spare_pieces.push(done.pieces);
-            self.complete.push(MediaSample {
-                stream: done.stream,
-                pres_time: done.pres_time,
-                data,
-            });
+            self.complete
+                .push(K::sample(done.stream, done.pres_time, done.total, whole));
         }
         Ok(())
     }
 
     /// Drains completed samples, sorted by presentation time then stream.
-    pub fn take_completed(&mut self) -> Vec<MediaSample> {
+    pub fn take_completed(&mut self) -> Vec<K::Sample> {
         self.drain_completed().collect()
     }
 
     /// Like [`Reassembler::take_completed`], but lends the samples out of
     /// the reassembler's own buffer, which keeps its capacity for the
     /// next packet.
-    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, MediaSample> {
-        self.complete.sort_by_key(|s| (s.pres_time, s.stream));
+    pub fn drain_completed(&mut self) -> std::vec::Drain<'_, K::Sample> {
+        self.complete.sort_by_key(K::order);
         self.complete.drain(..)
     }
 
@@ -734,10 +812,10 @@ mod tests {
         assert_eq!(rs.incomplete(), 1);
         let pieces = &rs.partial[0].pieces;
         assert_eq!(pieces.len(), 1);
-        assert_eq!(pieces[0].0, 0);
-        assert_eq!(pieces[0].1.backing_len(), 10);
+        assert_eq!((pieces[0].0, pieces[0].1), (0, 10));
+        assert_eq!(pieces[0].2.backing_len(), 10);
         assert_eq!(
-            pieces[0].1.backing_id(),
+            pieces[0].2.backing_id(),
             first.payloads[0].data.backing_id()
         );
         // One past it (and the 4 GiB a wire field can ask for): refused

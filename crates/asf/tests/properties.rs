@@ -5,8 +5,8 @@ mod common;
 use common::{arb_file, arb_samples, arb_script, make_file};
 use lod_asf::packet::{PACKET_HEADER_BYTES, PAYLOAD_HEADER_BYTES};
 use lod_asf::{
-    read_asf, write_asf, AsfError, DataPacket, License, MediaSample, Packetizer, Payload,
-    Reassembler, ScriptCommandList,
+    read_asf, write_asf, AsfError, DataPacket, LengthReassembler, License, MediaSample, Packetizer,
+    Payload, Reassembler, ScriptCommandList, MAX_SAMPLE_BYTES,
 };
 use proptest::prelude::*;
 
@@ -763,6 +763,99 @@ proptest! {
                 fresh.sort_unstable();
                 fresh.dedup();
                 prop_assert_eq!(fresh.len(), split);
+            }
+        }
+    }
+
+    /// One set of rules, two outputs. Over any permutation, duplication
+    /// and truncation of a published file's packets, with corrupted
+    /// fragments mixed in — another total (past the sample cap too) or
+    /// presentation time, an offset or length that overlaps a neighbour
+    /// or runs out of the sample — the length-only reassembler answers
+    /// every packet as `Reassembler` does, counts the same incomplete
+    /// samples and completes the same `(stream, pres_time, len)`
+    /// sequence. Both agree with the reference model until a total past
+    /// the cap, which the model does not know, is refused.
+    #[test]
+    fn length_reassembler_agrees_with_reassembler(
+        samples in arb_samples(),
+        packet_size in 64u32..400,
+        seed in any::<u64>(),
+    ) {
+        let file = make_file(&samples, ScriptCommandList::new(), packet_size);
+        let published = read_asf(&write_asf(&file).unwrap()).unwrap().packets;
+        let mut rng = proptest::test_runner::TestRng::from_seed(seed);
+        let mut draw = move |n: u64| rng.next_u64() % n;
+        // Truncation: the end of the file never arrives.
+        let cut = draw(published.len() as u64 / 4 + 1) as usize;
+        let mut frags: Vec<Payload> = Vec::new();
+        for f in published[..published.len() - cut]
+            .iter()
+            .flat_map(|p| p.payloads.iter())
+        {
+            match draw(8) {
+                0 => continue, // dropped
+                1 => frags.push(f.clone()), // duplicated
+                2 => {
+                    let mut bad = f.clone();
+                    match draw(7) {
+                        0 => bad.total += 1 + draw(5) as u32,
+                        1 => bad.total = MAX_SAMPLE_BYTES + 1 + draw(3) as u32,
+                        2 => bad.pres_time += 1,
+                        3 => bad.offset = bad.offset.saturating_sub(1 + draw(3) as u32),
+                        4 => bad.offset += 1 + draw(40) as u32,
+                        5 => bad.offset = u32::MAX - draw(3) as u32,
+                        _ => {
+                            let len = f.data.len() + 1 + draw(40) as usize;
+                            bad.data = vec![0; len].into();
+                        }
+                    }
+                    frags.push(bad);
+                }
+                _ => {}
+            }
+            frags.push(f.clone());
+        }
+        if draw(2) == 0 {
+            for i in (1..frags.len()).rev() {
+                frags.swap(i, draw(i as u64 + 1) as usize);
+            }
+        } else {
+            for i in 0..frags.len() {
+                let j = (i + draw(4) as usize).min(frags.len() - 1);
+                frags.swap(i, j);
+            }
+        }
+        let mut bytes = Reassembler::new();
+        let mut lengths = LengthReassembler::default();
+        let mut old = Some(reference::Reassembler::default());
+        let mut rest = frags.as_slice();
+        while !rest.is_empty() {
+            let (now, later) = rest.split_at((1 + draw(3) as usize).min(rest.len()));
+            rest = later;
+            let packet = DataPacket { send_time: 0, payloads: now.into() };
+            let got = bytes.push_packet(&packet);
+            prop_assert_eq!(&lengths.push_packet(&packet), &got);
+            if now.iter().any(|f| f.total > MAX_SAMPLE_BYTES) {
+                old = None;
+            }
+            if let Some(old) = &mut old {
+                prop_assert_eq!(&old.push_packet(&packet), &got);
+            }
+            if draw(3) == 0 || rest.is_empty() {
+                let whole = bytes.take_completed();
+                let sizes: Vec<(u16, u64, u32)> = whole
+                    .iter()
+                    .map(|s| (s.stream, s.pres_time, s.data.len() as u32))
+                    .collect();
+                prop_assert_eq!(lengths.take_completed(), sizes);
+                if let Some(old) = &mut old {
+                    prop_assert_eq!(old.take_completed(), whole);
+                }
+            }
+            prop_assert_eq!(lengths.incomplete(), bytes.incomplete());
+            if let Some(old) = &old {
+                prop_assert_eq!(old.incomplete(), bytes.incomplete());
             }
         }
     }

@@ -1,18 +1,22 @@
-//! What a simnet session allocates. In payload storage: nothing. Every
-//! byte a student renders already sits in the published file's sample
-//! buffers, so the relay cache, the fan-out and the client's reassembly
-//! and playout buffer must all hold views of them. On the heap: far less
-//! than one allocation per packet a student receives, because a data
-//! packet is shared, not copied, on its way from the file through the
-//! relay cache to every student. `bytes::stats` counts backing
-//! allocations and deep copies process-wide, so this binary holds exactly
-//! one `#[test]`: nothing else may run beside it.
+//! What a session allocates. On simnet, in payload storage: nothing.
+//! Every byte a student receives already sits in the published file's
+//! sample buffers, so the relay cache and the fan-out hold views of them,
+//! and a student's reassembly and playout buffer keep only extents. On
+//! the heap: far less than one allocation per packet a student receives,
+//! because a data packet is shared, not copied, on its way from the file
+//! through the relay cache to every student. On sockets, decoding a
+//! datagram copies its payload bytes once, and nothing on the student leg
+//! copies them again. `bytes::stats` counts backing allocations and deep
+//! copies process-wide, so this binary holds exactly one `#[test]`:
+//! nothing else may run beside it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use bytes::stats::{backing_allocations, bytes_deep_copied};
-use lod_core::{synthetic_lecture, RelayTierConfig, Wmps, WmpsReport};
+use lod_core::{
+    serve_loopback_udp, synthetic_lecture, RelayTierConfig, UdpConfig, Wmps, WmpsReport,
+};
 use lod_simnet::LinkSpec;
 
 const STUDENTS: usize = 16;
@@ -80,7 +84,7 @@ fn counted(serve: impl FnOnce() -> WmpsReport) -> (WmpsReport, Counts) {
 }
 
 #[test]
-fn simnet_sessions_share_packets_and_allocate_no_payload_backing() {
+fn sessions_share_packets_and_copy_no_sample() {
     let wmps = Wmps::new();
     let file = wmps
         .publish(&synthetic_lecture(7, 1, 300_000))
@@ -128,5 +132,29 @@ fn simnet_sessions_share_packets_and_allocate_no_payload_backing() {
     assert!(
         heap * 100 <= delivered * 14,
         "serve_with_relays: {heap} heap allocations for {delivered} packets delivered"
+    );
+
+    // On sockets each datagram is decoded into a backing of its own, so
+    // the fragments of a split sample never join into one view: a student
+    // that joined them by copy would copy about what the students
+    // received again (318 MB copied against 183 MB sent on the
+    // benchmark's udp_clean). Keeping extents, the decode is the only copy.
+    let (report, counts) = counted(|| {
+        serve_loopback_udp(
+            file.clone(),
+            STUDENTS,
+            7,
+            &relayed,
+            UdpConfig::loopback(),
+            None,
+        )
+        .expect("loopback run")
+    });
+    assert_eq!(report.completed_sessions(), STUDENTS, "{report:?}");
+    let carried = report.socket.expect("a socket run").transport.bytes_sent;
+    assert!(
+        counts.copied <= carried,
+        "serve_loopback_udp: {} payload bytes deep-copied, {carried} bytes sent",
+        counts.copied
     );
 }

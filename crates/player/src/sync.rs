@@ -23,16 +23,19 @@ pub struct SkewStats {
 }
 
 impl SkewStats {
-    /// Computes statistics over raw skews.
+    /// Computes statistics over raw skews: one pass for max and mean, and
+    /// a selection, not a sort, for the 95th percentile.
     pub fn from_skews(mut skews: Vec<u64>) -> Self {
         if skews.is_empty() {
             return Self::default();
         }
-        skews.sort_unstable();
         let count = skews.len();
-        let max = *skews.last().expect("non-empty");
-        let mean = skews.iter().sum::<u64>() as f64 / count as f64;
-        let p95 = skews[((count as f64 * 0.95).ceil() as usize).min(count) - 1];
+        let (max, sum) = skews
+            .iter()
+            .fold((0, 0u64), |(max, sum), &s| (s.max(max), sum + s));
+        let mean = sum as f64 / count as f64;
+        let rank = ((count as f64 * 0.95).ceil() as usize).min(count) - 1;
+        let p95 = *skews.select_nth_unstable(rank).1;
         Self {
             count,
             max,

@@ -4,7 +4,7 @@ use lod_asf::{
     AsfFile, FileProperties, MediaSample, Packetizer, ScriptCommand, ScriptCommandList, StreamKind,
     StreamProperties,
 };
-use lod_player::PlayerEngine;
+use lod_player::{PlayerEngine, SkewStats};
 use proptest::prelude::*;
 
 fn make_file(samples: &[(u16, u64, usize)], commands: &[(u64, String)]) -> AsfFile {
@@ -46,6 +46,22 @@ fn make_file(samples: &[(u16, u64, usize)], commands: &[(u64, String)]) -> AsfFi
         drm: None,
         packets: pk.finish(),
         index: None,
+    }
+}
+
+/// `SkewStats::from_skews` as it was written first: sort, then read max,
+/// mean and the 95th percentile off the sorted list.
+fn sorted_skew_stats(mut skews: Vec<u64>) -> SkewStats {
+    if skews.is_empty() {
+        return SkewStats::default();
+    }
+    skews.sort_unstable();
+    let count = skews.len();
+    SkewStats {
+        count,
+        max: skews[count - 1],
+        mean: skews.iter().sum::<u64>() as f64 / count as f64,
+        p95: skews[((count as f64 * 0.95).ceil() as usize).min(count) - 1],
     }
 }
 
@@ -116,5 +132,20 @@ proptest! {
         let engine = PlayerEngine::load(file, None).unwrap();
         prop_assert_eq!(engine.sample_count(), samples.len());
         prop_assert_eq!(engine.script().len(), commands.len());
+    }
+
+    /// Selecting the 95th percentile gives the statistics sorting gave,
+    /// bit for bit: few distinct values (ties at the rank) or many, any
+    /// order, any length.
+    #[test]
+    fn skew_stats_match_the_sorted_formula(
+        skews in prop_oneof![
+            proptest::collection::vec(0u64..4, 0..300),
+            proptest::collection::vec(0u64..1 << 40, 0..300),
+        ],
+    ) {
+        let (got, want) = (SkewStats::from_skews(skews.clone()), sorted_skew_stats(skews));
+        prop_assert_eq!(got.mean.to_bits(), want.mean.to_bits());
+        prop_assert_eq!(got, want);
     }
 }

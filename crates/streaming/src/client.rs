@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use lod_asf::{AsfError, MediaSample, Reassembler, ScriptCommand, ScriptCommandList};
+use lod_asf::{AsfError, LengthReassembler, ScriptCommand, ScriptCommandList};
 use lod_media::{MediaClock, Ticks};
 use lod_obs::{Event, Recorder, TraceCtx};
 use lod_simnet::NodeId;
@@ -81,12 +81,14 @@ pub struct StreamingClient {
     downgraded: bool,
     state: ClientState,
     header: Option<StreamHeader>,
-    reasm: Reassembler,
-    /// Playout buffer, sorted by `(pres_time, stream, arrival seq)` — the
-    /// seq makes every key unique. Samples complete almost always in that
-    /// order, so a new one is pushed on the back and rendering pops from
-    /// the front.
-    buffer: VecDeque<((u64, u16, u64), MediaSample)>,
+    /// Nothing here reads a sample's bytes, only its size: reassembly
+    /// keeps fragment extents, not views.
+    reasm: LengthReassembler,
+    /// Playout buffer of `((pres_time, stream, arrival seq), len)`
+    /// descriptors, sorted by key — the seq makes every key unique.
+    /// Samples complete almost always in that order, so a new one is
+    /// pushed on the back and rendering pops from the front.
+    buffer: VecDeque<((u64, u16, u64), u32)>,
     buffer_seq: u64,
     clock: MediaClock,
     scripts: ScriptCommandList,
@@ -141,7 +143,7 @@ impl StreamingClient {
             downgraded: false,
             state: ClientState::Idle,
             header: None,
-            reasm: Reassembler::new(),
+            reasm: LengthReassembler::default(),
             buffer: VecDeque::new(),
             buffer_seq: 0,
             clock: MediaClock::start_at(Ticks::ZERO),
@@ -255,10 +257,10 @@ impl StreamingClient {
     /// Drivers call this each scheduling round; it is a no-op until the
     /// threshold trips, and fires at most once.
     pub fn poll_adaptive(&mut self, net: &mut impl Transport<Wire>) {
-        let Some((threshold, fallback)) = self.adaptive.clone() else {
+        let Some((threshold, fallback)) = &self.adaptive else {
             return;
         };
-        if self.downgraded || self.metrics.stalls < u64::from(threshold) {
+        if self.downgraded || self.metrics.stalls < u64::from(*threshold) {
             return;
         }
         self.downgraded = true;
@@ -362,7 +364,7 @@ impl StreamingClient {
             return;
         }
         self.buffer.clear();
-        self.reasm = Reassembler::new();
+        self.reasm = LengthReassembler::default();
         self.horizon = target;
         self.eos = false;
         self.clock.seek(Ticks(now), Ticks(target));
@@ -427,11 +429,11 @@ impl StreamingClient {
                     }
                     Err(_) => {}
                 }
-                for s in self.reasm.drain_completed() {
-                    self.metrics.bytes_received += s.data.len() as u64;
-                    self.horizon = self.horizon.max(s.pres_time);
+                for (stream, pres_time, len) in self.reasm.drain_completed() {
+                    self.metrics.bytes_received += u64::from(len);
+                    self.horizon = self.horizon.max(pres_time);
                     if let Some(log) = &mut self.arrival_log {
-                        log.push((time, s.pres_time, s.stream));
+                        log.push((time, pres_time, stream));
                     }
                     self.buffer_seq += 1;
                     // The first sample completed after a trace marker
@@ -447,13 +449,13 @@ impl StreamingClient {
                         self.obs.span(at, true, node, peer, "playout_wait", ctx);
                         self.playout_traces.insert(self.buffer_seq, ctx);
                     }
-                    let key = (s.pres_time, s.stream, self.buffer_seq);
+                    let key = (pres_time, stream, self.buffer_seq);
                     match self.buffer.back() {
                         Some((last, _)) if *last > key => {
                             let at = self.buffer.partition_point(|(k, _)| *k < key);
-                            self.buffer.insert(at, (key, s));
+                            self.buffer.insert(at, (key, len));
                         }
-                        _ => self.buffer.push_back((key, s)),
+                        _ => self.buffer.push_back((key, len)),
                     }
                 }
             }
@@ -835,7 +837,7 @@ impl StreamingClient {
 
     fn render_due(&mut self, now: u64, sink: &mut impl FnMut(RenderEvent)) {
         let media_now = self.media_time(now);
-        while let Some(((_, _, seq), sample)) = self
+        while let Some(((pres_time, stream, seq), len)) = self
             .buffer
             .pop_front_if(|((pres, _, _), _)| *pres <= media_now)
         {
@@ -846,9 +848,9 @@ impl StreamingClient {
             sink(RenderEvent {
                 wall_time: now,
                 client: self.node,
-                stream: sample.stream,
-                pres_time: sample.pres_time,
-                bytes: sample.data.len(),
+                stream,
+                pres_time,
+                bytes: len as usize,
                 script: None,
             });
         }

@@ -2,7 +2,8 @@
 # The checks a change must pass before merging: formatting, lints with
 # warnings denied, the full workspace test suite (unit + doctests, and
 # with them both loopback UDP drills), a release build of the wmps_bench
-# benchmark exactly as BENCHMARK.json builds it, the determinism gates — two
+# benchmark exactly as BENCHMARK.json builds it and a smoke run of every
+# workload through it, the determinism gates — two
 # separate processes must emit byte-identical Q9–Q12/Q16/Q17 reports and
 # byte-identical event logs of a lossy loopback UDP deployment, because
 # everything is seeded and stepped and HashMap-order bugs only show up
@@ -47,6 +48,9 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "===== workspace tests (unit + doctests) ====="
 cargo test -q --offline --workspace
 
+tmpdir="$(mktemp -d)"
+trap 'rm -rf "$tmpdir"' EXIT
+
 echo "===== wmps_bench release build (as BENCHMARK.json builds it) ====="
 # The benchmark is its own package with its own lock file, outside the
 # workspace, so the stages above never compile it. Build it the way the
@@ -55,9 +59,14 @@ echo "===== wmps_bench release build (as BENCHMARK.json builds it) ====="
 cargo build --release --offline --locked --quiet \
     --manifest-path crates/bench/src/bin/wmps_bench/Cargo.toml --target-dir target/wmps_bench
 
+echo "===== wmps_bench smoke run (every workload's output checks) ====="
+# Every workload once at 8 students / 1 minute (a few seconds). The run
+# exits 2 when any workload's output checks or mirror agreement fail, so
+# a change that breaks what the benchmark checks fails here.
+./target/wmps_bench/release/wmps_bench all --smoke --seed 7 --out "$tmpdir/bench" > /dev/null
+echo "every workload's checks passed"
+
 echo "===== q9_chaos determinism (two runs, byte-identical reports) ====="
-tmpdir="$(mktemp -d)"
-trap 'rm -rf "$tmpdir"' EXIT
 cargo run -q --offline -p lod-bench --bin q9_chaos -- --seed 7 --json "$tmpdir/a.json" > /dev/null
 cargo run -q --offline -p lod-bench --bin q9_chaos -- --seed 7 --json "$tmpdir/b.json" > /dev/null
 if ! diff "$tmpdir/a.json" "$tmpdir/b.json"; then
