@@ -524,20 +524,25 @@ impl Reassembler {
 }
 
 impl<K: Keep> Reassembler<K> {
-    /// Feeds one packet's payloads.
+    /// Feeds one packet's payloads. Each payload is judged on its own: a
+    /// bad fragment is refused and the payloads after it are still fed.
     ///
     /// # Errors
     ///
+    /// The first payload's error, when one was refused:
     /// [`AsfError::FragmentMismatch`] when a fragment contradicts earlier
     /// fragments of the same object (different total or overlapping range
     /// with different content length bookkeeping);
     /// [`AsfError::BadSize`] when it declares a sample larger than
     /// [`MAX_SAMPLE_BYTES`].
     pub fn push_packet(&mut self, packet: &DataPacket) -> Result<(), AsfError> {
+        let mut first = Ok(());
         for p in packet.payloads.iter() {
-            self.push_payload(p)?;
+            if let Err(e) = self.push_payload(p) {
+                first = first.and(Err(e));
+            }
         }
-        Ok(())
+        first
     }
 
     fn push_payload(&mut self, p: &Payload) -> Result<(), AsfError> {
@@ -785,6 +790,28 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, AsfError::FragmentMismatch { .. }));
+    }
+
+    #[test]
+    fn a_bad_fragment_does_not_cost_the_rest_of_its_packet() {
+        let mut rs = Reassembler::new();
+        rs.push_packet(&fragment(0, 0, 100, vec![0; 10])).unwrap();
+        // A fragment contradicting object 0's total, then two whole
+        // one-fragment samples, in one packet.
+        let mut payloads = fragment(0, 10, 999, vec![0; 10]).payloads.to_vec();
+        for id in [1, 2] {
+            payloads.extend(fragment(id, 0, 1, vec![7]).payloads.iter().cloned());
+        }
+        let err = rs
+            .push_packet(&DataPacket {
+                send_time: 0,
+                payloads: payloads.into(),
+            })
+            .unwrap_err();
+        assert!(matches!(err, AsfError::FragmentMismatch { object: 0, .. }));
+        let done: Vec<u64> = rs.take_completed().iter().map(|s| s.pres_time).collect();
+        assert_eq!(done, [1, 2]);
+        assert_eq!(rs.incomplete(), 1);
     }
 
     fn fragment(object_id: u32, offset: u32, total: u32, data: Vec<u8>) -> DataPacket {

@@ -35,10 +35,14 @@ mod reference {
 
     impl Reassembler {
         pub fn push_packet(&mut self, packet: &DataPacket) -> Result<(), AsfError> {
+            let mut first = Ok(());
             for p in packet.payloads.iter() {
-                self.push_payload(p)?;
+                let got = self.push_payload(p);
+                if first.is_ok() {
+                    first = got;
+                }
             }
-            Ok(())
+            first
         }
 
         fn push_payload(&mut self, p: &Payload) -> Result<(), AsfError> {

@@ -133,10 +133,17 @@ pub fn serve_loopback_udp(
     let mut report = session_report(&tier, tier.ledger.last_wall_time());
     let mut transport = TransportStats::default();
     let mut reorder = ReorderStats::default();
+    let mut depth = 0;
     for t in &tier.fabric.0 {
         transport.merge(t.stats());
         reorder.merge(&t.reorder_stats());
+        depth += t.reorder_depth();
     }
+    // The socket counters are exported once, from the deployment's
+    // aggregate: depths and skips summed over every node, the peak maxed.
+    transport.publish(&tier.obs);
+    reorder.publish(&tier.obs);
+    tier.obs.gauge_set("transport_reorder_depth", depth as u64);
     report.socket = Some(SocketReport {
         transport,
         reorder,

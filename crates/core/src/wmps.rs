@@ -158,45 +158,19 @@ impl WmpsReport {
 }
 
 /// Folds a finished run's counters into the recorder's metrics
-/// registry: one integer counter per [`ServerMetrics`]/[`RelayMetrics`]/
-/// [`CacheStats`] field, whole-run gauges, and startup/stall/recovery
+/// registry: the exported rows of the origin's [`ServerMetrics`] and of
+/// the relays' merged [`RelayMetrics`] and [`CacheStats`] (each table
+/// names its own), whole-run gauges, and startup/stall/recovery
 /// histograms over [`TICK_BOUNDS`]. A disabled recorder makes every
 /// call a no-op.
 fn publish_run_metrics(obs: &Recorder, report: &WmpsReport) {
     if !obs.is_enabled() {
         return;
     }
-    let s = &report.server;
-    obs.counter_add("lod_server_sessions_served_total", s.sessions_served);
-    obs.counter_add("lod_server_payload_bytes_total", s.payload_bytes_sent);
-    obs.counter_add(
-        "lod_server_backpressure_pauses_total",
-        s.backpressure_pauses,
-    );
-    obs.counter_add("lod_server_segments_served_total", s.segments_served);
-    obs.counter_add("lod_server_sessions_reaped_total", s.sessions_reaped);
-    obs.counter_add("lod_server_sessions_shed_total", s.sessions_shed);
-    obs.counter_add("lod_server_downshifts_total", s.downshifts);
-    obs.counter_add("lod_server_upshifts_total", s.upshifts);
-    obs.counter_add("lod_server_sessions_degraded_total", s.sessions_degraded);
+    report.server.publish(obs);
     if let Some(tier) = &report.relay {
-        let m = &tier.metrics;
-        obs.counter_add("lod_relay_sessions_served_total", m.sessions_served);
-        obs.counter_add("lod_relay_segment_fetches_total", m.segment_fetches);
-        obs.counter_add("lod_relay_prefetches_total", m.prefetches);
-        obs.counter_add("lod_relay_payload_bytes_total", m.payload_bytes_sent);
-        obs.counter_add("lod_relay_upstream_bytes_total", m.upstream_bytes_received);
-        obs.counter_add("lod_relay_fetch_retries_total", m.fetch_retries);
-        obs.counter_add("lod_relay_fetch_give_ups_total", m.fetch_give_ups);
-        obs.counter_add("lod_relay_sessions_shed_total", m.sessions_shed);
-        obs.counter_add("lod_relay_breaker_opens_total", m.breaker_opens);
-        obs.counter_add("lod_relay_fetches_suppressed_total", m.fetches_suppressed);
-        let c = &tier.cache;
-        obs.counter_add("lod_cache_hits_total", c.hits);
-        obs.counter_add("lod_cache_misses_total", c.misses);
-        obs.counter_add("lod_cache_insertions_total", c.insertions);
-        obs.counter_add("lod_cache_evictions_total", c.evictions);
-        obs.counter_add("lod_cache_bytes_evicted_total", c.bytes_evicted);
+        tier.metrics.publish(obs);
+        tier.cache.publish(obs);
         obs.gauge_set("lod_students_reattached", tier.reattached as u64);
     }
     if let Some(fo) = &report.failover {
@@ -1314,6 +1288,70 @@ mod tests {
         let b = wmps.serve_with_relays(file, LinkSpec::lan(), LinkSpec::lan(), 4, 3, &cfg_b);
         assert_eq!(report, b, "failover runs must be reproducible");
         assert_eq!(cfg.recorder.to_jsonl(), cfg_b.recorder.to_jsonl());
+        // Every family the failover block adds is declared.
+        for family in families(&cfg.recorder.prometheus()) {
+            assert!(declared_names().contains(&family), "{family} is undeclared");
+        }
+    }
+
+    /// Exposition names written outside the `counters!` tables: the
+    /// report's derived gauges, the failover block, the histograms and
+    /// the socket deployment's summed reorder depth.
+    const HAND_WRITTEN: &[&str] = &[
+        "lod_students_reattached",
+        "lod_standby_checkpoints_replicated_total",
+        "lod_standby_sessions_migrated_total",
+        "lod_server_checkpoints_emitted_total",
+        "lod_stale_epoch_replies",
+        "lod_failover_epoch",
+        "lod_sessions_completed",
+        "lod_clients_shed",
+        "lod_hard_failures",
+        "lod_session_ticks",
+        "lod_faults_applied",
+        "lod_origin_egress_bytes",
+        "lod_startup_ticks",
+        "lod_stall_ticks",
+        "lod_recovery_ticks",
+        "transport_reorder_depth",
+        // The recorder's own event counters and ring-loss gauge.
+        "lod_events_total",
+        "lod_events_dropped",
+    ];
+
+    /// Every name the seven counter tables export, then [`HAND_WRITTEN`].
+    fn declared_names() -> Vec<&'static str> {
+        use lod_transport::repair::{RepairRxStats, RepairTxStats};
+        use lod_transport::{ReorderStats, TransportStats};
+        [
+            ServerMetrics::EXPORTED,
+            RelayMetrics::EXPORTED,
+            CacheStats::EXPORTED,
+            TransportStats::EXPORTED,
+            ReorderStats::EXPORTED,
+            RepairTxStats::EXPORTED,
+            RepairRxStats::EXPORTED,
+            HAND_WRITTEN,
+        ]
+        .concat()
+    }
+
+    /// The metric families an exposition declares, in order.
+    fn families(prom: &str) -> impl Iterator<Item = &str> {
+        prom.lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .filter_map(|l| l.split(' ').next())
+    }
+
+    #[test]
+    fn every_exported_name_is_written_once() {
+        let names = declared_names();
+        let mut seen = std::collections::BTreeSet::new();
+        for name in &names {
+            assert!(seen.insert(name), "{name} is declared twice");
+        }
+        assert!(names.contains(&"lod_cache_hits_total"));
+        assert!(names.contains(&"transport_reorder_depth_peak"));
     }
 
     #[test]

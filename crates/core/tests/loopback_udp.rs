@@ -385,3 +385,65 @@ fn lossy_loopback_runs_are_reproducible() {
     assert!(!a_log.is_empty());
     assert_eq!(a_log, b_log);
 }
+
+/// The socket counters are exported once, from the deployment's
+/// aggregate: every `transport_*` counter in the exposition is the
+/// matching field of the `TransportStats` merged over every node, and
+/// the reorder gauges are the merged `ReorderStats` (skips summed, peak
+/// maxed), not whichever node polled last. With repair off too, the
+/// summed skips are exported once, as that gauge.
+#[test]
+fn socket_counters_are_published_from_the_deployment_aggregate() {
+    let file = Wmps::new()
+        .publish(&synthetic_lecture(1, 1, 300_000))
+        .expect("publish");
+    for repair in [true, false] {
+        let cfg = RelayTierConfig {
+            client_retry: Some(RetryPolicy::client()),
+            ..recorded_tier()
+        };
+        let mut udp = UdpConfig::loopback();
+        if repair {
+            udp = udp.with_repair(RepairConfig::default());
+        }
+        let fault = FaultSpec::loss(16, 120);
+        let report =
+            serve_loopback_udp(file.clone(), 32, 7, &cfg, udp, Some(fault)).expect("loopback run");
+        let socket = report.socket.expect("socket run");
+        let (t, r) = (socket.transport, socket.reorder);
+        assert!(r.skipped_seqs > 0, "repair {repair}: the run must skip");
+        let reg = cfg.recorder.registry();
+        let counters = [
+            ("transport_frames_sent", t.frames_sent),
+            ("transport_frames_received", t.frames_received),
+            ("transport_decode_errors", t.decode_errors),
+            ("transport_nacks_sent", t.nacks_sent),
+            ("transport_nacks_received", t.nacks_received),
+            ("transport_retransmits_sent", t.retransmits_sent),
+            ("transport_retransmits_received", t.retransmits_received),
+            ("transport_repair_give_ups", t.repair_give_ups),
+            ("transport_gap_skipped_seqs", t.gap_skipped_seqs),
+            ("transport_heartbeats_sent", t.heartbeats_sent),
+            ("transport_heartbeats_received", t.heartbeats_received),
+        ];
+        for (name, want) in counters {
+            assert_eq!(reg.counter(name), want, "repair {repair}: {name}");
+        }
+        // No other transport counter is exported.
+        let prom = cfg.recorder.prometheus();
+        for line in prom.lines().filter(|l| l.ends_with(" counter")) {
+            let family = line.split(' ').nth(2).expect("# TYPE family kind");
+            assert!(
+                !family.starts_with("transport_") || counters.iter().any(|(n, _)| *n == family),
+                "repair {repair}: stray {family}"
+            );
+        }
+        assert_eq!(reg.counter("transport_frames_skipped"), 0);
+        assert_eq!(reg.gauge("transport_skipped_seqs"), r.skipped_seqs);
+        assert_eq!(
+            reg.gauge("transport_reorder_depth_peak"),
+            r.max_depth as u64
+        );
+        assert!(prom.contains("\ntransport_reorder_depth "), "{prom}");
+    }
+}

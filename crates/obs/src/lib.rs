@@ -11,7 +11,8 @@
 //!   order, so a seeded run logs byte-identical JSONL every time.
 //! * [`Registry`] — integer-only counters, gauges and fixed-bucket
 //!   [`Histogram`]s with exact merge, rendered as a Prometheus-style
-//!   text exposition.
+//!   text exposition. A node role's counters are declared once, as a
+//!   [`counters!`] table that generates their struct, merge and export.
 //! * [`SessionTimeline`] — folds the flat log back into each session's
 //!   story (startup → stall spans → downshift → recovery), and
 //!   [`check_causal`] cross-checks the log against the causal claims
@@ -27,6 +28,7 @@
 
 #![warn(missing_docs)]
 
+mod counters;
 mod event;
 mod metrics;
 mod recorder;

@@ -56,28 +56,20 @@ impl CachedSegment {
     }
 }
 
-/// Hit/miss/eviction accounting for a [`SegmentCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CacheStats {
-    /// Lookups answered from cache.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Segments accepted by [`SegmentCache::insert`].
-    pub insertions: u64,
-    /// Segments evicted to make room.
-    pub evictions: u64,
-    /// Total bytes reclaimed by eviction.
-    pub bytes_evicted: u64,
-}
-
-impl std::ops::AddAssign for CacheStats {
-    fn add_assign(&mut self, rhs: Self) {
-        self.hits += rhs.hits;
-        self.misses += rhs.misses;
-        self.insertions += rhs.insertions;
-        self.evictions += rhs.evictions;
-        self.bytes_evicted += rhs.bytes_evicted;
+lod_obs::counters! {
+    /// Hit/miss/eviction accounting for a [`SegmentCache`].
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct CacheStats {
+        /// Lookups answered from cache.
+        pub hits: u64 => counter "lod_cache_hits_total",
+        /// Lookups that missed.
+        pub misses: u64 => counter "lod_cache_misses_total",
+        /// Segments accepted by [`SegmentCache::insert`].
+        pub insertions: u64 => counter "lod_cache_insertions_total",
+        /// Segments evicted to make room.
+        pub evictions: u64 => counter "lod_cache_evictions_total",
+        /// Total bytes reclaimed by eviction.
+        pub bytes_evicted: u64 => counter "lod_cache_bytes_evicted_total",
     }
 }
 

@@ -63,48 +63,34 @@ fn time_fetch_key(at: u64) -> u32 {
     TIME_FETCH_BIT | ((h >> 33) as u32 & !TIME_FETCH_BIT)
 }
 
-/// Service counters for one relay.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RelayMetrics {
-    /// VoD sessions started.
-    pub sessions_served: u64,
-    /// Local subscribers to live feeds.
-    pub live_subscribers: u64,
-    /// Segments pulled from the origin on demand.
-    pub segment_fetches: u64,
-    /// Segments pulled ahead of need.
-    pub prefetches: u64,
-    /// Bytes of media payload sent to local clients.
-    pub payload_bytes_sent: u64,
-    /// Bytes received from the origin (segments + live feed).
-    pub upstream_bytes_received: u64,
-    /// Upstream fetches re-issued after a request timeout.
-    pub fetch_retries: u64,
-    /// Fetches abandoned after the retry budget ran out (their waiting
-    /// sessions get a NotFound).
-    pub fetch_give_ups: u64,
-    /// Play requests refused with [`Wire::Busy`] by admission control.
-    pub sessions_shed: u64,
-    /// Times the upstream circuit breaker tripped open.
-    pub breaker_opens: u64,
-    /// Upstream fetches withheld while the breaker was open (the relay
-    /// kept serving whatever it had cached instead).
-    pub fetches_suppressed: u64,
-}
-
-impl std::ops::AddAssign for RelayMetrics {
-    fn add_assign(&mut self, rhs: Self) {
-        self.sessions_served += rhs.sessions_served;
-        self.live_subscribers += rhs.live_subscribers;
-        self.segment_fetches += rhs.segment_fetches;
-        self.prefetches += rhs.prefetches;
-        self.payload_bytes_sent += rhs.payload_bytes_sent;
-        self.upstream_bytes_received += rhs.upstream_bytes_received;
-        self.fetch_retries += rhs.fetch_retries;
-        self.fetch_give_ups += rhs.fetch_give_ups;
-        self.sessions_shed += rhs.sessions_shed;
-        self.breaker_opens += rhs.breaker_opens;
-        self.fetches_suppressed += rhs.fetches_suppressed;
+lod_obs::counters! {
+    /// Service counters for one relay.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct RelayMetrics {
+        /// VoD sessions started.
+        pub sessions_served: u64 => counter "lod_relay_sessions_served_total",
+        /// Local subscribers to live feeds.
+        pub live_subscribers: u64,
+        /// Segments pulled from the origin on demand.
+        pub segment_fetches: u64 => counter "lod_relay_segment_fetches_total",
+        /// Segments pulled ahead of need.
+        pub prefetches: u64 => counter "lod_relay_prefetches_total",
+        /// Bytes of media payload sent to local clients.
+        pub payload_bytes_sent: u64 => counter "lod_relay_payload_bytes_total",
+        /// Bytes received from the origin (segments + live feed).
+        pub upstream_bytes_received: u64 => counter "lod_relay_upstream_bytes_total",
+        /// Upstream fetches re-issued after a request timeout.
+        pub fetch_retries: u64 => counter "lod_relay_fetch_retries_total",
+        /// Fetches abandoned after the retry budget ran out (their waiting
+        /// sessions get a NotFound).
+        pub fetch_give_ups: u64 => counter "lod_relay_fetch_give_ups_total",
+        /// Play requests refused with [`Wire::Busy`] by admission control.
+        pub sessions_shed: u64 => counter "lod_relay_sessions_shed_total",
+        /// Times the upstream circuit breaker tripped open.
+        pub breaker_opens: u64 => counter "lod_relay_breaker_opens_total",
+        /// Upstream fetches withheld while the breaker was open (the relay
+        /// kept serving whatever it had cached instead).
+        pub fetches_suppressed: u64 => counter "lod_relay_fetches_suppressed_total",
     }
 }
 

@@ -59,39 +59,42 @@ impl ClientMetrics {
     }
 }
 
-/// What a server did over its lifetime.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ServerMetrics {
-    /// Sessions started (Play requests that found their content).
-    pub sessions_served: u64,
-    /// Bytes of media payload pushed onto the wire.
-    pub payload_bytes_sent: u64,
-    /// Times a session stopped sending because the first-hop backlog
-    /// exceeded the backpressure window.
-    pub backpressure_pauses: u64,
-    /// Sessions that subscribed to a live feed.
-    pub live_subscribers: u64,
-    /// Packet segments served to relays.
-    pub segments_served: u64,
-    /// Sessions dropped because they made no progress for longer than the
-    /// idle timeout (crashed clients, never-resumed pauses).
-    pub sessions_reaped: u64,
-    /// Play requests refused with `Wire::Busy` (admission control).
-    pub sessions_shed: u64,
-    /// Profile downshifts applied under sustained backlog.
-    pub downshifts: u64,
-    /// Profile upshifts after backlog drained and the hold-down passed.
-    pub upshifts: u64,
-    /// Distinct sessions that were downshifted at least once.
-    pub sessions_degraded: u64,
-    /// Session checkpoints journaled for standby replication.
-    pub checkpoints_emitted: u64,
-    /// Replicated sessions restored at promotion (failover takeovers).
-    pub sessions_migrated: u64,
-    /// Plays admitted at packet index 0 — fresh starts. After a
-    /// promotion this must stay 0 on the standby: every migrated session
-    /// resumes from its checkpointed horizon, never from the top.
-    pub plays_from_zero: u64,
+lod_obs::counters! {
+    /// What a server did over its lifetime.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ServerMetrics {
+        /// Sessions started (Play requests that found their content).
+        pub sessions_served: u64 => counter "lod_server_sessions_served_total",
+        /// Bytes of media payload pushed onto the wire.
+        pub payload_bytes_sent: u64 => counter "lod_server_payload_bytes_total",
+        /// Times a session stopped sending because the first-hop backlog
+        /// exceeded the backpressure window.
+        pub backpressure_pauses: u64 => counter "lod_server_backpressure_pauses_total",
+        /// Sessions that subscribed to a live feed.
+        pub live_subscribers: u64,
+        /// Packet segments served to relays.
+        pub segments_served: u64 => counter "lod_server_segments_served_total",
+        /// Sessions dropped because they made no progress for longer than the
+        /// idle timeout (crashed clients, never-resumed pauses).
+        pub sessions_reaped: u64 => counter "lod_server_sessions_reaped_total",
+        /// Play requests refused with `Wire::Busy` (admission control).
+        pub sessions_shed: u64 => counter "lod_server_sessions_shed_total",
+        /// Profile downshifts applied under sustained backlog.
+        pub downshifts: u64 => counter "lod_server_downshifts_total",
+        /// Profile upshifts after backlog drained and the hold-down passed.
+        pub upshifts: u64 => counter "lod_server_upshifts_total",
+        /// Distinct sessions that were downshifted at least once.
+        pub sessions_degraded: u64 => counter "lod_server_sessions_degraded_total",
+        /// Session checkpoints journaled for standby replication
+        /// (exported only when failover is armed, by the run's report).
+        pub checkpoints_emitted: u64,
+        /// Replicated sessions restored at promotion (failover takeovers).
+        pub sessions_migrated: u64,
+        /// Plays admitted at packet index 0 — fresh starts. After a
+        /// promotion this must stay 0 on the standby: every migrated session
+        /// resumes from its checkpointed horizon, never from the top.
+        pub plays_from_zero: u64,
+    }
 }
 
 #[cfg(test)]

@@ -11,30 +11,21 @@
 
 use std::collections::BTreeMap;
 
-/// Counters a [`ReorderBuffer`] keeps about its traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReorderStats {
-    /// Frames handed to the consumer, in order.
-    pub delivered: u64,
-    /// Frames that arrived ahead of a gap and had to wait.
-    pub out_of_order: u64,
-    /// Frames dropped as duplicates or late (seq already passed).
-    pub duplicates: u64,
-    /// Sequence numbers abandoned by gap flushes or authorized skips.
-    pub skipped_seqs: u64,
-    /// High-water mark of frames waiting at once.
-    pub max_depth: usize,
-}
-
-impl ReorderStats {
-    /// Folds another buffer's counters into this one (for per-transport
-    /// aggregation across peers).
-    pub fn merge(&mut self, other: &ReorderStats) {
-        self.delivered += other.delivered;
-        self.out_of_order += other.out_of_order;
-        self.duplicates += other.duplicates;
-        self.skipped_seqs += other.skipped_seqs;
-        self.max_depth = self.max_depth.max(other.max_depth);
+lod_obs::counters! {
+    /// Counters a [`ReorderBuffer`] keeps about its traffic. Merged across
+    /// peers they describe one transport, across transports a deployment.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ReorderStats {
+        /// Frames handed to the consumer, in order.
+        pub delivered: u64,
+        /// Frames that arrived ahead of a gap and had to wait.
+        pub out_of_order: u64,
+        /// Frames dropped as duplicates or late (seq already passed).
+        pub duplicates: u64,
+        /// Sequence numbers abandoned by gap flushes or authorized skips.
+        pub skipped_seqs: u64 => gauge "transport_skipped_seqs",
+        /// High-water mark of frames waiting at once.
+        pub max_depth: usize max => gauge "transport_reorder_depth_peak",
     }
 }
 

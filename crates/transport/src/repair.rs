@@ -245,20 +245,22 @@ impl WireCodec for ControlFrame {
     }
 }
 
-/// Counters the sender half keeps.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RepairTxStats {
-    /// Frames resent in answer to NACKs.
-    pub retransmits: u64,
-    /// NACKs ignored because the same frame was resent within the
-    /// duplicate-suppression window.
-    pub suppressed_duplicates: u64,
-    /// Sequences given up on (budget exhausted or already evicted).
-    pub give_ups: u64,
-    /// NACKed sequences no longer (or never) in the buffer.
-    pub unbuffered_nacks: u64,
-    /// Frames evicted to keep the buffer inside its byte budget.
-    pub evicted_frames: u64,
+lod_obs::counters! {
+    /// Counters the sender half keeps.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RepairTxStats {
+        /// Frames resent in answer to NACKs.
+        pub retransmits: u64,
+        /// NACKs ignored because the same frame was resent within the
+        /// duplicate-suppression window.
+        pub suppressed_duplicates: u64,
+        /// Sequences given up on (budget exhausted or already evicted).
+        pub give_ups: u64,
+        /// NACKed sequences no longer (or never) in the buffer.
+        pub unbuffered_nacks: u64,
+        /// Frames evicted to keep the buffer inside its byte budget.
+        pub evicted_frames: u64,
+    }
 }
 
 /// One frame to put back on the wire in answer to a NACK.
@@ -414,17 +416,19 @@ impl RepairTx {
     }
 }
 
-/// Counters the receiver half keeps.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RepairRxStats {
-    /// NACK control frames emitted.
-    pub nacks_sent: u64,
-    /// Missing sequences named across those NACKs (re-NACKs counted).
-    pub seqs_nacked: u64,
-    /// Gaps that closed after at least one NACK — repaired, not skipped.
-    pub repaired: u64,
-    /// Sequences handed over to a gap-skip after budget exhaustion.
-    pub gap_skips: u64,
+lod_obs::counters! {
+    /// Counters the receiver half keeps.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RepairRxStats {
+        /// NACK control frames emitted.
+        pub nacks_sent: u64,
+        /// Missing sequences named across those NACKs (re-NACKs counted).
+        pub seqs_nacked: u64,
+        /// Gaps that closed after at least one NACK — repaired, not skipped.
+        pub repaired: u64,
+        /// Sequences handed over to a gap-skip after budget exhaustion.
+        pub gap_skips: u64,
+    }
 }
 
 /// A gap the receiver has stopped NACKing and now authorizes skipping.

@@ -113,72 +113,49 @@ impl UdpConfig {
     }
 }
 
-/// Traffic counters of one [`UdpTransport`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransportStats {
-    /// Frames put on the socket.
-    pub frames_sent: u64,
-    /// Bytes put on the socket (headers included).
-    pub bytes_sent: u64,
-    /// Frames received and handed to a reorder buffer.
-    pub frames_received: u64,
-    /// Bytes received.
-    pub bytes_received: u64,
-    /// Datagrams that failed frame or payload decoding.
-    pub decode_errors: u64,
-    /// Datagrams from addresses not in the peer table.
-    pub unknown_peer: u64,
-    /// Messages dropped for exceeding `max_frame_bytes`.
-    pub oversize_drops: u64,
-    /// `send_to` failures other than `WouldBlock`.
-    pub send_errors: u64,
-    /// NACK control frames sent by this receiver.
-    pub nacks_sent: u64,
-    /// NACK control frames received by this sender.
-    pub nacks_received: u64,
-    /// Data frames resent in answer to NACKs.
-    pub retransmits_sent: u64,
-    /// Retransmitted data frames received.
-    pub retransmits_received: u64,
-    /// Sequences the repair sender gave up on.
-    pub repair_give_ups: u64,
-    /// Sequences skipped after the NACK budget was exhausted.
-    pub gap_skipped_seqs: u64,
-    /// Heartbeat control frames sent (top-sequence advertisements).
-    pub heartbeats_sent: u64,
-    /// Heartbeat control frames received.
-    pub heartbeats_received: u64,
-    /// Datagrams dropped by the egress fault stage.
-    pub faults_dropped: u64,
-    /// Datagrams duplicated by the egress fault stage.
-    pub faults_duplicated: u64,
-    /// Datagrams delayed by the egress fault stage.
-    pub faults_delayed: u64,
-}
-
-impl TransportStats {
-    /// Folds another transport's counters into this one (for
-    /// whole-deployment aggregation across nodes).
-    pub fn merge(&mut self, other: &TransportStats) {
-        self.frames_sent += other.frames_sent;
-        self.bytes_sent += other.bytes_sent;
-        self.frames_received += other.frames_received;
-        self.bytes_received += other.bytes_received;
-        self.decode_errors += other.decode_errors;
-        self.unknown_peer += other.unknown_peer;
-        self.oversize_drops += other.oversize_drops;
-        self.send_errors += other.send_errors;
-        self.nacks_sent += other.nacks_sent;
-        self.nacks_received += other.nacks_received;
-        self.retransmits_sent += other.retransmits_sent;
-        self.retransmits_received += other.retransmits_received;
-        self.repair_give_ups += other.repair_give_ups;
-        self.gap_skipped_seqs += other.gap_skipped_seqs;
-        self.heartbeats_sent += other.heartbeats_sent;
-        self.heartbeats_received += other.heartbeats_received;
-        self.faults_dropped += other.faults_dropped;
-        self.faults_duplicated += other.faults_duplicated;
-        self.faults_delayed += other.faults_delayed;
+lod_obs::counters! {
+    /// Traffic counters of one [`UdpTransport`]. A deployment merges them
+    /// across its nodes and publishes the sum once, at the end of its run.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TransportStats {
+        /// Frames put on the socket.
+        pub frames_sent: u64 => sparse_counter "transport_frames_sent",
+        /// Bytes put on the socket (headers included).
+        pub bytes_sent: u64,
+        /// Frames received and handed to a reorder buffer.
+        pub frames_received: u64 => sparse_counter "transport_frames_received",
+        /// Bytes received.
+        pub bytes_received: u64,
+        /// Datagrams that failed frame or payload decoding.
+        pub decode_errors: u64 => sparse_counter "transport_decode_errors",
+        /// Datagrams from addresses not in the peer table.
+        pub unknown_peer: u64,
+        /// Messages dropped for exceeding `max_frame_bytes`.
+        pub oversize_drops: u64,
+        /// `send_to` failures other than `WouldBlock`.
+        pub send_errors: u64,
+        /// NACK control frames sent by this receiver.
+        pub nacks_sent: u64 => sparse_counter "transport_nacks_sent",
+        /// NACK control frames received by this sender.
+        pub nacks_received: u64 => sparse_counter "transport_nacks_received",
+        /// Data frames resent in answer to NACKs.
+        pub retransmits_sent: u64 => sparse_counter "transport_retransmits_sent",
+        /// Retransmitted data frames received.
+        pub retransmits_received: u64 => sparse_counter "transport_retransmits_received",
+        /// Sequences the repair sender gave up on.
+        pub repair_give_ups: u64 => sparse_counter "transport_repair_give_ups",
+        /// Sequences skipped after the NACK budget was exhausted.
+        pub gap_skipped_seqs: u64 => sparse_counter "transport_gap_skipped_seqs",
+        /// Heartbeat control frames sent (top-sequence advertisements).
+        pub heartbeats_sent: u64 => sparse_counter "transport_heartbeats_sent",
+        /// Heartbeat control frames received.
+        pub heartbeats_received: u64 => sparse_counter "transport_heartbeats_received",
+        /// Datagrams dropped by the egress fault stage.
+        pub faults_dropped: u64,
+        /// Datagrams duplicated by the egress fault stage.
+        pub faults_duplicated: u64,
+        /// Datagrams delayed by the egress fault stage.
+        pub faults_delayed: u64,
     }
 }
 
@@ -287,8 +264,9 @@ impl<M: WireCodec> UdpTransport<M> {
         Self::bind(node, "127.0.0.1:0".parse().expect("valid literal"), cfg)
     }
 
-    /// Routes reorder-depth gauges and frame counters into a shared
-    /// recorder.
+    /// Routes the transport's events and span edges into a shared
+    /// recorder. Its counters stay in [`Self::stats`]: a deployment
+    /// publishes them once, merged across nodes.
     #[must_use]
     pub fn with_recorder(mut self, obs: Recorder) -> Self {
         self.obs = obs;
@@ -334,12 +312,7 @@ impl<M: WireCodec> UdpTransport<M> {
     pub fn repair_tx_stats(&self) -> crate::repair::RepairTxStats {
         let mut total = crate::repair::RepairTxStats::default();
         for tx in self.repair_tx.values() {
-            let s = tx.stats();
-            total.retransmits += s.retransmits;
-            total.suppressed_duplicates += s.suppressed_duplicates;
-            total.give_ups += s.give_ups;
-            total.unbuffered_nacks += s.unbuffered_nacks;
-            total.evicted_frames += s.evicted_frames;
+            total.merge(tx.stats());
         }
         total
     }
@@ -348,11 +321,7 @@ impl<M: WireCodec> UdpTransport<M> {
     pub fn repair_rx_stats(&self) -> crate::repair::RepairRxStats {
         let mut total = crate::repair::RepairRxStats::default();
         for rx in self.repair_rx.values() {
-            let s = rx.stats();
-            total.nacks_sent += s.nacks_sent;
-            total.seqs_nacked += s.seqs_nacked;
-            total.repaired += s.repaired;
-            total.gap_skips += s.gap_skips;
+            total.merge(rx.stats());
         }
         total
     }
@@ -369,6 +338,11 @@ impl<M: WireCodec> UdpTransport<M> {
             total.merge(b.stats());
         }
         total
+    }
+
+    /// Frames waiting in the reorder buffers now, across peers.
+    pub fn reorder_depth(&self) -> usize {
+        self.reorder.values().map(ReorderBuffer::depth).sum()
     }
 
     /// Bytes currently waiting in the pacer queue.
@@ -479,7 +453,6 @@ impl<M: WireCodec> UdpTransport<M> {
             Ok(_) => {
                 self.stats.frames_sent += 1;
                 self.stats.bytes_sent += frame.len() as u64;
-                self.obs.counter_add("transport_frames_sent", 1);
                 if let Some(ctx) = peek_trace(frame) {
                     // Pace span closes when the datagram hits the wire;
                     // a retransmit re-closes it (last close wins), so
@@ -552,7 +525,6 @@ impl<M: WireCodec> UdpTransport<M> {
                 Ok(ok) => ok,
                 Err(_) => {
                     self.stats.decode_errors += 1;
-                    self.obs.counter_add("transport_decode_errors", 1);
                     continue;
                 }
             };
@@ -564,14 +536,12 @@ impl<M: WireCodec> UdpTransport<M> {
                     Ok(cf) => self.on_control(now, src, addr, &cf, header.sent_at),
                     Err(_) => {
                         self.stats.decode_errors += 1;
-                        self.obs.counter_add("transport_decode_errors", 1);
                     }
                 }
                 continue;
             }
             if header.retransmit {
                 self.stats.retransmits_received += 1;
-                self.obs.counter_add("transport_retransmits_received", 1);
             }
             if let Some(repair) = self.cfg.repair {
                 let top = self.peer_top.entry(src.index()).or_insert(0);
@@ -601,12 +571,10 @@ impl<M: WireCodec> UdpTransport<M> {
                 Ok(m) => m,
                 Err(_) => {
                     self.stats.decode_errors += 1;
-                    self.obs.counter_add("transport_decode_errors", 1);
                     continue;
                 }
             };
             self.stats.frames_received += 1;
-            self.obs.counter_add("transport_frames_received", 1);
             if let Some(ctx) = header.trace {
                 let (node, peer) = (self.node.index() as u64, src.index() as u64);
                 // "wire" spans the one-way flight: opened at the peer's
@@ -668,7 +636,6 @@ impl<M: WireCodec> UdpTransport<M> {
     ) {
         if let ControlFrame::Heartbeat { top_seq } = cf {
             self.stats.heartbeats_received += 1;
-            self.obs.counter_add("transport_heartbeats_received", 1);
             if self.cfg.repair.is_some() {
                 let top = self.peer_top.entry(src.index()).or_insert(0);
                 *top = (*top).max(*top_seq);
@@ -676,7 +643,6 @@ impl<M: WireCodec> UdpTransport<M> {
             return;
         }
         self.stats.nacks_received += 1;
-        self.obs.counter_add("transport_nacks_received", 1);
         let Some(repair) = self.cfg.repair else {
             // A NACK from a repair-enabled peer while ours is off:
             // nothing buffered, nothing to resend.
@@ -695,7 +661,6 @@ impl<M: WireCodec> UdpTransport<M> {
         let at = now.max(sent_at.saturating_add(1));
         for give_up in &response.give_ups {
             self.stats.repair_give_ups += 1;
-            self.obs.counter_add("transport_repair_give_ups", 1);
             self.obs.emit(
                 at,
                 Event::RepairGiveUp {
@@ -711,7 +676,6 @@ impl<M: WireCodec> UdpTransport<M> {
             let mut frame = rt.frame;
             mark_retransmit(&mut frame);
             self.stats.retransmits_sent += 1;
-            self.obs.counter_add("transport_retransmits_sent", 1);
             self.obs.emit(
                 at,
                 Event::Retransmit {
@@ -762,7 +726,6 @@ impl<M: WireCodec> UdpTransport<M> {
                     };
                     let (base_seq, span) = (*base_seq, nack.span());
                     self.stats.nacks_sent += 1;
-                    self.obs.counter_add("transport_nacks_sent", 1);
                     self.obs.emit(
                         now,
                         Event::NackSent {
@@ -805,7 +768,6 @@ impl<M: WireCodec> UdpTransport<M> {
                 for seq in gap.clone() {
                     let nacks = rx.on_skipped(seq);
                     self.stats.gap_skipped_seqs += 1;
-                    self.obs.counter_add("transport_gap_skipped_seqs", 1);
                     self.obs.emit(
                         now,
                         Event::GapSkipped {
@@ -849,7 +811,6 @@ impl<M: WireCodec> UdpTransport<M> {
                     for seq in start..end {
                         let nacks = rx.on_skipped(seq);
                         self.stats.gap_skipped_seqs += 1;
-                        self.obs.counter_add("transport_gap_skipped_seqs", 1);
                         self.obs.emit(
                             now,
                             Event::GapSkipped {
@@ -869,7 +830,6 @@ impl<M: WireCodec> UdpTransport<M> {
     fn flush_reorder(&mut self, now: u64, out: &mut Vec<Delivery<M>>) {
         let node = self.node;
         let budget = 0u64; // repair disabled: plain timeout skips
-        let mut skipped = 0u64;
         for (&src_index, buffer) in &mut self.reorder {
             let missing_before = buffer.missing(usize::MAX);
             let before = buffer.stats().skipped_seqs;
@@ -886,8 +846,7 @@ impl<M: WireCodec> UdpTransport<M> {
                     message,
                 });
             }
-            let newly_skipped = buffer.stats().skipped_seqs - before;
-            if newly_skipped > 0 {
+            if buffer.stats().skipped_seqs > before {
                 // Plain skips are announced too, with zero NACK budget,
                 // so the causal checker sees every abandoned sequence.
                 let horizon = buffer.expected();
@@ -904,10 +863,6 @@ impl<M: WireCodec> UdpTransport<M> {
                     );
                 }
             }
-            skipped += newly_skipped;
-        }
-        if skipped > 0 {
-            self.obs.counter_add("transport_frames_skipped", skipped);
         }
     }
 
@@ -942,7 +897,6 @@ impl<M: WireCodec> UdpTransport<M> {
             let payload = ControlFrame::Heartbeat { top_seq: top }.to_frame_payload();
             let frame = encode_frame_with_flags(0, now, FLAG_CONTROL, &payload);
             self.stats.heartbeats_sent += 1;
-            self.obs.counter_add("transport_heartbeats_sent", 1);
             self.put_on_wire(now, addr, &frame);
         }
     }
@@ -1004,13 +958,6 @@ impl<M: WireCodec> Transport<M> for UdpTransport<M> {
         } else {
             self.flush_reorder(now, &mut out);
         }
-        let stats = self.reorder_stats();
-        let depth: usize = self.reorder.values().map(ReorderBuffer::depth).sum();
-        self.obs.gauge_set("transport_reorder_depth", depth as u64);
-        self.obs
-            .gauge_set("transport_reorder_depth_peak", stats.max_depth as u64);
-        self.obs
-            .gauge_set("transport_skipped_seqs", stats.skipped_seqs);
         out
     }
 }
@@ -1138,14 +1085,12 @@ mod tests {
     fn shuffled_arrival_is_resequenced_before_delivery() {
         // The acceptance drill: datagrams leave in shuffled order, the
         // state machine sees an in-sequence stream, and the reorder
-        // depth shows up as an obs metric.
-        let recorder = Recorder::new();
+        // depth shows up in the transport's counters (the deployment
+        // exports them: `core/tests/loopback_udp.rs`).
         let sender_id = NodeId::from_index(0);
         let recv_id = NodeId::from_index(1);
         let mut rx: UdpTransport<TestMsg> =
-            UdpTransport::bind_localhost(recv_id, UdpConfig::default())
-                .unwrap()
-                .with_recorder(recorder.clone());
+            UdpTransport::bind_localhost(recv_id, UdpConfig::default()).unwrap();
         let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
         rx.register_peer(sender_id, raw.local_addr().unwrap());
 
@@ -1174,11 +1119,7 @@ mod tests {
         );
         assert!(stats.max_depth > 0);
         assert_eq!(stats.skipped_seqs, 0);
-        assert_eq!(
-            recorder.registry().gauge("transport_reorder_depth_peak"),
-            stats.max_depth as u64,
-            "reorder depth is exposed as an obs metric"
-        );
+        assert_eq!(rx.reorder_depth(), 0, "nothing left waiting");
     }
 
     #[test]
