@@ -158,7 +158,8 @@ impl WmpsReport {
 }
 
 /// Folds a finished run's counters into the recorder's metrics
-/// registry: the exported rows of the origin's [`ServerMetrics`] and of
+/// registry: the exported rows of the origin role's [`ServerMetrics`]
+/// (the primary's, plus the standby's when failover is armed) and of
 /// the relays' merged [`RelayMetrics`] and [`CacheStats`] (each table
 /// names its own), whole-run gauges, and startup/stall/recovery
 /// histograms over [`TICK_BOUNDS`]. A disabled recorder makes every
@@ -167,7 +168,11 @@ fn publish_run_metrics(obs: &Recorder, report: &WmpsReport) {
     if !obs.is_enabled() {
         return;
     }
-    report.server.publish(obs);
+    let mut origin = report.server;
+    if let Some(fo) = &report.failover {
+        origin += fo.standby;
+    }
+    origin.publish(obs);
     if let Some(tier) = &report.relay {
         tier.metrics.publish(obs);
         tier.cache.publish(obs);
@@ -181,7 +186,7 @@ fn publish_run_metrics(obs: &Recorder, report: &WmpsReport) {
         obs.counter_add("lod_standby_sessions_migrated_total", fo.sessions_migrated);
         obs.counter_add(
             "lod_server_checkpoints_emitted_total",
-            report.server.checkpoints_emitted,
+            origin.checkpoints_emitted,
         );
         obs.gauge_set("lod_stale_epoch_replies", fo.stale_epoch_replies);
         obs.gauge_set("lod_failover_epoch", fo.epoch);
@@ -1274,6 +1279,15 @@ mod tests {
         assert_eq!(
             fo.standby.plays_from_zero, 0,
             "every migrated session resumes from its horizon, never from 0: {fo:?}"
+        );
+        // The origin role's counters are the primary's plus the
+        // standby's: what the standby served after promotion is exported.
+        assert!(fo.standby.payload_bytes_sent > 0, "{fo:?}");
+        assert_eq!(
+            cfg.recorder
+                .registry()
+                .counter("lod_server_payload_bytes_total"),
+            report.server.payload_bytes_sent + fo.standby.payload_bytes_sent
         );
         // The event log proves the causal story: misses herald the
         // promotion, and every migrated session had a prior checkpoint.

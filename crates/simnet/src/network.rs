@@ -1,6 +1,6 @@
 //! The event-driven network core.
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::error::Error;
 use std::fmt;
@@ -119,32 +119,160 @@ fn set_cell(rows: &mut [Vec<u32>], a: usize, b: usize, v: u32) {
     row[b] = v;
 }
 
-/// One message crossing one link. Ordered by arrival time, then by send
-/// sequence — which is unique, so no later field ever decides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// One message crossing one link, in 32 bytes. Ordered by arrival time,
+/// then by send sequence and by nothing else: a message has at most one
+/// hop in flight, so no two hops in flight share a `seq`.
+#[derive(Debug, Clone, Copy)]
 struct Hop {
     arrival: u64,
     seq: u64,
-    /// Where the message waits in [`Network::payloads`].
+    /// Where the message waits in [`Network::parcels`].
     slot: u32,
-    from: usize,
-    to: usize,
+    /// The link's ends, not its index in [`Network::links`]:
+    /// [`Network::disconnect`] moves links in that table.
+    from: u32,
+    to: u32,
 }
 
-/// One message somewhere between its sender and its final destination.
+impl Hop {
+    /// `(arrival, seq)` as one integer, which compares without a branch.
+    fn key(&self) -> u128 {
+        (u128::from(self.arrival) << 64) | u128::from(self.seq)
+    }
+}
+
+impl PartialEq for Hop {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Hop {}
+
+impl PartialOrd for Hop {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Hop {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// The hops in flight, held so that a drain pops them in `(arrival,
+/// seq)` order without keeping all of them in a heap. Sends append to
+/// `fresh`; a drain first sorts those into `run`, and the hops it
+/// forwards go to `forwarded`. Each pop takes the smaller of the two
+/// minima, `run`'s next and `forwarded`'s top, which is the minimum over
+/// every hop in flight: the order one global heap pops.
+#[derive(Debug, Default)]
+struct Hops {
+    /// Sent since the last drain, in send order.
+    fresh: Vec<Hop>,
+    /// Sorted; `run[next..]` are still in flight.
+    run: Vec<Hop>,
+    next: usize,
+    /// Forwarded by a router. Few at a time: a forward is due one link's
+    /// latency after the hop that spawned it, so a drain reaches it soon.
+    forwarded: BinaryHeap<Reverse<Hop>>,
+    /// Scratch for [`sort_by_arrival`].
+    spare: Vec<Hop>,
+}
+
+impl Hops {
+    fn len(&self) -> usize {
+        self.fresh.len() + self.run.len() - self.next + self.forwarded.len()
+    }
+
+    fn next_arrival(&self) -> Option<u64> {
+        let run = self.run.get(self.next).map(|h| h.arrival);
+        let fwd = self.forwarded.peek().map(|Reverse(h)| h.arrival);
+        let fresh = self.fresh.iter().map(|h| h.arrival).min();
+        [run, fwd, fresh].into_iter().flatten().min()
+    }
+
+    /// Sorts `fresh` into `run`, before a drain. What is left in `run`
+    /// was sent before the last drain, so each of its hops has a smaller
+    /// `seq` than every fresh one, and `fresh` is in send order: sorted
+    /// by arrival alone, stably, `run` is in `(arrival, seq)` order.
+    fn sort(&mut self) {
+        if self.fresh.is_empty() {
+            return;
+        }
+        self.run.drain(..self.next);
+        self.next = 0;
+        self.run.append(&mut self.fresh);
+        sort_by_arrival(&mut self.run, &mut self.spare);
+    }
+
+    /// The hop in flight that arrives first, if it arrives by `t`.
+    fn pop_due(&mut self, t: u64) -> Option<Hop> {
+        let fwd = self.forwarded.peek().map(|Reverse(h)| h);
+        let from_run = match (self.run.get(self.next), fwd) {
+            (Some(r), Some(f)) => r < f,
+            (r, _) => r.is_some(),
+        };
+        if from_run {
+            let hop = self.run[self.next];
+            (hop.arrival <= t).then(|| {
+                self.next += 1;
+                hop
+            })
+        } else {
+            self.forwarded.peek().filter(|Reverse(h)| h.arrival <= t)?;
+            self.forwarded.pop().map(|Reverse(h)| h)
+        }
+    }
+}
+
+/// Sorts `hops` by arrival, keeping the order of hops that arrive
+/// together: a least-significant-digit radix sort with one counting pass
+/// per byte of the span from the earliest arrival to the latest (three
+/// for a 100 ms step). `spare` is scratch.
+fn sort_by_arrival(hops: &mut Vec<Hop>, spare: &mut Vec<Hop>) {
+    let Some(&first) = hops.first() else {
+        return;
+    };
+    let (lo, hi) = hops.iter().fold((u64::MAX, 0), |(lo, hi), h| {
+        (lo.min(h.arrival), hi.max(h.arrival))
+    });
+    let span = hi - lo;
+    let digit = |h: &Hop, shift: u32| ((h.arrival - lo) >> shift) as usize & 0xff;
+    spare.resize(hops.len(), first);
+    let mut shift = 0;
+    while shift < u64::BITS && span >> shift != 0 {
+        let mut at = [0usize; 256];
+        for h in hops.iter() {
+            at[digit(h, shift)] += 1;
+        }
+        let mut sum = 0;
+        for a in &mut at {
+            (*a, sum) = (sum, sum + *a);
+        }
+        for h in hops.iter() {
+            let d = digit(h, shift);
+            spare[at[d]] = *h;
+            at[d] += 1;
+        }
+        std::mem::swap(hops, spare);
+        shift += 8;
+    }
+}
+
+/// A message in flight: its delivery record, whole but for the arrival
+/// time, so a final delivery is one move out of the slab.
 #[derive(Debug)]
-struct InFlight<M> {
-    bytes: u64,
-    message: M,
-    origin: usize,
-    final_dst: usize,
+struct Parcel<M> {
+    delivery: Delivery<M>,
     /// Exempt from the loss model (sent "over TCP").
     reliable: bool,
 }
 
-/// The in-flight messages, in a slab: a heap entry carries its message's
-/// slot, so a message costs one insert and one remove and no hashing,
-/// and a dropped message's slot is reused by the next send.
+/// The in-flight messages, in a slab: a hop carries its message's slot,
+/// so a message costs one insert and one remove and no hashing, and a
+/// dropped message's slot is reused by the next send.
 #[derive(Debug)]
 struct Slab<T> {
     slots: Vec<Option<T>>,
@@ -172,14 +300,30 @@ impl<T> Slab<T> {
         }
     }
 
-    fn get(&self, slot: u32) -> Option<&T> {
-        self.slots.get(slot as usize)?.as_ref()
+    fn get_mut(&mut self, slot: u32) -> Option<&mut T> {
+        self.slots.get_mut(slot as usize)?.as_mut()
     }
 
     fn remove(&mut self, slot: u32) -> Option<T> {
         let value = self.slots.get_mut(slot as usize)?.take()?;
         self.free.push(slot);
         Some(value)
+    }
+
+    /// Removes the value in each of `slots`, in order, maps it by `f`
+    /// and leaves `slots` empty. Nothing runs between reading a slot and
+    /// writing its value out, so each value is moved once.
+    fn remove_all<U>(&mut self, slots: &mut Vec<u32>, mut f: impl FnMut(T) -> U) -> Vec<U> {
+        let out = slots
+            .iter()
+            .map(|&s| {
+                f(self.slots[s as usize]
+                    .take()
+                    .expect("each slot listed once"))
+            })
+            .collect();
+        self.free.append(slots);
+        out
     }
 
     #[cfg(test)]
@@ -206,8 +350,10 @@ pub struct Network<M> {
     next_hop: Vec<Vec<u32>>,
     now: u64,
     seq: u64,
-    in_flight: BinaryHeap<Reverse<Hop>>,
-    payloads: Slab<InFlight<M>>,
+    hops: Hops,
+    parcels: Slab<Parcel<M>>,
+    /// The slots of the messages the current drain delivered, in order.
+    arrived: Vec<u32>,
     rng: SmallRng,
     /// Faults struck on this network and not yet healed.
     faults: ActiveFaults,
@@ -223,8 +369,9 @@ impl<M> Network<M> {
             next_hop: Vec::new(),
             now: 0,
             seq: 0,
-            in_flight: BinaryHeap::new(),
-            payloads: Slab::new(),
+            hops: Hops::default(),
+            parcels: Slab::new(),
+            arrived: Vec::new(),
             rng: SmallRng::seed_from_u64(seed),
             faults: ActiveFaults::default(),
         }
@@ -478,29 +625,40 @@ impl<M> Network<M> {
         }
         let seq = self.seq;
         self.seq += 1;
-        let slot = self.payloads.insert(InFlight {
-            bytes,
-            message,
-            origin: src.0,
-            final_dst: dst.0,
+        let slot = self.parcels.insert(Parcel {
+            delivery: Delivery {
+                time: 0,
+                src,
+                dst,
+                bytes,
+                message,
+            },
             reliable,
         });
-        self.enqueue_on_link(src.0, hop, seq, slot, self.now);
+        if let Some(h) = self.enqueue_on_link(src.0, hop, seq, slot, self.now) {
+            self.hops.fresh.push(h);
+        }
         Ok(())
     }
 
     /// Puts the packet in `slot` on the `from → to` link starting no
-    /// earlier than `when`. Every way of dropping it here (no such link,
-    /// a dark link, the loss model) also frees its slot.
-    fn enqueue_on_link(&mut self, from: usize, to: usize, seq: u64, slot: u32, when: u64) {
-        let Some(p) = self.payloads.get(slot) else {
-            return;
-        };
-        let (bytes, reliable) = (p.bytes, p.reliable);
+    /// earlier than `when`, and returns its hop. Every way of dropping it
+    /// here (no such link, a dark link, the loss model) frees its slot
+    /// and returns `None`.
+    fn enqueue_on_link(
+        &mut self,
+        from: usize,
+        to: usize,
+        seq: u64,
+        slot: u32,
+        when: u64,
+    ) -> Option<Hop> {
+        let p = self.parcels.get_mut(slot)?;
+        let (bytes, reliable) = (p.delivery.bytes, p.reliable);
         let Some(link) = cell(&self.link_ids, from, to).map(|id| &mut self.links[id]) else {
             // Later-hop link missing: drop like a router with no route.
-            self.payloads.remove(slot);
-            return;
+            self.parcels.remove(slot);
+            return None;
         };
         link.stats.packets_sent += 1;
         link.stats.bytes_sent += bytes;
@@ -508,8 +666,8 @@ impl<M> Network<M> {
             // A dark link drops everything handed to it — even "reliable"
             // traffic: TCP cannot cross a severed wire.
             link.stats.packets_dropped += 1;
-            self.payloads.remove(slot);
-            return;
+            self.parcels.remove(slot);
+            return None;
         }
         // FIFO serialization: packets queue behind one another.
         let start = link.next_free.max(when);
@@ -521,76 +679,67 @@ impl<M> Network<M> {
             link.spec.loss > 0.0 && self.rng.gen_bool(link.spec.loss.clamp(0.0, 1.0)) && !reliable;
         if lost {
             link.stats.packets_dropped += 1;
-            self.payloads.remove(slot);
-            return;
+            self.parcels.remove(slot);
+            return None;
         }
         let jitter = if link.spec.jitter_ticks > 0 {
             self.rng.gen_range(0..=link.spec.jitter_ticks)
         } else {
             0
         };
-        let arrival = depart + link.spec.delay_ticks + jitter;
-        self.in_flight.push(Reverse(Hop {
-            arrival,
+        Some(Hop {
+            arrival: depart + link.spec.delay_ticks + jitter,
             seq,
             slot,
-            from,
-            to,
-        }));
+            from: from as u32,
+            to: to as u32,
+        })
     }
 
     /// Advances the clock to `t`, returning every final delivery with
     /// arrival time ≤ `t`, in arrival order. Packets reaching an
     /// intermediate hop are forwarded onward automatically.
     pub fn advance_to(&mut self, t: u64) -> Vec<Delivery<M>> {
-        let mut out = Vec::new();
-        while let Some(&Reverse(hop)) = self.in_flight.peek() {
-            if hop.arrival > t {
-                break;
-            }
-            self.in_flight.pop();
-            let at = hop.to;
-            if let Some(id) = cell(&self.link_ids, hop.from, at) {
+        self.hops.sort();
+        while let Some(hop) = self.hops.pop_due(t) {
+            let (from, at) = (hop.from as usize, hop.to as usize);
+            if let Some(id) = cell(&self.link_ids, from, at) {
                 self.links[id].stats.packets_delivered += 1;
             }
-            let final_dst = self
-                .payloads
-                .get(hop.slot)
-                .expect("a heap entry owns its payload slot until it arrives")
-                .final_dst;
+            let parcel = self
+                .parcels
+                .get_mut(hop.slot)
+                .expect("a hop in flight owns its parcel's slot until it arrives");
+            let final_dst = parcel.delivery.dst.0;
             if at == final_dst {
-                let p = self.payloads.remove(hop.slot).expect("just observed");
-                out.push(Delivery {
-                    time: hop.arrival,
-                    src: NodeId(p.origin),
-                    dst: NodeId(at),
-                    bytes: p.bytes,
-                    message: p.message,
-                });
+                parcel.delivery.time = hop.arrival;
+                self.arrived.push(hop.slot);
             } else {
                 // Forward toward the destination.
                 let next = cell(&self.next_hop, at, final_dst).unwrap_or(final_dst);
-                self.enqueue_on_link(at, next, hop.seq, hop.slot, hop.arrival);
+                if let Some(h) = self.enqueue_on_link(at, next, hop.seq, hop.slot, hop.arrival) {
+                    self.hops.forwarded.push(Reverse(h));
+                }
             }
         }
         self.now = self.now.max(t);
-        out
+        self.parcels.remove_all(&mut self.arrived, |p| p.delivery)
     }
 
     /// Arrival time of the earliest in-flight packet, if any.
     pub fn next_arrival(&self) -> Option<u64> {
-        self.in_flight.peek().map(|Reverse(hop)| hop.arrival)
+        self.hops.next_arrival()
     }
 
     /// Number of packets currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
+        self.hops.len()
     }
 
     /// Messages the network still holds a payload for.
     #[cfg(test)]
     fn payloads_held(&self) -> usize {
-        self.payloads.len()
+        self.parcels.len()
     }
 
     /// Re-derives every link `fault` covers from its unfaulted state and
@@ -651,6 +800,16 @@ mod tests {
         let b = net.add_node("b");
         net.connect(a, b, LinkSpec::lan().with_loss(loss).with_jitter(jitter));
         (net, a, b)
+    }
+
+    #[test]
+    fn a_hop_fits_in_32_bytes() {
+        // The sort and the forward heap move hops, never messages.
+        assert!(
+            std::mem::size_of::<Hop>() <= 32,
+            "{}",
+            std::mem::size_of::<Hop>()
+        );
     }
 
     #[test]
@@ -862,7 +1021,7 @@ mod tests {
         for i in 0..100 {
             net.send_reliable(a, b, 100, i).unwrap();
         }
-        assert_eq!(net.payloads.slots.len(), 100);
+        assert_eq!(net.parcels.slots.len(), 100);
     }
 
     #[test]

@@ -292,6 +292,10 @@ mod model {
             self.in_flight.len()
         }
 
+        pub fn next_arrival(&self) -> Option<u64> {
+            self.in_flight.peek().map(|Reverse((arrival, ..))| *arrival)
+        }
+
         pub fn send(
             &mut self,
             src: NodeId,
@@ -510,6 +514,120 @@ fn same_view(
     Ok(())
 }
 
+/// Applies `ops` to a `nodes`-node network and to the model, checking
+/// after every op that the two agree, then drains both.
+fn agrees_with_the_model(nodes: usize, seed: u64, ops: Vec<NetOp>) -> Result<(), TestCaseError> {
+    let mut net: Network<u32> = Network::new(seed);
+    for i in 0..nodes {
+        net.add_node(format!("n{i}"));
+    }
+    let mut model = model::Network::new(seed, nodes);
+    let id = NodeId::from_index;
+    let mut struck: Vec<Fault> = Vec::new();
+    let mut msg = 0u32;
+    let mut now = 0u64;
+    for op in ops {
+        match op {
+            NetOp::Connect(a, b, l) => {
+                net.connect(id(a), id(b), l);
+                model.connect(id(a), id(b), l);
+            }
+            NetOp::Disconnect(a, b) => {
+                net.disconnect(id(a), id(b));
+                model.disconnect(id(a), id(b));
+            }
+            NetOp::Route(a, b, h) => {
+                net.set_next_hop(id(a), id(b), id(h));
+                model.set_next_hop(id(a), id(b), id(h));
+            }
+            NetOp::SetUp(a, b, up) => {
+                prop_assert_eq!(
+                    net.set_link_up(id(a), id(b), up),
+                    model.set_link_up(id(a), id(b), up)
+                );
+            }
+            NetOp::SetSpec(a, b, l) => {
+                prop_assert_eq!(
+                    net.set_link_spec(id(a), id(b), l),
+                    model.set_link_spec(id(a), id(b), l)
+                );
+            }
+            NetOp::Strike(f) => {
+                net.strike(f);
+                model.strike(f);
+                struck.push(f);
+            }
+            NetOp::Heal(i, f) => {
+                let f = if struck.is_empty() {
+                    f
+                } else {
+                    struck.remove(i % struck.len())
+                };
+                net.heal(f);
+                model.heal(f);
+            }
+            NetOp::Send(a, b, bytes, reliable) => {
+                let got = if reliable {
+                    net.send_reliable(id(a), id(b), bytes, msg)
+                } else {
+                    net.send(id(a), id(b), bytes, msg)
+                };
+                prop_assert_eq!(got, model.send(id(a), id(b), bytes, msg, reliable));
+                msg += 1;
+            }
+            NetOp::Advance(dt) => {
+                now += dt;
+                prop_assert_eq!(net.advance_to(now), model.advance_to(now));
+            }
+        }
+        same_view(&net, &model, nodes)?;
+        prop_assert_eq!(net.next_arrival(), model.next_arrival());
+    }
+    prop_assert_eq!(net.advance_to(u64::MAX / 4), model.advance_to(u64::MAX / 4));
+    same_view(&net, &model, nodes)
+}
+
+/// The tick every time in [`tie_op`]'s networks is a multiple of.
+const QUANTUM: u64 = 1_000;
+
+/// A jitter-free link whose delay is 0, 1 or 2 quanta and whose
+/// serialization is none at all or exactly one quantum per 1000 bytes.
+fn tie_link() -> impl Strategy<Value = LinkSpec> {
+    (
+        prop_oneof![Just(1_000_000_000_000_000u64), Just(80_000_000)],
+        0u64..3,
+        prop_oneof![3 => Just(0.0f64), 1 => Just(0.3)],
+    )
+        .prop_map(|(bw, q, loss)| LinkSpec {
+            bandwidth_bps: bw,
+            delay_ticks: q * QUANTUM,
+            jitter_ticks: 0,
+            loss,
+        })
+}
+
+/// Ops on a small network of [`tie_link`]s, sending 1000 or 2000 bytes
+/// and advancing by whole quanta: many hops arrive at one tick, so the
+/// order falls to the send sequence; forwarded hops land exactly at the
+/// drain's end; drains stop with traffic in flight, between sends; and
+/// links are cut while others carry traffic. Routes only lead to node 0,
+/// which delivers directly, so no message can circle forever on a
+/// lossless loop.
+fn tie_op() -> impl Strategy<Value = NetOp> {
+    let n = || 0..TIE_NODES;
+    prop_oneof![
+        3 => (n(), n(), tie_link()).prop_map(|(a, b, l)| NetOp::Connect(a, b, l)),
+        2 => (n(), n()).prop_map(|(a, b)| NetOp::Disconnect(a, b)),
+        3 => (1..TIE_NODES, n()).prop_map(|(a, b)| NetOp::Route(a, b, 0)),
+        1 => (n(), n(), any::<bool>()).prop_map(|(a, b, up)| NetOp::SetUp(a, b, up)),
+        10 => (n(), n(), 1u64..=2, any::<bool>())
+            .prop_map(|(a, b, k, r)| NetOp::Send(a, b, k * 1_000, r)),
+        4 => (0u64..4).prop_map(|q| NetOp::Advance(q * QUANTUM)),
+    ]
+}
+
+const TIE_NODES: usize = 4;
+
 proptest! {
     /// The dense `Network` and the `HashMap`-keyed model agree on every
     /// delivery, refusal and counter through random topologies, routes,
@@ -520,69 +638,18 @@ proptest! {
         seed in any::<u64>(),
         ops in proptest::collection::vec(net_op(), 1..160),
     ) {
-        let mut net: Network<u32> = Network::new(seed);
-        for i in 0..nodes {
-            net.add_node(format!("n{i}"));
-        }
-        let mut model = model::Network::new(seed, nodes);
-        let id = NodeId::from_index;
-        let mut struck: Vec<Fault> = Vec::new();
-        let mut msg = 0u32;
-        let mut now = 0u64;
-        for op in ops {
-            match op {
-                NetOp::Connect(a, b, l) => {
-                    net.connect(id(a), id(b), l);
-                    model.connect(id(a), id(b), l);
-                }
-                NetOp::Disconnect(a, b) => {
-                    net.disconnect(id(a), id(b));
-                    model.disconnect(id(a), id(b));
-                }
-                NetOp::Route(a, b, h) => {
-                    net.set_next_hop(id(a), id(b), id(h));
-                    model.set_next_hop(id(a), id(b), id(h));
-                }
-                NetOp::SetUp(a, b, up) => {
-                    prop_assert_eq!(
-                        net.set_link_up(id(a), id(b), up),
-                        model.set_link_up(id(a), id(b), up)
-                    );
-                }
-                NetOp::SetSpec(a, b, l) => {
-                    prop_assert_eq!(
-                        net.set_link_spec(id(a), id(b), l),
-                        model.set_link_spec(id(a), id(b), l)
-                    );
-                }
-                NetOp::Strike(f) => {
-                    net.strike(f);
-                    model.strike(f);
-                    struck.push(f);
-                }
-                NetOp::Heal(i, f) => {
-                    let f = if struck.is_empty() { f } else { struck.remove(i % struck.len()) };
-                    net.heal(f);
-                    model.heal(f);
-                }
-                NetOp::Send(a, b, bytes, reliable) => {
-                    let got = if reliable {
-                        net.send_reliable(id(a), id(b), bytes, msg)
-                    } else {
-                        net.send(id(a), id(b), bytes, msg)
-                    };
-                    prop_assert_eq!(got, model.send(id(a), id(b), bytes, msg, reliable));
-                    msg += 1;
-                }
-                NetOp::Advance(dt) => {
-                    now += dt;
-                    prop_assert_eq!(net.advance_to(now), model.advance_to(now));
-                }
-            }
-            same_view(&net, &model, nodes)?;
-        }
-        prop_assert_eq!(net.advance_to(u64::MAX / 4), model.advance_to(u64::MAX / 4));
-        same_view(&net, &model, nodes)?;
+        agrees_with_the_model(nodes, seed, ops)?;
+    }
+
+    /// The same agreement where arrivals tie: the sorted run and the
+    /// forward heap must pop `(arrival, seq)` order, not arrival order
+    /// alone, and a hop forwarded onto a later tick must wait for it.
+    #[test]
+    fn tied_arrivals_keep_the_model_order(
+        seed in any::<u64>(),
+        ops in proptest::collection::vec(tie_op(), 1..200),
+    ) {
+        agrees_with_the_model(TIE_NODES, seed, ops)?;
     }
 }
 

@@ -307,8 +307,11 @@ mod tests {
 
     #[test]
     fn a_data_packet_travels_in_a_small_message() {
-        // Every simnet slot and delivery holds a whole `Wire`; a header
-        // inline in it made each data packet carry 280 bytes.
+        // A simnet slot holds the message as its `Delivery<Wire>` plus
+        // the reliable flag, and each send and final delivery copies it
+        // once; a header inline in `Wire` made each data packet carry
+        // 280 bytes. `Wire::Segment` stays unboxed: it travels once per
+        // segment, and the benchmark builds it by value.
         assert!(
             std::mem::size_of::<Wire>() <= 152,
             "{}",
