@@ -30,10 +30,10 @@
 
 use lod_bench::report::{emit, BenchReport, Json};
 use lod_simnet::{FaultInjector, FaultPlan, NodeId};
+use lod_transport::frame::encode_frame_traced;
 use lod_transport::{
-    decode_frame, encode_frame, encode_frame_with_flags, mark_retransmit, ControlFrame,
-    FaultAction, FaultEngine, FaultSpec, ReorderBuffer, RepairConfig, RepairRx, RepairTx,
-    WireCodec, FLAG_CONTROL,
+    decode_frame, encode_frame, mark_retransmit, ControlFrame, FaultAction, FaultEngine, FaultSpec,
+    ReorderBuffer, RepairConfig, RepairRx, RepairTx, WireCodec, FLAG_CONTROL,
 };
 
 /// Virtual-time step per drill iteration.
@@ -256,7 +256,7 @@ fn run_drill(p: &Profile, repair: Option<RepairConfig>) -> DrillOut {
                 hb_sent += 1;
                 hb_last_at = now;
                 let hb = ControlFrame::Heartbeat { top_seq: N_FRAMES }.to_frame_payload();
-                s2r.send(now, encode_frame_with_flags(0, now, FLAG_CONTROL, &hb));
+                s2r.send(now, encode_frame_traced(0, now, FLAG_CONTROL, None, &hb));
             }
         }
 
@@ -298,7 +298,7 @@ fn run_drill(p: &Profile, repair: Option<RepairConfig>) -> DrillOut {
                 let decision = rx.poll(now, &missing);
                 for nack in &decision.nacks {
                     let body = nack.to_frame_payload();
-                    r2s.send(now, encode_frame_with_flags(0, now, FLAG_CONTROL, &body));
+                    r2s.send(now, encode_frame_traced(0, now, FLAG_CONTROL, None, &body));
                 }
                 if !decision.skippable.is_empty() {
                     // Budget-exhausted gaps: skip the contiguous
@@ -394,11 +394,12 @@ fn main() {
     let dense: Vec<u64> = (100..164).collect();
     let nacks = ControlFrame::build_nacks(&dense);
     assert_eq!(nacks.len(), 1, "64 contiguous seqs fit one NACK");
-    let nack_frame = encode_frame_with_flags(0, 0, FLAG_CONTROL, &nacks[0].to_frame_payload());
-    let hb_frame = encode_frame_with_flags(
+    let nack_frame = encode_frame_traced(0, 0, FLAG_CONTROL, None, &nacks[0].to_frame_payload());
+    let hb_frame = encode_frame_traced(
         0,
         0,
         FLAG_CONTROL,
+        None,
         &ControlFrame::Heartbeat { top_seq: u64::MAX }.to_frame_payload(),
     );
 

@@ -41,7 +41,8 @@ impl Ocpn {
         let mut durations: Vec<(TransitionId, u64)> = Vec::new();
         let mut media = HashMap::new();
         let entry = b.place("entry");
-        let (first_in, exit) = compile_rec(spec, &mut b, &mut durations, &mut media);
+        let (first_in, exit) =
+            compile_rec(spec, &mut b, &mut durations, &mut media, &HashMap::new());
         // Connect the global entry to the spec's entry with a 0-tick start.
         let start = b.transition("start");
         b.arc_in(entry, start, 1).expect("fresh ids");
@@ -72,38 +73,54 @@ impl Ocpn {
     pub fn schedule(&self) -> PlayoutSchedule {
         let mut m = Marking::new(self.timed.net().place_count());
         m.set(self.entry, 1);
-        let mut exec = TimedExecutor::new(&self.timed, m);
-        exec.run_to_quiescence(100_000)
-            .expect("compiled OCPNs are acyclic");
-        debug_assert_eq!(exec.marking().tokens(self.exit), 1);
-        let mut entries = Vec::new();
-        for ev in exec.log() {
-            if ev.kind != lod_petri::timed::TimedEventKind::Started {
-                continue;
-            }
-            if let Some((name, dur)) = self
-                .media
-                .iter()
-                .find(|(_, (t, _))| *t == ev.transition)
-                .map(|(n, (_, d))| (n.clone(), *d))
-            {
-                entries.push(ScheduleEntry {
-                    name,
-                    start: ev.time,
-                    end: ev.time + dur,
-                });
-            }
-        }
-        PlayoutSchedule::new(entries)
+        let (schedule, end) = run(&self.timed, m, &self.media);
+        debug_assert_eq!(end.tokens(self.exit), 1);
+        schedule
     }
 }
 
+/// Executes `timed` from `marking` until nothing can fire and lists when
+/// each of the `named` transitions started, with the final marking.
+///
+/// # Panics
+///
+/// Panics if the net livelocks, which would be a bug in the compiler:
+/// compiled nets are acyclic.
+pub(crate) fn run(
+    timed: &TimedNet,
+    marking: Marking,
+    named: &HashMap<String, (TransitionId, u64)>,
+) -> (PlayoutSchedule, Marking) {
+    let mut exec = TimedExecutor::new(timed, marking);
+    exec.run_to_quiescence(1_000_000)
+        .expect("compiled nets are acyclic");
+    let by_transition: HashMap<TransitionId, (&String, u64)> =
+        named.iter().map(|(n, &(t, d))| (t, (n, d))).collect();
+    let entries = exec
+        .log()
+        .iter()
+        .filter(|ev| ev.kind == lod_petri::timed::TimedEventKind::Started)
+        .filter_map(|ev| {
+            let (name, dur) = by_transition.get(&ev.transition)?;
+            Some(ScheduleEntry {
+                name: (*name).clone(),
+                start: ev.time,
+                end: ev.time + dur,
+            })
+        })
+        .collect();
+    (PlayoutSchedule::new(entries), exec.marking().clone())
+}
+
 /// Recursively compiles a spec node, returning its (entry, exit) places.
-fn compile_rec(
+/// A playout transition also consumes its object's data-ready token when
+/// `ready` names one (XOCPN; the plain OCPN passes an empty map).
+pub(crate) fn compile_rec(
     spec: &PresentationSpec,
     b: &mut NetBuilder,
     durations: &mut Vec<(TransitionId, u64)>,
     media: &mut HashMap<String, (TransitionId, u64)>,
+    ready: &HashMap<String, PlaceId>,
 ) -> (PlaceId, PlaceId) {
     match spec {
         PresentationSpec::Interval { name, duration } => {
@@ -111,6 +128,9 @@ fn compile_rec(
             let p_out = b.place(format!("{name}.out"));
             let t = b.transition(format!("play.{name}"));
             b.arc_in(p_in, t, 1).expect("fresh ids");
+            if let Some(r) = ready.get(name) {
+                b.arc_in(*r, t, 1).expect("fresh ids");
+            }
             b.arc_out(t, p_out, 1).expect("fresh ids");
             durations.push((t, *duration));
             media.insert(name.clone(), (t, *duration));
@@ -121,8 +141,8 @@ fn compile_rec(
             first,
             second,
         } => {
-            let (a_in, a_out) = compile_rec(first, b, durations, media);
-            let (b_in, b_out) = compile_rec(second, b, durations, media);
+            let (a_in, a_out) = compile_rec(first, b, durations, media, ready);
+            let (b_in, b_out) = compile_rec(second, b, durations, media, ready);
             match relation {
                 TemporalRelation::Before(delay) => {
                     // A.out --delay--> B.in, sequential.

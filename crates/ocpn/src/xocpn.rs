@@ -12,11 +12,12 @@
 
 use std::collections::HashMap;
 
-use lod_petri::{Marking, NetBuilder, PlaceId, TimedExecutor, TimedNet, TransitionId};
+use lod_petri::{Marking, NetBuilder, PlaceId, TimedNet, TransitionId};
 use serde::{Deserialize, Serialize};
 
-use crate::schedule::{PlayoutSchedule, ScheduleEntry};
-use crate::spec::{PresentationSpec, TemporalRelation};
+use crate::build::{compile_rec, run};
+use crate::schedule::PlayoutSchedule;
+use crate::spec::PresentationSpec;
 
 /// Channel quality-of-service declaration for one media object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -108,7 +109,7 @@ impl Xocpn {
 
         // Temporal structure; playout also consumes the data-ready token.
         let (first_in, _exit) =
-            compile_structure(spec, &mut b, &mut durations, &mut media, &ready_places);
+            compile_rec(spec, &mut b, &mut durations, &mut media, &ready_places);
         b.arc_out(start, first_in, 1).expect("fresh ids");
 
         let mut timed = TimedNet::new(b.build());
@@ -129,12 +130,12 @@ impl Xocpn {
     /// objects (transmissions excluded; see
     /// [`Xocpn::transmission_schedule`]).
     pub fn schedule(&self) -> PlayoutSchedule {
-        self.run(|name| self.media.get(name).copied())
+        self.run(&self.media)
     }
 
     /// Schedule of the transmissions themselves (channel occupancy).
     pub fn transmission_schedule(&self) -> PlayoutSchedule {
-        self.run(|name| self.transmits.get(name).copied())
+        self.run(&self.transmits)
     }
 
     /// The underlying timed net.
@@ -142,118 +143,18 @@ impl Xocpn {
         &self.timed
     }
 
-    fn run(&self, select: impl Fn(&str) -> Option<(TransitionId, u64)>) -> PlayoutSchedule {
+    fn run(&self, named: &HashMap<String, (TransitionId, u64)>) -> PlayoutSchedule {
         let mut m = Marking::new(self.timed.net().place_count());
         m.set(self.entry, 1);
         m.set(self.pool_place, self.pool_size as u64);
-        let mut exec = TimedExecutor::new(&self.timed, m);
-        exec.run_to_quiescence(1_000_000)
-            .expect("compiled XOCPNs terminate");
-        let mut entries = Vec::new();
-        let by_transition: HashMap<TransitionId, (String, u64)> = self
-            .media
-            .keys()
-            .chain(self.transmits.keys())
-            .filter_map(|n| select(n).map(|(t, d)| (t, (n.clone(), d))))
-            .collect();
-        for ev in exec.log() {
-            if ev.kind != lod_petri::timed::TimedEventKind::Started {
-                continue;
-            }
-            if let Some((name, dur)) = by_transition.get(&ev.transition) {
-                entries.push(ScheduleEntry {
-                    name: name.clone(),
-                    start: ev.time,
-                    end: ev.time + dur,
-                });
-            }
-        }
-        PlayoutSchedule::new(entries)
-    }
-}
-
-/// Like the OCPN compiler, but playout transitions additionally consume the
-/// per-object data-ready token.
-fn compile_structure(
-    spec: &PresentationSpec,
-    b: &mut NetBuilder,
-    durations: &mut Vec<(TransitionId, u64)>,
-    media: &mut HashMap<String, (TransitionId, u64)>,
-    ready: &HashMap<String, PlaceId>,
-) -> (PlaceId, PlaceId) {
-    match spec {
-        PresentationSpec::Interval { name, duration } => {
-            let p_in = b.place(format!("{name}.in"));
-            let p_out = b.place(format!("{name}.out"));
-            let t = b.transition(format!("play.{name}"));
-            b.arc_in(p_in, t, 1).expect("fresh ids");
-            if let Some(r) = ready.get(name) {
-                b.arc_in(*r, t, 1).expect("fresh ids");
-            }
-            b.arc_out(t, p_out, 1).expect("fresh ids");
-            durations.push((t, *duration));
-            media.insert(name.clone(), (t, *duration));
-            (p_in, p_out)
-        }
-        PresentationSpec::Compose {
-            relation,
-            first,
-            second,
-        } => {
-            let (a_in, a_out) = compile_structure(first, b, durations, media, ready);
-            let (b_in, b_out) = compile_structure(second, b, durations, media, ready);
-            match relation {
-                TemporalRelation::Before(delay) => {
-                    let t = b.transition(format!("gap({delay})"));
-                    b.arc_in(a_out, t, 1).expect("fresh ids");
-                    b.arc_out(t, b_in, 1).expect("fresh ids");
-                    durations.push((t, *delay));
-                    (a_in, b_out)
-                }
-                TemporalRelation::Meets => {
-                    let t = b.transition("meet");
-                    b.arc_in(a_out, t, 1).expect("fresh ids");
-                    b.arc_out(t, b_in, 1).expect("fresh ids");
-                    (a_in, b_out)
-                }
-                rel => {
-                    let lead = match rel {
-                        TemporalRelation::Overlaps(d) | TemporalRelation::During(d) => *d,
-                        TemporalRelation::Starts | TemporalRelation::Equals => 0,
-                        TemporalRelation::Finishes => {
-                            first.duration().saturating_sub(second.duration())
-                        }
-                        _ => unreachable!("sequential relations handled above"),
-                    };
-                    let entry = b.place("par.in");
-                    let exit = b.place("par.out");
-                    let fork = b.transition("fork");
-                    let join = b.transition("join");
-                    b.arc_in(entry, fork, 1).expect("fresh ids");
-                    b.arc_out(fork, a_in, 1).expect("fresh ids");
-                    if lead > 0 {
-                        let wait = b.place("lead.wait");
-                        let t = b.transition(format!("lead({lead})"));
-                        b.arc_out(fork, wait, 1).expect("fresh ids");
-                        b.arc_in(wait, t, 1).expect("fresh ids");
-                        b.arc_out(t, b_in, 1).expect("fresh ids");
-                        durations.push((t, lead));
-                    } else {
-                        b.arc_out(fork, b_in, 1).expect("fresh ids");
-                    }
-                    b.arc_in(a_out, join, 1).expect("fresh ids");
-                    b.arc_in(b_out, join, 1).expect("fresh ids");
-                    b.arc_out(join, exit, 1).expect("fresh ids");
-                    (entry, exit)
-                }
-            }
-        }
+        run(&self.timed, m, named).0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::TemporalRelation;
 
     fn qos(pairs: &[(&str, u64)]) -> HashMap<String, ChannelQos> {
         pairs

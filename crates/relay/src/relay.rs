@@ -716,33 +716,17 @@ impl RelayNode {
                         segment: u64::from(key),
                     },
                 );
-                if let Some(b) = &mut self.breaker {
-                    if b.record_failure(now) {
-                        self.metrics.breaker_opens += 1;
-                        self.obs.emit(
-                            now,
-                            Event::BreakerOpen {
-                                node: self.node.index() as u64,
-                            },
-                        );
-                    }
-                }
+                self.breaker_failure(now);
                 self.abandon(net, content);
                 false
             }
             FetchGate::Send { retry } => {
-                if let Some(b) = &mut self.breaker {
+                if retry {
                     // A due re-issue means the previous request died
                     // unanswered: that is the breaker's failure signal.
-                    if retry && b.record_failure(now) {
-                        self.metrics.breaker_opens += 1;
-                        self.obs.emit(
-                            now,
-                            Event::BreakerOpen {
-                                node: self.node.index() as u64,
-                            },
-                        );
-                    }
+                    self.breaker_failure(now);
+                }
+                if let Some(b) = &mut self.breaker {
                     let was_open = b.is_open();
                     if !b.allows(now) {
                         // Open: stop burning retry budget against a dead
@@ -865,6 +849,22 @@ impl RelayNode {
         });
         let bytes = req.wire_bytes(0);
         let _ = net.send_reliable(self.node, self.origin, bytes, req);
+    }
+
+    /// Records an unanswered upstream fetch on the breaker, emitting
+    /// [`Event::BreakerOpen`] when it trips the circuit open.
+    fn breaker_failure(&mut self, now: u64) {
+        if let Some(b) = &mut self.breaker {
+            if b.record_failure(now) {
+                self.metrics.breaker_opens += 1;
+                self.obs.emit(
+                    now,
+                    Event::BreakerOpen {
+                        node: self.node.index() as u64,
+                    },
+                );
+            }
+        }
     }
 
     /// Records an upstream answer on the breaker, emitting

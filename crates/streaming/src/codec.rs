@@ -4,576 +4,361 @@
 //! simulated; on the UDP backend the encoding below is the actual
 //! payload of every frame. The layout follows `lod-transport`'s framing
 //! conventions — little-endian fixed-width integers, `u32`
-//! length-prefixed strings, one tag byte per enum variant, one presence
-//! byte per `Option` — so the whole `Wire` enum round-trips exactly
-//! (proptests at the bottom drive every variant, including segment
-//! payload boundaries).
+//! length-prefixed strings and sequences, one tag byte per enum variant,
+//! one presence byte per `Option` — so the whole `Wire` enum round-trips
+//! exactly (proptests at the bottom drive every variant, including
+//! segment payload boundaries; `tests/wire_golden.rs` pins the bytes).
+//!
+//! Each layout is written once. A `Field` knows how to put, measure
+//! and take one building block; `record!` lists a struct's fields in
+//! wire order and `tagged!` an enum's tags, and each expands to all
+//! three directions, so the encoder, the exact length and the decoder
+//! cannot disagree. Two types keep a hand-written impl: [`DataPacket`],
+//! whose decoder refuses a payload count the buffer cannot hold and
+//! collects into the packet's one `Arc<[Payload]>` allocation, and
+//! [`ScriptCommandList`], which is built by sorted `push`.
 
+use bytes::Bytes;
 use lod_asf::{
     DataPacket, DrmHeader, FileProperties, Payload, ScriptCommand, ScriptCommandList, StreamKind,
     StreamProperties,
 };
 use lod_obs::TraceCtx;
 use lod_simnet::NodeId;
-use lod_transport::frame::{
-    write_bool, write_bytes, write_string, write_u16, write_u32, write_u64, Reader,
-};
+use lod_transport::frame::{write_bytes, write_string, write_trace, Reader, TRACE_EXT_BYTES};
 use lod_transport::{CodecError, WireCodec};
 
 use crate::wire::{ControlRequest, SegmentData, StreamHeader, Wire};
 
-// ---- helpers for the composite types ---------------------------------
+/// One building block of the wire layout.
+trait Field: Sized {
+    /// Appends the encoding of `self`.
+    fn put(&self, buf: &mut Vec<u8>);
+    /// Exactly how many bytes [`Field::put`] appends.
+    fn len(&self) -> usize;
+    /// Decodes one value.
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError>;
+}
 
-fn write_opt_u64(buf: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        None => write_bool(buf, false),
-        Some(x) => {
-            write_bool(buf, true);
-            write_u64(buf, x);
+macro_rules! int_fields {
+    ($($t:ident)*) => {$(
+        impl Field for $t {
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn len(&self) -> usize {
+                std::mem::size_of::<$t>()
+            }
+            fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                r.$t()
+            }
         }
+    )*};
+}
+
+int_fields!(u8 u16 u32 u64);
+
+impl Field for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(u8::from(*self));
+    }
+    fn len(&self) -> usize {
+        1
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.bool()
     }
 }
 
-fn read_opt_u64(r: &mut Reader<'_>) -> Result<Option<u64>, CodecError> {
-    Ok(if r.bool()? { Some(r.u64()?) } else { None })
-}
-
-fn write_trace(buf: &mut Vec<u8>, c: TraceCtx) {
-    write_u64(buf, c.lecture);
-    write_u64(buf, c.segment);
-    write_u64(buf, c.seq);
-    write_u64(buf, c.origin);
-}
-
-fn read_trace(r: &mut Reader<'_>) -> Result<TraceCtx, CodecError> {
-    Ok(TraceCtx {
-        lecture: r.u64()?,
-        segment: r.u64()?,
-        seq: r.u64()?,
-        origin: r.u64()?,
-    })
-}
-
-fn write_opt_trace(buf: &mut Vec<u8>, c: Option<TraceCtx>) {
-    match c {
-        None => write_bool(buf, false),
-        Some(c) => {
-            write_bool(buf, true);
-            write_trace(buf, c);
-        }
+impl Field for String {
+    fn put(&self, buf: &mut Vec<u8>) {
+        write_string(buf, self);
+    }
+    fn len(&self) -> usize {
+        4 + self.len()
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.string()
     }
 }
 
-fn read_opt_trace(r: &mut Reader<'_>) -> Result<Option<TraceCtx>, CodecError> {
-    Ok(if r.bool()? {
-        Some(read_trace(r)?)
-    } else {
-        None
-    })
-}
-
-fn write_node(buf: &mut Vec<u8>, node: NodeId) {
-    write_u64(buf, node.index() as u64);
-}
-
-fn read_node(r: &mut Reader<'_>) -> Result<NodeId, CodecError> {
-    Ok(NodeId::from_index(r.u64()? as usize))
-}
-
-fn write_payload(buf: &mut Vec<u8>, p: &Payload) {
-    write_u16(buf, p.stream);
-    write_u32(buf, p.object_id);
-    write_u32(buf, p.offset);
-    write_u32(buf, p.total);
-    write_u64(buf, p.pres_time);
-    write_bytes(buf, &p.data);
-}
-
-fn read_payload(r: &mut Reader<'_>) -> Result<Payload, CodecError> {
-    Ok(Payload {
-        stream: r.u16()?,
-        object_id: r.u32()?,
-        offset: r.u32()?,
-        total: r.u32()?,
-        pres_time: r.u64()?,
+impl Field for Bytes {
+    fn put(&self, buf: &mut Vec<u8>) {
+        write_bytes(buf, self);
+    }
+    fn len(&self) -> usize {
+        4 + self.len()
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         // Zero-copy when decoding from a shared datagram buffer: the
         // fragment is a view of the receive allocation, not a copy.
-        data: r.bytes_shared()?,
-    })
+        r.bytes_shared()
+    }
 }
 
-fn write_packet(buf: &mut Vec<u8>, p: &DataPacket) {
-    write_u64(buf, p.send_time);
-    write_u32(buf, p.payloads.len() as u32);
-    for payload in p.payloads.iter() {
-        write_payload(buf, payload);
+impl Field for NodeId {
+    fn put(&self, buf: &mut Vec<u8>) {
+        Field::put(&(self.index() as u64), buf);
+    }
+    fn len(&self) -> usize {
+        8
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(NodeId::from_index(r.u64()? as usize))
+    }
+}
+
+impl Field for [u8; 8] {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(self);
+    }
+    fn len(&self) -> usize {
+        8
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(r.u64()?.to_le_bytes())
+    }
+}
+
+/// The frame's trace extension layout, shared with `lod-transport`.
+impl Field for TraceCtx {
+    fn put(&self, buf: &mut Vec<u8>) {
+        write_trace(buf, *self);
+    }
+    fn len(&self) -> usize {
+        TRACE_EXT_BYTES
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        r.trace()
+    }
+}
+
+impl<T: Field> Field for Option<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        Field::put(&self.is_some(), buf);
+        if let Some(v) = self {
+            v.put(buf);
+        }
+    }
+    fn len(&self) -> usize {
+        1 + self.as_ref().map_or(0, Field::len)
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(if r.bool()? { Some(T::take(r)?) } else { None })
+    }
+}
+
+/// A `u32` count, then each item.
+fn put_seq<T: Field>(items: &[T], buf: &mut Vec<u8>) {
+    Field::put(&(items.len() as u32), buf);
+    for item in items {
+        item.put(buf);
+    }
+}
+
+fn seq_len<T: Field>(items: &[T]) -> usize {
+    4 + items.iter().map(Field::len).sum::<usize>()
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_seq(self, buf);
+    }
+    fn len(&self) -> usize {
+        seq_len(self)
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let n = r.u32()? as usize;
+        // The count is a wire field: never reserve more than a bounded
+        // guess by it; a lying count ends in `Truncated`.
+        let mut items = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            items.push(T::take(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Field> Field for Box<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        T::put(self, buf);
+    }
+    fn len(&self) -> usize {
+        T::len(self)
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        T::take(r).map(Box::new)
+    }
+}
+
+/// Structs whose encoding is their fields in the listed order.
+macro_rules! record {
+    ($($ty:ident { $first:ident $(, $field:ident)* $(,)? })*) => {$(
+        impl Field for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                Field::put(&self.$first, buf);
+                $(Field::put(&self.$field, buf);)*
+            }
+            fn len(&self) -> usize {
+                Field::len(&self.$first) $(+ Field::len(&self.$field))*
+            }
+            fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                // Struct fields evaluate in the order written: wire order.
+                Ok(Self {
+                    $first: Field::take(r)?,
+                    $($field: Field::take(r)?,)*
+                })
+            }
+        }
+    )*};
+}
+
+record! {
+    Payload { stream, object_id, offset, total, pres_time, data }
+    ScriptCommand { time, kind, param }
+    FileProperties { file_id, created, packet_size, play_duration, preroll, broadcast, max_bitrate }
+    StreamProperties { number, kind, codec, bitrate, name }
+    DrmHeader { key_id, probe }
+    StreamHeader { props, streams, script, drm, epoch }
+    SegmentData {
+        content, segment, base_packet, total_packets, total_segments, segment_packets,
+        packet_size, packets, header, start_packet, at_time, epoch, trace,
+    }
+}
+
+/// Enums encoded as one tag byte, then the variant's fields in order.
+/// A tuple variant's fields are named here only to bind them.
+macro_rules! tagged {
+    ($($ty:ident {
+        $($tag:literal => $variant:ident $(($($t:ident),*))? $({ $($f:ident),* })?,)*
+    })*) => {$(
+        impl Field for $ty {
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($($t),*))? $({ $($f),* })? => {
+                        buf.push($tag);
+                        $($(Field::put($t, buf);)*)?
+                        $($(Field::put($f, buf);)*)?
+                    })*
+                }
+            }
+            fn len(&self) -> usize {
+                match self {
+                    $($ty::$variant $(($($t),*))? $({ $($f),* })? => {
+                        1 $($(+ Field::len($t))*)? $($(+ Field::len($f))*)?
+                    })*
+                }
+            }
+            fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+                Ok(match r.u8()? {
+                    $($tag => {
+                        $($(let $t = Field::take(r)?;)*)?
+                        $($(let $f = Field::take(r)?;)*)?
+                        $ty::$variant $(($($t),*))? $({ $($f),* })?
+                    })*
+                    tag => return Err(CodecError::BadTag { what: stringify!($ty), tag }),
+                })
+            }
+        }
+    )*};
+}
+
+tagged! {
+    StreamKind {
+        1 => Audio,
+        2 => Video,
+        3 => Image,
+        4 => Script,
+    }
+    ControlRequest {
+        0 => Play { content, from },
+        1 => Pause,
+        2 => Resume,
+        3 => Seek { to },
+        4 => SelectStreams(streams),
+        5 => Teardown,
+        6 => FetchSegment { content, segment, at_time, want_header, trace },
+        7 => Ping { epoch },
+    }
+    Wire {
+        0 => Request(request),
+        1 => Header(header),
+        2 => Data(packet),
+        3 => Script(command),
+        4 => EndOfStream,
+        5 => NotFound(content),
+        6 => Segment(segment),
+        7 => Redirect { to },
+        8 => Busy { retry_after, alternate },
+        9 => Pong { epoch },
+        10 => Mark(trace),
     }
 }
 
 /// Encoded size of an empty payload: its fixed fields and data length.
 const MIN_PAYLOAD_BYTES: usize = 2 + 4 + 4 + 4 + 8 + 4;
 
-fn payload_len(p: &Payload) -> usize {
-    MIN_PAYLOAD_BYTES + p.data.len()
-}
-
-fn packet_len(p: &DataPacket) -> usize {
-    8 + 4 + p.payloads.iter().map(payload_len).sum::<usize>()
-}
-
-fn read_packet(r: &mut Reader<'_>) -> Result<DataPacket, CodecError> {
-    let send_time = r.u64()?;
-    let n = r.u32()? as usize;
-    // The count is a wire field: refuse one the buffer cannot hold
-    // before anything is sized by it.
-    if n > r.remaining() / MIN_PAYLOAD_BYTES {
-        return Err(CodecError::Truncated);
+impl Field for DataPacket {
+    fn put(&self, buf: &mut Vec<u8>) {
+        Field::put(&self.send_time, buf);
+        put_seq(&self.payloads, buf);
     }
-    // An exact-length map collects into the packet's one allocation. It
-    // cannot stop early, so it keeps the first error and fills in.
-    let mut failed = None;
-    let payloads = (0..n)
-        .map(|_| {
-            read_payload(r).unwrap_or_else(|e| {
-                failed.get_or_insert(e);
-                Payload::default()
+    fn len(&self) -> usize {
+        8 + seq_len(&self.payloads)
+    }
+    #[inline]
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let send_time = r.u64()?;
+        let n = r.u32()? as usize;
+        // The count is a wire field: refuse one the buffer cannot hold
+        // before anything is sized by it.
+        if n > r.remaining() / MIN_PAYLOAD_BYTES {
+            return Err(CodecError::Truncated);
+        }
+        // An exact-length map collects into the packet's one allocation. It
+        // cannot stop early, so it keeps the first error and fills in.
+        let mut failed = None;
+        let payloads = (0..n)
+            .map(|_| {
+                Payload::take(r).unwrap_or_else(|e| {
+                    failed.get_or_insert(e);
+                    Payload::default()
+                })
             })
-        })
-        .collect();
-    match failed {
-        Some(e) => Err(e),
-        None => Ok(DataPacket {
-            send_time,
-            payloads,
-        }),
-    }
-}
-
-fn write_script_command(buf: &mut Vec<u8>, c: &ScriptCommand) {
-    write_u64(buf, c.time);
-    write_string(buf, &c.kind);
-    write_string(buf, &c.param);
-}
-
-fn script_command_len(c: &ScriptCommand) -> usize {
-    8 + 4 + c.kind.len() + 4 + c.param.len()
-}
-
-fn read_script_command(r: &mut Reader<'_>) -> Result<ScriptCommand, CodecError> {
-    Ok(ScriptCommand {
-        time: r.u64()?,
-        kind: r.string()?,
-        param: r.string()?,
-    })
-}
-
-fn stream_kind_tag(kind: StreamKind) -> u8 {
-    match kind {
-        StreamKind::Audio => 1,
-        StreamKind::Video => 2,
-        StreamKind::Image => 3,
-        StreamKind::Script => 4,
-    }
-}
-
-fn stream_kind_from_tag(tag: u8) -> Result<StreamKind, CodecError> {
-    match tag {
-        1 => Ok(StreamKind::Audio),
-        2 => Ok(StreamKind::Video),
-        3 => Ok(StreamKind::Image),
-        4 => Ok(StreamKind::Script),
-        tag => Err(CodecError::BadTag {
-            what: "StreamKind",
-            tag,
-        }),
-    }
-}
-
-fn write_header(buf: &mut Vec<u8>, h: &StreamHeader) {
-    let p = &h.props;
-    write_u64(buf, p.file_id);
-    write_u64(buf, p.created);
-    write_u32(buf, p.packet_size);
-    write_u64(buf, p.play_duration);
-    write_u64(buf, p.preroll);
-    write_bool(buf, p.broadcast);
-    write_u32(buf, p.max_bitrate);
-    write_u32(buf, h.streams.len() as u32);
-    for s in &h.streams {
-        write_u16(buf, s.number);
-        buf.push(stream_kind_tag(s.kind));
-        write_u16(buf, s.codec);
-        write_u32(buf, s.bitrate);
-        write_string(buf, &s.name);
-    }
-    write_u32(buf, h.script.len() as u32);
-    for c in h.script.commands() {
-        write_script_command(buf, c);
-    }
-    match &h.drm {
-        None => write_bool(buf, false),
-        Some(d) => {
-            write_bool(buf, true);
-            write_string(buf, &d.key_id);
-            buf.extend_from_slice(&d.probe);
-        }
-    }
-    write_u64(buf, h.epoch);
-}
-
-fn header_len(h: &StreamHeader) -> usize {
-    let props = 8 + 8 + 4 + 8 + 8 + 1 + 4;
-    let streams: usize = h
-        .streams
-        .iter()
-        .map(|s| 2 + 1 + 2 + 4 + 4 + s.name.len())
-        .sum();
-    let script: usize = h.script.commands().iter().map(script_command_len).sum();
-    let drm = 1 + h
-        .drm
-        .as_ref()
-        .map_or(0, |d| 4 + d.key_id.len() + d.probe.len());
-    props + 4 + streams + 4 + script + drm + 8
-}
-
-fn read_header(r: &mut Reader<'_>) -> Result<StreamHeader, CodecError> {
-    let props = FileProperties {
-        file_id: r.u64()?,
-        created: r.u64()?,
-        packet_size: r.u32()?,
-        play_duration: r.u64()?,
-        preroll: r.u64()?,
-        broadcast: r.bool()?,
-        max_bitrate: r.u32()?,
-    };
-    let n_streams = r.u32()? as usize;
-    let mut streams = Vec::with_capacity(n_streams.min(1024));
-    for _ in 0..n_streams {
-        streams.push(StreamProperties {
-            number: r.u16()?,
-            kind: stream_kind_from_tag(r.u8()?)?,
-            codec: r.u16()?,
-            bitrate: r.u32()?,
-            name: r.string()?,
-        });
-    }
-    let n_cmds = r.u32()? as usize;
-    let mut script = ScriptCommandList::new();
-    for _ in 0..n_cmds {
-        script.push(read_script_command(r)?);
-    }
-    let drm = if r.bool()? {
-        let key_id = r.string()?;
-        let mut probe = [0u8; 8];
-        for b in &mut probe {
-            *b = r.u8()?;
-        }
-        Some(DrmHeader { key_id, probe })
-    } else {
-        None
-    };
-    Ok(StreamHeader {
-        props,
-        streams,
-        script,
-        drm,
-        epoch: r.u64()?,
-    })
-}
-
-fn write_opt_header(buf: &mut Vec<u8>, h: Option<&StreamHeader>) {
-    match h {
-        None => write_bool(buf, false),
-        Some(h) => {
-            write_bool(buf, true);
-            write_header(buf, h);
+            .collect();
+        match failed {
+            Some(e) => Err(e),
+            None => Ok(DataPacket {
+                send_time,
+                payloads,
+            }),
         }
     }
 }
 
-fn read_opt_header(r: &mut Reader<'_>) -> Result<Option<Box<StreamHeader>>, CodecError> {
-    Ok(if r.bool()? {
-        Some(Box::new(read_header(r)?))
-    } else {
-        None
-    })
-}
-
-// ---- the enums --------------------------------------------------------
-
-const REQ_PLAY: u8 = 0;
-const REQ_PAUSE: u8 = 1;
-const REQ_RESUME: u8 = 2;
-const REQ_SEEK: u8 = 3;
-const REQ_SELECT: u8 = 4;
-const REQ_TEARDOWN: u8 = 5;
-const REQ_FETCH: u8 = 6;
-const REQ_PING: u8 = 7;
-
-fn write_request(buf: &mut Vec<u8>, req: &ControlRequest) {
-    match req {
-        ControlRequest::Play { content, from } => {
-            buf.push(REQ_PLAY);
-            write_string(buf, content);
-            write_u64(buf, *from);
-        }
-        ControlRequest::Pause => buf.push(REQ_PAUSE),
-        ControlRequest::Resume => buf.push(REQ_RESUME),
-        ControlRequest::Seek { to } => {
-            buf.push(REQ_SEEK);
-            write_u64(buf, *to);
-        }
-        ControlRequest::SelectStreams(streams) => {
-            buf.push(REQ_SELECT);
-            write_u32(buf, streams.len() as u32);
-            for s in streams {
-                write_u16(buf, *s);
-            }
-        }
-        ControlRequest::Teardown => buf.push(REQ_TEARDOWN),
-        ControlRequest::FetchSegment {
-            content,
-            segment,
-            at_time,
-            want_header,
-            trace,
-        } => {
-            buf.push(REQ_FETCH);
-            write_string(buf, content);
-            write_u32(buf, *segment);
-            write_opt_u64(buf, *at_time);
-            write_bool(buf, *want_header);
-            write_opt_trace(buf, *trace);
-        }
-        ControlRequest::Ping { epoch } => {
-            buf.push(REQ_PING);
-            write_u64(buf, *epoch);
-        }
+impl Field for ScriptCommandList {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_seq(self.commands(), buf);
+    }
+    fn len(&self) -> usize {
+        seq_len(self.commands())
+    }
+    fn take(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(Vec::<ScriptCommand>::take(r)?.into_iter().collect())
     }
 }
-
-fn request_len(req: &ControlRequest) -> usize {
-    1 + match req {
-        ControlRequest::Play { content, .. } => 4 + content.len() + 8,
-        ControlRequest::Pause | ControlRequest::Resume | ControlRequest::Teardown => 0,
-        ControlRequest::Seek { .. } | ControlRequest::Ping { .. } => 8,
-        ControlRequest::SelectStreams(streams) => 4 + 2 * streams.len(),
-        ControlRequest::FetchSegment {
-            content,
-            at_time,
-            trace,
-            ..
-        } => 4 + content.len() + 4 + opt_len(*at_time, 8) + 1 + opt_len(*trace, 32),
-    }
-}
-
-/// Encoded size of an `Option` whose value takes `len` bytes.
-fn opt_len<T>(v: Option<T>, len: usize) -> usize {
-    1 + if v.is_some() { len } else { 0 }
-}
-
-fn read_request(r: &mut Reader<'_>) -> Result<ControlRequest, CodecError> {
-    Ok(match r.u8()? {
-        REQ_PLAY => ControlRequest::Play {
-            content: r.string()?,
-            from: r.u64()?,
-        },
-        REQ_PAUSE => ControlRequest::Pause,
-        REQ_RESUME => ControlRequest::Resume,
-        REQ_SEEK => ControlRequest::Seek { to: r.u64()? },
-        REQ_SELECT => {
-            let n = r.u32()? as usize;
-            let mut streams = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                streams.push(r.u16()?);
-            }
-            ControlRequest::SelectStreams(streams)
-        }
-        REQ_TEARDOWN => ControlRequest::Teardown,
-        REQ_FETCH => ControlRequest::FetchSegment {
-            content: r.string()?,
-            segment: r.u32()?,
-            at_time: read_opt_u64(r)?,
-            want_header: r.bool()?,
-            trace: read_opt_trace(r)?,
-        },
-        REQ_PING => ControlRequest::Ping { epoch: r.u64()? },
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "ControlRequest",
-                tag,
-            })
-        }
-    })
-}
-
-const WIRE_REQUEST: u8 = 0;
-const WIRE_HEADER: u8 = 1;
-const WIRE_DATA: u8 = 2;
-const WIRE_SCRIPT: u8 = 3;
-const WIRE_EOS: u8 = 4;
-const WIRE_NOT_FOUND: u8 = 5;
-const WIRE_SEGMENT: u8 = 6;
-const WIRE_REDIRECT: u8 = 7;
-const WIRE_BUSY: u8 = 8;
-const WIRE_PONG: u8 = 9;
-const WIRE_MARK: u8 = 10;
 
 impl WireCodec for Wire {
     fn encode_wire(&self, buf: &mut Vec<u8>) {
-        match self {
-            Wire::Request(req) => {
-                buf.push(WIRE_REQUEST);
-                write_request(buf, req);
-            }
-            Wire::Header(h) => {
-                buf.push(WIRE_HEADER);
-                write_header(buf, h);
-            }
-            Wire::Data(p) => {
-                buf.push(WIRE_DATA);
-                write_packet(buf, p);
-            }
-            Wire::Script(c) => {
-                buf.push(WIRE_SCRIPT);
-                write_script_command(buf, c);
-            }
-            Wire::EndOfStream => buf.push(WIRE_EOS),
-            Wire::NotFound(name) => {
-                buf.push(WIRE_NOT_FOUND);
-                write_string(buf, name);
-            }
-            Wire::Segment(s) => {
-                buf.push(WIRE_SEGMENT);
-                write_string(buf, &s.content);
-                write_u32(buf, s.segment);
-                write_u32(buf, s.base_packet);
-                write_u32(buf, s.total_packets);
-                write_u32(buf, s.total_segments);
-                write_u32(buf, s.segment_packets);
-                write_u32(buf, s.packet_size);
-                write_u32(buf, s.packets.len() as u32);
-                for p in &s.packets {
-                    write_packet(buf, p);
-                }
-                write_opt_header(buf, s.header.as_deref());
-                match s.start_packet {
-                    None => write_bool(buf, false),
-                    Some(sp) => {
-                        write_bool(buf, true);
-                        write_u32(buf, sp);
-                    }
-                }
-                write_opt_u64(buf, s.at_time);
-                write_u64(buf, s.epoch);
-                write_opt_trace(buf, s.trace);
-            }
-            Wire::Redirect { to } => {
-                buf.push(WIRE_REDIRECT);
-                write_node(buf, *to);
-            }
-            Wire::Busy {
-                retry_after,
-                alternate,
-            } => {
-                buf.push(WIRE_BUSY);
-                write_u64(buf, *retry_after);
-                match alternate {
-                    None => write_bool(buf, false),
-                    Some(n) => {
-                        write_bool(buf, true);
-                        write_node(buf, *n);
-                    }
-                }
-            }
-            Wire::Pong { epoch } => {
-                buf.push(WIRE_PONG);
-                write_u64(buf, *epoch);
-            }
-            Wire::Mark(ctx) => {
-                buf.push(WIRE_MARK);
-                write_trace(buf, *ctx);
-            }
-        }
+        Field::put(self, buf);
     }
 
     fn encoded_len(&self) -> usize {
-        1 + match self {
-            Wire::Request(req) => request_len(req),
-            Wire::Header(h) => header_len(h),
-            Wire::Data(p) => packet_len(p),
-            Wire::Script(c) => script_command_len(c),
-            Wire::EndOfStream => 0,
-            Wire::NotFound(name) => 4 + name.len(),
-            Wire::Segment(s) => {
-                4 + s.content.len()
-                    + 7 * 4
-                    + s.packets.iter().map(packet_len).sum::<usize>()
-                    + 1
-                    + s.header.as_deref().map_or(0, header_len)
-                    + opt_len(s.start_packet, 4)
-                    + opt_len(s.at_time, 8)
-                    + 8
-                    + opt_len(s.trace, 32)
-            }
-            Wire::Redirect { .. } | Wire::Pong { .. } => 8,
-            Wire::Busy { alternate, .. } => 8 + opt_len(*alternate, 8),
-            Wire::Mark(_) => 32,
-        }
+        Field::len(self)
     }
 
     fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.u8()? {
-            WIRE_REQUEST => Wire::Request(read_request(r)?),
-            WIRE_HEADER => Wire::Header(Box::new(read_header(r)?)),
-            WIRE_DATA => Wire::Data(read_packet(r)?),
-            WIRE_SCRIPT => Wire::Script(read_script_command(r)?),
-            WIRE_EOS => Wire::EndOfStream,
-            WIRE_NOT_FOUND => Wire::NotFound(r.string()?),
-            WIRE_SEGMENT => {
-                let content = r.string()?;
-                let segment = r.u32()?;
-                let base_packet = r.u32()?;
-                let total_packets = r.u32()?;
-                let total_segments = r.u32()?;
-                let segment_packets = r.u32()?;
-                let packet_size = r.u32()?;
-                let n = r.u32()? as usize;
-                let mut packets = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    packets.push(read_packet(r)?);
-                }
-                let header = read_opt_header(r)?;
-                let start_packet = if r.bool()? { Some(r.u32()?) } else { None };
-                Wire::Segment(SegmentData {
-                    content,
-                    segment,
-                    base_packet,
-                    total_packets,
-                    total_segments,
-                    segment_packets,
-                    packet_size,
-                    packets,
-                    header,
-                    start_packet,
-                    at_time: read_opt_u64(r)?,
-                    epoch: r.u64()?,
-                    trace: read_opt_trace(r)?,
-                })
-            }
-            WIRE_REDIRECT => Wire::Redirect { to: read_node(r)? },
-            WIRE_BUSY => {
-                let retry_after = r.u64()?;
-                let alternate = if r.bool()? { Some(read_node(r)?) } else { None };
-                Wire::Busy {
-                    retry_after,
-                    alternate,
-                }
-            }
-            WIRE_PONG => Wire::Pong { epoch: r.u64()? },
-            WIRE_MARK => Wire::Mark(read_trace(r)?),
-            tag => return Err(CodecError::BadTag { what: "Wire", tag }),
-        })
+        Field::take(r)
     }
 
     fn trace_ctx(&self) -> Option<TraceCtx> {

@@ -247,6 +247,24 @@ struct Session {
 }
 
 impl Session {
+    /// The checkpoint this session would journal right now.
+    fn checkpoint(&self, ended: bool) -> SessionCheckpoint {
+        let (content, live) = match &self.source {
+            SourceRef::Stored(name) => (name.clone(), false),
+            SourceRef::Live(name) => (name.clone(), true),
+        };
+        SessionCheckpoint {
+            client: self.client.index() as u64,
+            content,
+            next_packet: self.next_packet as u64,
+            effective_bps: self.effective_bps,
+            keep_num: self.keep.0,
+            keep_den: self.keep.1,
+            live,
+            ended,
+        }
+    }
+
     /// Steps one rung down the profile ladder. Returns `false` when
     /// already at the bottom (audio-only).
     fn downshift(&mut self) -> bool {
@@ -340,24 +358,83 @@ pub struct StreamingServer {
     /// A warm standby holds sessions in its [`StandbyState`] replica and
     /// refuses to serve until promoted.
     standby: bool,
-    /// Whether session checkpoints are journaled at all.
-    checkpointing: bool,
-    /// Ticks of playback advance between periodic checkpoints of a
-    /// running session (0 = checkpoint on state transitions only).
-    checkpoint_every: u64,
-    /// Outbound checkpoint stream, drained by the replication driver.
-    journal: SessionJournal,
+    /// Session checkpointing and its outbound journal.
+    checkpoints: Checkpoints,
     /// Replicated view of the primary's sessions (standby side).
     replica: StandbyState,
     /// Sessions restored at promotion, waiting for their client's
     /// resume Play. The checkpointed seat and degrade rung are honored
     /// when the Play arrives.
     restored: BTreeMap<u64, SessionCheckpoint>,
-    /// Tick of the last periodic checkpoint per client.
-    last_checkpoint: HashMap<NodeId, u64>,
     /// Where a demoted ex-primary points refused clients (the promoted
     /// origin it fenced against).
     primary_hint: Option<NodeId>,
+}
+
+/// Session checkpointing: whether it is armed, its period, the outbound
+/// journal and when each client was last checkpointed.
+#[derive(Debug, Default)]
+struct Checkpoints {
+    /// Whether session checkpoints are journaled at all.
+    armed: bool,
+    /// Ticks of playback advance between periodic checkpoints of a
+    /// running session (0 = checkpoint on state transitions only).
+    every: u64,
+    /// Outbound checkpoint stream, drained by the replication driver.
+    journal: SessionJournal,
+    /// Tick of the last periodic checkpoint per client.
+    last: HashMap<NodeId, u64>,
+}
+
+impl Checkpoints {
+    /// Journals `s` when `transition` is set or its periodic checkpoint
+    /// is due, restarting its period (no-op unless armed).
+    fn checkpoint(
+        &mut self,
+        obs: &Recorder,
+        metrics: &mut ServerMetrics,
+        now: u64,
+        s: &Session,
+        transition: bool,
+    ) {
+        if !self.armed {
+            return;
+        }
+        let due = self.every > 0
+            && now.saturating_sub(self.last.get(&s.client).copied().unwrap_or(0)) >= self.every;
+        if transition || due {
+            self.last.insert(s.client, now);
+            self.append(obs, metrics, now, s.checkpoint(s.eos_sent));
+        }
+    }
+
+    /// Journals `s`'s final checkpoint, the tombstone that keeps it from
+    /// resurrecting on the standby (no-op unless armed).
+    fn end(&mut self, obs: &Recorder, metrics: &mut ServerMetrics, now: u64, s: &Session) {
+        if !self.armed {
+            return;
+        }
+        self.last.remove(&s.client);
+        self.append(obs, metrics, now, s.checkpoint(true));
+    }
+
+    fn append(
+        &mut self,
+        obs: &Recorder,
+        metrics: &mut ServerMetrics,
+        now: u64,
+        ckpt: SessionCheckpoint,
+    ) {
+        obs.emit(
+            now,
+            Event::Checkpoint {
+                client: ckpt.client,
+                horizon: ckpt.next_packet,
+            },
+        );
+        metrics.checkpoints_emitted += 1;
+        self.journal.append(now, ckpt);
+    }
 }
 
 impl StreamingServer {
@@ -380,12 +457,9 @@ impl StreamingServer {
             obs: Recorder::disabled(),
             epoch: 1,
             standby: false,
-            checkpointing: false,
-            checkpoint_every: 0,
-            journal: SessionJournal::new(),
+            checkpoints: Checkpoints::default(),
             replica: StandbyState::new(),
             restored: BTreeMap::new(),
-            last_checkpoint: HashMap::new(),
             primary_hint: None,
         }
     }
@@ -461,8 +535,8 @@ impl StreamingServer {
     /// playback (0 = transitions only). The replication driver drains
     /// the journal with [`StreamingServer::journal_drain`].
     pub fn with_checkpointing(mut self, ticks: u64) -> Self {
-        self.checkpointing = true;
-        self.checkpoint_every = ticks;
+        self.checkpoints.armed = true;
+        self.checkpoints.every = ticks;
         self
     }
 
@@ -490,7 +564,7 @@ impl StreamingServer {
     /// replication channel: feed the result to the standby's
     /// [`StreamingServer::apply_journal`]).
     pub fn journal_drain(&mut self) -> Vec<JournalEntry> {
-        self.journal.drain()
+        self.checkpoints.journal.drain()
     }
 
     /// Applies a drained journal batch into this server's replica
@@ -555,7 +629,7 @@ impl StreamingServer {
         self.primary_hint = Some(primary);
         self.sessions.clear();
         self.pending_filters.clear();
-        self.last_checkpoint.clear();
+        self.checkpoints.last.clear();
     }
 
     /// Simulates the crash the fault injector's `NodeDown` implies:
@@ -566,43 +640,8 @@ impl StreamingServer {
     pub fn crash(&mut self) {
         self.sessions.clear();
         self.pending_filters.clear();
-        self.last_checkpoint.clear();
-        let _ = self.journal.drain();
-    }
-
-    /// The checkpoint a session would journal right now.
-    fn ckpt_of(s: &Session, ended: bool) -> SessionCheckpoint {
-        let (content, live) = match &s.source {
-            SourceRef::Stored(name) => (name.clone(), false),
-            SourceRef::Live(name) => (name.clone(), true),
-        };
-        SessionCheckpoint {
-            client: s.client.index() as u64,
-            content,
-            next_packet: s.next_packet as u64,
-            effective_bps: s.effective_bps,
-            keep_num: s.keep.0,
-            keep_den: s.keep.1,
-            live,
-            ended,
-        }
-    }
-
-    /// Journals `ckpt` and records the emission (no-op unless
-    /// checkpointing is armed).
-    fn journal_ckpt(&mut self, now: u64, ckpt: SessionCheckpoint) {
-        if !self.checkpointing {
-            return;
-        }
-        self.obs.emit(
-            now,
-            Event::Checkpoint {
-                client: ckpt.client,
-                horizon: ckpt.next_packet,
-            },
-        );
-        self.metrics.checkpoints_emitted += 1;
-        self.journal.append(now, ckpt);
+        self.checkpoints.last.clear();
+        let _ = self.checkpoints.journal.drain();
     }
 
     /// Overrides how many packets make up one relay segment.
@@ -750,12 +789,8 @@ impl StreamingServer {
                 }
             }
             ControlRequest::Teardown => {
-                if self.checkpointing {
-                    if let Some(s) = self.sessions.iter().find(|s| s.client == from) {
-                        let ckpt = Self::ckpt_of(s, true);
-                        self.journal_ckpt(now, ckpt);
-                    }
-                    self.last_checkpoint.remove(&from);
+                if let Some(s) = self.sessions.iter().find(|s| s.client == from) {
+                    self.checkpoints.end(&self.obs, &mut self.metrics, now, s);
                 }
                 self.sessions.retain(|s| s.client != from);
             }
@@ -979,11 +1014,9 @@ impl StreamingServer {
             over_since: None,
             under_since: None,
         });
-        if self.checkpointing {
-            self.last_checkpoint.insert(client, now);
-            let last = self.sessions.last().expect("session was just pushed");
-            let ckpt = Self::ckpt_of(last, false);
-            self.journal_ckpt(now, ckpt);
+        if let Some(s) = self.sessions.last() {
+            self.checkpoints
+                .checkpoint(&self.obs, &mut self.metrics, now, s, true);
         }
     }
 
@@ -1173,27 +1206,8 @@ impl StreamingServer {
                 s.eos_sent = true;
                 transition = true;
             }
-            // Journal inline (disjoint borrows: `s` is a live `&mut`
-            // into `self.sessions`, so no `&mut self` helper calls).
-            if self.checkpointing {
-                let due = self.checkpoint_every > 0
-                    && now
-                        .saturating_sub(self.last_checkpoint.get(&s.client).copied().unwrap_or(0))
-                        >= self.checkpoint_every;
-                if transition || due {
-                    self.last_checkpoint.insert(s.client, now);
-                    let ckpt = Self::ckpt_of(s, s.eos_sent);
-                    self.obs.emit(
-                        now,
-                        Event::Checkpoint {
-                            client: ckpt.client,
-                            horizon: ckpt.next_packet,
-                        },
-                    );
-                    self.metrics.checkpoints_emitted += 1;
-                    self.journal.append(now, ckpt);
-                }
-            }
+            self.checkpoints
+                .checkpoint(&self.obs, &mut self.metrics, now, s, transition);
         }
         // Drop finished sessions, then reap the wedged stored ones: no
         // packet sent and no control message heard for the whole idle
@@ -1223,8 +1237,8 @@ impl StreamingServer {
                 );
                 // Tombstone the replica too: a reaped session must not
                 // resurrect on the standby after a later failover.
-                self.last_checkpoint.remove(&reaped.client);
-                self.journal_ckpt(now, Self::ckpt_of(&reaped, true));
+                self.checkpoints
+                    .end(&self.obs, &mut self.metrics, now, &reaped);
             }
         }
     }

@@ -130,22 +130,13 @@ pub struct FrameHeader {
 
 /// Encodes one frame: header + payload, ready for `send_to`.
 pub fn encode_frame(seq: u64, sent_at: u64, reliable: bool, payload: &[u8]) -> Vec<u8> {
-    encode_frame_with_flags(
-        seq,
-        sent_at,
-        if reliable { FLAG_RELIABLE } else { 0 },
-        payload,
-    )
-}
-
-/// Encodes one frame with an explicit flags byte (the repair sublayer
-/// uses this for [`FLAG_CONTROL`] NACK frames).
-pub fn encode_frame_with_flags(seq: u64, sent_at: u64, flags: u8, payload: &[u8]) -> Vec<u8> {
+    let flags = if reliable { FLAG_RELIABLE } else { 0 };
     encode_frame_traced(seq, sent_at, flags, None, payload)
 }
 
-/// Encodes one frame, stamping the trace extension (and [`FLAG_TRACE`])
-/// when `trace` is present.
+/// Encodes one frame with an explicit flags byte (the repair sublayer
+/// passes [`FLAG_CONTROL`] for NACK frames), stamping the trace
+/// extension (and [`FLAG_TRACE`]) when `trace` is present.
 pub fn encode_frame_traced(
     seq: u64,
     sent_at: u64,
@@ -158,18 +149,14 @@ pub fn encode_frame_traced(
     buf.extend_from_slice(&FRAME_MAGIC);
     buf.push(FRAME_VERSION);
     buf.push(flags | if trace.is_some() { FLAG_TRACE } else { 0 });
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&sent_at.to_le_bytes());
-    buf.extend_from_slice(
-        &u32::try_from(payload.len())
-            .expect("payload < 4 GiB")
-            .to_le_bytes(),
+    write_u64(&mut buf, seq);
+    write_u64(&mut buf, sent_at);
+    write_u32(
+        &mut buf,
+        u32::try_from(payload.len()).expect("payload < 4 GiB"),
     );
     if let Some(t) = trace {
-        buf.extend_from_slice(&t.lecture.to_le_bytes());
-        buf.extend_from_slice(&t.segment.to_le_bytes());
-        buf.extend_from_slice(&t.seq.to_le_bytes());
-        buf.extend_from_slice(&t.origin.to_le_bytes());
+        write_trace(&mut buf, t);
     }
     buf.extend_from_slice(payload);
     buf
@@ -191,34 +178,24 @@ pub fn decode_frame(datagram: &[u8]) -> Result<(FrameHeader, &[u8]), CodecError>
     if datagram.len() < FRAME_HEADER_BYTES {
         return Err(CodecError::Truncated);
     }
-    if datagram[0..2] != FRAME_MAGIC {
+    let mut r = Reader::new(datagram);
+    if r.array::<2>()? != FRAME_MAGIC {
         return Err(CodecError::BadMagic);
     }
-    if datagram[2] != FRAME_VERSION {
-        return Err(CodecError::BadVersion(datagram[2]));
+    let version = r.u8()?;
+    if version != FRAME_VERSION {
+        return Err(CodecError::BadVersion(version));
     }
-    let flags = datagram[3];
-    let seq = u64::from_le_bytes(datagram[4..12].try_into().expect("sized"));
-    let sent_at = u64::from_le_bytes(datagram[12..20].try_into().expect("sized"));
-    let len = u32::from_le_bytes(datagram[20..24].try_into().expect("sized"));
-    let mut body = &datagram[FRAME_HEADER_BYTES..];
+    let flags = r.u8()?;
+    let seq = r.u64()?;
+    let sent_at = r.u64()?;
+    let len = r.u32()?;
     let trace = if flags & FLAG_TRACE != 0 {
-        if body.len() < TRACE_EXT_BYTES {
-            return Err(CodecError::Truncated);
-        }
-        let word =
-            |i: usize| u64::from_le_bytes(body[i * 8..(i + 1) * 8].try_into().expect("sized"));
-        let ctx = TraceCtx {
-            lecture: word(0),
-            segment: word(1),
-            seq: word(2),
-            origin: word(3),
-        };
-        body = &body[TRACE_EXT_BYTES..];
-        Some(ctx)
+        Some(r.trace()?)
     } else {
         None
     };
+    let body = r.take(r.remaining())?;
     if body.len() != len as usize {
         return Err(CodecError::LengthMismatch {
             declared: len as usize,
@@ -244,19 +221,10 @@ pub fn decode_frame(datagram: &[u8]) -> Result<(FrameHeader, &[u8]), CodecError>
 /// a buffered frame finally reaches the socket, to close its `pace`
 /// span. Returns `None` for untraced or too-short frames.
 pub fn peek_trace(frame: &[u8]) -> Option<TraceCtx> {
-    if frame.len() < FRAME_HEADER_BYTES + TRACE_EXT_BYTES || frame[3] & FLAG_TRACE == 0 {
+    if frame.get(3)? & FLAG_TRACE == 0 {
         return None;
     }
-    let word = |i: usize| {
-        let at = FRAME_HEADER_BYTES + i * 8;
-        u64::from_le_bytes(frame[at..at + 8].try_into().expect("sized"))
-    };
-    Some(TraceCtx {
-        lecture: word(0),
-        segment: word(1),
-        seq: word(2),
-        origin: word(3),
-    })
+    Reader::new(frame.get(FRAME_HEADER_BYTES..)?).trace().ok()
 }
 
 /// A message type that can cross a real wire.
@@ -322,8 +290,8 @@ pub trait WireCodec: Sized {
 /// Cursor over an encoded buffer.
 #[derive(Debug)]
 pub struct Reader<'a> {
+    /// The bytes not yet consumed.
     buf: &'a [u8],
-    pos: usize,
     /// When decoding from a ref-counted buffer, the backing storage
     /// `buf` points into; lets [`Reader::bytes_shared`] hand out
     /// zero-copy views.
@@ -333,11 +301,7 @@ pub struct Reader<'a> {
 impl<'a> Reader<'a> {
     /// A reader at the start of `buf`.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self {
-            buf,
-            pos: 0,
-            backing: None,
-        }
+        Self { buf, backing: None }
     }
 
     /// A reader over a ref-counted buffer; [`Reader::bytes_shared`]
@@ -345,23 +309,31 @@ impl<'a> Reader<'a> {
     pub fn new_shared(backing: &'a Bytes) -> Self {
         Self {
             buf: backing,
-            pos: 0,
             backing: Some(backing),
         }
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.buf.len()
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+        let (head, rest) = self.buf.split_at_checked(n).ok_or(CodecError::Truncated)?;
+        self.buf = rest;
+        Ok(head)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or(CodecError::Truncated)?;
+        self.buf = rest;
+        Ok(*head)
     }
 
     /// Reads one byte.
@@ -369,8 +341,9 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] at end of buffer (likewise below).
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        self.array().map(u8::from_le_bytes)
     }
 
     /// Reads a little-endian `u16`.
@@ -378,8 +351,9 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] at end of buffer.
+    #[inline]
     pub fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("sized")))
+        self.array().map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
@@ -387,8 +361,9 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] at end of buffer.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("sized")))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
@@ -396,8 +371,25 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] at end of buffer.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("sized")))
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Reads a [`TRACE_EXT_BYTES`]-byte trace context, the layout
+    /// [`write_trace`] appends.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`] at end of buffer.
+    #[inline]
+    pub fn trace(&mut self) -> Result<TraceCtx, CodecError> {
+        Ok(TraceCtx {
+            lecture: self.u64()?,
+            segment: self.u64()?,
+            seq: self.u64()?,
+            origin: self.u64()?,
+        })
     }
 
     /// Reads a presence/boolean byte (0 or 1; anything else is a
@@ -406,6 +398,7 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError`] on truncation or a non-boolean byte.
+    #[inline]
     pub fn bool(&mut self) -> Result<bool, CodecError> {
         match self.u8()? {
             0 => Ok(false),
@@ -431,12 +424,15 @@ impl<'a> Reader<'a> {
     /// # Errors
     ///
     /// [`CodecError::Truncated`] when the declared length overruns.
+    #[inline]
     pub fn bytes_shared(&mut self) -> Result<Bytes, CodecError> {
         let len = self.u32()? as usize;
-        let start = self.pos;
         let slice = self.take(len)?;
         Ok(match self.backing {
-            Some(backing) => backing.slice(start..start + len),
+            Some(backing) => {
+                let end = backing.len() - self.buf.len();
+                backing.slice(end - len..end)
+            }
             None => Bytes::copy_from_slice(slice),
         })
     }
@@ -495,6 +491,14 @@ pub fn write_string(buf: &mut Vec<u8>, v: &str) {
     write_bytes(buf, v.as_bytes());
 }
 
+/// Appends a trace context as the [`TRACE_EXT_BYTES`]-byte extension:
+/// four little-endian `u64`s — lecture, segment, seq, origin tick.
+pub fn write_trace(buf: &mut Vec<u8>, t: TraceCtx) {
+    for word in [t.lecture, t.segment, t.seq, t.origin] {
+        write_u64(buf, word);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,7 +517,7 @@ mod tests {
 
     #[test]
     fn control_and_retransmit_flags_round_trip() {
-        let control = encode_frame_with_flags(0, 9, FLAG_CONTROL, b"nack");
+        let control = encode_frame_traced(0, 9, FLAG_CONTROL, None, b"nack");
         let (h, _) = decode_frame(&control).unwrap();
         assert!(h.control && !h.reliable && !h.retransmit);
         assert_eq!(h.seq, 0);

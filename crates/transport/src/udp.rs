@@ -25,8 +25,8 @@ use lod_simnet::{Delivery, Fault, FaultTarget, NetworkError, NodeId, TokenBucket
 
 use crate::fault::{FaultAction, FaultEngine, FaultSpec};
 use crate::frame::{
-    decode_frame, encode_frame_traced, encode_frame_with_flags, mark_retransmit, peek_trace,
-    WireCodec, FLAG_CONTROL, FLAG_RELIABLE, FRAME_HEADER_BYTES, TRACE_EXT_BYTES,
+    decode_frame, encode_frame_traced, mark_retransmit, peek_trace, WireCodec, FLAG_CONTROL,
+    FLAG_RELIABLE, FRAME_HEADER_BYTES, TRACE_EXT_BYTES,
 };
 use crate::reorder::{ReorderBuffer, ReorderStats};
 use crate::repair::{ControlFrame, RepairConfig, RepairRx, RepairTx};
@@ -741,7 +741,7 @@ impl<M: WireCodec> UdpTransport<M> {
                     // a NACK stuck behind a paced media backlog would
                     // only push the repair RTT up.
                     let frame =
-                        encode_frame_with_flags(0, now, FLAG_CONTROL, &nack.to_frame_payload());
+                        encode_frame_traced(0, now, FLAG_CONTROL, None, &nack.to_frame_payload());
                     self.put_on_wire(now, addr, &frame);
                 }
             }
@@ -895,7 +895,7 @@ impl<M: WireCodec> UdpTransport<M> {
                 continue;
             };
             let payload = ControlFrame::Heartbeat { top_seq: top }.to_frame_payload();
-            let frame = encode_frame_with_flags(0, now, FLAG_CONTROL, &payload);
+            let frame = encode_frame_traced(0, now, FLAG_CONTROL, None, &payload);
             self.stats.heartbeats_sent += 1;
             self.put_on_wire(now, addr, &frame);
         }

@@ -29,7 +29,20 @@
 # carry wall-clock medians, so each gets two checks instead of a `cmp`:
 # this tree's `perf_gate` holds its tracked values to the base's, and a
 # `cmp` with every number masked holds its keys, order and layout.
-# Exits 1 naming every artifact that differs. Offline, like the rest of CI.
+#
+# A change that alters an artifact on purpose declares it in
+# scripts/artifact_changes, one line per artifact:
+#
+#   <artifact> <sha256 of the artifact this tree produces>
+#
+# e.g. `q12.prom 3f9a...`. A declared artifact whose new bytes hash to
+# the declared value passes as "changed as declared". These fail: a
+# difference nobody declared, a declared hash the new bytes do not match,
+# a declared artifact that equals the base's (a stale entry: delete it
+# once the base has caught up), and an entry naming no artifact below.
+# Blank lines and lines starting with `#` are skipped. The timed q14/q15
+# reports cannot be declared: their tracked values must stay equal.
+# Exits 1 naming every artifact that fails. Offline, like the rest of CI.
 set -e
 
 base="${1:?usage: scripts/artifact_diff.sh <base-rev>}"
@@ -88,21 +101,43 @@ echo "artifact_diff: building and running the working tree"
 head_target="${CARGO_TARGET_DIR:-$root/target}"
 produce "$root" "$head_target" "$work/head"
 
-status=0
-for f in q9.json q10.json q11.json q11.jsonl q11.prom q12.json q12.jsonl q12.prom \
+artifacts="q9.json q10.json q11.json q11.jsonl q11.prom q12.json q12.jsonl q12.prom \
     q16.json q17.jsonl q5_scale.txt q6_classroom.txt q8_relay.txt plain.asf protected.asf \
     plain_4000.asf protected_4000.asf protected_video_only.asf \
-    serve.txt serve.prom serve.prom.jsonl udp.txt udp.prom udp.prom.jsonl; do
+    serve.txt serve.prom serve.prom.jsonl udp.txt udp.prom udp.prom.jsonl"
+changes="$root/scripts/artifact_changes"
+grep -s -v -e '^#' -e '^[[:space:]]*$' "$changes" > "$work/declared" || true
+
+status=0
+while read -r f hash _; do
+    case " $artifacts " in
+        *" $f "*) [ -n "$hash" ] && continue ;;
+    esac
+    echo "BAD ENTRY  $f $hash (scripts/artifact_changes: <artifact> <sha256>)"
+    status=1
+done < "$work/declared"
+for f in $artifacts; do
+    declared="$(awk -v f="$f" '$1 == f { print $2 }' "$work/declared")"
     if cmp -s "$work/base/$f" "$work/head/$f"; then
-        echo "identical  $f"
-    else
-        echo "DIFFERS    $f"
-        case "$f" in
-            *.asf) cmp "$work/base/$f" "$work/head/$f" || true ;;
-            *) diff "$work/base/$f" "$work/head/$f" | head -10 ;;
-        esac
-        status=1
+        if [ -n "$declared" ]; then
+            echo "STALE      $f (declared changed, but equals the base)"
+            status=1
+        else
+            echo "identical  $f"
+        fi
+        continue
     fi
+    actual="$(sha256sum "$work/head/$f" | cut -d' ' -f1)"
+    if [ "$actual" = "$declared" ]; then
+        echo "changed    $f (as declared)"
+        continue
+    fi
+    echo "DIFFERS    $f (sha256 $actual, declared ${declared:-nothing})"
+    case "$f" in
+        *.asf) cmp "$work/base/$f" "$work/head/$f" || true ;;
+        *) diff "$work/base/$f" "$work/head/$f" | head -10 ;;
+    esac
+    status=1
 done
 for f in q14.json q15.json; do
     if "$head_target/release/perf_gate" --fresh "$work/head/$f" \
@@ -125,7 +160,9 @@ for f in q14.json q15.json; do
     fi
 done
 if [ "$status" -ne 0 ]; then
-    echo "FAIL: artifacts differ from $base"
+    echo "FAIL: artifacts differ from $base or from scripts/artifact_changes"
+elif [ -s "$work/declared" ]; then
+    echo "all artifacts byte-identical to $base or changed as declared"
 else
     echo "all artifacts byte-identical to $base"
 fi
