@@ -92,14 +92,6 @@ impl Encoder {
             .unwrap_or(0.0)
     }
 
-    /// Audio quality score in \[0, 1\].
-    pub fn audio_quality(&self) -> f64 {
-        self.registry
-            .get(self.profile.codec_for(MediaKind::Audio))
-            .map(|c| c.quality_at(self.profile.audio_bitrate()))
-            .unwrap_or(0.0)
-    }
-
     /// Encodes one raw frame. Returns `None` when the frame was dropped
     /// (video frame-rate governor, or video offered to an audio-only
     /// profile).

@@ -225,11 +225,6 @@ impl PetriNet {
         &self.transitions[transition.0].name
     }
 
-    /// Declared capacity of a place, or `None` for unbounded.
-    pub fn place_capacity(&self, place: PlaceId) -> Option<u32> {
-        self.places[place.0].capacity
-    }
-
     /// Iterator over all place ids in index order.
     pub fn places(&self) -> impl Iterator<Item = PlaceId> + '_ {
         (0..self.places.len()).map(PlaceId)

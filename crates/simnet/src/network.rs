@@ -406,20 +406,6 @@ impl<M> Network<M> {
         NodeId(self.names.len() - 1)
     }
 
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Node name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.names[node.0]
-    }
-
     /// Installs (or replaces) the unidirectional link `src → dst`. A link
     /// to or from a node this network did not mint is ignored.
     pub fn connect(&mut self, src: NodeId, dst: NodeId, spec: LinkSpec) {

@@ -574,11 +574,6 @@ impl StreamingServer {
         self.replica.apply_all(entries);
     }
 
-    /// Live sessions currently held in the standby replica.
-    pub fn replica_len(&self) -> usize {
-        self.replica.len()
-    }
-
     /// Promotes this standby to primary at fencing epoch `epoch` (which
     /// must exceed the deposed primary's). Every replicated session
     /// becomes a pending resume: when its client's re-Play arrives, the

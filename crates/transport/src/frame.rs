@@ -144,22 +144,61 @@ pub fn encode_frame_traced(
     trace: Option<TraceCtx>,
     payload: &[u8],
 ) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(frame_len(trace, payload.len()));
+    write_header(&mut buf, seq, sent_at, flags, trace, payload.len());
+    buf.extend_from_slice(payload);
+    buf
+}
+
+/// Encodes `message` as one frame in one buffer: header, the trace
+/// extension when the message carries a context, then its encoding,
+/// allocated at the exact size `encoded_len` gives — byte for byte what
+/// [`encode_frame_traced`] makes of [`WireCodec::to_frame_payload`].
+/// `None`, with nothing encoded, when the frame would be longer than
+/// `max_len`.
+pub fn encode_message_frame<M: WireCodec>(
+    seq: u64,
+    sent_at: u64,
+    flags: u8,
+    message: &M,
+    max_len: usize,
+) -> Option<Vec<u8>> {
+    let (trace, payload_len) = (message.trace_ctx(), message.encoded_len());
+    let len = frame_len(trace, payload_len);
+    if len > max_len {
+        return None;
+    }
+    let mut buf = Vec::with_capacity(len);
+    write_header(&mut buf, seq, sent_at, flags, trace, payload_len);
+    message.encode_wire(&mut buf);
+    debug_assert_eq!(buf.len(), len, "encoded_len is exact");
+    Some(buf)
+}
+
+fn frame_len(trace: Option<TraceCtx>, payload_len: usize) -> usize {
     let ext = if trace.is_some() { TRACE_EXT_BYTES } else { 0 };
-    let mut buf = Vec::with_capacity(FRAME_HEADER_BYTES + ext + payload.len());
+    FRAME_HEADER_BYTES + ext + payload_len
+}
+
+/// Appends the fixed header, then the trace extension when `trace` is
+/// present.
+fn write_header(
+    buf: &mut Vec<u8>,
+    seq: u64,
+    sent_at: u64,
+    flags: u8,
+    trace: Option<TraceCtx>,
+    payload_len: usize,
+) {
     buf.extend_from_slice(&FRAME_MAGIC);
     buf.push(FRAME_VERSION);
     buf.push(flags | if trace.is_some() { FLAG_TRACE } else { 0 });
-    write_u64(&mut buf, seq);
-    write_u64(&mut buf, sent_at);
-    write_u32(
-        &mut buf,
-        u32::try_from(payload.len()).expect("payload < 4 GiB"),
-    );
+    write_u64(buf, seq);
+    write_u64(buf, sent_at);
+    write_u32(buf, u32::try_from(payload_len).expect("payload < 4 GiB"));
     if let Some(t) = trace {
-        write_trace(&mut buf, t);
+        write_trace(buf, t);
     }
-    buf.extend_from_slice(payload);
-    buf
 }
 
 /// Marks an already-encoded frame as a retransmission in place (the
@@ -581,6 +620,56 @@ mod tests {
         let cut = &frame[..FRAME_HEADER_BYTES + 10];
         assert_eq!(decode_frame(cut).unwrap_err(), CodecError::Truncated);
         assert_eq!(peek_trace(cut), None);
+    }
+
+    #[test]
+    fn message_frame_matches_the_two_step_encoding() {
+        let ctx = TraceCtx {
+            lecture: 1,
+            segment: 2,
+            seq: 3,
+            origin: 4,
+        };
+        for trace in [None, Some(ctx)] {
+            let message = Sample { trace };
+            let frame = encode_message_frame(9, 55, FLAG_RELIABLE, &message, usize::MAX).unwrap();
+            let two_step =
+                encode_frame_traced(9, 55, FLAG_RELIABLE, trace, &message.to_frame_payload());
+            assert_eq!(frame, two_step);
+            assert_eq!(frame.capacity(), frame.len(), "allocated once, at size");
+            let fits = encode_message_frame(9, 55, 0, &message, frame.len());
+            assert_eq!(fits.map(|f| f.len()), Some(frame.len()));
+            assert_eq!(
+                encode_message_frame(9, 55, 0, &message, frame.len() - 1),
+                None
+            );
+        }
+    }
+
+    /// A message with a fixed 14-byte payload whose trace
+    /// context rides only the frame header.
+    struct Sample {
+        trace: Option<TraceCtx>,
+    }
+
+    impl WireCodec for Sample {
+        fn encode_wire(&self, buf: &mut Vec<u8>) {
+            write_u64(buf, 7);
+            write_bytes(buf, b"x");
+            write_bool(buf, self.trace.is_some());
+        }
+
+        fn encoded_len(&self) -> usize {
+            8 + 4 + 1 + 1
+        }
+
+        fn decode_wire(_: &mut Reader<'_>) -> Result<Self, CodecError> {
+            Err(CodecError::Truncated)
+        }
+
+        fn trace_ctx(&self) -> Option<TraceCtx> {
+            self.trace
+        }
     }
 
     #[test]

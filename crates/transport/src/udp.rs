@@ -15,9 +15,10 @@
 //! [`UdpTransport::set_manual_now`], so pacing, gap flushes, NACK timers
 //! and fault decisions are deterministic.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::marker::PhantomData;
 use std::net::{SocketAddr, UdpSocket};
 
 use lod_obs::{Event, Recorder, TraceCtx};
@@ -25,8 +26,8 @@ use lod_simnet::{Delivery, Fault, FaultTarget, NetworkError, NodeId, TokenBucket
 
 use crate::fault::{FaultAction, FaultEngine, FaultSpec};
 use crate::frame::{
-    decode_frame, encode_frame_traced, mark_retransmit, peek_trace, WireCodec, FLAG_CONTROL,
-    FLAG_RELIABLE, FRAME_HEADER_BYTES, TRACE_EXT_BYTES,
+    decode_frame, encode_message_frame, mark_retransmit, peek_trace, WireCodec, FLAG_CONTROL,
+    FLAG_RELIABLE,
 };
 use crate::reorder::{ReorderBuffer, ReorderStats};
 use crate::repair::{ControlFrame, RepairConfig, RepairRx, RepairTx};
@@ -163,12 +164,43 @@ lod_obs::counters! {
 /// toward that peer goes quiet, and only a bounded burst of them — the
 /// receiver remembers the advertised top, so the advertisement needs to
 /// land once, not flow forever.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct HbState {
     /// Tick of the last data frame or heartbeat sent to this peer.
     last_activity_at: u64,
     /// Heartbeats sent since the last data frame.
     sent_since_data: u32,
+}
+
+/// A frame waiting in a reorder buffer: its wire length, its trace
+/// context and the decoded message.
+type Pending<M> = (u64, Option<TraceCtx>, M);
+
+/// Everything a transport keeps about one registered peer, both
+/// directions. The sub-state is created on first use: the reorder buffer
+/// by the first data frame from the peer, the repair and heartbeat state
+/// once repair has something to track.
+#[derive(Debug)]
+struct Peer<M> {
+    addr: SocketAddr,
+    /// Sender side: the sequence the next data frame toward the peer
+    /// carries (1 first).
+    next_seq: u64,
+    /// Receiver side: highest data sequence the peer is known to have
+    /// sent (max of observed frames and heartbeat advertisements) — the
+    /// reference that makes tail loss detectable.
+    top: u64,
+    reorder: Option<ReorderBuffer<Pending<M>>>,
+    repair_tx: Option<RepairTx>,
+    repair_rx: Option<RepairRx>,
+    hb: Option<HbState>,
+}
+
+/// The peer registered at `index`, if any: a bounds-checked lookup that
+/// never grows the table. A free function, so the caller keeps the
+/// transport's other fields to itself while it holds the peer.
+fn peer_mut<M>(peers: &mut [Option<Peer<M>>], index: usize) -> Option<&mut Peer<M>> {
+    peers.get_mut(index).and_then(Option::as_mut)
 }
 
 /// A [`Transport`] backend on a real UDP socket.
@@ -177,25 +209,19 @@ pub struct UdpTransport<M> {
     node: NodeId,
     socket: UdpSocket,
     local_addr: SocketAddr,
-    peers: HashMap<usize, SocketAddr>,
+    /// The peer table, indexed by [`NodeId::index`]; only
+    /// [`Self::register_peer`] grows it. A poll walks it in index order,
+    /// and the order it NACKs, skips and heartbeats in feeds the fault
+    /// dice and the event log.
+    peers: Vec<Option<Peer<M>>>,
+    /// The receive path's one address lookup.
     by_addr: HashMap<SocketAddr, NodeId>,
-    next_seq: HashMap<usize, u64>,
-    /// Ordered, like `hb`: a poll walks these per peer, and the order it
-    /// NACKs, skips and heartbeats in feeds the fault dice and the event
-    /// log — which must not depend on a hasher's per-process keys.
-    reorder: BTreeMap<usize, ReorderBuffer<(u64, Option<TraceCtx>, M)>>,
-    repair_tx: HashMap<usize, RepairTx>,
-    repair_rx: HashMap<usize, RepairRx>,
-    /// Receiver side: highest data sequence each peer is known to have
-    /// sent (max of observed frames and heartbeat advertisements) — the
-    /// reference that makes tail loss detectable.
-    peer_top: HashMap<usize, u64>,
-    /// Sender side: per-peer heartbeat pacing state.
-    hb: BTreeMap<usize, HbState>,
     fault: Option<FaultEngine>,
-    delayed: Vec<(u64, SocketAddr, Vec<u8>)>,
+    /// Fault-delayed datagrams: release tick, peer index, frame.
+    delayed: Vec<(u64, usize, Vec<u8>)>,
     pacer: Option<TokenBucket>,
-    queue: VecDeque<(SocketAddr, Vec<u8>)>,
+    /// Frames waiting for the pacer: peer index, frame.
+    queue: VecDeque<(usize, Vec<u8>)>,
     queued_bytes: u64,
     /// The tick the driver last handed in.
     now: u64,
@@ -203,20 +229,9 @@ pub struct UdpTransport<M> {
     stats: TransportStats,
     obs: Recorder,
     recv_buf: Vec<u8>,
-    _marker: PhantomData<M>,
 }
 
 impl<M: WireCodec> UdpTransport<M> {
-    /// Binds `node`'s socket on `addr` (use port 0 for an ephemeral
-    /// port, then read it back with [`Self::local_addr`]).
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] when the bind fails.
-    pub fn bind(node: NodeId, addr: SocketAddr, cfg: UdpConfig) -> io::Result<Self> {
-        Self::from_socket(node, UdpSocket::bind(addr)?, cfg)
-    }
-
     /// Wraps an already-bound socket. This is how a whole deployment is
     /// wired: bind every node's socket up front, so every address is
     /// known, then build each transport and register its peers.
@@ -233,14 +248,8 @@ impl<M: WireCodec> UdpTransport<M> {
             node,
             socket,
             local_addr,
-            peers: HashMap::new(),
+            peers: Vec::new(),
             by_addr: HashMap::new(),
-            next_seq: HashMap::new(),
-            reorder: BTreeMap::new(),
-            repair_tx: HashMap::new(),
-            repair_rx: HashMap::new(),
-            peer_top: HashMap::new(),
-            hb: BTreeMap::new(),
             fault: None,
             delayed: Vec::new(),
             pacer,
@@ -251,17 +260,18 @@ impl<M: WireCodec> UdpTransport<M> {
             stats: TransportStats::default(),
             obs: Recorder::disabled(),
             recv_buf: vec![0u8; 64 * 1024],
-            _marker: PhantomData,
         })
     }
 
-    /// Binds on an ephemeral localhost port.
+    /// Binds on an ephemeral localhost port (read it back with
+    /// [`Self::local_addr`]).
     ///
     /// # Errors
     ///
     /// [`io::Error`] when the bind fails.
     pub fn bind_localhost(node: NodeId, cfg: UdpConfig) -> io::Result<Self> {
-        Self::bind(node, "127.0.0.1:0".parse().expect("valid literal"), cfg)
+        let socket = UdpSocket::bind(SocketAddr::from(([127, 0, 0, 1], 0)))?;
+        Self::from_socket(node, socket, cfg)
     }
 
     /// Routes the transport's events and span edges into a shared
@@ -284,11 +294,24 @@ impl<M: WireCodec> UdpTransport<M> {
     }
 
     /// Registers (or re-points) a peer's address. Sequence numbering
-    /// toward the peer starts at 1 on first registration.
+    /// toward the peer starts at 1 on first registration; re-pointing
+    /// keeps the peer's sequences and buffers.
     pub fn register_peer(&mut self, node: NodeId, addr: SocketAddr) {
-        if let Some(old) = self.peers.insert(node.index(), addr) {
-            self.by_addr.remove(&old);
+        let index = node.index();
+        if index >= self.peers.len() {
+            self.peers.resize_with(index + 1, || None);
         }
+        let peer = self.peers[index].get_or_insert_with(|| Peer {
+            addr,
+            next_seq: 1,
+            top: 0,
+            reorder: None,
+            repair_tx: None,
+            repair_rx: None,
+            hb: None,
+        });
+        self.by_addr.remove(&peer.addr);
+        peer.addr = addr;
         self.by_addr.insert(addr, node);
     }
 
@@ -311,7 +334,7 @@ impl<M: WireCodec> UdpTransport<M> {
     /// Aggregated sender-side repair counters across peers.
     pub fn repair_tx_stats(&self) -> crate::repair::RepairTxStats {
         let mut total = crate::repair::RepairTxStats::default();
-        for tx in self.repair_tx.values() {
+        for tx in self.registered().filter_map(|p| p.repair_tx.as_ref()) {
             total.merge(tx.stats());
         }
         total
@@ -320,7 +343,7 @@ impl<M: WireCodec> UdpTransport<M> {
     /// Aggregated receiver-side repair counters across peers.
     pub fn repair_rx_stats(&self) -> crate::repair::RepairRxStats {
         let mut total = crate::repair::RepairRxStats::default();
-        for rx in self.repair_rx.values() {
+        for rx in self.registered().filter_map(|p| p.repair_rx.as_ref()) {
             total.merge(rx.stats());
         }
         total
@@ -334,7 +357,7 @@ impl<M: WireCodec> UdpTransport<M> {
     /// Reorder counters aggregated across peers.
     pub fn reorder_stats(&self) -> ReorderStats {
         let mut total = ReorderStats::default();
-        for b in self.reorder.values() {
+        for b in self.registered().filter_map(|p| p.reorder.as_ref()) {
             total.merge(b.stats());
         }
         total
@@ -342,12 +365,20 @@ impl<M: WireCodec> UdpTransport<M> {
 
     /// Frames waiting in the reorder buffers now, across peers.
     pub fn reorder_depth(&self) -> usize {
-        self.reorder.values().map(ReorderBuffer::depth).sum()
+        self.registered()
+            .filter_map(|p| p.reorder.as_ref())
+            .map(ReorderBuffer::depth)
+            .sum()
     }
 
     /// Bytes currently waiting in the pacer queue.
     pub fn queued_bytes(&self) -> u64 {
         self.queued_bytes
+    }
+
+    /// The registered peers, in index order.
+    fn registered(&self) -> impl Iterator<Item = &Peer<M>> {
+        self.peers.iter().flatten()
     }
 
     fn send_impl(
@@ -358,97 +389,97 @@ impl<M: WireCodec> UdpTransport<M> {
         reliable: bool,
     ) -> Result<(), NetworkError> {
         debug_assert_eq!(src, self.node, "a transport only sends as its own node");
-        let Some(&addr) = self.peers.get(&dst.index()) else {
+        let index = dst.index();
+        let Some(peer) = peer_mut(&mut self.peers, index) else {
             return Err(NetworkError::UnknownNode(dst));
         };
-        let now = Transport::<M>::now(self);
-        let seq = self.next_seq.entry(dst.index()).or_insert(1);
+        let now = self.now;
         // A traced message's context rides a frame-header extension, so
         // the receiving transport can stamp hop spans without decoding
         // the payload. Untraced messages keep the bare 24-byte header.
-        let trace = message.trace_ctx();
+        let seq = peer.next_seq;
         let flags = if reliable { FLAG_RELIABLE } else { 0 };
-        let frame = encode_frame_traced(*seq, now, flags, trace, &message.to_frame_payload());
-        if frame.len() > self.cfg.max_frame_bytes {
+        let Some(frame) = encode_message_frame(seq, now, flags, message, self.cfg.max_frame_bytes)
+        else {
             self.stats.oversize_drops += 1;
             return Ok(());
-        }
-        *seq += 1;
-        if let Some(ctx) = trace {
+        };
+        peer.next_seq += 1;
+        if let Some(ctx) = message.trace_ctx() {
             // "pace" spans the pacer/fault stage: open here, closed by
             // `raw_send` when the datagram actually reaches the socket
             // (or by the fault stage when it eats the frame).
-            let (node, peer) = (self.node.index() as u64, dst.index() as u64);
-            self.obs.span(now, true, node, peer, "pace", ctx);
+            let node = self.node.index() as u64;
+            self.obs.span(now, true, node, index as u64, "pace", ctx);
         }
         if let Some(repair) = self.cfg.repair {
-            let sent_seq = *seq - 1;
-            self.repair_tx
-                .entry(dst.index())
-                .or_insert_with(|| RepairTx::new(repair))
-                .record(sent_seq, &frame);
-            let hb = self.hb.entry(dst.index()).or_default();
-            hb.last_activity_at = now;
-            hb.sent_since_data = 0;
+            peer.repair_tx
+                .get_or_insert_with(|| RepairTx::new(repair))
+                .record(seq, &frame);
+            peer.hb = Some(HbState {
+                last_activity_at: now,
+                sent_since_data: 0,
+            });
         }
-        self.pace_or_queue(now, addr, frame);
+        self.pace_or_queue(now, index, frame);
         Ok(())
     }
 
-    /// Sends `frame` immediately if the pacer allows, else parks it in
-    /// the pacer queue (the path data, control and retransmit frames all
-    /// share, so repair traffic is paced like everything else).
-    fn pace_or_queue(&mut self, now: u64, addr: SocketAddr, frame: Vec<u8>) {
+    /// Sends `frame` to peer `index` immediately if the pacer allows,
+    /// else parks it in the pacer queue (the path data, control and
+    /// retransmit frames all share, so repair traffic is paced like
+    /// everything else).
+    fn pace_or_queue(&mut self, now: u64, index: usize, frame: Vec<u8>) {
         let len = frame.len() as u64;
         let unblocked =
             self.queue.is_empty() && self.pacer.as_mut().is_none_or(|p| p.try_consume(len, now));
         if unblocked {
-            self.put_on_wire(now, addr, &frame);
+            self.put_on_wire(now, index, &frame);
         } else {
             self.queued_bytes += len;
-            self.queue.push_back((addr, frame));
+            self.queue.push_back((index, frame));
         }
     }
 
-    fn put_on_wire(&mut self, now: u64, addr: SocketAddr, frame: &[u8]) {
-        if self.fault.is_some() {
-            let dst = self.by_addr.get(&addr).copied();
-            // Every datagram rolls the same dice, reliable-flagged or
-            // not: this stage models the physical network, and a kernel
-            // dropping a UDP datagram does not consult application
-            // flags.
-            if let (Some(engine), Some(dst)) = (self.fault.as_mut(), dst) {
-                match engine.action(self.node, dst) {
-                    FaultAction::Deliver => {}
-                    FaultAction::Drop => {
-                        self.stats.faults_dropped += 1;
-                        // The frame dies here: close its pace span so a
-                        // faulted run still has every span paired (the
-                        // repair layer's retransmit will re-close it
-                        // later if the segment is recovered).
-                        if let Some(ctx) = peek_trace(frame) {
-                            let (node, peer) = (self.node.index() as u64, dst.index() as u64);
-                            self.obs.span(now, false, node, peer, "pace", ctx);
-                        }
-                        return;
+    fn put_on_wire(&mut self, now: u64, index: usize, frame: &[u8]) {
+        // Every datagram rolls the same dice, reliable-flagged or not:
+        // this stage models the physical network, and a kernel dropping
+        // a UDP datagram does not consult application flags.
+        if let Some(engine) = self.fault.as_mut() {
+            match engine.action(self.node, NodeId::from_index(index)) {
+                FaultAction::Deliver => {}
+                FaultAction::Drop => {
+                    self.stats.faults_dropped += 1;
+                    // The frame dies here: close its pace span so a
+                    // faulted run still has every span paired (the
+                    // repair layer's retransmit will re-close it later
+                    // if the segment is recovered).
+                    if let Some(ctx) = peek_trace(frame) {
+                        let node = self.node.index() as u64;
+                        self.obs.span(now, false, node, index as u64, "pace", ctx);
                     }
-                    FaultAction::Duplicate => {
-                        self.stats.faults_duplicated += 1;
-                        self.raw_send(now, addr, frame);
-                    }
-                    FaultAction::Delay(extra) => {
-                        self.stats.faults_delayed += 1;
-                        self.delayed
-                            .push((now.saturating_add(extra), addr, frame.to_vec()));
-                        return;
-                    }
+                    return;
+                }
+                FaultAction::Duplicate => {
+                    self.stats.faults_duplicated += 1;
+                    self.raw_send(now, index, frame);
+                }
+                FaultAction::Delay(extra) => {
+                    self.stats.faults_delayed += 1;
+                    self.delayed
+                        .push((now.saturating_add(extra), index, frame.to_vec()));
+                    return;
                 }
             }
         }
-        self.raw_send(now, addr, frame);
+        self.raw_send(now, index, frame);
     }
 
-    fn raw_send(&mut self, now: u64, addr: SocketAddr, frame: &[u8]) {
+    fn raw_send(&mut self, now: u64, index: usize, frame: &[u8]) {
+        // Frames are only ever addressed to registered peers.
+        let Some(addr) = peer_mut(&mut self.peers, index).map(|p| p.addr) else {
+            return;
+        };
         match self.socket.send_to(frame, addr) {
             Ok(_) => {
                 self.stats.frames_sent += 1;
@@ -458,34 +489,33 @@ impl<M: WireCodec> UdpTransport<M> {
                     // a retransmit re-closes it (last close wins), so
                     // the span stretches over the repair round trip.
                     let node = self.node.index() as u64;
-                    let peer = self.by_addr.get(&addr).map(|p| p.index() as u64);
-                    if let Some(peer) = peer {
-                        self.obs.span(now, false, node, peer, "pace", ctx);
-                    }
+                    self.obs.span(now, false, node, index as u64, "pace", ctx);
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 // Kernel buffer full: park it in the pacer queue and let
                 // the next poll retry instead of losing the frame.
                 self.queued_bytes += frame.len() as u64;
-                self.queue.push_front((addr, frame.to_vec()));
+                self.queue.push_front((index, frame.to_vec()));
             }
             Err(_) => self.stats.send_errors += 1,
         }
     }
 
     fn flush_queue(&mut self, now: u64) {
-        while let Some((addr, frame)) = self.queue.front() {
+        while let Some((_, frame)) = self.queue.front() {
             let len = frame.len() as u64;
             if let Some(p) = self.pacer.as_mut() {
                 if !p.try_consume(len, now) {
                     break;
                 }
             }
-            let (addr, frame) = (*addr, self.queue.pop_front().expect("peeked").1);
+            let Some((index, frame)) = self.queue.pop_front() else {
+                break;
+            };
             self.queued_bytes -= len;
             let before = self.queue.len();
-            self.put_on_wire(now, addr, &frame);
+            self.put_on_wire(now, index, &frame);
             if self.queue.len() > before {
                 break; // WouldBlock re-queued it; stop hammering
             }
@@ -498,8 +528,8 @@ impl<M: WireCodec> UdpTransport<M> {
         let mut i = 0;
         while i < self.delayed.len() {
             if self.delayed[i].0 <= now {
-                let (_, addr, frame) = self.delayed.remove(i);
-                self.raw_send(now, addr, &frame);
+                let (_, index, frame) = self.delayed.remove(i);
+                self.raw_send(now, index, &frame);
             } else {
                 i += 1;
             }
@@ -517,7 +547,7 @@ impl<M: WireCodec> UdpTransport<M> {
                 }
             };
             self.stats.bytes_received += n as u64;
-            let Some(&src) = self.by_addr.get(&addr) else {
+            let Some(src) = self.by_addr.get(&addr).map(|node| node.index()) else {
                 self.stats.unknown_peer += 1;
                 continue;
             };
@@ -533,19 +563,19 @@ impl<M: WireCodec> UdpTransport<M> {
                 // reorder buffer (control frames ride seq 0) and never
                 // reaches the state machines.
                 match ControlFrame::from_frame_payload(payload) {
-                    Ok(cf) => self.on_control(now, src, addr, &cf, header.sent_at),
-                    Err(_) => {
-                        self.stats.decode_errors += 1;
-                    }
+                    Ok(cf) => self.on_control(now, src, &cf, header.sent_at),
+                    Err(_) => self.stats.decode_errors += 1,
                 }
                 continue;
             }
             if header.retransmit {
                 self.stats.retransmits_received += 1;
             }
+            let Some(peer) = peer_mut(&mut self.peers, src) else {
+                continue;
+            };
             if let Some(repair) = self.cfg.repair {
-                let top = self.peer_top.entry(src.index()).or_insert(0);
-                *top = (*top).max(header.seq);
+                peer.top = peer.top.max(header.seq);
                 if !header.retransmit {
                     // Feed the path-delay estimate that paces NACK timers.
                     // Send timestamps come from the peer's clock; on the
@@ -556,9 +586,8 @@ impl<M: WireCodec> UdpTransport<M> {
                     // "delay" includes the whole NACK round trip and would
                     // drag the estimate — and with it the NACK interval —
                     // into a runaway feedback loop.
-                    self.repair_rx
-                        .entry(src.index())
-                        .or_insert_with(|| RepairRx::new(repair))
+                    peer.repair_rx
+                        .get_or_insert_with(|| RepairRx::new(repair))
                         .observe_delay(now.saturating_sub(header.sent_at));
                 }
             }
@@ -576,7 +605,7 @@ impl<M: WireCodec> UdpTransport<M> {
             };
             self.stats.frames_received += 1;
             if let Some(ctx) = header.trace {
-                let (node, peer) = (self.node.index() as u64, src.index() as u64);
+                let node = self.node.index() as u64;
                 // "wire" spans the one-way flight: opened at the peer's
                 // send timestamp (valid under the loopback harness's
                 // shared epoch), closed at local arrival. A retransmit
@@ -589,83 +618,108 @@ impl<M: WireCodec> UdpTransport<M> {
                     "wire"
                 };
                 self.obs
-                    .span(header.sent_at.min(now), true, node, peer, hop, ctx);
-                self.obs.span(now, false, node, peer, hop, ctx);
+                    .span(header.sent_at.min(now), true, node, src as u64, hop, ctx);
+                self.obs.span(now, false, node, src as u64, hop, ctx);
                 // "reorder" opens at arrival and closes when the frame
                 // leaves the resequencing buffer (possibly right now).
-                self.obs.span(now, true, node, peer, "reorder", ctx);
+                self.obs.span(now, true, node, src as u64, "reorder", ctx);
             }
-            let buffer = self
+            let flush_after = self.cfg.reorder_flush_ticks;
+            let released = peer
                 .reorder
-                .entry(src.index())
-                .or_insert_with(|| ReorderBuffer::new(self.cfg.reorder_flush_ticks));
-            let ext = if header.trace.is_some() {
-                TRACE_EXT_BYTES as u64
-            } else {
-                0
-            };
-            let wire_len = FRAME_HEADER_BYTES as u64 + ext + u64::from(header.len);
-            let entry = (wire_len, header.trace, message);
-            for (bytes, trace, message) in buffer.accept(header.seq, now, entry) {
-                if let Some(ctx) = trace {
-                    let (node, peer) = (self.node.index() as u64, src.index() as u64);
-                    self.obs.span(now, false, node, peer, "reorder", ctx);
-                }
-                out.push(Delivery {
-                    time: now,
-                    src,
-                    dst: self.node,
-                    bytes,
-                    message,
-                });
-            }
+                .get_or_insert_with(|| ReorderBuffer::new(flush_after))
+                .accept(header.seq, now, (n as u64, header.trace, message));
+            self.release(now, src, released, out);
         }
     }
 
-    /// Handles one inbound control frame from `src`: a heartbeat updates
-    /// the peer's known top sequence; a NACK is answered with marked
-    /// retransmits through the shared pacing path, emitting the obs
-    /// events the causal checker audits.
-    fn on_control(
-        &mut self,
-        now: u64,
-        src: NodeId,
-        addr: SocketAddr,
-        cf: &ControlFrame,
-        sent_at: u64,
-    ) {
+    /// Hands the frames `src`'s reorder buffer let go of up as
+    /// deliveries, in order, closing each traced frame's "reorder" span.
+    fn release(&self, now: u64, src: usize, released: Vec<Pending<M>>, out: &mut Vec<Delivery<M>>) {
+        let (node, peer) = (self.node.index() as u64, src as u64);
+        for (bytes, trace, message) in released {
+            if let Some(ctx) = trace {
+                self.obs.span(now, false, node, peer, "reorder", ctx);
+            }
+            out.push(Delivery {
+                time: now,
+                src: NodeId::from_index(src),
+                dst: self.node,
+                bytes,
+                message,
+            });
+        }
+    }
+
+    /// Announces the sequences `src`'s reorder buffer walked past. Under
+    /// repair each is booked against the NACKs its gap absorbed and the
+    /// retry budget; a plain timeout skip carries zero of both, so the
+    /// causal checker sees every abandoned sequence either way.
+    fn announce_skips(&mut self, now: u64, src: usize, seqs: impl IntoIterator<Item = u64>) {
+        let budget = self.cfg.repair.map_or(0, |r| u64::from(r.retry_budget));
+        let node = self.node.index() as u64;
+        let mut rx = peer_mut(&mut self.peers, src).and_then(|p| p.repair_rx.as_mut());
+        for seq in seqs {
+            let nacks = match rx.as_deref_mut() {
+                Some(rx) => {
+                    self.stats.gap_skipped_seqs += 1;
+                    rx.on_skipped(seq)
+                }
+                None => 0,
+            };
+            self.obs.emit(
+                now,
+                Event::GapSkipped {
+                    node,
+                    peer: src as u64,
+                    seq,
+                    nacks: u64::from(nacks),
+                    budget,
+                },
+            );
+        }
+    }
+
+    /// Handles one inbound control frame from peer `src`: a heartbeat
+    /// updates the peer's known top sequence; a NACK is answered with
+    /// marked retransmits through the shared pacing path, emitting the
+    /// obs events the causal checker audits.
+    fn on_control(&mut self, now: u64, src: usize, cf: &ControlFrame, sent_at: u64) {
+        let repair = self.cfg.repair;
+        let Some(peer) = peer_mut(&mut self.peers, src) else {
+            return;
+        };
         if let ControlFrame::Heartbeat { top_seq } = cf {
             self.stats.heartbeats_received += 1;
-            if self.cfg.repair.is_some() {
-                let top = self.peer_top.entry(src.index()).or_insert(0);
-                *top = (*top).max(*top_seq);
+            if repair.is_some() {
+                peer.top = peer.top.max(*top_seq);
             }
             return;
         }
         self.stats.nacks_received += 1;
-        let Some(repair) = self.cfg.repair else {
+        let Some(repair) = repair else {
             // A NACK from a repair-enabled peer while ours is off:
             // nothing buffered, nothing to resend.
             return;
         };
-        let tx = self
+        let response = peer
             .repair_tx
-            .entry(src.index())
-            .or_insert_with(|| RepairTx::new(repair));
-        let response = tx.on_nack(now, &cf.seqs());
+            .get_or_insert_with(|| RepairTx::new(repair))
+            .on_nack(now, &cf.seqs());
         // This node's clock is frozen for the whole poll round, so `now`
         // can lag the tick the *peer* stamped on the NACK it just pulled
         // off the socket. The response provably happened after the NACK
         // was sent — floor its event timestamps there so cause precedes
         // effect in any merged, tick-sorted log.
         let at = now.max(sent_at.saturating_add(1));
+        let (node, peer) = (self.node.index() as u64, src as u64);
         for give_up in &response.give_ups {
             self.stats.repair_give_ups += 1;
             self.obs.emit(
                 at,
                 Event::RepairGiveUp {
-                    node: self.node.index() as u64,
-                    peer: src.index() as u64,
+                    node,
+                    peer,
                     seq: give_up.seq,
                     retries: u64::from(give_up.retries),
                     budget: u64::from(repair.retry_budget),
@@ -679,13 +733,13 @@ impl<M: WireCodec> UdpTransport<M> {
             self.obs.emit(
                 at,
                 Event::Retransmit {
-                    node: self.node.index() as u64,
-                    peer: src.index() as u64,
+                    node,
+                    peer,
                     seq: rt.seq,
                     attempt: u64::from(rt.attempt),
                 },
             );
-            self.pace_or_queue(now, addr, frame);
+            self.pace_or_queue(now, src, frame);
         }
     }
 
@@ -695,173 +749,99 @@ impl<M: WireCodec> UdpTransport<M> {
         let Some(repair) = self.cfg.repair else {
             return;
         };
-        let node = self.node;
-        let peer_indices: Vec<usize> = self.reorder.keys().copied().collect();
-        for src_index in peer_indices {
-            let buffer = self.reorder.get_mut(&src_index).expect("keyed");
+        let node = self.node.index() as u64;
+        for src in 0..self.peers.len() {
+            let Some(peer) = peer_mut(&mut self.peers, src) else {
+                continue;
+            };
+            let Some(buffer) = peer.reorder.as_ref() else {
+                continue;
+            };
             let mut missing = buffer.missing(MISSING_CAP);
             // Tail losses: sequences past every pending frame, known
             // only from the peer's advertisement (data seqs observed or
             // heartbeat tops). Appending keeps the list sorted — the
             // tail starts past everything `missing` can name.
-            let top = self.peer_top.get(&src_index).copied().unwrap_or(0);
-            for seq in buffer.horizon()..=top {
+            for seq in buffer.horizon()..=peer.top {
                 if missing.len() == MISSING_CAP {
                     break;
                 }
                 missing.push(seq);
             }
-            let rx = self
+            let decision = peer
                 .repair_rx
-                .entry(src_index)
-                .or_insert_with(|| RepairRx::new(repair));
-            let decision = rx.poll(now, &missing);
-            if !decision.nacks.is_empty() {
-                let Some(&addr) = self.peers.get(&src_index) else {
-                    continue;
+                .get_or_insert_with(|| RepairRx::new(repair))
+                .poll(now, &missing);
+            for nack in &decision.nacks {
+                let ControlFrame::Nack { base_seq, .. } = nack else {
+                    unreachable!("RepairRx::poll only emits NACKs");
                 };
-                for nack in &decision.nacks {
-                    let ControlFrame::Nack { base_seq, .. } = nack else {
-                        unreachable!("RepairRx::poll only emits NACKs");
-                    };
-                    let (base_seq, span) = (*base_seq, nack.span());
-                    self.stats.nacks_sent += 1;
-                    self.obs.emit(
-                        now,
-                        Event::NackSent {
-                            node: node.index() as u64,
-                            peer: src_index as u64,
-                            base_seq,
-                            span,
-                        },
-                    );
-                    // NACKs ride control frames on seq 0, outside the
-                    // data sequence space, so they can never create the
-                    // gaps they exist to repair. Straight to the wire —
-                    // a NACK stuck behind a paced media backlog would
-                    // only push the repair RTT up.
-                    let frame =
-                        encode_frame_traced(0, now, FLAG_CONTROL, None, &nack.to_frame_payload());
-                    self.put_on_wire(now, addr, &frame);
+                let (base_seq, span) = (*base_seq, nack.span());
+                self.stats.nacks_sent += 1;
+                self.obs.emit(
+                    now,
+                    Event::NackSent {
+                        node,
+                        peer: src as u64,
+                        base_seq,
+                        span,
+                    },
+                );
+                // NACKs ride control frames on seq 0, outside the data
+                // sequence space, so they can never create the gaps
+                // they exist to repair. Straight to the wire — a NACK
+                // stuck behind a paced media backlog would only push
+                // the repair RTT up.
+                if let Some(frame) = encode_message_frame(0, now, FLAG_CONTROL, nack, usize::MAX) {
+                    self.put_on_wire(now, src, &frame);
                 }
             }
             if decision.skippable.is_empty() {
                 continue;
             }
+            let authorized = |seq: u64| decision.skippable.iter().any(|s| s.seq == seq);
             // A gap can only be walked past from the front: skip while
-            // the first gap's sequences are all authorized.
-            let budget = u64::from(repair.retry_budget);
-            loop {
-                let buffer = self.reorder.get_mut(&src_index).expect("keyed");
-                let Some(gap) = buffer.first_gap() else {
-                    break;
+            // the first gap's sequences are all authorized. A tail gap
+            // has nothing pending behind it, so skipping releases no
+            // frames — it just advances the cursor past the authorized
+            // contiguous prefix so the ledger stops churning.
+            while let Some(buffer) = peer_mut(&mut self.peers, src).and_then(|p| p.reorder.as_mut())
+            {
+                let (gap, tail) = match buffer.first_gap() {
+                    Some(gap) if !gap.is_empty() && gap.clone().all(authorized) => (gap, false),
+                    Some(_) => break,
+                    None => {
+                        let start = buffer.expected();
+                        let end = (start..).find(|&seq| !authorized(seq)).unwrap_or(start);
+                        (start..end, true)
+                    }
                 };
-                let covered = gap
-                    .clone()
-                    .all(|seq| decision.skippable.iter().any(|s| s.seq == seq));
-                if gap.is_empty() || !covered {
-                    break;
-                }
                 let mut released = Vec::new();
                 buffer.skip_to(gap.end, &mut released);
-                let rx = self.repair_rx.get_mut(&src_index).expect("keyed");
-                for seq in gap.clone() {
-                    let nacks = rx.on_skipped(seq);
-                    self.stats.gap_skipped_seqs += 1;
-                    self.obs.emit(
-                        now,
-                        Event::GapSkipped {
-                            node: node.index() as u64,
-                            peer: src_index as u64,
-                            seq,
-                            nacks: u64::from(nacks),
-                            budget,
-                        },
-                    );
-                }
-                for (bytes, trace, message) in released {
-                    if let Some(ctx) = trace {
-                        let (n, p) = (node.index() as u64, src_index as u64);
-                        self.obs.span(now, false, n, p, "reorder", ctx);
-                    }
-                    out.push(Delivery {
-                        time: now,
-                        src: NodeId::from_index(src_index),
-                        dst: node,
-                        bytes,
-                        message,
-                    });
-                }
-            }
-            // Tail gaps: nothing pending behind them, so skipping
-            // releases no frames — it just advances the cursor past the
-            // authorized contiguous prefix so the ledger stops churning.
-            let buffer = self.reorder.get_mut(&src_index).expect("keyed");
-            if buffer.depth() == 0 {
-                let start = buffer.expected();
-                let mut end = start;
-                while decision.skippable.iter().any(|s| s.seq == end) {
-                    end += 1;
-                }
-                if end > start {
-                    let mut released = Vec::new();
-                    buffer.skip_to(end, &mut released);
-                    debug_assert!(released.is_empty(), "tail skips release nothing");
-                    let rx = self.repair_rx.get_mut(&src_index).expect("keyed");
-                    for seq in start..end {
-                        let nacks = rx.on_skipped(seq);
-                        self.stats.gap_skipped_seqs += 1;
-                        self.obs.emit(
-                            now,
-                            Event::GapSkipped {
-                                node: node.index() as u64,
-                                peer: src_index as u64,
-                                seq,
-                                nacks: u64::from(nacks),
-                                budget,
-                            },
-                        );
-                    }
+                self.announce_skips(now, src, gap);
+                self.release(now, src, released, out);
+                if tail {
+                    break;
                 }
             }
         }
     }
 
     fn flush_reorder(&mut self, now: u64, out: &mut Vec<Delivery<M>>) {
-        let node = self.node;
-        let budget = 0u64; // repair disabled: plain timeout skips
-        for (&src_index, buffer) in &mut self.reorder {
+        for src in 0..self.peers.len() {
+            let Some(buffer) = peer_mut(&mut self.peers, src).and_then(|p| p.reorder.as_mut())
+            else {
+                continue;
+            };
             let missing_before = buffer.missing(usize::MAX);
             let before = buffer.stats().skipped_seqs;
-            for (bytes, trace, message) in buffer.flush_due(now) {
-                if let Some(ctx) = trace {
-                    let (n, p) = (node.index() as u64, src_index as u64);
-                    self.obs.span(now, false, n, p, "reorder", ctx);
-                }
-                out.push(Delivery {
-                    time: now,
-                    src: NodeId::from_index(src_index),
-                    dst: node,
-                    bytes,
-                    message,
-                });
-            }
-            if buffer.stats().skipped_seqs > before {
-                // Plain skips are announced too, with zero NACK budget,
-                // so the causal checker sees every abandoned sequence.
-                let horizon = buffer.expected();
-                for &seq in missing_before.iter().filter(|&&s| s < horizon) {
-                    self.obs.emit(
-                        now,
-                        Event::GapSkipped {
-                            node: node.index() as u64,
-                            peer: src_index as u64,
-                            seq,
-                            nacks: 0,
-                            budget,
-                        },
-                    );
-                }
+            let released = buffer.flush_due(now);
+            let skipped = buffer.stats().skipped_seqs > before;
+            let horizon = buffer.expected();
+            self.release(now, src, released, out);
+            if skipped {
+                let seqs = missing_before.into_iter().filter(|&s| s < horizon);
+                self.announce_skips(now, src, seqs);
             }
         }
     }
@@ -877,27 +857,28 @@ impl<M: WireCodec> UdpTransport<M> {
             return;
         };
         let interval = repair.min_nack_interval_ticks * 2;
-        let peer_indices: Vec<usize> = self.hb.keys().copied().collect();
-        for peer in peer_indices {
-            let top = self.next_seq.get(&peer).copied().unwrap_or(1) - 1;
-            if top == 0 {
+        for index in 0..self.peers.len() {
+            let Some(peer) = peer_mut(&mut self.peers, index) else {
                 continue;
-            }
-            let hb = self.hb.get_mut(&peer).expect("keyed");
-            if hb.sent_since_data > repair.retry_budget
+            };
+            let top = peer.next_seq - 1;
+            let Some(hb) = peer.hb.as_mut() else {
+                continue;
+            };
+            if top == 0
+                || hb.sent_since_data > repair.retry_budget
                 || now.saturating_sub(hb.last_activity_at) < interval
             {
                 continue;
             }
             hb.last_activity_at = now;
             hb.sent_since_data += 1;
-            let Some(&addr) = self.peers.get(&peer) else {
-                continue;
-            };
-            let payload = ControlFrame::Heartbeat { top_seq: top }.to_frame_payload();
-            let frame = encode_frame_traced(0, now, FLAG_CONTROL, None, &payload);
+            let heartbeat = ControlFrame::Heartbeat { top_seq: top };
             self.stats.heartbeats_sent += 1;
-            self.put_on_wire(now, addr, &frame);
+            if let Some(frame) = encode_message_frame(0, now, FLAG_CONTROL, &heartbeat, usize::MAX)
+            {
+                self.put_on_wire(now, index, &frame);
+            }
         }
     }
 }
@@ -941,7 +922,7 @@ impl<M: WireCodec> Transport<M> for UdpTransport<M> {
     }
 
     fn link_up(&self, src: NodeId, dst: NodeId) -> bool {
-        src == self.node && self.peers.contains_key(&dst.index())
+        src == self.node && self.peers.get(dst.index()).is_some_and(Option::is_some)
     }
 
     fn poll(&mut self, now: u64) -> Vec<Delivery<M>> {
@@ -979,7 +960,7 @@ impl<M> FaultTarget for UdpTransport<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{self, Reader};
+    use crate::frame::{self, Reader, FRAME_HEADER_BYTES};
     use crate::CodecError;
     use std::time::{Duration, Instant};
 
@@ -1225,6 +1206,76 @@ mod tests {
         let got = collect(&mut rx, 0, 1);
         assert_eq!(got.len(), 1);
         assert_eq!(rx.stats().decode_errors, 1);
+    }
+
+    /// Sends data frame `seq` (message id `seq`) from a raw socket.
+    fn send_raw(raw: &UdpSocket, to: SocketAddr, seq: u64) {
+        let msg = TestMsg {
+            id: seq,
+            body: vec![],
+        };
+        let frame = frame::encode_frame(seq, 0, false, &msg.to_frame_payload());
+        raw.send_to(&frame, to).unwrap();
+    }
+
+    /// Polls `t` until `done` holds or a wall-clock budget expires.
+    fn poll_until(
+        t: &mut UdpTransport<TestMsg>,
+        got: &mut Vec<Delivery<TestMsg>>,
+        done: impl Fn(&UdpTransport<TestMsg>, &[Delivery<TestMsg>]) -> bool,
+    ) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done(t, got) && Instant::now() < deadline {
+            got.extend(t.poll(0));
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    #[test]
+    fn a_frame_from_an_unregistered_address_is_counted_and_dropped() {
+        let mut rx: UdpTransport<TestMsg> =
+            UdpTransport::bind_localhost(NodeId::from_index(1), UdpConfig::default()).unwrap();
+        let stranger = UdpSocket::bind("127.0.0.1:0").unwrap();
+        send_raw(&stranger, rx.local_addr(), 1);
+        let mut got = Vec::new();
+        poll_until(&mut rx, &mut got, |t, _| t.stats().unknown_peer == 1);
+        assert_eq!(rx.stats().unknown_peer, 1);
+        assert!(got.is_empty(), "nothing delivered: {got:?}");
+        assert_eq!(rx.stats().frames_received, 0);
+        assert_eq!(rx.reorder_depth(), 0);
+    }
+
+    #[test]
+    fn a_repointed_peer_keeps_its_sequence_and_its_old_address_goes_unknown() {
+        let sender_id = NodeId::from_index(0);
+        let mut rx: UdpTransport<TestMsg> =
+            UdpTransport::bind_localhost(NodeId::from_index(1), UdpConfig::default()).unwrap();
+        let (old, new) = (
+            UdpSocket::bind("127.0.0.1:0").unwrap(),
+            UdpSocket::bind("127.0.0.1:0").unwrap(),
+        );
+        rx.register_peer(sender_id, old.local_addr().unwrap());
+        for seq in [1, 2] {
+            send_raw(&old, rx.local_addr(), seq);
+        }
+        let mut got = collect(&mut rx, 0, 2);
+        rx.register_peer(sender_id, new.local_addr().unwrap());
+        // The old address now speaks for nobody; the new one continues
+        // the peer's sequence where the old one left it, so a replayed
+        // seq 2 is a duplicate and seq 3 is delivered.
+        send_raw(&old, rx.local_addr(), 3);
+        for seq in [2, 3] {
+            send_raw(&new, rx.local_addr(), seq);
+        }
+        poll_until(&mut rx, &mut got, |t, got| {
+            got.len() == 3 && t.stats().unknown_peer == 1 && t.reorder_stats().duplicates == 1
+        });
+        let ids: Vec<u64> = got.iter().map(|d| d.message.id).collect();
+        assert_eq!(ids, vec![1, 2, 3]);
+        assert!(got.iter().all(|d| d.src == sender_id));
+        assert_eq!(rx.stats().unknown_peer, 1);
+        assert_eq!(rx.reorder_stats().duplicates, 1);
+        assert_eq!(rx.reorder_depth(), 0);
     }
 
     #[test]
