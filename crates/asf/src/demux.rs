@@ -185,7 +185,7 @@ mod tests {
     #[test]
     fn undeclared_stream_rejected() {
         let mut f = minimal();
-        std::sync::Arc::make_mut(&mut f.packets[0].payloads)[0].stream = 42;
+        std::rc::Rc::make_mut(&mut f.packets[0].payloads)[0].stream = 42;
         let bytes = write_asf(&f).unwrap();
         assert_eq!(read_asf(&bytes).unwrap_err(), AsfError::UnknownStream(42));
     }

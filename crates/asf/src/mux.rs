@@ -1,6 +1,6 @@
 //! Whole-file model and serialization (the muxer).
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::Bytes;
 use serde::{Deserialize, Serialize};
@@ -161,7 +161,7 @@ fn scramble_payloads(license: &License, packets: &mut [DataPacket]) {
     // shares it, so the plaintext that reader holds stays untouched.
     for payload in packets
         .iter_mut()
-        .flat_map(|p| Arc::make_mut(&mut p.payloads))
+        .flat_map(|p| Rc::make_mut(&mut p.payloads))
     {
         let end = at + payload.data.len();
         payload.data = backing.slice(at..end);

@@ -11,7 +11,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use bytes::{BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
@@ -88,7 +88,7 @@ pub struct DataPacket {
     /// Send time in ticks: when the pacer should put the packet on the wire.
     pub send_time: u64,
     /// The payload fragments, shared by every clone of the packet.
-    pub payloads: Arc<[Payload]>,
+    pub payloads: Rc<[Payload]>,
 }
 
 impl DataPacket {

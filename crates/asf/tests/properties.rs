@@ -110,7 +110,7 @@ mod reference {
         let mut out = packets.to_vec();
         for payload in out
             .iter_mut()
-            .flat_map(|p| std::sync::Arc::make_mut(&mut p.payloads))
+            .flat_map(|p| std::rc::Rc::make_mut(&mut p.payloads))
         {
             let mut data = payload.data.to_vec();
             lod_asf::drm::scramble_in_place(key, &mut data);

@@ -133,7 +133,7 @@ fn fan_out(frame: &[u8], readers: usize) -> u64 {
         cache.insert(&seg.content, seg.segment, data);
 
         // This relay's share of the readers, served from cache: each
-        // delivery clones the packet value (Arc bumps on payloads), as
+        // delivery clones the packet value (Rc bumps on payloads), as
         // the simnet fan-out does.
         let share = readers / RELAYS + usize::from(relay < readers % RELAYS);
         for _ in 0..share {

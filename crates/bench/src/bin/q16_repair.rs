@@ -338,7 +338,7 @@ fn run_drill(p: &Profile, repair: Option<RepairConfig>) -> DrillOut {
                 // Repair off: the reorder buffer's flush deadline is
                 // the only gap recovery — every flush is a skip the
                 // application must notice and re-request.
-                buffer.flush_due(now);
+                buffer.flush_due(now, &mut Vec::new());
             }
         }
 

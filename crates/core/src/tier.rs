@@ -15,11 +15,12 @@
 //! `on_message`/`poll` would hide nothing the driver does not still have
 //! to know.
 
+use lod_asf::DataPacket;
 use lod_obs::{Event, Recorder};
 use lod_relay::{HeartbeatMonitor, RedirectManager, RelayNode};
-use lod_simnet::{Delivery, Fault, FaultTarget, Network, NodeId};
+use lod_simnet::{Delivery, Fault, FaultTarget, Network, NetworkError, NodeId};
 use lod_streaming::{ClientState, SessionLedger, StreamingClient, StreamingServer, Wire};
-use lod_transport::UdpTransport;
+use lod_transport::{Transport, UdpTransport};
 
 /// The driver's cadence: 100 ms of lecture time per step.
 const STEP: u64 = 1_000_000;
@@ -28,22 +29,147 @@ const STEP: u64 = 1_000_000;
 /// and what has arrived by `now`.
 pub(crate) trait Fabric {
     /// What a node sends through.
-    type Net: lod_transport::Transport<Wire>;
+    type Net: Transport<Wire>;
+
+    /// A message as it arrives: a [`Wire`], or the fabric's own form of
+    /// one, turned into a `Wire` only by the call that consumes it.
+    type Msg: Carry;
 
     /// The transport `node` sends through.
     fn net(&mut self, node: NodeId) -> &mut Self::Net;
 
     /// Advances every node's clock to `now` and returns what arrived, at
     /// any node, in delivery order.
-    fn deliveries(&mut self, now: u64) -> Vec<Delivery<Wire>>;
+    fn deliveries(&mut self, now: u64) -> Vec<Delivery<Self::Msg>>;
 
     /// Bytes `node` has put on the wire so far.
     fn egress_bytes(&self, node: NodeId) -> u64;
 }
 
-/// Simnet: the one network is every node's transport.
-impl Fabric for Network<Wire> {
+/// A message in the form a fabric delivers it.
+pub(crate) trait Carry: Into<Wire> {
+    /// The message as a [`Wire`] unless it is a data packet, which no
+    /// rule of the driver looks into.
+    fn control(&mut self) -> Option<&mut Wire>;
+}
+
+impl Carry for Wire {
+    #[inline]
+    fn control(&mut self) -> Option<&mut Wire> {
+        (!matches!(self, Wire::Data(_))).then_some(self)
+    }
+}
+
+/// A [`Wire`] as simnet carries it: a data packet inline, every other
+/// message boxed. A `Wire` is as large as its largest variant (a
+/// segment), while almost every message is a data packet; carried this
+/// way a delivery is 56 bytes instead of 184, and the network moves
+/// each message in and out of its in-flight store at that size.
+#[derive(Debug)]
+pub(crate) enum Carried {
+    Data(DataPacket),
+    Boxed(Box<Wire>),
+}
+
+impl From<Wire> for Carried {
+    #[inline]
+    fn from(message: Wire) -> Self {
+        match message {
+            Wire::Data(p) => Carried::Data(p),
+            other => Carried::Boxed(Box::new(other)),
+        }
+    }
+}
+
+impl From<Carried> for Wire {
+    #[inline]
+    fn from(message: Carried) -> Self {
+        match message {
+            Carried::Data(p) => Wire::Data(p),
+            Carried::Boxed(w) => *w,
+        }
+    }
+}
+
+impl Carry for Carried {
+    #[inline]
+    fn control(&mut self) -> Option<&mut Wire> {
+        match self {
+            Carried::Data(_) => None,
+            Carried::Boxed(w) => Some(w),
+        }
+    }
+}
+
+/// Simnet: the one network is every node's transport. It carries
+/// [`Carried`] messages, so a node sends a `Wire` and the tier receives
+/// a `Carried`.
+#[derive(Debug)]
+pub(crate) struct Simnet(pub(crate) Network<Carried>);
+
+impl Transport<Wire> for Simnet {
+    #[inline]
+    fn send(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        message: Wire,
+    ) -> Result<(), NetworkError> {
+        self.0.send(src, dst, bytes, message.into())
+    }
+
+    #[inline]
+    fn send_reliable(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        message: Wire,
+    ) -> Result<(), NetworkError> {
+        self.0.send_reliable(src, dst, bytes, message.into())
+    }
+
+    fn first_hop_backlog(&self, src: NodeId, dst: NodeId) -> Option<u64> {
+        self.0.first_hop_backlog(src, dst)
+    }
+
+    fn now(&self) -> u64 {
+        self.0.now()
+    }
+
+    fn link_up(&self, src: NodeId, dst: NodeId) -> bool {
+        self.0.is_link_up(src, dst)
+    }
+
+    fn poll(&mut self, now: u64) -> Vec<Delivery<Wire>> {
+        self.0
+            .advance_to(now)
+            .into_iter()
+            .map(|d| Delivery {
+                time: d.time,
+                src: d.src,
+                dst: d.dst,
+                bytes: d.bytes,
+                message: d.message.into(),
+            })
+            .collect()
+    }
+}
+
+impl FaultTarget for Simnet {
+    fn strike(&mut self, fault: Fault) {
+        self.0.strike(fault);
+    }
+
+    fn heal(&mut self, fault: Fault) {
+        self.0.heal(fault);
+    }
+}
+
+impl Fabric for Simnet {
     type Net = Self;
+    type Msg = Carried;
 
     #[inline]
     fn net(&mut self, _node: NodeId) -> &mut Self {
@@ -51,12 +177,12 @@ impl Fabric for Network<Wire> {
     }
 
     #[inline]
-    fn deliveries(&mut self, now: u64) -> Vec<Delivery<Wire>> {
-        self.advance_to(now)
+    fn deliveries(&mut self, now: u64) -> Vec<Delivery<Carried>> {
+        self.0.advance_to(now)
     }
 
     fn egress_bytes(&self, node: NodeId) -> u64 {
-        Network::egress_bytes(self, node)
+        self.0.egress_bytes(node)
     }
 }
 
@@ -69,6 +195,7 @@ pub(crate) struct Sockets(pub(crate) Vec<UdpTransport<Wire>>);
 
 impl Fabric for Sockets {
     type Net = UdpTransport<Wire>;
+    type Msg = Wire;
 
     fn net(&mut self, node: NodeId) -> &mut Self::Net {
         &mut self.0[node.index()]
@@ -78,7 +205,7 @@ impl Fabric for Sockets {
         let mut out = Vec::new();
         for t in &mut self.0 {
             t.set_manual_now(now);
-            out.extend(lod_transport::Transport::poll(t, now));
+            out.extend(Transport::poll(t, now));
         }
         out
     }
@@ -249,16 +376,21 @@ impl<F: Fabric> Tier<F> {
         sb.server.poll(self.fabric.net(node), now);
     }
 
-    /// Hands one delivery to the node it is addressed to.
+    /// Hands one delivery to the node it is addressed to. The message
+    /// becomes a [`Wire`] in the call that consumes it, never before.
     #[inline]
-    fn dispatch(&mut self, mut d: Delivery<Wire>) {
+    fn dispatch(&mut self, mut d: Delivery<F::Msg>) {
         // Fencing audit: after promotion, nothing carrying a
         // pre-promotion epoch may reach anyone (epoch 0 marks epoch-less
         // unit-test fixtures, never a served reply).
         if let Some(pe) = self.promoted_epoch {
-            match &d.message {
-                Wire::Header(h) if h.epoch > 0 && h.epoch < pe => self.stale_epoch_replies += 1,
-                Wire::Segment(s) if s.epoch > 0 && s.epoch < pe => self.stale_epoch_replies += 1,
+            match d.message.control() {
+                Some(Wire::Header(h)) if h.epoch > 0 && h.epoch < pe => {
+                    self.stale_epoch_replies += 1;
+                }
+                Some(Wire::Segment(s)) if s.epoch > 0 && s.epoch < pe => {
+                    self.stale_epoch_replies += 1;
+                }
                 _ => {}
             }
         }
@@ -267,14 +399,15 @@ impl<F: Fabric> Tier<F> {
             let taken = self
                 .redirect
                 .as_mut()
-                .is_some_and(|r| r.intercept(net, d.src, &d.message));
+                .zip(d.message.control())
+                .is_some_and(|(r, msg)| r.intercept(net, d.src, msg));
             if !taken {
-                self.origin.on_message(net, d.time, d.src, d.message);
+                self.origin.on_message(net, d.time, d.src, d.message.into());
             }
         } else if let Some(sb) = self.standby.as_mut().filter(|sb| sb.server.node() == d.dst) {
-            match d.message {
+            match d.message.control() {
                 // Heartbeat answers feed the failure detector.
-                Wire::Pong { .. } => sb.monitor.on_pong(d.time),
+                Some(Wire::Pong { .. }) => sb.monitor.on_pong(d.time),
                 // Post-promotion the standby is the front door, so the
                 // redirect manager intercepts Plays exactly as it did at
                 // the old origin.
@@ -282,9 +415,10 @@ impl<F: Fabric> Tier<F> {
                     let taken = self
                         .redirect
                         .as_mut()
-                        .is_some_and(|r| r.intercept(net, d.src, &msg));
+                        .zip(msg)
+                        .is_some_and(|(r, msg)| r.intercept(net, d.src, msg));
                     if !taken {
-                        sb.server.on_message(net, d.time, d.src, msg);
+                        sb.server.on_message(net, d.time, d.src, d.message.into());
                     }
                 }
             }
@@ -293,16 +427,16 @@ impl<F: Fabric> Tier<F> {
             // knows itself); the redirect manager fills one in so the
             // bounce lands on the least-loaded sibling instead of a
             // blind wait-and-retry.
-            if let (Wire::Busy { alternate, .. }, Some(redirect)) =
-                (&mut d.message, self.redirect.as_mut())
+            if let (Some(Wire::Busy { alternate, .. }), Some(redirect)) =
+                (d.message.control(), self.redirect.as_mut())
             {
                 if alternate.is_none() && self.relays.iter().any(|r| r.node() == d.src) {
                     *alternate = redirect.reassign_busy(d.dst, d.src);
                 }
             }
-            self.clients[slot].on_message(d.time, d.message);
+            self.clients[slot].on_message(d.time, d.message.into());
         } else if let Some(r) = self.relays.iter_mut().find(|r| r.node() == d.dst) {
-            r.on_message(net, d.time, d.src, d.message);
+            r.on_message(net, d.time, d.src, d.message.into());
         }
     }
 }
@@ -312,19 +446,20 @@ mod tests {
     use super::*;
     use crate::presentation::synthetic_lecture;
     use crate::wmps::{vod_horizon, Wmps};
-    use lod_asf::AsfFile;
+    use lod_asf::{AsfFile, ScriptCommand};
+    use lod_obs::TraceCtx;
     use lod_simnet::LinkSpec;
-    use lod_streaming::run_to_completion_with;
+    use lod_streaming::{run_to_completion_with, ControlRequest, SegmentData, StreamHeader};
     use proptest::prelude::*;
 
     /// A server and `students` clients on a lossy star, or behind one
     /// shared uplink.
-    fn world(
+    fn world<M>(
         file: &AsfFile,
         students: usize,
         seed: u64,
         shared: bool,
-    ) -> (Network<Wire>, StreamingServer, Vec<StreamingClient>) {
+    ) -> (Network<M>, StreamingServer, Vec<StreamingClient>) {
         let mut net = Network::new(seed);
         let s = net.add_node("server");
         let mut server = StreamingServer::new(s);
@@ -351,12 +486,98 @@ mod tests {
         (net, server, clients)
     }
 
+    #[test]
+    fn a_carried_delivery_fits_in_56_bytes() {
+        // Simnet moves each message into its in-flight store and out
+        // again at this size; a whole `Wire` makes it 184.
+        let size = std::mem::size_of::<Delivery<Carried>>();
+        assert!(size <= 56, "{size}");
+    }
+
+    /// Every kind of `Wire`, each field that a box could lose set.
+    fn one_of_each(file: &AsfFile) -> Vec<Wire> {
+        let ctx = TraceCtx {
+            lecture: 1,
+            segment: 2,
+            seq: 3,
+            origin: 4,
+        };
+        let header = StreamHeader::of(file, 3);
+        vec![
+            Wire::Request(ControlRequest::FetchSegment {
+                content: "lecture".into(),
+                segment: 5,
+                at_time: Some(6),
+                want_header: true,
+                trace: Some(ctx),
+            }),
+            Wire::Request(ControlRequest::Ping { epoch: 2 }),
+            Wire::Header(Box::new(header.clone())),
+            Wire::Data(file.packets[0].clone()),
+            Wire::Script(ScriptCommand::new(7, "slide", "s2.png")),
+            Wire::EndOfStream,
+            Wire::NotFound("missing".into()),
+            Wire::Segment(SegmentData {
+                content: "lecture".into(),
+                segment: 1,
+                base_packet: 2,
+                total_packets: file.packets.len() as u32,
+                total_segments: 9,
+                segment_packets: 2,
+                packet_size: file.props.packet_size,
+                packets: file.packets[2..4].to_vec(),
+                header: Some(Box::new(header)),
+                start_packet: Some(3),
+                at_time: Some(8),
+                epoch: 3,
+                trace: Some(ctx),
+            }),
+            Wire::Redirect {
+                to: NodeId::from_index(1),
+            },
+            Wire::Busy {
+                retry_after: 9,
+                alternate: Some(NodeId::from_index(0)),
+            },
+            Wire::Pong { epoch: 4 },
+            Wire::Mark(ctx),
+            Wire::Data(file.packets[1].clone()),
+        ]
+    }
+
+    #[test]
+    fn every_wire_crosses_the_carriage_unchanged() {
+        let file = Wmps::new()
+            .publish(&synthetic_lecture(1, 1, 300_000))
+            .unwrap();
+        let sent = one_of_each(&file);
+        let mut net = Simnet(Network::new(1));
+        let a = net.0.add_node("a");
+        let b = net.0.add_node("b");
+        // Jitter-free, so the link keeps the send order.
+        net.0.connect(a, b, LinkSpec::lan().with_jitter(0));
+        for w in &sent {
+            let mut carried = Carried::from(w.clone());
+            // The driver looks into everything but a data packet.
+            assert_eq!(carried.control().is_none(), matches!(w, Wire::Data(_)));
+            assert_eq!(Wire::from(carried), *w);
+            Transport::send_reliable(&mut net, a, b, 64, w.clone()).unwrap();
+        }
+        let got: Vec<Wire> = Transport::poll(&mut net, u64::MAX / 2)
+            .into_iter()
+            .map(|d| d.message)
+            .collect();
+        assert_eq!(got, sent);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// The two loops that remain are one loop: a tier of nothing but
-        /// a server and its students takes exactly the steps of
-        /// `lod_streaming::run_to_completion_with`.
+        /// The two loops that remain are one loop, and the carriage
+        /// changes nothing: a tier of nothing but a server and its
+        /// students on [`Simnet`] takes exactly the steps of
+        /// `lod_streaming::run_to_completion_with` on a plain
+        /// `Network<Wire>`.
         #[test]
         fn a_bare_tier_is_run_to_completion(
             students in 0usize..6,
@@ -367,10 +588,10 @@ mod tests {
             let horizon = vod_horizon(file.props.play_duration);
 
             let (net, server, clients) = world(&file, students, seed, shared);
-            let mut tier = Tier::new(net, server, clients);
+            let mut tier = Tier::new(Simnet(net), server, clients);
             tier.run(horizon, |_, _| true);
 
-            let (mut net, mut server, mut clients) = world(&file, students, seed, shared);
+            let (mut net, mut server, mut clients) = world::<Wire>(&file, students, seed, shared);
             let mut ledger = SessionLedger::new(clients.iter().map(StreamingClient::node));
             let mut refs: Vec<&mut StreamingClient> = clients.iter_mut().collect();
             run_to_completion_with(&mut net, &mut server, &mut refs, horizon, &mut |e| {

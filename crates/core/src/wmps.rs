@@ -18,13 +18,13 @@ use lod_simnet::{
 };
 use lod_streaming::{
     AdmissionPolicy, BreakerPolicy, ClientMetrics, DegradePolicy, LiveFeed, RetryPolicy,
-    ServerMetrics, SessionLedger, StreamHeader, StreamingClient, StreamingServer, Wire,
+    ServerMetrics, SessionLedger, StreamHeader, StreamingClient, StreamingServer,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::loopback::SocketReport;
 use crate::presentation::Lecture;
-use crate::tier::{Fabric, Standby, Tier};
+use crate::tier::{Carried, Fabric, Simnet, Standby, Tier};
 
 /// Quality outcome of one served replay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -125,8 +125,9 @@ impl WmpsReport {
             .count()
     }
 
-    /// Clients explicitly refused with [`Wire::Busy`] until their bounce
-    /// budget ran out — turned away at the door, not dropped mid-lecture.
+    /// Clients explicitly refused with
+    /// [`Wire::Busy`](lod_streaming::Wire::Busy) until their bounce budget
+    /// ran out — turned away at the door, not dropped mid-lecture.
     pub fn shed_clients(&self) -> usize {
         self.clients.iter().filter(|c| c.shed).count()
     }
@@ -521,8 +522,8 @@ pub struct RelayTierConfig {
     /// shared live/fetch traffic is the tier's whole point).
     pub origin_admission: Option<AdmissionPolicy>,
     /// Admission budget at every relay; refused students bounce with
-    /// [`Wire::Busy`] and the redirect manager steers them to the
-    /// least-loaded sibling before they are shed.
+    /// [`Wire::Busy`](lod_streaming::Wire::Busy) and the redirect manager
+    /// steers them to the least-loaded sibling before they are shed.
     pub relay_admission: Option<AdmissionPolicy>,
     /// Graceful degradation at the origin: sustained backlog downshifts
     /// sessions one [`BandwidthProfile`] rung instead of stalling them.
@@ -672,7 +673,7 @@ impl Wmps {
             panic!("{why}");
         }
         let horizon = vod_horizon(file.props.play_duration);
-        let mut net: Network<Wire> = Network::new(seed);
+        let mut net: Network<Carried> = Network::new(seed);
         let tree = relay_tree(
             &mut net,
             uplink,
@@ -693,7 +694,7 @@ impl Wmps {
             }
             sb
         });
-        let mut tier = relay_tier(net, &tree, standby, file, seed, cfg, None);
+        let mut tier = relay_tier(Simnet(net), &tree, standby, file, seed, cfg, None);
         run_relay_tier(&mut tier, &tree, cfg, horizon);
         session_report(&tier, tier.ledger.last_wall_time())
     }
@@ -703,10 +704,10 @@ impl Wmps {
         file: AsfFile,
         n_clients: usize,
         seed: u64,
-        wire_up: impl FnOnce(&mut Network<Wire>, NodeId, &[NodeId]),
+        wire_up: impl FnOnce(&mut Network<Carried>, NodeId, &[NodeId]),
     ) -> WmpsReport {
         let horizon = vod_horizon(file.props.play_duration);
-        let mut net: Network<Wire> = Network::new(seed);
+        let mut net: Network<Carried> = Network::new(seed);
         let s = net.add_node("server");
         let mut server = StreamingServer::new(s);
         server.publish("lecture", file);
@@ -718,7 +719,7 @@ impl Wmps {
             .into_iter()
             .map(|c| StreamingClient::new(c, s, "lecture"))
             .collect();
-        let mut tier = Tier::new(net, server, clients);
+        let mut tier = Tier::new(Simnet(net), server, clients);
         tier.run(horizon, |_, _| true);
         session_report(&tier, tier.ledger.last_wall_time())
     }
@@ -779,7 +780,7 @@ impl Wmps {
             drm: None,
             epoch: 0,
         };
-        let mut net: Network<Wire> = Network::new(seed);
+        let mut net: Network<Carried> = Network::new(seed);
         let s = net.add_node("server");
         let mut server = StreamingServer::new(s);
         server.publish_live("live", LiveFeed::new(header));
@@ -790,7 +791,7 @@ impl Wmps {
                 StreamingClient::new(c, s, "live")
             })
             .collect();
-        let mut tier = Tier::new(net, server, clients);
+        let mut tier = Tier::new(Simnet(net), server, clients);
 
         let live_end = secs * 10_000_000;
         let mut commands = commands.to_vec();

@@ -8,7 +8,7 @@
 //! LRU over one `BTreeMap<(String, u32), _>`, kept here as a model.
 //! Fan-out shares each cached packet with every student it serves.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use lod_asf::{
     AsfFile, DataPacket, FileProperties, MediaSample, Packetizer, Payload, ScriptCommandList,
@@ -418,10 +418,10 @@ proptest! {
             for d in net.advance_to(now) {
                 let Wire::Data(p) = d.message else { continue };
                 let k = students.iter().position(|&s| s == d.dst).expect("a student");
-                let i = cached.packets.iter().position(|c| Arc::ptr_eq(&c.payloads, &p.payloads));
+                let i = cached.packets.iter().position(|c| Rc::ptr_eq(&c.payloads, &p.payloads));
                 prop_assert!(i.is_some(), "delivered a copy of the cached packet");
                 let i = i.unwrap_or_default();
-                prop_assert!(Arc::ptr_eq(&p.payloads, &file.packets[i].payloads));
+                prop_assert!(Rc::ptr_eq(&p.payloads, &file.packets[i].payloads));
                 got[k].push(i);
             }
             now += 1_000_000;

@@ -15,7 +15,7 @@
 //! three directions, so the encoder, the exact length and the decoder
 //! cannot disagree. Two types keep a hand-written impl: [`DataPacket`],
 //! whose decoder refuses a payload count the buffer cannot hold and
-//! collects into the packet's one `Arc<[Payload]>` allocation, and
+//! collects into the packet's one `Rc<[Payload]>` allocation, and
 //! [`ScriptCommandList`], which is built by sorted `push`.
 
 use bytes::Bytes;

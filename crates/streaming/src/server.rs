@@ -1241,7 +1241,7 @@ impl StreamingServer {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     use super::*;
     use lod_asf::{
@@ -1822,7 +1822,7 @@ pub(crate) mod tests {
                 assert_eq!(g.send_time, p.send_time);
                 assert_eq!(&g.payloads[..], &thin[..], "{filter:?} {keep:?}");
                 let whole = thin.len() == p.payloads.len();
-                assert_eq!(Arc::ptr_eq(&g.payloads, &p.payloads), whole);
+                assert_eq!(Rc::ptr_eq(&g.payloads, &p.payloads), whole);
                 bytes += if plain {
                     256
                 } else {

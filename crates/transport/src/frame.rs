@@ -31,6 +31,8 @@
 //! length-prefixed byte strings, one tag byte per enum variant and one
 //! presence byte per `Option`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt;
 
 use bytes::Bytes;
@@ -195,7 +197,7 @@ fn write_header(
     buf.push(flags | if trace.is_some() { FLAG_TRACE } else { 0 });
     write_u64(buf, seq);
     write_u64(buf, sent_at);
-    write_u32(buf, u32::try_from(payload_len).expect("payload < 4 GiB"));
+    write_u32(buf, wire_len(payload_len));
     if let Some(t) = trace {
         write_trace(buf, t);
     }
@@ -521,8 +523,17 @@ pub fn write_bool(buf: &mut Vec<u8>, v: bool) {
 
 /// Appends a `u32` length-prefixed byte string.
 pub fn write_bytes(buf: &mut Vec<u8>, v: &[u8]) {
-    write_u32(buf, u32::try_from(v.len()).expect("byte string < 4 GiB"));
+    write_u32(buf, wire_len(v.len()));
     buf.extend_from_slice(v);
+}
+
+/// A length as its `u32` field says it. No datagram holds 4 GiB, and
+/// [`encode_message_frame`] measures a frame before writing it, so a
+/// longer length is only ever written into a buffer no transport sends:
+/// it saturates, and the decoder refuses what follows instead of the
+/// encoder aborting.
+fn wire_len(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or(u32::MAX)
 }
 
 /// Appends a `u32` length-prefixed UTF-8 string.
@@ -552,6 +563,13 @@ mod tests {
         assert!(h.reliable);
         assert_eq!(h.len, 7);
         assert_eq!(payload, b"payload");
+    }
+
+    #[test]
+    fn a_length_past_its_field_saturates() {
+        assert_eq!(wire_len(7), 7);
+        assert_eq!(wire_len(u32::MAX as usize), u32::MAX);
+        assert_eq!(wire_len(usize::MAX), u32::MAX);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! retry layers above recover the content).
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 lod_obs::counters! {
     /// Counters a [`ReorderBuffer`] keeps about its traffic. Merged across
@@ -76,8 +77,10 @@ impl<T> ReorderBuffer<T> {
     }
 
     /// Declares gaps older than `flush_after` lost and releases whatever
-    /// was waiting behind them, in sequence order.
-    pub fn flush_due(&mut self, now: u64) -> Vec<T> {
+    /// was waiting behind them, in sequence order. Appends each gap it
+    /// walks past to `skipped`, oldest first; a call that skips nothing
+    /// costs nothing per missing sequence.
+    pub fn flush_due(&mut self, now: u64, skipped: &mut Vec<Range<u64>>) -> Vec<T> {
         let mut out = Vec::new();
         while let Some((&seq, entry)) = self.pending.first_key_value() {
             debug_assert!(seq > self.next_seq, "in-order frames never wait");
@@ -85,6 +88,7 @@ impl<T> ReorderBuffer<T> {
                 break;
             }
             self.stats.skipped_seqs += seq - self.next_seq;
+            skipped.push(self.next_seq..seq);
             self.next_seq = seq;
             self.drain_ready(&mut out);
         }
@@ -93,7 +97,7 @@ impl<T> ReorderBuffer<T> {
 
     /// The first open gap — the sequences between the consumer's cursor
     /// and the oldest waiting frame — or `None` when nothing waits.
-    pub fn first_gap(&self) -> Option<std::ops::Range<u64>> {
+    pub fn first_gap(&self) -> Option<Range<u64>> {
         let (&seq, _) = self.pending.first_key_value()?;
         Some(self.next_seq..seq)
     }
@@ -213,8 +217,11 @@ mod tests {
         // Seq 2 is lost; 3 and 4 wait behind the gap.
         assert_eq!(b.accept(3, 100, 30), Vec::<u64>::new());
         assert_eq!(b.accept(4, 120, 40), Vec::<u64>::new());
-        assert_eq!(b.flush_due(900), Vec::<u64>::new()); // not yet due
-        assert_eq!(b.flush_due(1_100), vec![30, 40]);
+        let mut gaps = Vec::new();
+        assert_eq!(b.flush_due(900, &mut gaps), Vec::<u64>::new()); // not yet due
+        assert!(gaps.is_empty());
+        assert_eq!(b.flush_due(1_100, &mut gaps), vec![30, 40]);
+        assert_eq!(gaps, vec![2..3]);
         assert_eq!(b.stats().skipped_seqs, 1);
         assert_eq!(b.expected(), 5);
         // Seq 2 finally limps in: it is late now.
@@ -229,10 +236,37 @@ mod tests {
         // fires the moment equality is reached.
         let mut b: ReorderBuffer<u64> = ReorderBuffer::new(1_000);
         assert_eq!(b.accept(2, 100, 20), Vec::<u64>::new());
-        assert_eq!(b.flush_due(1_099), Vec::<u64>::new(), "one tick early");
+        let mut gaps = Vec::new();
+        assert_eq!(
+            b.flush_due(1_099, &mut gaps),
+            Vec::<u64>::new(),
+            "one tick early"
+        );
         assert_eq!(b.stats().skipped_seqs, 0);
-        assert_eq!(b.flush_due(1_100), vec![20], "exactly at the deadline");
+        assert_eq!(
+            b.flush_due(1_100, &mut gaps),
+            vec![20],
+            "exactly at the deadline"
+        );
         assert_eq!(b.stats().skipped_seqs, 1);
+    }
+
+    #[test]
+    fn a_flush_names_the_gaps_it_skips_and_no_others() {
+        let mut b: ReorderBuffer<u64> = ReorderBuffer::new(1_000);
+        assert_eq!(b.accept(1, 0, 10), vec![10]);
+        assert_eq!(b.accept(3, 0, 30), Vec::<u64>::new());
+        assert_eq!(b.accept(6, 0, 60), Vec::<u64>::new());
+        assert_eq!(b.accept(9, 500, 90), Vec::<u64>::new());
+        let missing = b.missing(usize::MAX);
+        let mut gaps = Vec::new();
+        // The gaps before 3 and 6 are due; the one before 9 is not.
+        assert_eq!(b.flush_due(1_000, &mut gaps), vec![30, 60]);
+        assert_eq!(gaps, vec![2..3, 4..6]);
+        let skipped: Vec<u64> = gaps.into_iter().flatten().collect();
+        assert_eq!(skipped, missing[..3]);
+        assert_eq!(b.stats().skipped_seqs, 3);
+        assert_eq!(b.first_gap(), Some(7..9));
     }
 
     #[test]

@@ -28,6 +28,8 @@
 //! every give-up stayed within budget, and every gap-skip happened only
 //! after budget exhaustion (see DESIGN.md §14).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::{BTreeMap, VecDeque};
 
 use crate::frame::{CodecError, Reader, WireCodec};
@@ -506,18 +508,14 @@ impl RepairRx {
     /// since the last poll are retired as repaired.
     pub fn poll(&mut self, now: u64, missing: &[u64]) -> RxPoll {
         // Retire gaps that are no longer missing.
-        let gone: Vec<u64> = self
-            .gaps
-            .keys()
-            .filter(|s| missing.binary_search(s).is_err())
-            .copied()
-            .collect();
-        for seq in gone {
-            let st = self.gaps.remove(&seq).expect("keyed");
-            if st.nacks > 0 {
-                self.stats.repaired += 1;
+        let stats = &mut self.stats;
+        self.gaps.retain(|seq, st| {
+            let open = missing.binary_search(seq).is_ok();
+            if !open && st.nacks > 0 {
+                stats.repaired += 1;
             }
-        }
+            open
+        });
         let interval = self.nack_interval();
         let mut due = Vec::new();
         let mut poll = RxPoll::default();

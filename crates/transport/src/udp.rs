@@ -827,21 +827,20 @@ impl<M: WireCodec> UdpTransport<M> {
         }
     }
 
+    /// Releases what each peer's reorder buffer holds behind a gap past
+    /// its flush deadline, then announces the sequences those gaps held.
+    /// A poll that skips nothing does no work per missing sequence.
     fn flush_reorder(&mut self, now: u64, out: &mut Vec<Delivery<M>>) {
+        let mut gaps = Vec::new();
         for src in 0..self.peers.len() {
             let Some(buffer) = peer_mut(&mut self.peers, src).and_then(|p| p.reorder.as_mut())
             else {
                 continue;
             };
-            let missing_before = buffer.missing(usize::MAX);
-            let before = buffer.stats().skipped_seqs;
-            let released = buffer.flush_due(now);
-            let skipped = buffer.stats().skipped_seqs > before;
-            let horizon = buffer.expected();
+            let released = buffer.flush_due(now, &mut gaps);
             self.release(now, src, released, out);
-            if skipped {
-                let seqs = missing_before.into_iter().filter(|&s| s < horizon);
-                self.announce_skips(now, src, seqs);
+            if !gaps.is_empty() {
+                self.announce_skips(now, src, gaps.drain(..).flatten());
             }
         }
     }
@@ -1135,6 +1134,79 @@ mod tests {
             .collect();
         assert_eq!(late, vec![3, 4]);
         assert_eq!(rx.reorder_stats().skipped_seqs, 1);
+    }
+
+    #[test]
+    fn a_far_future_sequence_costs_nothing_before_its_flush_deadline() {
+        // Repair off: the flush deadline is the only end of a gap. A
+        // registered address naming seq 2^40 right after seq 1 opens a
+        // gap of 2^40 - 2 sequences, and no poll before the deadline
+        // may walk it. (At the deadline each skipped sequence is still
+        // announced by an event of its own.)
+        let cfg = UdpConfig {
+            reorder_flush_ticks: 1_000,
+            ..UdpConfig::default()
+        };
+        let mut rx: UdpTransport<TestMsg> =
+            UdpTransport::bind_localhost(NodeId::from_index(1), cfg).unwrap();
+        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+        rx.register_peer(NodeId::from_index(0), raw.local_addr().unwrap());
+        for seq in [1, 1 << 40] {
+            send_raw(&raw, rx.local_addr(), seq);
+        }
+        let mut got = Vec::new();
+        poll_until(&mut rx, &mut got, |t, got| {
+            got.len() == 1 && t.reorder_depth() == 1
+        });
+        let first: Vec<u64> = got.iter().map(|d| d.message.id).collect();
+        assert_eq!(first, vec![1]);
+        assert_eq!(rx.reorder_depth(), 1, "seq 2^40 waits behind the gap");
+        for now in [1, 500, 999] {
+            assert!(rx.poll(now).is_empty());
+        }
+        assert_eq!(rx.reorder_depth(), 1);
+        assert_eq!(rx.reorder_stats().skipped_seqs, 0);
+    }
+
+    #[test]
+    fn a_timeout_skip_announces_each_skipped_sequence_in_order() {
+        let cfg = UdpConfig {
+            reorder_flush_ticks: 1_000,
+            ..UdpConfig::default()
+        };
+        let obs = Recorder::new();
+        let mut rx: UdpTransport<TestMsg> =
+            UdpTransport::bind_localhost(NodeId::from_index(1), cfg)
+                .unwrap()
+                .with_recorder(obs.clone());
+        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+        rx.register_peer(NodeId::from_index(0), raw.local_addr().unwrap());
+        // Seqs 2, 4 and 5 are lost.
+        for seq in [1, 3, 6] {
+            send_raw(&raw, rx.local_addr(), seq);
+        }
+        let mut got = Vec::new();
+        poll_until(&mut rx, &mut got, |t, got| {
+            got.len() == 1 && t.reorder_depth() == 2
+        });
+        assert_eq!(got.len(), 1, "only seq 1 passes while the gaps are open");
+        let late: Vec<u64> = rx.poll(1_000).iter().map(|d| d.message.id).collect();
+        assert_eq!(late, vec![3, 6]);
+        let skipped: Vec<u64> = obs
+            .events()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                Event::GapSkipped {
+                    peer: 0,
+                    seq,
+                    nacks: 0,
+                    budget: 0,
+                    ..
+                } => Some(seq),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(skipped, vec![2, 4, 5]);
     }
 
     #[test]
