@@ -3,8 +3,9 @@
 //! virtual wire.
 //!
 //! The drill runs the *production* repair machinery — [`FaultEngine`],
-//! [`RepairTx`], [`RepairRx`], [`ReorderBuffer`] and the real frame /
-//! control-frame codec — over an all-integer in-memory wire instead of
+//! [`RepairTx`], [`ReorderBuffer`], the receiver round
+//! [`RepairRx::round`] that the UDP backend runs too, and the real frame
+//! / control-frame codec — over an all-integer in-memory wire instead of
 //! kernel sockets. Frames cross a fixed-latency link whose fate (drop,
 //! duplicate, delay) comes from the seeded fault engine, NACKs ride the
 //! reverse direction through the same chaos, and time advances in fixed
@@ -44,9 +45,6 @@ const WIRE_DELAY: u64 = 2_000;
 const N_FRAMES: u64 = 2_000;
 /// Payload bytes per data frame.
 const PAYLOAD_BYTES: usize = 1_200;
-/// Cap on missing sequences named per receiver poll (mirrors the UDP
-/// backend's NACK batching).
-const MISSING_CAP: usize = 64;
 /// Hard tick ceiling — a stuck drill is a bug, not a long run.
 const MAX_TICKS: u64 = 200_000_000;
 /// Gap-flush deadline for the repair-off runs (the reorder buffer's
@@ -225,9 +223,6 @@ fn run_drill(p: &Profile, repair: Option<RepairConfig>) -> DrillOut {
 
     let mut out = DrillOut::default();
     let mut next_seq: u64 = 1;
-    // Highest sequence the receiver knows the sender shipped (observed
-    // data seqs plus heartbeat advertisements) — the tail-loss horizon.
-    let mut peer_top: u64 = 0;
     // Sender-side heartbeat state once the data runs dry: a bounded
     // burst advertising the final sequence so a lost tail still gets
     // NACKed (mirrors the UDP backend's heartbeat protocol).
@@ -269,7 +264,9 @@ fn run_drill(p: &Profile, repair: Option<RepairConfig>) -> DrillOut {
                 else {
                     unreachable!("only heartbeats ride the data direction")
                 };
-                peer_top = peer_top.max(top_seq);
+                if let Some(rx) = rx.as_mut() {
+                    rx.observe_top(top_seq);
+                }
                 continue;
             }
             if let Some(rx) = rx.as_mut() {
@@ -278,46 +275,19 @@ fn run_drill(p: &Profile, repair: Option<RepairConfig>) -> DrillOut {
                 if !header.retransmit {
                     rx.observe_delay(now.saturating_sub(header.sent_at));
                 }
+                rx.observe_top(header.seq);
             }
-            peer_top = peer_top.max(header.seq);
             buffer.accept(header.seq, now, header.seq);
         }
 
         match (rx.as_mut(), tx.as_mut()) {
             (Some(rx), Some(tx)) => {
-                // Receiver half: reconcile gaps (including the tail the
-                // peer advertised past every pending frame) and emit
-                // due NACKs into the lossy control direction.
-                let mut missing = buffer.missing(MISSING_CAP);
-                for seq in buffer.horizon()..=peer_top {
-                    if missing.len() == MISSING_CAP {
-                        break;
-                    }
-                    missing.push(seq);
-                }
-                let decision = rx.poll(now, &missing);
-                for nack in &decision.nacks {
+                // Receiver half: the UDP backend's round — NACK due
+                // gaps (the advertised tail included) into the lossy
+                // control direction and skip budget-exhausted ones.
+                for nack in &rx.round(now, &mut buffer, &mut Vec::new()).nacks {
                     let body = nack.to_frame_payload();
                     r2s.send(now, encode_frame_traced(0, now, FLAG_CONTROL, None, &body));
-                }
-                if !decision.skippable.is_empty() {
-                    // Budget-exhausted gaps: skip the contiguous
-                    // authorized prefix (head-of-line case and the
-                    // tail case in one walk — pending frames are never
-                    // skippable, so the walk cannot cross one).
-                    let authorized: std::collections::BTreeSet<u64> =
-                        decision.skippable.iter().map(|s| s.seq).collect();
-                    let mut end = buffer.expected();
-                    while authorized.contains(&end) {
-                        end += 1;
-                    }
-                    if end > buffer.expected() {
-                        for seq in buffer.expected()..end {
-                            rx.on_skipped(seq);
-                        }
-                        let mut released = Vec::new();
-                        buffer.skip_to(end, &mut released);
-                    }
                 }
 
                 // Sender half: answer whatever NACKs survived the
@@ -391,8 +361,7 @@ fn main() {
 
     // Representative control-frame sizes: a dense 64-sequence NACK (one
     // base + full bitmap) and a heartbeat, framed as shipped.
-    let dense: Vec<u64> = (100..164).collect();
-    let nacks = ControlFrame::build_nacks(&dense);
+    let nacks = ControlFrame::build_nacks(std::iter::once(100..164));
     assert_eq!(nacks.len(), 1, "64 contiguous seqs fit one NACK");
     let nack_frame = encode_frame_traced(0, 0, FLAG_CONTROL, None, &nacks[0].to_frame_payload());
     let hb_frame = encode_frame_traced(
@@ -525,7 +494,7 @@ fn main() {
     emit(&report.render(), json_path.as_deref());
 
     println!(
-        "\nshape: a 13-byte NACK covering up to 64 sequences replaces\n\
+        "\nshape: a 43-byte NACK frame naming 64 sequences replaces\n\
          per-segment application round trips; under steady loss the repair\n\
          sublayer absorbs essentially every hole, and under a near-total\n\
          burst it degrades by budget — bounded retries, explicit give-ups,\n\

@@ -363,18 +363,20 @@ event_schema! {
             /// The configured per-seq retry budget.
             budget: u64,
         },
-        /// A transport receiver abandoned a gap and released the frames
-        /// waiting behind it. With repair enabled this is only lawful after
-        /// the NACK budget was exhausted (`nacks == budget`); without repair
-        /// both counts are 0 (a plain reorder-timeout skip).
+        /// A transport receiver skipped a range of missing sequences and
+        /// released the frames behind it. With repair on this is lawful only
+        /// after the range's NACK budget was spent (`nacks == budget`);
+        /// without repair both counts are 0 (a reorder-timeout skip).
         GapSkipped = "gap_skipped" {
             /// Raw node index of the receiver skipping.
             node: u64,
-            /// Raw node index of the peer whose frame was lost.
+            /// Raw node index of the peer whose frames were lost.
             peer: u64,
-            /// The skipped sequence.
-            seq: u64,
-            /// NACKs that were sent for it before the skip.
+            /// The first skipped sequence.
+            first: u64,
+            /// How many sequences, from `first` on, were skipped.
+            count: u64,
+            /// NACKs that were sent for the range before the skip.
             nacks: u64,
             /// The configured NACK budget (0 = repair disabled).
             budget: u64,
@@ -723,7 +725,8 @@ mod tests {
             Event::GapSkipped {
                 node: 5,
                 peer: 1,
-                seq: 44,
+                first: 44,
+                count: 600,
                 nacks: 3,
                 budget: 3,
             },

@@ -334,10 +334,10 @@ pub struct CausalReport {
     /// the sender kept repairing past its own limit.
     #[serde(default)]
     pub over_budget_give_ups: u64,
-    /// `gap_skipped` events seen.
+    /// `gap_skipped` events seen, one per skipped range.
     #[serde(default)]
     pub gap_skips: u64,
-    /// Gap-skips that happened before the NACK budget was exhausted
+    /// Skipped ranges abandoned before the NACK budget was exhausted
     /// (`nacks < budget`) — with repair enabled, a skip is only lawful
     /// after budget exhaustion.
     #[serde(default)]
@@ -409,9 +409,9 @@ impl CausalReport {
 /// 7. every `repair_give_up` declares `retries <= budget` (the sender
 ///    never repaired past its own limit), and
 /// 8. every `gap_skipped` declares `nacks >= budget` (with repair on, a
-///    receiver only abandons a gap after exhausting its NACK budget;
-///    plain reorder-timeout skips carry `nacks == budget == 0` and are
-///    lawful),
+///    receiver only abandons a range after exhausting its NACK budget on
+///    it; plain reorder-timeout skips carry `nacks == budget == 0` and
+///    are lawful),
 /// 9. every `span_open` is eventually matched by a `span_close` for the
 ///    same `(lecture, segment, node, peer, hop)` key,
 /// 10. delivery-chain hops open in causal order within a trace —
@@ -988,7 +988,8 @@ mod tests {
                 Event::GapSkipped {
                     node: 5,
                     peer: 1,
-                    seq: 44,
+                    first: 44,
+                    count: 1,
                     nacks: 3,
                     budget: 3,
                 },
@@ -999,7 +1000,8 @@ mod tests {
                 Event::GapSkipped {
                     node: 6,
                     peer: 1,
-                    seq: 7,
+                    first: 7,
+                    count: 3,
                     nacks: 0,
                     budget: 0,
                 },
@@ -1081,7 +1083,8 @@ mod tests {
                 Event::GapSkipped {
                     node: 5,
                     peer: 1,
-                    seq: 50,
+                    first: 50,
+                    count: 1,
                     nacks: 1,
                     budget: 3,
                 },
@@ -1093,6 +1096,32 @@ mod tests {
         assert_eq!(r.over_budget_give_ups, 1);
         assert_eq!(r.premature_gap_skips, 1);
         assert!(!r.holds());
+    }
+
+    #[test]
+    fn a_skipped_range_is_judged_as_one_skip() {
+        let skip = |at, nacks| {
+            rec(
+                at,
+                Event::GapSkipped {
+                    node: 5,
+                    peer: 1,
+                    first: 2,
+                    count: 598,
+                    nacks,
+                    budget: 3,
+                },
+            )
+        };
+        // Short of the budget: the whole range is one premature skip,
+        // however many sequences it spans.
+        let r = check_causal(&[skip(10, 2)]);
+        assert_eq!((r.gap_skips, r.premature_gap_skips), (1, 1));
+        assert!(!r.holds());
+        // At the budget: one lawful skip.
+        let r = check_causal(&[skip(10, 3)]);
+        assert_eq!((r.gap_skips, r.premature_gap_skips), (1, 0));
+        assert!(r.holds(), "{r:?}");
     }
 
     fn span_rec(at: u64, open: bool, node: u64, peer: u64, hop: &str) -> EventRecord {

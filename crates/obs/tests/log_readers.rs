@@ -64,7 +64,7 @@ const PAIRS: [(&str, &str); 3] = [
 /// The union of every kind's numeric fields. A line carrying all of them
 /// parses as any kind: the codec reads the fields its kind declares and
 /// ignores the rest.
-const NUM_FIELDS: [&str; 27] = [
+const NUM_FIELDS: [&str; 29] = [
     "node",
     "client",
     "startup_ticks",
@@ -91,6 +91,8 @@ const NUM_FIELDS: [&str; 27] = [
     "retries",
     "budget",
     "nacks",
+    "first",
+    "count",
     "lecture",
 ];
 

@@ -14,6 +14,8 @@
 //!   packets out to every local student, turning an O(students) origin
 //!   uplink load into O(relays).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::BTreeMap;
 
 use lod_asf::{DataPacket, ScriptCommand};

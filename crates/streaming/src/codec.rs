@@ -18,6 +18,8 @@
 //! collects into the packet's one `Rc<[Payload]>` allocation, and
 //! [`ScriptCommandList`], which is built by sorted `push`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use bytes::Bytes;
 use lod_asf::{
     DataPacket, DrmHeader, FileProperties, Payload, ScriptCommand, ScriptCommandList, StreamKind,

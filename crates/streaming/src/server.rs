@@ -1,5 +1,7 @@
 //! The streaming server: content catalog, sessions, pacing, live relay.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use lod_asf::{AsfFile, DataPacket, StreamKind};

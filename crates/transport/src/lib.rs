@@ -42,8 +42,8 @@ pub use frame::{
     decode_frame, encode_frame, mark_retransmit, CodecError, FrameHeader, Reader, WireCodec,
     FLAG_CONTROL, FLAG_RELIABLE, FLAG_RETRANSMIT, FRAME_HEADER_BYTES,
 };
-pub use reorder::{ReorderBuffer, ReorderStats};
-pub use repair::{ControlFrame, RepairConfig, RepairRx, RepairTx};
+pub use reorder::{ReorderBuffer, ReorderStats, SkippedRange, RECEIVE_WINDOW};
+pub use repair::{ControlFrame, RepairConfig, RepairRx, RepairTx, RxRound};
 pub use udp::{TransportStats, UdpConfig, UdpTransport};
 
 /// Ticks per second (1 tick = 100 ns), matching `lod-simnet`'s clock.

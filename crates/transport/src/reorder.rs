@@ -7,10 +7,20 @@
 //! `BTreeMap` until the gap fills, and a gap that stays open longer than
 //! `flush_after` ticks is declared lost — the buffer skips ahead rather
 //! than head-of-line-block the lecture behind one dropped datagram (the
-//! retry layers above recover the content).
+//! retry layers above recover the content). Loss is named in ranges:
+//! [`ReorderBuffer::holes`] lists the open gaps, and a flush reports
+//! each gap it walks past as one range.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
+
+/// The receive window, in sequences: a buffer admits only
+/// `[expected, expected + RECEIVE_WINDOW)` and drops the rest as
+/// `out_of_window`, so at most this many frames wait per peer. The
+/// largest lead of a legitimate frame over `expected` is about a
+/// hundred sequences (q16's chaos profile); a frame further ahead is a
+/// corrupt or hostile sequence number.
+pub const RECEIVE_WINDOW: u64 = 4_096;
 
 lod_obs::counters! {
     /// Counters a [`ReorderBuffer`] keeps about its traffic. Merged across
@@ -23,11 +33,25 @@ lod_obs::counters! {
         pub out_of_order: u64,
         /// Frames dropped as duplicates or late (seq already passed).
         pub duplicates: u64,
+        /// Frames dropped for a sequence at or past the receive window.
+        pub out_of_window: u64 => sparse_counter "transport_out_of_window",
         /// Sequence numbers abandoned by gap flushes or authorized skips.
         pub skipped_seqs: u64 => gauge "transport_skipped_seqs",
         /// High-water mark of frames waiting at once.
         pub max_depth: usize max => gauge "transport_reorder_depth_peak",
     }
+}
+
+/// A run of sequences a receiver walked past: `count` sequences from
+/// `first` on, abandoned after `nacks` NACKs (0 for a timeout flush).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SkippedRange {
+    /// The first skipped sequence.
+    pub first: u64,
+    /// How many sequences were skipped.
+    pub count: u64,
+    /// NACKs the range absorbed before the skip.
+    pub nacks: u32,
 }
 
 /// Per-peer re-sequencer keyed on frame sequence numbers (which start
@@ -54,10 +78,15 @@ impl<T> ReorderBuffer<T> {
 
     /// Accepts a frame received at `now` and returns every frame that is
     /// now deliverable in sequence order (possibly empty, possibly more
-    /// than one when this frame fills a gap).
+    /// than one when this frame fills a gap). A frame outside the
+    /// receive window is dropped.
     pub fn accept(&mut self, seq: u64, now: u64, item: T) -> Vec<T> {
         if seq < self.next_seq {
             self.stats.duplicates += 1;
+            return Vec::new();
+        }
+        if seq >= self.window_end() {
+            self.stats.out_of_window += 1;
             return Vec::new();
         }
         if seq == self.next_seq {
@@ -80,49 +109,39 @@ impl<T> ReorderBuffer<T> {
     /// was waiting behind them, in sequence order. Appends each gap it
     /// walks past to `skipped`, oldest first; a call that skips nothing
     /// costs nothing per missing sequence.
-    pub fn flush_due(&mut self, now: u64, skipped: &mut Vec<Range<u64>>) -> Vec<T> {
+    pub fn flush_due(&mut self, now: u64, skipped: &mut Vec<SkippedRange>) -> Vec<T> {
         let mut out = Vec::new();
         while let Some((&seq, entry)) = self.pending.first_key_value() {
             debug_assert!(seq > self.next_seq, "in-order frames never wait");
             if entry.0.saturating_add(self.flush_after) > now {
                 break;
             }
-            self.stats.skipped_seqs += seq - self.next_seq;
-            skipped.push(self.next_seq..seq);
-            self.next_seq = seq;
-            self.drain_ready(&mut out);
+            skipped.push(SkippedRange {
+                first: self.next_seq,
+                count: seq - self.next_seq,
+                nacks: 0,
+            });
+            self.skip_to(seq, &mut out);
         }
         out
     }
 
-    /// The first open gap — the sequences between the consumer's cursor
-    /// and the oldest waiting frame — or `None` when nothing waits.
-    pub fn first_gap(&self) -> Option<Range<u64>> {
-        let (&seq, _) = self.pending.first_key_value()?;
-        Some(self.next_seq..seq)
-    }
-
-    /// The missing sequences currently blocking delivery, oldest first,
-    /// at most `cap` of them (the NACK layer's view of this buffer).
-    pub fn missing(&self, cap: usize) -> Vec<u64> {
-        let mut out = Vec::new();
+    /// The open gaps, oldest first: each run of sequences below the
+    /// newest waiting frame that was neither delivered nor waits. Empty
+    /// when nothing waits.
+    pub fn holes(&self) -> impl Iterator<Item = Range<u64>> + '_ {
         let mut cursor = self.next_seq;
-        for &seq in self.pending.keys() {
-            for s in cursor..seq {
-                if out.len() == cap {
-                    return out;
-                }
-                out.push(s);
-            }
+        self.pending.keys().filter_map(move |&seq| {
+            let hole = cursor..seq;
             cursor = seq + 1;
-        }
-        out
+            (!hole.is_empty()).then_some(hole)
+        })
     }
 
     /// Abandons every sequence before `seq` and releases whatever was
-    /// waiting behind them — the repair layer calls this once a gap's
-    /// retry budget is exhausted (the time-based [`Self::flush_due`] is
-    /// bypassed when repair runs, so skips only happen here).
+    /// waiting behind them: [`Self::flush_due`] past a due gap, or the
+    /// repair round once a gap's retry budget is exhausted (the flush is
+    /// bypassed when repair runs).
     pub fn skip_to(&mut self, seq: u64, out: &mut Vec<T>) {
         if seq <= self.next_seq {
             return;
@@ -156,10 +175,15 @@ impl<T> ReorderBuffer<T> {
         self.next_seq
     }
 
+    /// One past the last sequence the receive window admits.
+    pub fn window_end(&self) -> u64 {
+        self.next_seq.saturating_add(RECEIVE_WINDOW)
+    }
+
     /// One past the highest sequence this buffer knows about — every
-    /// sequence below it was delivered, is pending, or shows up in
-    /// [`Self::missing`]. Sequences from here up to a peer-advertised
-    /// top are *tail* losses no later arrival will ever expose.
+    /// sequence below it was delivered, is pending, or lies in one of
+    /// [`Self::holes`]. Sequences from here up to a peer-advertised top
+    /// are *tail* losses no later arrival will ever expose.
     pub fn horizon(&self) -> u64 {
         self.pending
             .last_key_value()
@@ -175,6 +199,10 @@ impl<T> ReorderBuffer<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ranges(skipped: &[SkippedRange]) -> Vec<Range<u64>> {
+        skipped.iter().map(|r| r.first..r.first + r.count).collect()
+    }
 
     #[test]
     fn in_order_frames_pass_straight_through() {
@@ -221,7 +249,7 @@ mod tests {
         assert_eq!(b.flush_due(900, &mut gaps), Vec::<u64>::new()); // not yet due
         assert!(gaps.is_empty());
         assert_eq!(b.flush_due(1_100, &mut gaps), vec![30, 40]);
-        assert_eq!(gaps, vec![2..3]);
+        assert_eq!(ranges(&gaps), vec![2..3]);
         assert_eq!(b.stats().skipped_seqs, 1);
         assert_eq!(b.expected(), 5);
         // Seq 2 finally limps in: it is late now.
@@ -258,27 +286,49 @@ mod tests {
         assert_eq!(b.accept(3, 0, 30), Vec::<u64>::new());
         assert_eq!(b.accept(6, 0, 60), Vec::<u64>::new());
         assert_eq!(b.accept(9, 500, 90), Vec::<u64>::new());
-        let missing = b.missing(usize::MAX);
+        let holes: Vec<_> = b.holes().collect();
         let mut gaps = Vec::new();
         // The gaps before 3 and 6 are due; the one before 9 is not.
         assert_eq!(b.flush_due(1_000, &mut gaps), vec![30, 60]);
-        assert_eq!(gaps, vec![2..3, 4..6]);
-        let skipped: Vec<u64> = gaps.into_iter().flatten().collect();
-        assert_eq!(skipped, missing[..3]);
+        assert_eq!(ranges(&gaps), holes[..2]);
+        assert_eq!(holes[..2], [2..3, 4..6]);
         assert_eq!(b.stats().skipped_seqs, 3);
-        assert_eq!(b.first_gap(), Some(7..9));
+        assert_eq!(b.holes().collect::<Vec<_>>(), vec![7..9]);
     }
 
     #[test]
-    fn missing_and_first_gap_describe_the_holes() {
+    fn holes_are_the_open_gaps_as_ranges() {
         let mut b: ReorderBuffer<u64> = ReorderBuffer::new(1_000);
-        assert_eq!(b.first_gap(), None);
+        assert_eq!(b.holes().count(), 0);
         assert_eq!(b.accept(1, 0, 10), vec![10]);
         assert_eq!(b.accept(4, 0, 40), Vec::<u64>::new());
-        assert_eq!(b.accept(7, 0, 70), Vec::<u64>::new());
-        assert_eq!(b.first_gap(), Some(2..4));
-        assert_eq!(b.missing(usize::MAX), vec![2, 3, 5, 6]);
-        assert_eq!(b.missing(3), vec![2, 3, 5]);
+        assert_eq!(b.accept(5, 0, 50), Vec::<u64>::new());
+        assert_eq!(b.accept(8, 0, 80), Vec::<u64>::new());
+        // Adjacent waiting frames leave no empty hole between them.
+        assert_eq!(b.holes().collect::<Vec<_>>(), vec![2..4, 6..8]);
+        assert_eq!(b.horizon(), 9);
+    }
+
+    #[test]
+    fn the_receive_window_bounds_what_may_wait() {
+        let mut b: ReorderBuffer<u64> = ReorderBuffer::new(1_000);
+        assert_eq!(b.accept(1, 0, 10), vec![10]);
+        assert_eq!(b.window_end(), 2 + RECEIVE_WINDOW);
+        // The last admitted sequence waits; the first past it and a far
+        // future one are dropped and counted, and leave no hole behind.
+        let last = b.window_end() - 1;
+        assert_eq!(b.accept(last, 0, 1), Vec::<u64>::new());
+        assert_eq!(b.accept(last + 1, 0, 2), Vec::<u64>::new());
+        assert_eq!(b.accept(1 << 40, 0, 3), Vec::<u64>::new());
+        assert_eq!(b.stats().out_of_window, 2);
+        assert_eq!(b.depth(), 1);
+        assert_eq!(b.holes().collect::<Vec<_>>(), vec![2..last]);
+        // However the peer spreads its sequences, no more than the
+        // window ever waits.
+        for seq in 2..last + 100 {
+            b.accept(seq + 1, 0, seq);
+        }
+        assert!(b.stats().max_depth <= RECEIVE_WINDOW as usize);
     }
 
     #[test]

@@ -14,25 +14,27 @@
 //!   sequence once its retry budget is spent (explicit [`GiveUp`]
 //!   accounting — a silent drop is exactly what this layer exists to
 //!   remove).
-//! * [`RepairRx`] — the receiver half. Watches the gaps the reorder
-//!   buffer exposes, emits compact [`ControlFrame::Nack`] frames (base
-//!   sequence + bitmap of additional misses) on a timer derived from a
-//!   smoothed path-delay estimate (fed by the send timestamps every
-//!   frame already carries), re-NACKs unanswered gaps with the same
-//!   adaptive interval, and — only after the retry budget is exhausted —
-//!   authorizes the gap-skip the reorder buffer used to perform on a
-//!   blind timeout.
+//! * [`RepairRx`] — the receiver half. One [`RepairRx::round`] per poll
+//!   watches the gaps a [`ReorderBuffer`] exposes as ranges, emits
+//!   compact [`ControlFrame::Nack`] frames (base sequence + bitmap of
+//!   additional misses) on a timer derived from a smoothed path-delay
+//!   estimate (fed by the send timestamps every frame already carries),
+//!   re-NACKs unanswered gaps with the same adaptive interval, and —
+//!   only after the retry budget is exhausted, in place of the reorder
+//!   buffer's blind timeout — skips the gap, one range at a time.
 //!
 //! The give-up → gap-skip handoff is the causal contract the obs layer
 //! checks: `check_causal` proves every retransmit answers a prior NACK,
-//! every give-up stayed within budget, and every gap-skip happened only
-//! after budget exhaustion (see DESIGN.md §14).
+//! every give-up stayed within budget, and every skipped range was
+//! skipped only after budget exhaustion (see DESIGN.md §14).
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 
 use crate::frame::{CodecError, Reader, WireCodec};
+use crate::reorder::{ReorderBuffer, SkippedRange};
 
 /// Most additional misses one NACK bitmap can name past its base
 /// sequence (64 bytes of bitmap = offsets 1..=512).
@@ -79,22 +81,15 @@ impl RepairConfig {
     /// silently (mirrors the zero-value validation of the server/relay
     /// builders).
     pub fn validate(&self) {
-        assert!(
-            self.buffer_bytes > 0,
-            "repair buffer_bytes must be positive"
-        );
-        assert!(
-            self.retry_budget > 0,
-            "repair retry_budget must be positive"
-        );
-        assert!(
-            self.initial_rtt_ticks > 0,
-            "repair initial_rtt_ticks must be positive"
-        );
-        assert!(
-            self.min_nack_interval_ticks > 0,
-            "repair min_nack_interval_ticks must be positive"
-        );
+        let knobs = [
+            ("buffer_bytes", self.buffer_bytes),
+            ("retry_budget", u64::from(self.retry_budget)),
+            ("initial_rtt_ticks", self.initial_rtt_ticks),
+            ("min_nack_interval_ticks", self.min_nack_interval_ticks),
+        ];
+        for (knob, value) in knobs {
+            assert!(value > 0, "repair {knob} must be positive");
+        }
     }
 }
 
@@ -130,20 +125,22 @@ const TAG_NACK: u8 = 0;
 const TAG_HEARTBEAT: u8 = 1;
 
 impl ControlFrame {
-    /// Packs a sorted, distinct list of missing sequences into as few
+    /// Packs sorted, disjoint ranges of missing sequences into as few
     /// NACK frames as the bitmap span allows.
-    pub fn build_nacks(missing: &[u64]) -> Vec<ControlFrame> {
+    pub fn build_nacks(missing: impl IntoIterator<Item = Range<u64>>) -> Vec<ControlFrame> {
         let mut out = Vec::new();
-        let mut i = 0;
-        while i < missing.len() {
-            let base_seq = missing[i];
-            let mut offsets = Vec::new();
-            i += 1;
-            while i < missing.len() && missing[i] - base_seq <= u64::from(MAX_NACK_OFFSET) {
-                offsets.push((missing[i] - base_seq) as u16);
-                i += 1;
+        for seq in missing.into_iter().flatten() {
+            match out.last_mut() {
+                Some(ControlFrame::Nack { base_seq, offsets })
+                    if seq - *base_seq <= u64::from(MAX_NACK_OFFSET) =>
+                {
+                    offsets.push((seq - *base_seq) as u16);
+                }
+                _ => out.push(ControlFrame::Nack {
+                    base_seq: seq,
+                    offsets: Vec::new(),
+                }),
             }
-            out.push(ControlFrame::Nack { base_seq, offsets });
         }
         out
     }
@@ -433,29 +430,29 @@ lod_obs::counters! {
     }
 }
 
-/// A gap the receiver has stopped NACKing and now authorizes skipping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SkippableSeq {
-    /// The missing sequence.
-    pub seq: u64,
-    /// NACKs sent for it (== the retry budget by construction).
-    pub nacks: u32,
-}
-
-/// What one receiver poll decided.
+/// What one receiver round decided.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RxPoll {
+pub struct RxRound {
     /// NACK frames to send to the peer.
     pub nacks: Vec<ControlFrame>,
-    /// Sequences whose budget is exhausted and final wait has elapsed —
-    /// the transport may now skip the reorder gap past them.
-    pub skippable: Vec<SkippableSeq>,
+    /// The ranges skipped in the reorder buffer, oldest first.
+    pub skipped: Vec<SkippedRange>,
 }
 
-#[derive(Debug, Default)]
-struct GapState {
+/// A run `[start, end)` of missing sequences that share one NACK
+/// history. A frame filling its middle splits it.
+#[derive(Debug, Clone, Copy)]
+struct GapRun {
+    start: u64,
+    end: u64,
     nacks: u32,
     last_nack_at: u64,
+}
+
+impl GapRun {
+    fn len(&self) -> u64 {
+        self.end - self.start
+    }
 }
 
 /// Receiver half: gap tracking, adaptive NACK timers, skip authorization.
@@ -465,7 +462,12 @@ pub struct RepairRx {
     /// Smoothed one-way path delay in ticks (EWMA, gain 1/8 — the
     /// classic SRTT filter), fed by frame send timestamps.
     srtt: u64,
-    gaps: BTreeMap<u64, GapState>,
+    /// Highest data sequence the peer is known to have sent (observed
+    /// frames and heartbeat advertisements) — the reference that makes
+    /// tail loss detectable.
+    top: u64,
+    /// The open gaps, sorted and disjoint.
+    gaps: Vec<GapRun>,
     stats: RepairRxStats,
 }
 
@@ -476,7 +478,8 @@ impl RepairRx {
         Self {
             srtt: cfg.initial_rtt_ticks,
             cfg,
-            gaps: BTreeMap::new(),
+            top: 0,
+            gaps: Vec::new(),
             stats: RepairRxStats::default(),
         }
     }
@@ -490,6 +493,12 @@ impl RepairRx {
         self.srtt = self.srtt.max(1);
     }
 
+    /// Notes that the peer sent data sequence `seq` (a frame carried it
+    /// or a heartbeat advertised it).
+    pub fn observe_top(&mut self, seq: u64) {
+        self.top = self.top.max(seq);
+    }
+
     /// The smoothed path-delay estimate, in ticks.
     pub fn srtt(&self) -> u64 {
         self.srtt
@@ -501,59 +510,113 @@ impl RepairRx {
         (self.srtt * 2).max(self.cfg.min_nack_interval_ticks)
     }
 
-    /// Reconciles the currently missing sequences (as the reorder buffer
-    /// sees them, sorted) against the gap ledger and decides what to do
-    /// at `now`: freshly seen or re-due gaps get NACKed, exhausted gaps
-    /// whose final wait elapsed become skippable, and gaps that closed
-    /// since the last poll are retired as repaired.
-    pub fn poll(&mut self, now: u64, missing: &[u64]) -> RxPoll {
-        // Retire gaps that are no longer missing.
-        let stats = &mut self.stats;
-        self.gaps.retain(|seq, st| {
-            let open = missing.binary_search(seq).is_ok();
-            if !open && st.nacks > 0 {
-                stats.repaired += 1;
+    /// One receiver round at `now` over the peer's reorder buffer. The
+    /// open gaps are the buffer's holes plus the tail up to the observed
+    /// top, which is clamped into the receive window first. Fresh or
+    /// re-due gaps get NACKed; then, from the front, every gap whose
+    /// budget is spent and whose final retransmit had one more interval
+    /// to land is skipped, releasing the frames behind it into
+    /// `released`.
+    pub fn round<T>(
+        &mut self,
+        now: u64,
+        buffer: &mut ReorderBuffer<T>,
+        released: &mut Vec<T>,
+    ) -> RxRound {
+        self.top = self.top.min(buffer.window_end() - 1);
+        let tail = buffer.horizon()..self.top + 1;
+        let nacks = self.nack_due(now, buffer.holes().chain(Some(tail)));
+        let (budget, interval) = (self.cfg.retry_budget, self.nack_interval());
+        let mut skipped = Vec::new();
+        for run in &self.gaps {
+            if run.start != buffer.expected()
+                || run.nacks < budget
+                || now.saturating_sub(run.last_nack_at) < interval
+            {
+                break;
             }
-            open
-        });
-        let interval = self.nack_interval();
-        let mut due = Vec::new();
-        let mut poll = RxPoll::default();
-        for &seq in missing {
-            let st = self.gaps.entry(seq).or_default();
-            if st.nacks >= self.cfg.retry_budget {
-                // Budget spent: allow the final retransmit one more
-                // interval to land, then hand the gap to the skipper.
-                if now.saturating_sub(st.last_nack_at) >= interval {
-                    poll.skippable.push(SkippableSeq {
-                        seq,
-                        nacks: st.nacks,
-                    });
+            buffer.skip_to(run.end, released);
+            self.stats.gap_skips += run.len();
+            skipped.push(SkippedRange {
+                first: run.start,
+                count: run.len(),
+                nacks: run.nacks,
+            });
+        }
+        self.gaps.drain(..skipped.len());
+        RxRound { nacks, skipped }
+    }
+
+    /// The NACKs [`Self::round`] would send at `now` for `missing`
+    /// (sorted, distinct), without skipping anything.
+    pub fn poll(&mut self, now: u64, missing: &[u64]) -> Vec<ControlFrame> {
+        let runs = missing.chunk_by(|a, b| a + 1 == *b);
+        self.nack_due(now, runs.map(|run| run[0]..run[run.len() - 1] + 1))
+    }
+
+    /// Rebuilds the gap ledger from `missing` (sorted, disjoint ranges)
+    /// and returns the NACKs due at `now`. A missing sequence keeps the
+    /// history of the run it was in and a new one starts with none; a
+    /// NACKed sequence no longer missing was repaired. A run is NACKed
+    /// when it is fresh or its interval elapsed with budget left.
+    fn nack_due(
+        &mut self,
+        now: u64,
+        missing: impl Iterator<Item = Range<u64>>,
+    ) -> Vec<ControlFrame> {
+        let (interval, budget) = (self.nack_interval(), self.cfg.retry_budget);
+        let old = std::mem::take(&mut self.gaps);
+        // Every run was NACKed when it opened, so every sequence of the
+        // old ledger that is not carried over below was repaired.
+        let mut repaired: u64 = old.iter().map(GapRun::len).sum();
+        let (mut i, mut due) = (0, Vec::new());
+        for hole in missing {
+            let mut at = hole.start;
+            while at < hole.end {
+                while old.get(i).is_some_and(|run| run.end <= at) {
+                    i += 1;
                 }
-                continue;
-            }
-            if st.nacks == 0 || now.saturating_sub(st.last_nack_at) >= interval {
-                st.nacks += 1;
-                st.last_nack_at = now;
-                self.stats.seqs_nacked += 1;
-                due.push(seq);
+                let mut run = match old.get(i) {
+                    Some(run) if run.start <= at => GapRun {
+                        start: at,
+                        end: run.end.min(hole.end),
+                        ..*run
+                    },
+                    next => GapRun {
+                        start: at,
+                        end: next.map_or(hole.end, |run| run.start.min(hole.end)),
+                        nacks: 0,
+                        last_nack_at: 0,
+                    },
+                };
+                if run.nacks > 0 {
+                    repaired -= run.len();
+                }
+                at = run.end;
+                if run.nacks < budget
+                    && (run.nacks == 0 || now.saturating_sub(run.last_nack_at) >= interval)
+                {
+                    run.nacks += 1;
+                    run.last_nack_at = now;
+                    self.stats.seqs_nacked += run.len();
+                    due.push(run.start..run.end);
+                }
+                // Neighbours with one history are one run.
+                match self.gaps.last_mut() {
+                    Some(last)
+                        if last.end == run.start
+                            && (last.nacks, last.last_nack_at) == (run.nacks, run.last_nack_at) =>
+                    {
+                        last.end = run.end;
+                    }
+                    _ => self.gaps.push(run),
+                }
             }
         }
-        poll.nacks = ControlFrame::build_nacks(&due);
-        self.stats.nacks_sent += poll.nacks.len() as u64;
-        poll
-    }
-
-    /// Records that the transport skipped `seq` (after this receiver
-    /// authorized it) and returns how many NACKs it had absorbed.
-    pub fn on_skipped(&mut self, seq: u64) -> u32 {
-        self.stats.gap_skips += 1;
-        self.gaps.remove(&seq).map_or(0, |st| st.nacks)
-    }
-
-    /// Gaps currently tracked.
-    pub fn open_gaps(&self) -> usize {
-        self.gaps.len()
+        self.stats.repaired += repaired;
+        let nacks = ControlFrame::build_nacks(due);
+        self.stats.nacks_sent += nacks.len() as u64;
+        nacks
     }
 
     /// Counters.
@@ -655,40 +718,131 @@ mod tests {
     #[test]
     fn rx_nacks_a_fresh_gap_immediately_and_renacks_on_the_interval() {
         let mut rx = RepairRx::new(cfg());
-        let p = rx.poll(0, &[2, 3]);
-        assert_eq!(p.nacks.len(), 1);
-        assert_eq!(p.nacks[0].seqs(), vec![2, 3]);
-        assert!(p.skippable.is_empty());
+        let nacks = rx.poll(0, &[2, 3]);
+        assert_eq!(nacks.len(), 1);
+        assert_eq!(nacks[0].seqs(), vec![2, 3]);
         // Before the interval: silence.
-        assert!(rx.poll(100, &[2, 3]).nacks.is_empty());
+        assert!(rx.poll(100, &[2, 3]).is_empty());
         // nack_interval = 2 * srtt = 2000 ticks here.
-        let p = rx.poll(2_000, &[2, 3]);
-        assert_eq!(p.nacks.len(), 1, "re-NACK after the adaptive interval");
+        let nacks = rx.poll(2_000, &[2, 3]);
+        assert_eq!(nacks.len(), 1, "re-NACK after the adaptive interval");
         assert_eq!(rx.stats().seqs_nacked, 4);
+    }
+
+    /// A reorder buffer that delivered `seqs[0]` and holds the rest.
+    fn buffer(seqs: &[u64]) -> ReorderBuffer<u64> {
+        let mut b = ReorderBuffer::new(u64::MAX);
+        for &seq in seqs {
+            b.accept(seq, 0, seq);
+        }
+        b
     }
 
     #[test]
     fn rx_skip_authorization_waits_for_budget_plus_grace() {
         let mut rx = RepairRx::new(cfg());
-        rx.poll(0, &[2]); // nack 1
-        rx.poll(2_000, &[2]); // nack 2 — budget spent
-                              // Immediately after the last NACK: not skippable yet.
-        assert!(rx.poll(2_100, &[2]).skippable.is_empty());
-        let p = rx.poll(4_100, &[2]);
-        assert_eq!(p.skippable, vec![SkippableSeq { seq: 2, nacks: 2 }]);
-        assert!(p.nacks.is_empty());
-        assert_eq!(rx.on_skipped(2), 2);
+        let mut b = buffer(&[1, 3]);
+        let mut released = Vec::new();
+        assert_eq!(rx.round(0, &mut b, &mut released).nacks.len(), 1); // nack 1
+                                                                       // NACK 2 spends the budget.
+        assert_eq!(rx.round(2_000, &mut b, &mut released).nacks.len(), 1);
+        // Immediately after the last NACK: neither NACKed nor skipped.
+        assert_eq!(rx.round(2_100, &mut b, &mut released), RxRound::default());
+        let round = rx.round(4_100, &mut b, &mut released);
+        assert_eq!(
+            round.skipped,
+            vec![SkippedRange {
+                first: 2,
+                count: 1,
+                nacks: 2
+            }]
+        );
+        assert!(round.nacks.is_empty());
+        assert_eq!(released, vec![3]);
+        assert_eq!(b.expected(), 4);
         assert_eq!(rx.stats().gap_skips, 1);
-        assert_eq!(rx.open_gaps(), 0);
+        assert_eq!(rx.gaps.len(), 0);
     }
 
     #[test]
     fn rx_counts_a_closed_gap_as_repaired() {
         let mut rx = RepairRx::new(cfg());
         rx.poll(0, &[2]);
-        let p = rx.poll(500, &[]); // gap closed by a retransmit
-        assert!(p.nacks.is_empty() && p.skippable.is_empty());
+        assert!(rx.poll(500, &[]).is_empty()); // gap closed by a retransmit
         assert_eq!(rx.stats().repaired, 1);
+    }
+
+    #[test]
+    fn rx_a_gap_run_splits_when_a_frame_fills_its_middle() {
+        let mut rx = RepairRx::new(cfg());
+        let mut b = buffer(&[1, 10]);
+        let mut released = Vec::new();
+        let round = rx.round(0, &mut b, &mut released);
+        assert_eq!(round.nacks.len(), 1);
+        assert_eq!(round.nacks[0].seqs(), (2..10).collect::<Vec<_>>());
+        assert_eq!(rx.gaps.len(), 1);
+        // A retransmit of 5 lands: two runs, one history, one repaired seq.
+        b.accept(5, 100, 5);
+        assert!(rx.round(100, &mut b, &mut released).nacks.is_empty());
+        assert_eq!(rx.gaps.len(), 2);
+        assert_eq!(rx.stats().repaired, 1);
+        // Both halves come due together and share one NACK frame.
+        let round = rx.round(2_000, &mut b, &mut released);
+        assert_eq!(round.nacks.len(), 1);
+        assert_eq!(round.nacks[0].seqs(), vec![2, 3, 4, 6, 7, 8, 9]);
+        assert_eq!(rx.stats().seqs_nacked, 8 + 7);
+        // Once the budget is spent both halves go in one round, and the
+        // frames behind them are released in order.
+        let round = rx.round(4_000, &mut b, &mut released);
+        let skipped: Vec<(u64, u64)> = round.skipped.iter().map(|r| (r.first, r.count)).collect();
+        assert_eq!(skipped, vec![(2, 3), (6, 4)]);
+        assert_eq!(released, vec![5, 10]);
+        assert_eq!(rx.stats().gap_skips, 7);
+        assert!(released.is_sorted());
+    }
+
+    #[test]
+    fn rx_a_gap_wider_than_one_nack_is_skipped_as_one_range() {
+        let mut rx = RepairRx::new(cfg());
+        let mut b = buffer(&[1, 600]);
+        let mut released = Vec::new();
+        let round = rx.round(0, &mut b, &mut released);
+        // 598 missing: one NACK spans 513 sequences, the second the rest.
+        let named: Vec<u64> = round.nacks.iter().flat_map(ControlFrame::seqs).collect();
+        assert_eq!(round.nacks.len(), 2);
+        assert_eq!(named, (2..600).collect::<Vec<_>>());
+        rx.round(2_000, &mut b, &mut released);
+        let round = rx.round(4_000, &mut b, &mut released);
+        assert_eq!(
+            round.skipped,
+            vec![SkippedRange {
+                first: 2,
+                count: 598,
+                nacks: 2
+            }]
+        );
+        assert_eq!(released, vec![600]);
+    }
+
+    #[test]
+    fn rx_the_tail_follows_the_top_inside_the_receive_window() {
+        let mut rx = RepairRx::new(cfg());
+        let mut b = buffer(&[1]);
+        let mut released = Vec::new();
+        // A heartbeat advertising a far future top names a tail no
+        // longer than the window.
+        rx.observe_top(1 << 40);
+        let round = rx.round(0, &mut b, &mut released);
+        let named = round.nacks.iter().map(|n| n.seqs().len()).sum::<usize>();
+        assert_eq!(named as u64, crate::reorder::RECEIVE_WINDOW);
+        assert_eq!(round.nacks.len(), 8, "ceil(4096 / 513) frames");
+        rx.round(2_000, &mut b, &mut released);
+        let round = rx.round(4_000, &mut b, &mut released);
+        assert_eq!(round.skipped.len(), 1);
+        assert_eq!(round.skipped[0].count, crate::reorder::RECEIVE_WINDOW);
+        // The top was clamped, not kept: nothing is left to NACK.
+        assert_eq!(rx.round(10_000, &mut b, &mut released), RxRound::default());
+        assert_eq!(rx.gaps.len(), 0);
     }
 
     #[test]
@@ -717,8 +871,8 @@ mod tests {
 
     #[test]
     fn build_nacks_splits_past_the_bitmap_span() {
-        let missing = vec![10, 11, 10 + u64::from(MAX_NACK_OFFSET), 2_000];
-        let frames = ControlFrame::build_nacks(&missing);
+        let last = 10 + u64::from(MAX_NACK_OFFSET);
+        let frames = ControlFrame::build_nacks([10..12, last..last + 1, 2_000..2_001]);
         assert_eq!(frames.len(), 2);
         assert_eq!(
             frames[0].seqs(),

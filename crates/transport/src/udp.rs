@@ -33,10 +33,6 @@ use crate::reorder::{ReorderBuffer, ReorderStats};
 use crate::repair::{ControlFrame, RepairConfig, RepairRx, RepairTx};
 use crate::{Transport, TICKS_PER_SECOND};
 
-/// Most gap sequences one receiver poll reconciles per peer (also the
-/// widest NACK span one frame can carry).
-const MISSING_CAP: usize = 512;
-
 /// Knobs for a [`UdpTransport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UdpConfig {
@@ -160,40 +156,28 @@ lod_obs::counters! {
     }
 }
 
-/// Per-peer heartbeat pacing: heartbeats fire only after the data path
-/// toward that peer goes quiet, and only a bounded burst of them — the
-/// receiver remembers the advertised top, so the advertisement needs to
-/// land once, not flow forever.
-#[derive(Debug)]
-struct HbState {
-    /// Tick of the last data frame or heartbeat sent to this peer.
-    last_activity_at: u64,
-    /// Heartbeats sent since the last data frame.
-    sent_since_data: u32,
-}
-
 /// A frame waiting in a reorder buffer: its wire length, its trace
 /// context and the decoded message.
 type Pending<M> = (u64, Option<TraceCtx>, M);
 
 /// Everything a transport keeps about one registered peer, both
-/// directions. The sub-state is created on first use: the reorder buffer
-/// by the first data frame from the peer, the repair and heartbeat state
-/// once repair has something to track.
+/// directions. The repair halves exist from registration when repair is
+/// on; the reorder buffer is created by the first data frame from the
+/// peer.
 #[derive(Debug)]
 struct Peer<M> {
     addr: SocketAddr,
     /// Sender side: the sequence the next data frame toward the peer
     /// carries (1 first).
     next_seq: u64,
-    /// Receiver side: highest data sequence the peer is known to have
-    /// sent (max of observed frames and heartbeat advertisements) — the
-    /// reference that makes tail loss detectable.
-    top: u64,
     reorder: Option<ReorderBuffer<Pending<M>>>,
     repair_tx: Option<RepairTx>,
     repair_rx: Option<RepairRx>,
-    hb: Option<HbState>,
+    /// Heartbeat pacing (repair only): the tick of the last data frame
+    /// or heartbeat sent to the peer, and the heartbeats sent since the
+    /// last data frame.
+    hb_at: u64,
+    hb_sent: u32,
 }
 
 /// The peer registered at `index`, if any: a bounds-checked lookup that
@@ -304,11 +288,11 @@ impl<M: WireCodec> UdpTransport<M> {
         let peer = self.peers[index].get_or_insert_with(|| Peer {
             addr,
             next_seq: 1,
-            top: 0,
             reorder: None,
-            repair_tx: None,
-            repair_rx: None,
-            hb: None,
+            repair_tx: self.cfg.repair.map(RepairTx::new),
+            repair_rx: self.cfg.repair.map(RepairRx::new),
+            hb_at: 0,
+            hb_sent: 0,
         });
         self.by_addr.remove(&peer.addr);
         peer.addr = addr;
@@ -412,14 +396,9 @@ impl<M: WireCodec> UdpTransport<M> {
             let node = self.node.index() as u64;
             self.obs.span(now, true, node, index as u64, "pace", ctx);
         }
-        if let Some(repair) = self.cfg.repair {
-            peer.repair_tx
-                .get_or_insert_with(|| RepairTx::new(repair))
-                .record(seq, &frame);
-            peer.hb = Some(HbState {
-                last_activity_at: now,
-                sent_since_data: 0,
-            });
+        if let Some(tx) = peer.repair_tx.as_mut() {
+            tx.record(seq, &frame);
+            (peer.hb_at, peer.hb_sent) = (now, 0);
         }
         self.pace_or_queue(now, index, frame);
         Ok(())
@@ -525,14 +504,12 @@ impl<M: WireCodec> UdpTransport<M> {
     /// Releases fault-delayed datagrams whose hold has elapsed. They go
     /// straight to the socket — the fault stage already ruled on them.
     fn release_delayed(&mut self, now: u64) {
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if self.delayed[i].0 <= now {
-                let (_, index, frame) = self.delayed.remove(i);
-                self.raw_send(now, index, &frame);
-            } else {
-                i += 1;
-            }
+        let (due, held): (Vec<_>, Vec<_>) = std::mem::take(&mut self.delayed)
+            .into_iter()
+            .partition(|d| d.0 <= now);
+        self.delayed = held;
+        for (_, index, frame) in due {
+            self.raw_send(now, index, &frame);
         }
     }
 
@@ -574,8 +551,8 @@ impl<M: WireCodec> UdpTransport<M> {
             let Some(peer) = peer_mut(&mut self.peers, src) else {
                 continue;
             };
-            if let Some(repair) = self.cfg.repair {
-                peer.top = peer.top.max(header.seq);
+            if let Some(rx) = peer.repair_rx.as_mut() {
+                rx.observe_top(header.seq);
                 if !header.retransmit {
                     // Feed the path-delay estimate that paces NACK timers.
                     // Send timestamps come from the peer's clock; on the
@@ -586,9 +563,7 @@ impl<M: WireCodec> UdpTransport<M> {
                     // "delay" includes the whole NACK round trip and would
                     // drag the estimate — and with it the NACK interval —
                     // into a runaway feedback loop.
-                    peer.repair_rx
-                        .get_or_insert_with(|| RepairRx::new(repair))
-                        .observe_delay(now.saturating_sub(header.sent_at));
+                    rx.observe_delay(now.saturating_sub(header.sent_at));
                 }
             }
             // One allocation per datagram: the payload moves into a
@@ -651,61 +626,28 @@ impl<M: WireCodec> UdpTransport<M> {
         }
     }
 
-    /// Announces the sequences `src`'s reorder buffer walked past. Under
-    /// repair each is booked against the NACKs its gap absorbed and the
-    /// retry budget; a plain timeout skip carries zero of both, so the
-    /// causal checker sees every abandoned sequence either way.
-    fn announce_skips(&mut self, now: u64, src: usize, seqs: impl IntoIterator<Item = u64>) {
-        let budget = self.cfg.repair.map_or(0, |r| u64::from(r.retry_budget));
-        let node = self.node.index() as u64;
-        let mut rx = peer_mut(&mut self.peers, src).and_then(|p| p.repair_rx.as_mut());
-        for seq in seqs {
-            let nacks = match rx.as_deref_mut() {
-                Some(rx) => {
-                    self.stats.gap_skipped_seqs += 1;
-                    rx.on_skipped(seq)
-                }
-                None => 0,
-            };
-            self.obs.emit(
-                now,
-                Event::GapSkipped {
-                    node,
-                    peer: src as u64,
-                    seq,
-                    nacks: u64::from(nacks),
-                    budget,
-                },
-            );
-        }
-    }
-
     /// Handles one inbound control frame from peer `src`: a heartbeat
     /// updates the peer's known top sequence; a NACK is answered with
     /// marked retransmits through the shared pacing path, emitting the
     /// obs events the causal checker audits.
     fn on_control(&mut self, now: u64, src: usize, cf: &ControlFrame, sent_at: u64) {
-        let repair = self.cfg.repair;
         let Some(peer) = peer_mut(&mut self.peers, src) else {
             return;
         };
         if let ControlFrame::Heartbeat { top_seq } = cf {
             self.stats.heartbeats_received += 1;
-            if repair.is_some() {
-                peer.top = peer.top.max(*top_seq);
+            if let Some(rx) = peer.repair_rx.as_mut() {
+                rx.observe_top(*top_seq);
             }
             return;
         }
         self.stats.nacks_received += 1;
-        let Some(repair) = repair else {
+        let (Some(repair), Some(tx)) = (self.cfg.repair, peer.repair_tx.as_mut()) else {
             // A NACK from a repair-enabled peer while ours is off:
             // nothing buffered, nothing to resend.
             return;
         };
-        let response = peer
-            .repair_tx
-            .get_or_insert_with(|| RepairTx::new(repair))
-            .on_nack(now, &cf.seqs());
+        let response = tx.on_nack(now, &cf.seqs());
         // This node's clock is frozen for the whole poll round, so `now`
         // can lag the tick the *peer* stamped on the NACK it just pulled
         // off the socket. The response provably happened after the NACK
@@ -743,38 +685,43 @@ impl<M: WireCodec> UdpTransport<M> {
         }
     }
 
-    /// The receiver half of repair: reconcile every peer's reorder gaps,
-    /// send due NACKs, and perform authorized gap-skips.
-    fn poll_repair_rx(&mut self, now: u64, out: &mut Vec<Delivery<M>>) {
-        let Some(repair) = self.cfg.repair else {
-            return;
-        };
+    /// Closes each peer's due gaps, one range at a time. Under repair its
+    /// [`RepairRx::round`] sends the due NACKs and skips only the ranges
+    /// whose retry budget is spent — the blind reorder timeout stays out
+    /// of the way; without repair the flush deadline skips them. Each
+    /// skipped range is announced by one event, booked against the NACKs
+    /// it absorbed and the retry budget (zero of both for a timeout
+    /// skip), so the causal checker sees every abandoned range either
+    /// way. A poll that skips nothing does no work per missing sequence.
+    fn close_gaps(&mut self, now: u64, out: &mut Vec<Delivery<M>>) {
         let node = self.node.index() as u64;
+        let budget = self.cfg.repair.map_or(0, |r| u64::from(r.retry_budget));
+        let mut skipped = Vec::new();
         for src in 0..self.peers.len() {
-            let Some(peer) = peer_mut(&mut self.peers, src) else {
+            let Some(Peer {
+                reorder: Some(buffer),
+                repair_rx,
+                ..
+            }) = peer_mut(&mut self.peers, src)
+            else {
                 continue;
             };
-            let Some(buffer) = peer.reorder.as_ref() else {
-                continue;
-            };
-            let mut missing = buffer.missing(MISSING_CAP);
-            // Tail losses: sequences past every pending frame, known
-            // only from the peer's advertisement (data seqs observed or
-            // heartbeat tops). Appending keeps the list sorted — the
-            // tail starts past everything `missing` can name.
-            for seq in buffer.horizon()..=peer.top {
-                if missing.len() == MISSING_CAP {
-                    break;
+            let mut released = Vec::new();
+            let nacks = match repair_rx {
+                Some(rx) => {
+                    let round = rx.round(now, buffer, &mut released);
+                    skipped = round.skipped;
+                    self.stats.gap_skipped_seqs += skipped.iter().map(|r| r.count).sum::<u64>();
+                    round.nacks
                 }
-                missing.push(seq);
-            }
-            let decision = peer
-                .repair_rx
-                .get_or_insert_with(|| RepairRx::new(repair))
-                .poll(now, &missing);
-            for nack in &decision.nacks {
+                None => {
+                    released = buffer.flush_due(now, &mut skipped);
+                    Vec::new()
+                }
+            };
+            for nack in &nacks {
                 let ControlFrame::Nack { base_seq, .. } = nack else {
-                    unreachable!("RepairRx::poll only emits NACKs");
+                    unreachable!("a receiver round only emits NACKs");
                 };
                 let (base_seq, span) = (*base_seq, nack.span());
                 self.stats.nacks_sent += 1;
@@ -796,52 +743,20 @@ impl<M: WireCodec> UdpTransport<M> {
                     self.put_on_wire(now, src, &frame);
                 }
             }
-            if decision.skippable.is_empty() {
-                continue;
+            for range in skipped.drain(..) {
+                self.obs.emit(
+                    now,
+                    Event::GapSkipped {
+                        node,
+                        peer: src as u64,
+                        first: range.first,
+                        count: range.count,
+                        nacks: u64::from(range.nacks),
+                        budget,
+                    },
+                );
             }
-            let authorized = |seq: u64| decision.skippable.iter().any(|s| s.seq == seq);
-            // A gap can only be walked past from the front: skip while
-            // the first gap's sequences are all authorized. A tail gap
-            // has nothing pending behind it, so skipping releases no
-            // frames — it just advances the cursor past the authorized
-            // contiguous prefix so the ledger stops churning.
-            while let Some(buffer) = peer_mut(&mut self.peers, src).and_then(|p| p.reorder.as_mut())
-            {
-                let (gap, tail) = match buffer.first_gap() {
-                    Some(gap) if !gap.is_empty() && gap.clone().all(authorized) => (gap, false),
-                    Some(_) => break,
-                    None => {
-                        let start = buffer.expected();
-                        let end = (start..).find(|&seq| !authorized(seq)).unwrap_or(start);
-                        (start..end, true)
-                    }
-                };
-                let mut released = Vec::new();
-                buffer.skip_to(gap.end, &mut released);
-                self.announce_skips(now, src, gap);
-                self.release(now, src, released, out);
-                if tail {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Releases what each peer's reorder buffer holds behind a gap past
-    /// its flush deadline, then announces the sequences those gaps held.
-    /// A poll that skips nothing does no work per missing sequence.
-    fn flush_reorder(&mut self, now: u64, out: &mut Vec<Delivery<M>>) {
-        let mut gaps = Vec::new();
-        for src in 0..self.peers.len() {
-            let Some(buffer) = peer_mut(&mut self.peers, src).and_then(|p| p.reorder.as_mut())
-            else {
-                continue;
-            };
-            let released = buffer.flush_due(now, &mut gaps);
             self.release(now, src, released, out);
-            if !gaps.is_empty() {
-                self.announce_skips(now, src, gaps.drain(..).flatten());
-            }
         }
     }
 
@@ -861,17 +776,13 @@ impl<M: WireCodec> UdpTransport<M> {
                 continue;
             };
             let top = peer.next_seq - 1;
-            let Some(hb) = peer.hb.as_mut() else {
-                continue;
-            };
             if top == 0
-                || hb.sent_since_data > repair.retry_budget
-                || now.saturating_sub(hb.last_activity_at) < interval
+                || peer.hb_sent > repair.retry_budget
+                || now.saturating_sub(peer.hb_at) < interval
             {
                 continue;
             }
-            hb.last_activity_at = now;
-            hb.sent_since_data += 1;
+            (peer.hb_at, peer.hb_sent) = (now, peer.hb_sent + 1);
             let heartbeat = ControlFrame::Heartbeat { top_seq: top };
             self.stats.heartbeats_sent += 1;
             if let Some(frame) = encode_message_frame(0, now, FLAG_CONTROL, &heartbeat, usize::MAX)
@@ -907,13 +818,12 @@ impl<M: WireCodec> Transport<M> for UdpTransport<M> {
         // The pacer queue is this backend's first hop: convert its
         // depth to ticks-until-drained at the pacing rate, the same
         // unit the simulator's backlog probe reports.
-        match (&self.pacer, self.queued_bytes) {
-            (_, 0) => Some(0),
-            (Some(p), queued) => Some(
-                queued.saturating_mul(8).saturating_mul(TICKS_PER_SECOND) / p.rate_bps().max(1),
-            ),
-            (None, _) => Some(0),
-        }
+        Some(self.pacer.as_ref().map_or(0, |p| {
+            self.queued_bytes
+                .saturating_mul(8)
+                .saturating_mul(TICKS_PER_SECOND)
+                / p.rate_bps().max(1)
+        }))
     }
 
     fn now(&self) -> u64 {
@@ -929,15 +839,8 @@ impl<M: WireCodec> Transport<M> for UdpTransport<M> {
         self.flush_queue(now);
         self.release_delayed(now);
         self.drain_socket(now, &mut out);
-        if self.cfg.repair.is_some() {
-            // Repair owns gap handling: NACK timers decide when to ask
-            // again, and skips happen only after budget exhaustion — the
-            // blind reorder timeout stays out of the way.
-            self.poll_repair_rx(now, &mut out);
-            self.poll_heartbeats(now);
-        } else {
-            self.flush_reorder(now, &mut out);
-        }
+        self.close_gaps(now, &mut out);
+        self.poll_heartbeats(now);
         out
     }
 }
@@ -960,6 +863,7 @@ impl<M> FaultTarget for UdpTransport<M> {
 mod tests {
     use super::*;
     use crate::frame::{self, Reader, FRAME_HEADER_BYTES};
+    use crate::reorder::RECEIVE_WINDOW;
     use crate::CodecError;
     use std::time::{Duration, Instant};
 
@@ -1136,19 +1040,37 @@ mod tests {
         assert_eq!(rx.reorder_stats().skipped_seqs, 1);
     }
 
+    /// Every `GapSkipped` in `obs`'s log as `(first, count, nacks)`.
+    fn skips(obs: &Recorder) -> Vec<(u64, u64, u64)> {
+        obs.events()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                Event::GapSkipped {
+                    first,
+                    count,
+                    nacks,
+                    ..
+                } => Some((first, count, nacks)),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
-    fn a_far_future_sequence_costs_nothing_before_its_flush_deadline() {
-        // Repair off: the flush deadline is the only end of a gap. A
-        // registered address naming seq 2^40 right after seq 1 opens a
-        // gap of 2^40 - 2 sequences, and no poll before the deadline
-        // may walk it. (At the deadline each skipped sequence is still
-        // announced by an event of its own.)
+    fn a_far_future_sequence_is_dropped_outside_the_receive_window() {
+        // Repair off: a registered address naming seq 2^40 right after
+        // seq 1 is dropped and counted, not parked behind a gap of
+        // 2^40 - 2 sequences — the flush deadline passes with nothing
+        // to skip and nothing to announce.
         let cfg = UdpConfig {
             reorder_flush_ticks: 1_000,
             ..UdpConfig::default()
         };
+        let obs = Recorder::new();
         let mut rx: UdpTransport<TestMsg> =
-            UdpTransport::bind_localhost(NodeId::from_index(1), cfg).unwrap();
+            UdpTransport::bind_localhost(NodeId::from_index(1), cfg)
+                .unwrap()
+                .with_recorder(obs.clone());
         let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
         rx.register_peer(NodeId::from_index(0), raw.local_addr().unwrap());
         for seq in [1, 1 << 40] {
@@ -1156,20 +1078,60 @@ mod tests {
         }
         let mut got = Vec::new();
         poll_until(&mut rx, &mut got, |t, got| {
-            got.len() == 1 && t.reorder_depth() == 1
+            got.len() == 1 && t.reorder_stats().out_of_window == 1
         });
         let first: Vec<u64> = got.iter().map(|d| d.message.id).collect();
         assert_eq!(first, vec![1]);
-        assert_eq!(rx.reorder_depth(), 1, "seq 2^40 waits behind the gap");
-        for now in [1, 500, 999] {
+        assert_eq!(rx.reorder_stats().out_of_window, 1);
+        for now in [1, 999, 1_000, 5_000] {
             assert!(rx.poll(now).is_empty());
         }
-        assert_eq!(rx.reorder_depth(), 1);
+        assert_eq!(rx.reorder_depth(), 0, "seq 2^40 was dropped, not parked");
         assert_eq!(rx.reorder_stats().skipped_seqs, 0);
+        assert_eq!(skips(&obs), vec![]);
     }
 
     #[test]
-    fn a_timeout_skip_announces_each_skipped_sequence_in_order() {
+    fn a_far_future_sequence_under_repair_costs_at_most_one_window() {
+        // Repair on: seq 2^40 is dropped as out of window, and the top it
+        // advertises is clamped into the window, so the tail it exposes
+        // is NACKed and then skipped once, as one range.
+        let repair = RepairConfig {
+            retry_budget: 2,
+            ..RepairConfig::default()
+        };
+        let obs = Recorder::new();
+        let mut rx: UdpTransport<TestMsg> = UdpTransport::bind_localhost(
+            NodeId::from_index(1),
+            UdpConfig::default().with_repair(repair),
+        )
+        .unwrap()
+        .with_recorder(obs.clone());
+        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+        rx.register_peer(NodeId::from_index(0), raw.local_addr().unwrap());
+        for seq in [1, 1 << 40] {
+            send_raw(&raw, rx.local_addr(), seq);
+        }
+        let mut got = Vec::new();
+        poll_until(&mut rx, &mut got, |t, got| {
+            got.len() == 1 && t.reorder_stats().out_of_window == 1
+        });
+        for t in (1..=3_000u64).map(|i| i * 10_000) {
+            rx.set_manual_now(t);
+            got.extend(rx.poll(t));
+            assert!(rx.reorder_depth() <= RECEIVE_WINDOW as usize);
+        }
+        assert_eq!(got.len(), 1);
+        assert_eq!(rx.reorder_stats().out_of_window, 1);
+        assert_eq!(skips(&obs), vec![(2, RECEIVE_WINDOW, 2)]);
+        // Two rounds of ceil(4096 / 513) NACK frames, then silence.
+        assert_eq!(rx.stats().nacks_sent, 2 * 8);
+        let causal = lod_obs::check_causal(&obs.events());
+        assert!(causal.holds(), "{causal:?}");
+    }
+
+    #[test]
+    fn a_timeout_skip_announces_each_skipped_range_in_order() {
         let cfg = UdpConfig {
             reorder_flush_ticks: 1_000,
             ..UdpConfig::default()
@@ -1192,21 +1154,22 @@ mod tests {
         assert_eq!(got.len(), 1, "only seq 1 passes while the gaps are open");
         let late: Vec<u64> = rx.poll(1_000).iter().map(|d| d.message.id).collect();
         assert_eq!(late, vec![3, 6]);
-        let skipped: Vec<u64> = obs
+        let skipped: Vec<(u64, u64)> = obs
             .events()
             .into_iter()
             .filter_map(|r| match r.event {
                 Event::GapSkipped {
                     peer: 0,
-                    seq,
+                    first,
+                    count,
                     nacks: 0,
                     budget: 0,
                     ..
-                } => Some(seq),
+                } => Some((first, count)),
                 _ => None,
             })
             .collect();
-        assert_eq!(skipped, vec![2, 4, 5]);
+        assert_eq!(skipped, vec![(2, 1), (4, 2)]);
     }
 
     #[test]
@@ -1728,6 +1691,51 @@ mod tests {
         }
         assert_eq!(control, 2);
         // And the trace proves the skip waited out the budget.
+        let causal = lod_obs::check_causal(&recorder.events());
+        assert!(causal.holds(), "{causal:?}");
+        assert_eq!(causal.gap_skips, 1);
+    }
+
+    #[test]
+    fn a_gap_wider_than_one_nack_closes_after_one_authorized_skip() {
+        // Seq 1, then seq 600: 598 consecutive losses, more than one
+        // NACK frame names. The mute sender never answers, so once the
+        // budget is spent the whole gap goes in one skip and seq 600
+        // is delivered.
+        let recorder = Recorder::new();
+        let repair = RepairConfig {
+            retry_budget: 2,
+            ..RepairConfig::default()
+        };
+        let mut rx: UdpTransport<TestMsg> = UdpTransport::bind_localhost(
+            NodeId::from_index(1),
+            UdpConfig::default().with_repair(repair),
+        )
+        .unwrap()
+        .with_recorder(recorder.clone());
+        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
+        raw.set_nonblocking(true).unwrap();
+        rx.register_peer(NodeId::from_index(0), raw.local_addr().unwrap());
+        for seq in [1, 600] {
+            send_raw(&raw, rx.local_addr(), seq);
+        }
+        let mut got = Vec::new();
+        let mut t = 0;
+        let wall_deadline = Instant::now() + Duration::from_secs(10);
+        while got.len() < 2 && t < 30_000_000 && Instant::now() < wall_deadline {
+            t += 10_000;
+            rx.set_manual_now(t);
+            got.extend(rx.poll(t));
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        let ids: Vec<u64> = got.iter().map(|d| d.message.id).collect();
+        assert_eq!(ids, vec![1, 600], "seq 600 is delivered after the skip");
+        assert_eq!(skips(&recorder), vec![(2, 598, 2)]);
+        assert_eq!(rx.stats().gap_skipped_seqs, 598);
+        assert_eq!(rx.reorder_stats().skipped_seqs, 598);
+        assert_eq!(rx.reorder_depth(), 0);
+        // Two NACK rounds of two frames each: 513 sequences, then 85.
+        assert_eq!(rx.stats().nacks_sent, 4);
         let causal = lod_obs::check_causal(&recorder.events());
         assert!(causal.holds(), "{causal:?}");
         assert_eq!(causal.gap_skips, 1);

@@ -35,7 +35,7 @@ fn frames() -> Vec<(&'static str, Vec<u8>)> {
         seq: 0x0003_0303,
         origin: 0x0404_0404,
     };
-    let nacks = ControlFrame::build_nacks(&(0x0A0B_0C0D..0x0A0B_0C0D + 64).collect::<Vec<u64>>());
+    let nacks = ControlFrame::build_nacks(std::iter::once(0x0A0B_0C0D..0x0A0B_0C0D + 64));
     assert_eq!(nacks.len(), 1, "64 contiguous sequences fit one NACK");
     vec![
         (
