@@ -265,7 +265,7 @@ fn run_drill(p: &Profile, repair: Option<RepairConfig>) -> DrillOut {
                     unreachable!("only heartbeats ride the data direction")
                 };
                 if let Some(rx) = rx.as_mut() {
-                    rx.observe_top(top_seq);
+                    rx.observe_top(top_seq, buffer.window_end());
                 }
                 continue;
             }
@@ -275,7 +275,7 @@ fn run_drill(p: &Profile, repair: Option<RepairConfig>) -> DrillOut {
                 if !header.retransmit {
                     rx.observe_delay(now.saturating_sub(header.sent_at));
                 }
-                rx.observe_top(header.seq);
+                rx.observe_top(header.seq, buffer.window_end());
             }
             buffer.accept(header.seq, now, header.seq);
         }

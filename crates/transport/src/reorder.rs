@@ -14,12 +14,13 @@
 use std::collections::BTreeMap;
 use std::ops::Range;
 
-/// The receive window, in sequences: a buffer admits only
-/// `[expected, expected + RECEIVE_WINDOW)` and drops the rest as
-/// `out_of_window`, so at most this many frames wait per peer. The
-/// largest lead of a legitimate frame over `expected` is about a
-/// hundred sequences (q16's chaos profile); a frame further ahead is a
-/// corrupt or hostile sequence number.
+/// The receive window, in sequences: only `[expected, expected +
+/// RECEIVE_WINDOW)` can hold gaps. The largest lead of a legitimate
+/// frame over `expected` is about a hundred sequences (q16's chaos
+/// profile). A frame further ahead waits apart (one window's span of
+/// them) until a frame inside the window drops it as corrupt or forged,
+/// or the window stays quiet past the flush deadline and the buffer
+/// skips to it ([`ReorderBuffer::skip_beyond`]).
 pub const RECEIVE_WINDOW: u64 = 4_096;
 
 lod_obs::counters! {
@@ -33,7 +34,7 @@ lod_obs::counters! {
         pub out_of_order: u64,
         /// Frames dropped as duplicates or late (seq already passed).
         pub duplicates: u64,
-        /// Frames dropped for a sequence at or past the receive window.
+        /// Frames that arrived at or past the receive window.
         pub out_of_window: u64 => sparse_counter "transport_out_of_window",
         /// Sequence numbers abandoned by gap flushes or authorized skips.
         pub skipped_seqs: u64 => gauge "transport_skipped_seqs",
@@ -59,7 +60,10 @@ pub struct SkippedRange {
 #[derive(Debug)]
 pub struct ReorderBuffer<T> {
     next_seq: u64,
+    /// Frames waiting behind a gap, with their arrival ticks.
     pending: BTreeMap<u64, (u64, T)>,
+    /// Frames past the window that arrived since the last one inside it.
+    beyond: BTreeMap<u64, (u64, T)>,
     flush_after: u64,
     stats: ReorderStats,
 }
@@ -71,6 +75,7 @@ impl<T> ReorderBuffer<T> {
         Self {
             next_seq: 1,
             pending: BTreeMap::new(),
+            beyond: BTreeMap::new(),
             flush_after,
             stats: ReorderStats::default(),
         }
@@ -78,8 +83,8 @@ impl<T> ReorderBuffer<T> {
 
     /// Accepts a frame received at `now` and returns every frame that is
     /// now deliverable in sequence order (possibly empty, possibly more
-    /// than one when this frame fills a gap). A frame outside the
-    /// receive window is dropped.
+    /// than one when this frame fills a gap). A frame past the receive
+    /// window waits apart; a frame inside it drops those.
     pub fn accept(&mut self, seq: u64, now: u64, item: T) -> Vec<T> {
         if seq < self.next_seq {
             self.stats.duplicates += 1;
@@ -87,8 +92,15 @@ impl<T> ReorderBuffer<T> {
         }
         if seq >= self.window_end() {
             self.stats.out_of_window += 1;
+            self.beyond.insert(seq, (now, item));
+            if let Some((&lowest, _)) = self.beyond.first_key_value() {
+                self.beyond
+                    .split_off(&lowest.saturating_add(RECEIVE_WINDOW));
+            }
+            self.stats.max_depth = self.stats.max_depth.max(self.depth());
             return Vec::new();
         }
+        self.beyond.clear();
         if seq == self.next_seq {
             self.next_seq += 1;
             self.stats.delivered += 1;
@@ -101,12 +113,13 @@ impl<T> ReorderBuffer<T> {
         } else {
             self.stats.out_of_order += 1;
         }
-        self.stats.max_depth = self.stats.max_depth.max(self.pending.len());
+        self.stats.max_depth = self.stats.max_depth.max(self.depth());
         Vec::new()
     }
 
     /// Declares gaps older than `flush_after` lost and releases whatever
-    /// was waiting behind them, in sequence order. Appends each gap it
+    /// was waiting behind them, in sequence order, then follows a peer
+    /// past the window ([`Self::skip_beyond`]). Appends each gap it
     /// walks past to `skipped`, oldest first; a call that skips nothing
     /// costs nothing per missing sequence.
     pub fn flush_due(&mut self, now: u64, skipped: &mut Vec<SkippedRange>) -> Vec<T> {
@@ -116,14 +129,24 @@ impl<T> ReorderBuffer<T> {
             if entry.0.saturating_add(self.flush_after) > now {
                 break;
             }
-            skipped.push(SkippedRange {
-                first: self.next_seq,
-                count: seq - self.next_seq,
-                nacks: 0,
-            });
-            self.skip_to(seq, &mut out);
+            skipped.push(self.skip_to(seq, 0, &mut out));
         }
+        skipped.extend(self.skip_beyond(now, &mut out));
         out
+    }
+
+    /// With nothing waiting inside the window, once the lowest frame
+    /// past it is `flush_after` ticks old the peer lost more than a
+    /// window: skips to that frame, moves the frames past the window
+    /// inside it, and returns the range walked past. Repair never names
+    /// a sequence past the window, so this deadline holds under repair.
+    pub fn skip_beyond(&mut self, now: u64, out: &mut Vec<T>) -> Option<SkippedRange> {
+        let (&seq, &(at, _)) = self.beyond.first_key_value()?;
+        if !self.pending.is_empty() || at.saturating_add(self.flush_after) > now {
+            return None;
+        }
+        self.pending.append(&mut self.beyond);
+        Some(self.skip_to(seq, 0, out))
     }
 
     /// The open gaps, oldest first: each run of sequences below the
@@ -141,20 +164,26 @@ impl<T> ReorderBuffer<T> {
     /// Abandons every sequence before `seq` and releases whatever was
     /// waiting behind them: [`Self::flush_due`] past a due gap, or the
     /// repair round once a gap's retry budget is exhausted (the flush is
-    /// bypassed when repair runs).
-    pub fn skip_to(&mut self, seq: u64, out: &mut Vec<T>) {
-        if seq <= self.next_seq {
-            return;
+    /// bypassed when repair runs). Returns the range walked past, booked
+    /// against the `nacks` it absorbed.
+    pub fn skip_to(&mut self, seq: u64, nacks: u32, out: &mut Vec<T>) -> SkippedRange {
+        let (first, count) = (self.next_seq, seq.saturating_sub(self.next_seq));
+        if count > 0 {
+            debug_assert!(
+                self.pending
+                    .first_key_value()
+                    .is_none_or(|(&s, _)| seq <= s),
+                "skipping past a frame that actually arrived"
+            );
+            self.stats.skipped_seqs += count;
+            self.next_seq = seq;
+            self.drain_ready(out);
         }
-        debug_assert!(
-            self.pending
-                .first_key_value()
-                .is_none_or(|(&s, _)| seq <= s),
-            "skipping past a frame that actually arrived"
-        );
-        self.stats.skipped_seqs += seq - self.next_seq;
-        self.next_seq = seq;
-        self.drain_ready(out);
+        SkippedRange {
+            first,
+            count,
+            nacks,
+        }
     }
 
     fn drain_ready(&mut self, out: &mut Vec<T>) {
@@ -165,9 +194,9 @@ impl<T> ReorderBuffer<T> {
         }
     }
 
-    /// Frames currently waiting behind a gap.
+    /// Frames currently waiting, behind a gap or past the window.
     pub fn depth(&self) -> usize {
-        self.pending.len()
+        self.pending.len() + self.beyond.len()
     }
 
     /// The next sequence number the consumer will see.
@@ -314,21 +343,63 @@ mod tests {
         let mut b: ReorderBuffer<u64> = ReorderBuffer::new(1_000);
         assert_eq!(b.accept(1, 0, 10), vec![10]);
         assert_eq!(b.window_end(), 2 + RECEIVE_WINDOW);
-        // The last admitted sequence waits; the first past it and a far
-        // future one are dropped and counted, and leave no hole behind.
+        // The last admitted sequence waits in a gap; the first past it
+        // waits apart, and a far future one, over a window beyond that,
+        // is dropped. Neither leaves a hole behind.
         let last = b.window_end() - 1;
         assert_eq!(b.accept(last, 0, 1), Vec::<u64>::new());
         assert_eq!(b.accept(last + 1, 0, 2), Vec::<u64>::new());
         assert_eq!(b.accept(1 << 40, 0, 3), Vec::<u64>::new());
         assert_eq!(b.stats().out_of_window, 2);
-        assert_eq!(b.depth(), 1);
+        assert_eq!((b.pending.len(), b.beyond.len()), (1, 1));
         assert_eq!(b.holes().collect::<Vec<_>>(), vec![2..last]);
-        // However the peer spreads its sequences, no more than the
-        // window ever waits.
-        for seq in 2..last + 100 {
+        // However the peer spreads its sequences, no more than a window
+        // waits inside the window and no more than one past it.
+        for seq in (2..last + 100).chain(last..last + 3 * RECEIVE_WINDOW) {
             b.accept(seq + 1, 0, seq);
+            assert!(b.pending.len() <= RECEIVE_WINDOW as usize);
+            assert!(b.beyond.len() <= RECEIVE_WINDOW as usize);
         }
-        assert!(b.stats().max_depth <= RECEIVE_WINDOW as usize);
+        assert!(b.stats().max_depth <= 2 * RECEIVE_WINDOW as usize);
+    }
+
+    #[test]
+    fn a_frame_inside_the_window_drops_those_past_it() {
+        let mut b: ReorderBuffer<u64> = ReorderBuffer::new(1_000);
+        assert_eq!(b.accept(1, 0, 10), vec![10]);
+        assert_eq!(b.accept(1 << 40, 0, 0), Vec::<u64>::new());
+        assert_eq!(b.depth(), 1);
+        // The peer is still inside the window: seq 2^40 was corrupt or
+        // forged, and no deadline ever follows it.
+        assert_eq!(b.accept(2, 10, 20), vec![20]);
+        assert_eq!(b.depth(), 0);
+        let mut gaps = Vec::new();
+        assert_eq!(b.flush_due(1_000_000, &mut gaps), Vec::<u64>::new());
+        assert!(gaps.is_empty());
+        assert_eq!(b.expected(), 3);
+    }
+
+    #[test]
+    fn a_quiet_window_follows_the_peer_past_it() {
+        let mut b: ReorderBuffer<u64> = ReorderBuffer::new(1_000);
+        assert_eq!(b.accept(1, 0, 10), vec![10]);
+        assert_eq!(b.accept(3, 0, 30), Vec::<u64>::new());
+        // An outage longer than the window: the peer resumes at 5000.
+        for (seq, at) in [(5_000, 500), (5_001, 500), (5_003, 600)] {
+            assert_eq!(b.accept(seq, at, seq), Vec::<u64>::new());
+        }
+        let mut gaps = Vec::new();
+        // The gap inside the window is flushed first; the frames past it
+        // wait out their own deadline.
+        assert_eq!(b.flush_due(1_000, &mut gaps), vec![30]);
+        assert_eq!(ranges(&gaps), vec![2..3]);
+        assert_eq!(b.flush_due(1_499, &mut gaps), Vec::<u64>::new());
+        assert_eq!(b.flush_due(1_500, &mut gaps), vec![5_000, 5_001]);
+        assert_eq!(ranges(&gaps), vec![2..3, 4..5_000]);
+        assert_eq!(b.stats().skipped_seqs, 4_997);
+        // The rest moved inside the window, behind an ordinary gap.
+        assert_eq!(b.holes().collect::<Vec<_>>(), vec![5_002..5_003]);
+        assert_eq!(b.accept(5_002, 1_600, 5_002), vec![5_002, 5_003]);
     }
 
     #[test]
@@ -338,13 +409,13 @@ mod tests {
         assert_eq!(b.accept(4, 0, 40), Vec::<u64>::new());
         assert_eq!(b.accept(5, 0, 50), Vec::<u64>::new());
         let mut out = Vec::new();
-        b.skip_to(2, &mut out); // no-op: 2 is already the cursor...
-        b.skip_to(4, &mut out);
+        b.skip_to(2, 0, &mut out); // no-op: 2 is already the cursor...
+        b.skip_to(4, 0, &mut out);
         assert_eq!(out, vec![40, 50]);
         assert_eq!(b.stats().skipped_seqs, 2);
         assert_eq!(b.expected(), 6);
         // Skipping backward is a no-op.
-        b.skip_to(3, &mut out);
+        b.skip_to(3, 0, &mut out);
         assert_eq!(b.expected(), 6);
     }
 }

@@ -81,15 +81,22 @@ impl RepairConfig {
     /// silently (mirrors the zero-value validation of the server/relay
     /// builders).
     pub fn validate(&self) {
-        let knobs = [
-            ("buffer_bytes", self.buffer_bytes),
-            ("retry_budget", u64::from(self.retry_budget)),
-            ("initial_rtt_ticks", self.initial_rtt_ticks),
-            ("min_nack_interval_ticks", self.min_nack_interval_ticks),
-        ];
-        for (knob, value) in knobs {
-            assert!(value > 0, "repair {knob} must be positive");
-        }
+        assert!(
+            self.buffer_bytes > 0,
+            "repair buffer_bytes must be positive"
+        );
+        assert!(
+            self.retry_budget > 0,
+            "repair retry_budget must be positive"
+        );
+        assert!(
+            self.initial_rtt_ticks > 0,
+            "repair initial_rtt_ticks must be positive"
+        );
+        assert!(
+            self.min_nack_interval_ticks > 0,
+            "repair min_nack_interval_ticks must be positive"
+        );
     }
 }
 
@@ -425,8 +432,6 @@ lod_obs::counters! {
         pub seqs_nacked: u64,
         /// Gaps that closed after at least one NACK — repaired, not skipped.
         pub repaired: u64,
-        /// Sequences handed over to a gap-skip after budget exhaustion.
-        pub gap_skips: u64,
     }
 }
 
@@ -462,9 +467,9 @@ pub struct RepairRx {
     /// Smoothed one-way path delay in ticks (EWMA, gain 1/8 — the
     /// classic SRTT filter), fed by frame send timestamps.
     srtt: u64,
-    /// Highest data sequence the peer is known to have sent (observed
-    /// frames and heartbeat advertisements) — the reference that makes
-    /// tail loss detectable.
+    /// Highest data sequence the peer is known to have sent (admitted
+    /// frames and heartbeat advertisements inside the receive window) —
+    /// the reference that makes tail loss detectable.
     top: u64,
     /// The open gaps, sorted and disjoint.
     gaps: Vec<GapRun>,
@@ -494,9 +499,13 @@ impl RepairRx {
     }
 
     /// Notes that the peer sent data sequence `seq` (a frame carried it
-    /// or a heartbeat advertised it).
-    pub fn observe_top(&mut self, seq: u64) {
-        self.top = self.top.max(seq);
+    /// or a heartbeat advertised it). A sequence at or past `window_end`,
+    /// the receive window's end, is ignored: it may be corrupt or
+    /// forged, and no round names a sequence past the window.
+    pub fn observe_top(&mut self, seq: u64, window_end: u64) {
+        if seq < window_end {
+            self.top = self.top.max(seq);
+        }
     }
 
     /// The smoothed path-delay estimate, in ticks.
@@ -512,18 +521,18 @@ impl RepairRx {
 
     /// One receiver round at `now` over the peer's reorder buffer. The
     /// open gaps are the buffer's holes plus the tail up to the observed
-    /// top, which is clamped into the receive window first. Fresh or
-    /// re-due gaps get NACKed; then, from the front, every gap whose
-    /// budget is spent and whose final retransmit had one more interval
-    /// to land is skipped, releasing the frames behind it into
-    /// `released`.
+    /// top. Fresh or re-due gaps get NACKed; then, from the front, every
+    /// gap whose budget is spent and whose final retransmit had one more
+    /// interval to land is skipped, releasing the frames behind it into
+    /// `released`. With no gap left open, the buffer may follow a peer
+    /// that moved past the window ([`ReorderBuffer::skip_beyond`], a
+    /// range skipped after no NACK).
     pub fn round<T>(
         &mut self,
         now: u64,
         buffer: &mut ReorderBuffer<T>,
         released: &mut Vec<T>,
     ) -> RxRound {
-        self.top = self.top.min(buffer.window_end() - 1);
         let tail = buffer.horizon()..self.top + 1;
         let nacks = self.nack_due(now, buffer.holes().chain(Some(tail)));
         let (budget, interval) = (self.cfg.retry_budget, self.nack_interval());
@@ -535,15 +544,12 @@ impl RepairRx {
             {
                 break;
             }
-            buffer.skip_to(run.end, released);
-            self.stats.gap_skips += run.len();
-            skipped.push(SkippedRange {
-                first: run.start,
-                count: run.len(),
-                nacks: run.nacks,
-            });
+            skipped.push(buffer.skip_to(run.end, run.nacks, released));
         }
         self.gaps.drain(..skipped.len());
+        if self.gaps.is_empty() {
+            skipped.extend(buffer.skip_beyond(now, released));
+        }
         RxRound { nacks, skipped }
     }
 
@@ -760,7 +766,6 @@ mod tests {
         assert!(round.nacks.is_empty());
         assert_eq!(released, vec![3]);
         assert_eq!(b.expected(), 4);
-        assert_eq!(rx.stats().gap_skips, 1);
         assert_eq!(rx.gaps.len(), 0);
     }
 
@@ -797,7 +802,6 @@ mod tests {
         let skipped: Vec<(u64, u64)> = round.skipped.iter().map(|r| (r.first, r.count)).collect();
         assert_eq!(skipped, vec![(2, 3), (6, 4)]);
         assert_eq!(released, vec![5, 10]);
-        assert_eq!(rx.stats().gap_skips, 7);
         assert!(released.is_sorted());
     }
 
@@ -829,9 +833,11 @@ mod tests {
         let mut rx = RepairRx::new(cfg());
         let mut b = buffer(&[1]);
         let mut released = Vec::new();
-        // A heartbeat advertising a far future top names a tail no
-        // longer than the window.
-        rx.observe_top(1 << 40);
+        // A heartbeat advertising a top past the window names nothing; one
+        // inside it names the tail up to it.
+        rx.observe_top(1 << 40, b.window_end());
+        assert_eq!(rx.round(0, &mut b, &mut released), RxRound::default());
+        rx.observe_top(b.window_end() - 1, b.window_end());
         let round = rx.round(0, &mut b, &mut released);
         let named = round.nacks.iter().map(|n| n.seqs().len()).sum::<usize>();
         assert_eq!(named as u64, crate::reorder::RECEIVE_WINDOW);
@@ -840,9 +846,48 @@ mod tests {
         let round = rx.round(4_000, &mut b, &mut released);
         assert_eq!(round.skipped.len(), 1);
         assert_eq!(round.skipped[0].count, crate::reorder::RECEIVE_WINDOW);
-        // The top was clamped, not kept: nothing is left to NACK.
         assert_eq!(rx.round(10_000, &mut b, &mut released), RxRound::default());
         assert_eq!(rx.gaps.len(), 0);
+    }
+
+    #[test]
+    fn rx_follows_a_peer_past_the_window_once_no_gap_is_open() {
+        let mut rx = RepairRx::new(cfg());
+        let mut b = ReorderBuffer::new(10_000);
+        let mut released = Vec::new();
+        for (seq, at) in [(1, 0), (3, 0), (5_000, 100)] {
+            released.extend(b.accept(seq, at, seq));
+            rx.observe_top(seq, b.window_end());
+        }
+        assert_eq!(released, vec![1]);
+        // The gap inside the window is NACKed and skipped by its budget;
+        // the flush deadline never touches it.
+        rx.round(0, &mut b, &mut released);
+        rx.round(2_000, &mut b, &mut released);
+        let round = rx.round(4_000, &mut b, &mut released);
+        assert_eq!(
+            round.skipped,
+            vec![SkippedRange {
+                first: 2,
+                count: 1,
+                nacks: 2
+            }]
+        );
+        assert_eq!(released, vec![1, 3]);
+        // Seq 5000 never opened a tail; it waits out the deadline and is
+        // then reached in one range, skipped after no NACK.
+        assert_eq!(rx.round(10_099, &mut b, &mut released), RxRound::default());
+        let round = rx.round(10_100, &mut b, &mut released);
+        assert!(round.nacks.is_empty());
+        assert_eq!(
+            round.skipped,
+            vec![SkippedRange {
+                first: 4,
+                count: 4_996,
+                nacks: 0
+            }]
+        );
+        assert_eq!(released, vec![1, 3, 5_000]);
     }
 
     #[test]

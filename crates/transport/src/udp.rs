@@ -29,7 +29,7 @@ use crate::frame::{
     decode_frame, encode_message_frame, mark_retransmit, peek_trace, WireCodec, FLAG_CONTROL,
     FLAG_RELIABLE,
 };
-use crate::reorder::{ReorderBuffer, ReorderStats};
+use crate::reorder::{ReorderBuffer, ReorderStats, RECEIVE_WINDOW};
 use crate::repair::{ControlFrame, RepairConfig, RepairRx, RepairTx};
 use crate::{Transport, TICKS_PER_SECOND};
 
@@ -504,11 +504,8 @@ impl<M: WireCodec> UdpTransport<M> {
     /// Releases fault-delayed datagrams whose hold has elapsed. They go
     /// straight to the socket — the fault stage already ruled on them.
     fn release_delayed(&mut self, now: u64) {
-        let (due, held): (Vec<_>, Vec<_>) = std::mem::take(&mut self.delayed)
-            .into_iter()
-            .partition(|d| d.0 <= now);
-        self.delayed = held;
-        for (_, index, frame) in due {
+        while let Some(i) = self.delayed.iter().position(|d| d.0 <= now) {
+            let (_, index, frame) = self.delayed.remove(i);
             self.raw_send(now, index, &frame);
         }
     }
@@ -551,8 +548,12 @@ impl<M: WireCodec> UdpTransport<M> {
             let Some(peer) = peer_mut(&mut self.peers, src) else {
                 continue;
             };
+            let flush_after = self.cfg.reorder_flush_ticks;
+            let buffer = peer
+                .reorder
+                .get_or_insert_with(|| ReorderBuffer::new(flush_after));
             if let Some(rx) = peer.repair_rx.as_mut() {
-                rx.observe_top(header.seq);
+                rx.observe_top(header.seq, buffer.window_end());
                 if !header.retransmit {
                     // Feed the path-delay estimate that paces NACK timers.
                     // Send timestamps come from the peer's clock; on the
@@ -599,11 +600,7 @@ impl<M: WireCodec> UdpTransport<M> {
                 // leaves the resequencing buffer (possibly right now).
                 self.obs.span(now, true, node, src as u64, "reorder", ctx);
             }
-            let flush_after = self.cfg.reorder_flush_ticks;
-            let released = peer
-                .reorder
-                .get_or_insert_with(|| ReorderBuffer::new(flush_after))
-                .accept(header.seq, now, (n as u64, header.trace, message));
+            let released = buffer.accept(header.seq, now, (n as u64, header.trace, message));
             self.release(now, src, released, out);
         }
     }
@@ -637,7 +634,10 @@ impl<M: WireCodec> UdpTransport<M> {
         if let ControlFrame::Heartbeat { top_seq } = cf {
             self.stats.heartbeats_received += 1;
             if let Some(rx) = peer.repair_rx.as_mut() {
-                rx.observe_top(*top_seq);
+                // Before the peer's first data frame: a fresh buffer's window.
+                let window_end =
+                    (peer.reorder.as_ref()).map_or(1 + RECEIVE_WINDOW, ReorderBuffer::window_end);
+                rx.observe_top(*top_seq, window_end);
             }
             return;
         }
@@ -688,11 +688,12 @@ impl<M: WireCodec> UdpTransport<M> {
     /// Closes each peer's due gaps, one range at a time. Under repair its
     /// [`RepairRx::round`] sends the due NACKs and skips only the ranges
     /// whose retry budget is spent — the blind reorder timeout stays out
-    /// of the way; without repair the flush deadline skips them. Each
-    /// skipped range is announced by one event, booked against the NACKs
-    /// it absorbed and the retry budget (zero of both for a timeout
-    /// skip), so the causal checker sees every abandoned range either
-    /// way. A poll that skips nothing does no work per missing sequence.
+    /// of the way; without repair the flush deadline skips them. Either
+    /// way the flush deadline follows a peer past the receive window.
+    /// Each skipped range is announced by one event, booked against the
+    /// NACKs it absorbed and the retry budget (zero of both for a range
+    /// no NACK named), so the causal checker sees every abandoned range.
+    /// A poll that skips nothing does no work per missing sequence.
     fn close_gaps(&mut self, now: u64, out: &mut Vec<Delivery<M>>) {
         let node = self.node.index() as u64;
         let budget = self.cfg.repair.map_or(0, |r| u64::from(r.retry_budget));
@@ -711,7 +712,6 @@ impl<M: WireCodec> UdpTransport<M> {
                 Some(rx) => {
                     let round = rx.round(now, buffer, &mut released);
                     skipped = round.skipped;
-                    self.stats.gap_skipped_seqs += skipped.iter().map(|r| r.count).sum::<u64>();
                     round.nacks
                 }
                 None => {
@@ -744,6 +744,14 @@ impl<M: WireCodec> UdpTransport<M> {
                 }
             }
             for range in skipped.drain(..) {
+                // A range skipped after no NACK (a flush, or a jump past
+                // the receive window) is booked against no budget.
+                let budget = if range.nacks > 0 {
+                    self.stats.gap_skipped_seqs += range.count;
+                    budget
+                } else {
+                    0
+                };
                 self.obs.emit(
                     now,
                     Event::GapSkipped {
@@ -818,12 +826,13 @@ impl<M: WireCodec> Transport<M> for UdpTransport<M> {
         // The pacer queue is this backend's first hop: convert its
         // depth to ticks-until-drained at the pacing rate, the same
         // unit the simulator's backlog probe reports.
-        Some(self.pacer.as_ref().map_or(0, |p| {
-            self.queued_bytes
-                .saturating_mul(8)
-                .saturating_mul(TICKS_PER_SECOND)
-                / p.rate_bps().max(1)
-        }))
+        match (&self.pacer, self.queued_bytes) {
+            (_, 0) => Some(0),
+            (Some(p), queued) => Some(
+                queued.saturating_mul(8).saturating_mul(TICKS_PER_SECOND) / p.rate_bps().max(1),
+            ),
+            (None, _) => Some(0),
+        }
     }
 
     fn now(&self) -> u64 {
@@ -863,7 +872,6 @@ impl<M> FaultTarget for UdpTransport<M> {
 mod tests {
     use super::*;
     use crate::frame::{self, Reader, FRAME_HEADER_BYTES};
-    use crate::reorder::RECEIVE_WINDOW;
     use crate::CodecError;
     use std::time::{Duration, Instant};
 
@@ -1056,78 +1064,127 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn a_far_future_sequence_is_dropped_outside_the_receive_window() {
-        // Repair off: a registered address naming seq 2^40 right after
-        // seq 1 is dropped and counted, not parked behind a gap of
-        // 2^40 - 2 sequences — the flush deadline passes with nothing
-        // to skip and nothing to announce.
-        let cfg = UdpConfig {
-            reorder_flush_ticks: 1_000,
-            ..UdpConfig::default()
-        };
+    /// A receiver with `cfg` and a recorder, and a raw socket registered
+    /// as its peer 0.
+    fn raw_peer(cfg: UdpConfig) -> (UdpTransport<TestMsg>, UdpSocket, Recorder) {
         let obs = Recorder::new();
-        let mut rx: UdpTransport<TestMsg> =
-            UdpTransport::bind_localhost(NodeId::from_index(1), cfg)
-                .unwrap()
-                .with_recorder(obs.clone());
+        let mut rx = UdpTransport::bind_localhost(NodeId::from_index(1), cfg)
+            .unwrap()
+            .with_recorder(obs.clone());
         let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
         rx.register_peer(NodeId::from_index(0), raw.local_addr().unwrap());
-        for seq in [1, 1 << 40] {
-            send_raw(&raw, rx.local_addr(), seq);
-        }
-        let mut got = Vec::new();
-        poll_until(&mut rx, &mut got, |t, got| {
-            got.len() == 1 && t.reorder_stats().out_of_window == 1
-        });
-        let first: Vec<u64> = got.iter().map(|d| d.message.id).collect();
-        assert_eq!(first, vec![1]);
-        assert_eq!(rx.reorder_stats().out_of_window, 1);
-        for now in [1, 999, 1_000, 5_000] {
-            assert!(rx.poll(now).is_empty());
-        }
-        assert_eq!(rx.reorder_depth(), 0, "seq 2^40 was dropped, not parked");
-        assert_eq!(rx.reorder_stats().skipped_seqs, 0);
-        assert_eq!(skips(&obs), vec![]);
+        (rx, raw, obs)
     }
 
-    #[test]
-    fn a_far_future_sequence_under_repair_costs_at_most_one_window() {
-        // Repair on: seq 2^40 is dropped as out of window, and the top it
-        // advertises is clamped into the window, so the tail it exposes
-        // is NACKed and then skipped once, as one range.
+    /// The two receive paths under a 1 000-tick flush deadline: repair
+    /// off, and repair on with a budget of two NACKs.
+    fn both_paths() -> [UdpConfig; 2] {
         let repair = RepairConfig {
             retry_budget: 2,
             ..RepairConfig::default()
         };
-        let obs = Recorder::new();
-        let mut rx: UdpTransport<TestMsg> = UdpTransport::bind_localhost(
-            NodeId::from_index(1),
-            UdpConfig::default().with_repair(repair),
-        )
-        .unwrap()
-        .with_recorder(obs.clone());
-        let raw = UdpSocket::bind("127.0.0.1:0").unwrap();
-        rx.register_peer(NodeId::from_index(0), raw.local_addr().unwrap());
-        for seq in [1, 1 << 40] {
-            send_raw(&raw, rx.local_addr(), seq);
+        let off = UdpConfig::default().with_reorder_flush_ticks(1_000);
+        [off, off.with_repair(repair)]
+    }
+
+    fn ids(got: &[Delivery<TestMsg>]) -> Vec<u64> {
+        got.iter().map(|d| d.message.id).collect()
+    }
+
+    #[test]
+    fn a_far_future_sequence_costs_nothing_before_its_flush_deadline() {
+        // A registered address naming seq 2^40 right after seq 1: the
+        // frame is counted out of window and waits apart, never behind
+        // a gap of 2^40 - 2 sequences, and no poll before the deadline
+        // walks, NACKs or announces anything. At the deadline, the window
+        // still quiet, the buffer follows the peer there: one range, one
+        // event, booked against no NACK.
+        for cfg in both_paths() {
+            let (mut rx, raw, obs) = raw_peer(cfg);
+            for seq in [1, 1 << 40] {
+                send_raw(&raw, rx.local_addr(), seq);
+            }
+            let mut got = Vec::new();
+            poll_until(&mut rx, &mut got, |t, got| {
+                got.len() == 1 && t.reorder_depth() == 1
+            });
+            assert_eq!(ids(&got), vec![1]);
+            assert_eq!(rx.reorder_depth(), 1, "seq 2^40 waits past the window");
+            assert_eq!(rx.reorder_stats().out_of_window, 1);
+            for now in [1, 500, 999] {
+                assert!(rx.poll(now).is_empty());
+            }
+            assert_eq!(rx.reorder_depth(), 1);
+            assert_eq!(rx.reorder_stats().skipped_seqs, 0);
+            assert_eq!(skips(&obs), vec![]);
+            assert_eq!(rx.stats().nacks_sent, 0);
+            assert_eq!(ids(&rx.poll(1_000)), vec![1 << 40]);
+            assert_eq!(skips(&obs), vec![(2, (1 << 40) - 2, 0)]);
+            assert_eq!(rx.reorder_depth(), 0);
+            let causal = lod_obs::check_causal(&obs.events());
+            assert!(causal.holds(), "{causal:?}");
         }
-        let mut got = Vec::new();
-        poll_until(&mut rx, &mut got, |t, got| {
-            got.len() == 1 && t.reorder_stats().out_of_window == 1
-        });
-        for t in (1..=3_000u64).map(|i| i * 10_000) {
-            rx.set_manual_now(t);
-            got.extend(rx.poll(t));
-            assert!(rx.reorder_depth() <= RECEIVE_WINDOW as usize);
+    }
+
+    #[test]
+    fn a_far_future_sequence_does_not_stall_a_live_peer() {
+        // Seq 2^40 (corrupt, or forged from the peer's address) right
+        // after seq 1, then the peer goes on at seq 2. The first frame
+        // inside the window drops seq 2^40: every real frame is
+        // delivered, and nothing is NACKed or skipped, before or long
+        // after the flush deadline.
+        for cfg in both_paths() {
+            let (mut rx, raw, obs) = raw_peer(cfg);
+            for seq in [1, 1 << 40] {
+                send_raw(&raw, rx.local_addr(), seq);
+            }
+            let mut got = Vec::new();
+            poll_until(&mut rx, &mut got, |t, got| {
+                got.len() == 1 && t.reorder_stats().out_of_window == 1
+            });
+            for seq in 2..=20 {
+                send_raw(&raw, rx.local_addr(), seq);
+            }
+            poll_until(&mut rx, &mut got, |_, got| got.len() == 20);
+            for t in (1..=20u64).map(|i| i * 1_000) {
+                rx.set_manual_now(t);
+                got.extend(rx.poll(t));
+            }
+            assert_eq!(ids(&got), (1..=20).collect::<Vec<_>>());
+            assert_eq!(rx.reorder_stats().out_of_window, 1);
+            assert_eq!(rx.reorder_depth(), 0);
+            assert_eq!(skips(&obs), vec![]);
+            assert_eq!(rx.stats().nacks_sent, 0);
         }
-        assert_eq!(got.len(), 1);
-        assert_eq!(rx.reorder_stats().out_of_window, 1);
-        assert_eq!(skips(&obs), vec![(2, RECEIVE_WINDOW, 2)]);
-        // Two rounds of ceil(4096 / 513) NACK frames, then silence.
-        assert_eq!(rx.stats().nacks_sent, 2 * 8);
-        let causal = lod_obs::check_causal(&obs.events());
-        assert!(causal.holds(), "{causal:?}");
+    }
+
+    #[test]
+    fn a_peer_past_the_receive_window_is_followed_after_the_deadline() {
+        // Seq 1, then an outage longer than the window: the peer resumes
+        // at 5000. The frames wait apart until the flush deadline, then
+        // the window moves to them in one range and 5000 and 5001 are
+        // both delivered; the peer goes on inside the moved window.
+        for cfg in both_paths() {
+            let (mut rx, raw, obs) = raw_peer(cfg);
+            for seq in [1, 5_000, 5_001] {
+                send_raw(&raw, rx.local_addr(), seq);
+            }
+            let mut got = Vec::new();
+            poll_until(&mut rx, &mut got, |t, got| {
+                got.len() == 1 && t.reorder_depth() == 2
+            });
+            assert!(rx.poll(999).is_empty());
+            assert_eq!(ids(&rx.poll(1_000)), vec![5_000, 5_001]);
+            assert_eq!(skips(&obs), vec![(2, 4_998, 0)]);
+            send_raw(&raw, rx.local_addr(), 5_002);
+            let mut more = Vec::new();
+            poll_until(&mut rx, &mut more, |_, more| more.len() == 1);
+            assert_eq!(ids(&more), vec![5_002]);
+            assert_eq!(rx.stats().nacks_sent, 0);
+            assert_eq!(rx.stats().gap_skipped_seqs, 0, "no budget was spent");
+            let causal = lod_obs::check_causal(&obs.events());
+            assert!(causal.holds(), "{causal:?}");
+        }
     }
 
     #[test]
@@ -1679,7 +1736,6 @@ mod tests {
         assert_eq!(rx.stats().nacks_sent, 2, "exactly the NACK budget");
         assert_eq!(rx.stats().gap_skipped_seqs, 1);
         assert_eq!(rx.reorder_stats().skipped_seqs, 1);
-        assert_eq!(rx.repair_rx_stats().gap_skips, 1);
         // The NACKs really left: the mute socket can read them back.
         let mut buf = [0u8; 2048];
         let mut control = 0;
