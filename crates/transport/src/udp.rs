@@ -30,7 +30,7 @@ use crate::frame::{
     FLAG_RELIABLE,
 };
 use crate::reorder::{ReorderBuffer, ReorderStats, RECEIVE_WINDOW};
-use crate::repair::{ControlFrame, RepairConfig, RepairRx, RepairTx};
+use crate::repair::{ControlFrame, RepairConfig, RepairRx, RepairTx, RxRound};
 use crate::{Transport, TICKS_PER_SECOND};
 
 /// Knobs for a [`UdpTransport`].
@@ -685,19 +685,15 @@ impl<M: WireCodec> UdpTransport<M> {
         }
     }
 
-    /// Closes each peer's due gaps, one range at a time. Under repair its
-    /// [`RepairRx::round`] sends the due NACKs and skips only the ranges
-    /// whose retry budget is spent — the blind reorder timeout stays out
-    /// of the way; without repair the flush deadline skips them. Either
-    /// way the flush deadline follows a peer past the receive window.
-    /// Each skipped range is announced by one event, booked against the
-    /// NACKs it absorbed and the retry budget (zero of both for a range
-    /// no NACK named), so the causal checker sees every abandoned range.
-    /// A poll that skips nothing does no work per missing sequence.
+    /// Closes each peer's due gaps. Under repair its [`RepairRx::round`]
+    /// sends the due NACKs and skips only the ranges whose retry budget
+    /// is spent; without repair the flush deadline skips them. Each
+    /// skipped range is announced by one event, so the causal checker
+    /// sees every abandoned range. A poll that skips nothing does no
+    /// work per missing sequence.
     fn close_gaps(&mut self, now: u64, out: &mut Vec<Delivery<M>>) {
         let node = self.node.index() as u64;
         let budget = self.cfg.repair.map_or(0, |r| u64::from(r.retry_budget));
-        let mut skipped = Vec::new();
         for src in 0..self.peers.len() {
             let Some(Peer {
                 reorder: Some(buffer),
@@ -707,19 +703,12 @@ impl<M: WireCodec> UdpTransport<M> {
             else {
                 continue;
             };
-            let mut released = Vec::new();
-            let nacks = match repair_rx {
-                Some(rx) => {
-                    let round = rx.round(now, buffer, &mut released);
-                    skipped = round.skipped;
-                    round.nacks
-                }
-                None => {
-                    released = buffer.flush_due(now, &mut skipped);
-                    Vec::new()
-                }
-            };
-            for nack in &nacks {
+            let (mut released, mut round) = (Vec::new(), RxRound::default());
+            match repair_rx {
+                Some(rx) => round = rx.round(now, buffer, &mut released),
+                None => released = buffer.flush_due(now, &mut round.skipped),
+            }
+            for nack in &round.nacks {
                 let ControlFrame::Nack { base_seq, .. } = nack else {
                     unreachable!("a receiver round only emits NACKs");
                 };
@@ -743,7 +732,7 @@ impl<M: WireCodec> UdpTransport<M> {
                     self.put_on_wire(now, src, &frame);
                 }
             }
-            for range in skipped.drain(..) {
+            for range in round.skipped {
                 // A range skipped after no NACK (a flush, or a jump past
                 // the receive window) is booked against no budget.
                 let budget = if range.nacks > 0 {
